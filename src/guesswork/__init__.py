@@ -30,6 +30,7 @@ from .engine import (
     optimal_two_outcome_measurement,
     permute_problem,
     simulate,
+    solve,
     tracenorm_argmax,
     zigzag_candidate,
 )

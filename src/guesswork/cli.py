@@ -18,20 +18,14 @@ import numpy as np
 
 from . import serialize
 from .costs import identity_cost
-from .engine import (
-    min_guesswork_general,
-    min_guesswork_qubit,
-    simulate,
-    tracenorm_argmax,
-    zigzag_candidate,
-)
+from .engine import simulate, solve
 from .ensembles import (
     EnsembleFamilySpec,
     antiprism_h_bound,
     constant_overlap_check,
     is_uniform_prior,
 )
-from .errors import FactorialCapError, NumericalCheckError
+from .errors import NumericalCheckError
 from .qap import DEFAULT_FACTORIAL_CAP, bloch_gram, find_benevolent_permutation, is_benevolent
 
 
@@ -43,7 +37,10 @@ def _cap() -> int:
     raw = os.environ.get("GUESSWORK_FACTORIAL_CAP", "")
     if not raw:
         return DEFAULT_FACTORIAL_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"GUESSWORK_FACTORIAL_CAP must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError(f"GUESSWORK_FACTORIAL_CAP must be >= 1, got {cap}")
     return cap
@@ -62,15 +59,6 @@ def _write_json(path: str, doc) -> None:
 
 def _load_ensemble(path: str):
     return serialize.ensemble_from_json(_load_json(path))
-
-
-def _load_cost(spec: str, size: int):
-    if spec == "identity":
-        return identity_cost(size)
-    cost = serialize.cost_from_json(_load_json(spec), size_hint=size)
-    if cost.size != size:
-        raise ValueError(f"cost has {cost.size} values but the ensemble has {size} states")
-    return cost
 
 
 def cmd_generate(args) -> int:
@@ -98,62 +86,33 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _unverified_doc(cost, candidate, norm_value) -> dict:
-    return {
-        "value": cost.mean - norm_value / 2,
-        "mean_cost": cost.mean,
-        "trace_norm_term": norm_value / 2,
-        "numbering": list(candidate),
-        "method": "condition_check_only",
-        "condition_verified": False,
-        "measurement": {"elements": []},
-    }
-
-
-def _solve(ensemble, cost, method: str, tol: float, cap: int):
-    """Dispatch to the qubit QAP solver or the general condition checker.
-
-    Returns (report_or_none, unverified_doc_or_none).  In auto mode a
-    cap-exceeding instance degrades to the uncertified zig-zag candidate
-    instead of erroring out.
-    """
-    qubit_ready = ensemble.dim == 2 and is_uniform_prior(ensemble, tol)
-    if method in ("brute", "benevolent"):
-        return min_guesswork_qubit(ensemble, cost, method=method, tol=tol, cap=cap), None
-    try:
-        if qubit_ready:
-            return min_guesswork_qubit(ensemble, cost, method=method, tol=tol, cap=cap), None
-        report = min_guesswork_general(ensemble, cost, tol=tol, cap=cap)
-        if report is not None:
-            return report, None
-        candidate, norm_value = tracenorm_argmax(ensemble, cost, cap=cap)
-    except FactorialCapError:
-        candidate, norm_value = zigzag_candidate(ensemble, cost)
-    return None, _unverified_doc(cost, candidate, norm_value)
+def _load_and_solve(args):
+    """Load the ensemble and cost named in ``args`` and run the solve pipeline."""
+    ensemble = _load_ensemble(args.ensemble)
+    if args.cost == "identity":
+        cost = identity_cost(ensemble.size)
+    else:
+        cost = serialize.cost_from_json(_load_json(args.cost), size_hint=ensemble.size)
+    return ensemble, cost, solve(ensemble, cost, getattr(args, "method", "auto"), args.tol, _cap())
 
 
 def cmd_solve(args) -> int:
-    ensemble = _load_ensemble(args.ensemble)
-    cost = _load_cost(args.cost, ensemble.size)
-    if not cost.is_balanced:
-        raise ValueError("cost not balanced: no permutation pairs values about the mean")
-    report, bound_doc = _solve(ensemble, cost, args.method, args.tol, _cap())
-    if report is None:
+    _, _, report = _load_and_solve(args)
+    numbering = " ".join(str(x) for x in report.optimal_numbering)
+    if report.measurement is None:
         print("optimality condition failed at the best candidate numbering")
-        print(f"unverified upper bound   {_fmt(bound_doc['value'])}")
-        print(f"candidate numbering      {' '.join(str(x) for x in bound_doc['numbering'])}")
-        if args.out:
-            _write_json(args.out, bound_doc)
-        return 3
-    print(f"minimum guesswork    {_fmt(report.value)}")
-    print(f"mean cost            {_fmt(report.mean_cost)}")
-    print(f"trace-norm term      {_fmt(report.trace_norm_term)}")
-    print(f"numbering            {' '.join(str(x) for x in report.optimal_numbering)}")
-    print(f"method               {report.method}")
-    print(f"condition verified   {'yes' if report.condition_verified else 'no'}")
+        print(f"unverified upper bound   {_fmt(report.value)}")
+        print(f"candidate numbering      {numbering}")
+    else:
+        print(f"minimum guesswork    {_fmt(report.value)}")
+        print(f"mean cost            {_fmt(report.mean_cost)}")
+        print(f"trace-norm term      {_fmt(report.trace_norm_term)}")
+        print(f"numbering            {numbering}")
+        print(f"method               {report.method}")
+        print(f"condition verified   {'yes' if report.condition_verified else 'no'}")
     if args.out:
         _write_json(args.out, serialize.report_to_json(report))
-    return 0
+    return 3 if report.measurement is None else 0
 
 
 def _recognize_antiprism(ensemble) -> tuple[float, float] | None:
@@ -219,12 +178,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ensemble = _load_ensemble(args.ensemble)
-    cost = _load_cost(args.cost, ensemble.size)
-    if not cost.is_balanced:
-        raise ValueError("cost not balanced: no permutation pairs values about the mean")
-    report, _ = _solve(ensemble, cost, "auto", args.tol, _cap())
-    if report is None:
+    ensemble, cost, report = _load_and_solve(args)
+    if report.measurement is None:
         print("no verified optimal measurement; nothing to simulate")
         return 3
     estimate, std_error = simulate(
@@ -308,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        print(f"error: --tol must be a finite positive number, got {tol!r}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -115,6 +115,8 @@ def cost_function(values, tol: float = BALANCE_TOL) -> CostFunction:
     if len(gamma) < 1:
         raise ValueError("cost function must have at least one value")
     arr = np.asarray(gamma)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"cost values must be finite, got {gamma}")
     sorting = tuple(int(i) + 1 for i in np.argsort(arr, kind="stable"))
     return CostFunction(
         values=gamma,
@@ -135,8 +137,3 @@ def cost_gram(c: CostFunction, shift: float = 0.0) -> np.ndarray:
     """Rank-1 Gram matrix G_ij = (gamma(i) - mean + shift)(gamma(j) - mean + shift)."""
     centered = np.asarray(c.values) - c.mean + shift
     return np.outer(centered, centered)
-
-
-def monotone_shift(c: CostFunction) -> float:
-    """Smallest shift k making gamma - mean + k non-negative (k = mean - min gamma)."""
-    return c.mean - min(c.values)

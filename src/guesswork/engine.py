@@ -43,19 +43,18 @@ from .operators import (
 )
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
-    BenevolenceReport,
     QapInstance,
     _permutation_blocks,
     benevolent_solve,
     bloch_gram,
     brute_force_solve,
-    is_benevolent,
     zigzag_numbering,
 )
 
 ALGEBRAIC_TOL = 1e-12
 VALUE_TOL = 1e-10
 CROSS_METHOD_TOL = 1e-9
+METHODS = ("auto", "brute", "benevolent")
 
 
 @dataclass(frozen=True)
@@ -94,23 +93,37 @@ class NumberingMeasurement:
 
 @dataclass(frozen=True)
 class GuessworkReport:
-    """Solver output: the minimum value, its certificate, and diagnostics."""
+    """Solver output: the minimum value and its certificate.
+
+    ``measurement`` is None exactly when ``value`` is only an unverified upper
+    bound.  For uniform-prior qubits ``condition_verified`` comes from the
+    exhaustive QAP maximum through the rank-1 identity E(n) = u(n) . sigma
+    (see :func:`min_guesswork_qubit`), elsewhere from :func:`condition_check`.
+    """
 
     value: float
     optimal_numbering: Numbering
-    measurement: NumberingMeasurement
+    measurement: NumberingMeasurement | None
     method: str  # brute_force | benevolent | condition_check_only
     condition_verified: bool
     mean_cost: float
     trace_norm_term: float
-    diagnostics: BenevolenceReport | None = None
+
+
+def _require_balanced(c: CostFunction) -> None:
+    if not c.is_balanced:
+        raise ValueError("cost function is not balanced: no certificate permutation exists")
+
+
+def _require_same_size(e: Ensemble, c: CostFunction) -> None:
+    if c.size != e.size:
+        raise ValueError(f"cost has {c.size} values but the ensemble has {e.size} states")
 
 
 def effective_operator(e: Ensemble, c: CostFunction, n) -> np.ndarray:
     """E(n) = 2 sum_t (gamma(t) - mean) rho(n(t))."""
     numbering = require_numbering(n, size=e.size)
-    if c.size != e.size:
-        raise ValueError(f"cost has {c.size} values but the ensemble has {e.size} states")
+    _require_same_size(e, c)
     coefficients = np.asarray(c.values) - c.mean
     result = np.zeros((e.dim, e.dim), dtype=complex)
     for coefficient, label in zip(coefficients, numbering):
@@ -128,8 +141,7 @@ def guesswork_value(
     mean + (1/2) sum_n Tr[pi(n) E(n)].
     """
     m.validated(tol)
-    if c.size != e.size:
-        raise ValueError(f"cost has {c.size} values but the ensemble has {e.size} states")
+    _require_same_size(e, c)
     direct = 0.0
     shifted = c.mean
     for numbering, element in m.elements.items():
@@ -272,37 +284,37 @@ def min_guesswork_qubit(
     * "auto"       — benevolent first (cross-checked against enumeration when
       M <= cap), falling back to brute force.
 
-    The sufficient optimality condition is additionally swept when M <= cap
-    and recorded in ``condition_verified``.
+    ``condition_verified`` needs no sweep of its own: E(n) = u(n) . sigma with
+    u(n) = sum_t (gamma(t) - mean) v(rho(n(t))) and objective(n) = |u(n)|^2, so
+    the smallest eigenvalue of |E(n*)| - E(n) is |u(n*)| - |u(n)|.  The
+    condition holds iff sqrt(objective(n*)) >= sqrt(max objective) - tol, the
+    maximum coming from the one exhaustive QAP sweep (False above the cap).
     """
     if e.dim != 2:
         raise ValueError(f"qubit solver requires dim = 2, got {e.dim}")
     if not is_uniform_prior(e, tol):
         raise ValueError("qubit solver requires a uniform prior")
-    if not c.is_balanced:
-        raise ValueError("cost function is not balanced: no certificate permutation exists")
-    if c.size != e.size:
-        raise ValueError(f"cost has {c.size} values but the ensemble has {e.size} states")
-    if method not in ("auto", "brute", "benevolent"):
+    _require_balanced(c)
+    _require_same_size(e, c)
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 
     gram = bloch_gram(e)
     inst = QapInstance(cost_gram(c), gram)
-    diagnostics = is_benevolent(-gram, tol)
 
     n_star = None
-    method_used = None
+    best = None  # the exhaustive QAP maximum, once swept
     if method in ("auto", "benevolent"):
         fast = benevolent_solve(c, gram, tol=tol, cap=cap)
         if fast is not None:
             n_star, objective = fast
             method_used = "benevolent"
-            if method == "auto" and e.size <= cap:
-                _, objective_bf = brute_force_solve(inst, cap=cap)
-                if abs(objective_bf - objective) > CROSS_METHOD_TOL:
+            if e.size <= cap:
+                _, best = brute_force_solve(inst, cap=cap)
+                if method == "auto" and abs(best - objective) > CROSS_METHOD_TOL:
                     raise NumericalCheckError(
                         f"fast path objective {objective!r} disagrees with "
-                        f"enumeration {objective_bf!r}"
+                        f"enumeration {best!r}"
                     )
         elif method == "benevolent":
             raise ValueError(
@@ -315,12 +327,15 @@ def min_guesswork_qubit(
                 "structure was found"
             )
         n_star, objective = brute_force_solve(inst, cap=cap)
+        best = objective
         method_used = "brute_force"
 
     e_star = effective_operator(e, c, n_star)
     value = c.mean - float(np.linalg.norm(pauli_vector(e_star))) / 2
     measurement = optimal_two_outcome_measurement(e, c, n_star, tol=tol)
-    verified = condition_check(e, c, n_star, tol=tol, cap=cap) if e.size <= cap else False
+    verified = best is not None and (
+        math.sqrt(max(objective, 0.0)) >= math.sqrt(max(best, 0.0)) - tol
+    )
     return GuessworkReport(
         value=value,
         optimal_numbering=n_star,
@@ -329,7 +344,30 @@ def min_guesswork_qubit(
         condition_verified=verified,
         mean_cost=c.mean,
         trace_norm_term=trace_norm(e_star) / 2,
-        diagnostics=diagnostics,
+    )
+
+
+def _certified_measurement(
+    e: Ensemble, c: CostFunction, candidate: Numbering, tol: float, cap: int
+) -> NumberingMeasurement | None:
+    """The two-outcome measurement at ``candidate`` if the condition sweep holds."""
+    if not condition_check(e, c, candidate, tol=tol, cap=cap):
+        return None
+    return optimal_two_outcome_measurement(e, c, candidate, tol=tol)
+
+
+def _condition_report(
+    c: CostFunction, candidate: Numbering, norm_value: float, measurement=None
+) -> GuessworkReport:
+    """A condition_check_only report; without a measurement it is an unverified bound."""
+    return GuessworkReport(
+        value=c.mean - norm_value / 2,
+        optimal_numbering=candidate,
+        measurement=measurement,
+        method="condition_check_only",
+        condition_verified=measurement is not None,
+        mean_cost=c.mean,
+        trace_norm_term=norm_value / 2,
     )
 
 
@@ -348,28 +386,47 @@ def min_guesswork_general(
     condition failed at this candidate; the minimum may be smaller than the
     candidate's achievable value (the condition is sufficient, not necessary).
     """
-    if not c.is_balanced:
-        raise ValueError("cost function is not balanced: no certificate permutation exists")
-    if c.size != e.size:
-        raise ValueError(f"cost has {c.size} values but the ensemble has {e.size} states")
+    _require_balanced(c)
+    _require_same_size(e, c)
     if candidate is None:
         candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
     else:
         candidate = require_numbering(candidate, size=e.size)
         norm_value = trace_norm(effective_operator(e, c, candidate))
-    if not condition_check(e, c, candidate, tol=tol, cap=cap):
-        return None
-    measurement = optimal_two_outcome_measurement(e, c, candidate, tol=tol)
-    return GuessworkReport(
-        value=c.mean - norm_value / 2,
-        optimal_numbering=candidate,
-        measurement=measurement,
-        method="condition_check_only",
-        condition_verified=True,
-        mean_cost=c.mean,
-        trace_norm_term=norm_value / 2,
-        diagnostics=None,
-    )
+    measurement = _certified_measurement(e, c, candidate, tol, cap)
+    return None if measurement is None else _condition_report(c, candidate, norm_value, measurement)
+
+
+def solve(
+    e: Ensemble,
+    c: CostFunction,
+    method: str = "auto",
+    tol: float = EIGEN_TOL,
+    cap: int = DEFAULT_FACTORIAL_CAP,
+) -> GuessworkReport:
+    """Minimum guesswork, or an unverified upper bound when nothing certifies one.
+
+    A forced ``method``, or a uniform-prior qubit ensemble in auto mode, goes
+    to :func:`min_guesswork_qubit`.  Anything else takes one
+    :func:`tracenorm_argmax` sweep; :func:`condition_check` certifies its
+    maximizer, and if it fails that candidate is the bound.  In auto mode a
+    sweep refused by the cap degrades to the :func:`zigzag_candidate` bound.
+    A bound has ``measurement`` None: its value is achievable, not proved minimal.
+    """
+    _require_same_size(e, c)
+    _require_balanced(c)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    try:
+        if method != "auto" or (e.dim == 2 and is_uniform_prior(e, tol)):
+            return min_guesswork_qubit(e, c, method=method, tol=tol, cap=cap)
+        candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
+    except FactorialCapError:
+        if method != "auto":
+            raise
+        return _condition_report(c, *zigzag_candidate(e, c))
+    measurement = _certified_measurement(e, c, candidate, tol, cap)
+    return _condition_report(c, candidate, norm_value, measurement)
 
 
 def permute_problem(
@@ -405,8 +462,7 @@ def simulate(
     m.validated(tol)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if c.size != e.size:
-        raise ValueError(f"cost has {c.size} values but the ensemble has {e.size} states")
+    _require_same_size(e, c)
     rng = np.random.default_rng(seed)
     size = e.size
 

@@ -209,19 +209,3 @@ class EnsembleFamilySpec:
         if self.family == "random":
             return generate_random_uniform_prior(self.m, self.dim, self.seed)
         raise ValueError(f"unknown ensemble family {self.family!r}")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EnsembleFamilySpec":
-        if "family" not in doc:
-            raise ValueError("family spec requires a 'family' key")
-        lam = doc.get("lambda", "pure")
-        if lam != "pure":
-            lam = float(lam)
-        return cls(
-            family=str(doc["family"]),
-            m=int(doc.get("M", doc.get("m", 0))),
-            h=float(doc.get("h", 0.0)),
-            lam=lam,
-            dim=int(doc.get("dim", 2)),
-            seed=int(doc.get("seed", 0)),
-        )

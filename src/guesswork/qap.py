@@ -73,7 +73,6 @@ class BenevolenceReport:
     property1_ok: bool
     property2_ok: bool
     failing_index: int | None = None
-    witness_permutation: Numbering | None = None
 
     @property
     def is_benevolent(self) -> bool:

@@ -137,6 +137,8 @@ def measurement_from_json(doc: dict, dim: int) -> NumberingMeasurement:
 
 
 def report_to_json(r: GuessworkReport) -> dict:
+    """The report as JSON; an unverified bound has no measurement elements."""
+    measurement = {"elements": []} if r.measurement is None else measurement_to_json(r.measurement)
     return {
         "value": r.value,
         "mean_cost": r.mean_cost,
@@ -144,5 +146,5 @@ def report_to_json(r: GuessworkReport) -> dict:
         "numbering": list(r.optimal_numbering),
         "method": r.method,
         "condition_verified": r.condition_verified,
-        "measurement": measurement_to_json(r.measurement),
+        "measurement": measurement,
     }

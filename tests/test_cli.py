@@ -7,7 +7,7 @@ import pytest
 from guesswork import serialize
 from guesswork.cli import main
 from guesswork.costs import identity_cost
-from guesswork.engine import min_guesswork_qubit
+from guesswork.engine import min_guesswork_qubit, solve
 from guesswork.ensembles import generate_polygon_antiprism, generate_sic, validate
 
 
@@ -170,6 +170,21 @@ def test_solve_unverified_bound_exits_3(tmp_path, capsys):
     assert doc["measurement"]["elements"] == []
 
 
+def test_unverified_bound_report_matches_library_bytes(tmp_path):
+    triple = validate(
+        [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
+    )
+    ensemble_path = write_ensemble(tmp_path / "triple.json", triple)
+    out = tmp_path / "bound.json"
+    assert run_cli(["solve", "--ensemble", ensemble_path, "--out", str(out)]) == 3
+    report = solve(triple, identity_cost(3))
+    assert out.read_text() == serialize.dumps(serialize.report_to_json(report)) + "\n"
+    assert list(json.loads(out.read_text())) == [
+        "value", "mean_cost", "trace_norm_term", "numbering", "method",
+        "condition_verified", "measurement",
+    ]
+
+
 def test_solve_missing_file_is_input_error(tmp_path, capsys):
     assert run_cli(["solve", "--ensemble", str(tmp_path / "nope.json")]) == 2
 
@@ -297,3 +312,31 @@ def test_tol_must_be_positive(tmp_path, capsys):
 
 def test_usage_error_exits_2():
     assert run_cli(["generate", "--family", "unknown", "--out", "x.json"]) == 2
+
+
+def assert_input_error(code, capsys, fragment):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_cost_is_input_error(tmp_path, capsys):
+    ensemble_path = write_ensemble(tmp_path / "trine.json", generate_polygon_antiprism(3))
+    cost_path = tmp_path / "cost.json"
+    cost_path.write_text('{"values": [1, NaN, 3]}')
+    code = run_cli(["solve", "--ensemble", ensemble_path, "--cost", str(cost_path)])
+    assert_input_error(code, capsys, "cost values must be finite")
+
+
+def test_tol_must_be_finite(tmp_path, capsys):
+    ensemble_path = write_ensemble(tmp_path / "sic.json", generate_sic())
+    code = run_cli(["solve", "--ensemble", ensemble_path, "--tol", "nan"])
+    assert_input_error(code, capsys, "--tol must be a finite positive number")
+
+
+def test_factorial_cap_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    ensemble_path = write_ensemble(tmp_path / "sic.json", generate_sic())
+    monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", "abc")
+    code = run_cli(["solve", "--ensemble", ensemble_path])
+    assert_input_error(code, capsys, "GUESSWORK_FACTORIAL_CAP must be an integer, got 'abc'")

@@ -12,7 +12,6 @@ from guesswork.costs import (
     identity_cost,
     identity_numbering,
     invert,
-    monotone_shift,
     require_numbering,
 )
 
@@ -104,7 +103,8 @@ def test_cost_gram_monotone_anti_monge_precondition():
     # with the non-negativity shift applied to a sorted cost, rows and columns
     # of the rank-1 Gram are non-decreasing
     c = cost_function([1.0, 2.0, 4.0, 9.0])
-    g = cost_gram(c, shift=monotone_shift(c))
+    shift = c.mean - min(c.values)  # smallest shift making gamma - mean + shift >= 0
+    g = cost_gram(c, shift=shift)
     assert np.all(np.diff(g, axis=0) >= -1e-12)
     assert np.all(np.diff(g, axis=1) >= -1e-12)
 
@@ -142,3 +142,9 @@ def test_require_numbering_rejects():
         require_numbering((1, 2), size=3)
     with pytest.raises(ValueError):
         compose((1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_cost_function_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        cost_function([1.0, bad, 3.0])

@@ -169,16 +169,12 @@ def test_constant_overlap_requires_qubits():
 
 
 def test_family_spec_round_trip():
-    spec = EnsembleFamilySpec.from_dict(
-        {"family": "polygon_antiprism", "M": 6, "h": 0.5, "lambda": "pure"}
-    )
+    spec = EnsembleFamilySpec(family="polygon_antiprism", m=6, h=0.5, lam="pure")
     e = spec.build()
     assert e.size == 6
-    sic = EnsembleFamilySpec.from_dict({"family": "sic"}).build()
+    sic = EnsembleFamilySpec(family="sic").build()
     assert sic.size == 4
-    rand = EnsembleFamilySpec.from_dict({"family": "random", "M": 3, "seed": 5}).build()
+    rand = EnsembleFamilySpec(family="random", m=3, seed=5).build()
     assert rand.size == 3
     with pytest.raises(ValueError):
-        EnsembleFamilySpec.from_dict({"family": "nope", "M": 3}).build()
-    with pytest.raises(ValueError):
-        EnsembleFamilySpec.from_dict({"M": 3})
+        EnsembleFamilySpec(family="nope", m=3).build()

@@ -1,0 +1,143 @@
+"""The single solve pipeline: dispatch, unverified bounds, and the sweeps it runs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from guesswork import engine
+from guesswork.costs import cost_function, identity_cost
+from guesswork.engine import (
+    METHODS,
+    condition_check,
+    min_guesswork_general,
+    min_guesswork_qubit,
+    solve,
+    zigzag_candidate,
+)
+from guesswork.ensembles import (
+    antiprism_h_bound,
+    generate_mub,
+    generate_polygon_antiprism,
+    generate_random_uniform_prior,
+    validate,
+)
+from guesswork.errors import FactorialCapError, NumericalCheckError
+
+ORTHONORMAL_TRIPLE = [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
+# Anti-prism heights as multiples of the bound; just above it the benevolence
+# test still passes within tolerance while the zig-zag is no longer optimal.
+HEIGHT_MULTIPLES = (0.0, 0.5, 1.0, 1 + 1e-9, 1.05, 1.3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_qubit_certificate_matches_condition_sweep(data):
+    m = data.draw(st.integers(3, 6), label="m")
+    if data.draw(st.booleans(), label="random"):
+        e = generate_random_uniform_prior(m, 2, seed=data.draw(st.integers(0, 10_000)))
+    else:
+        multiple = 0.0 if m % 2 else data.draw(st.sampled_from(HEIGHT_MULTIPLES))
+        e = generate_polygon_antiprism(m, h=multiple * antiprism_h_bound(m))
+    # small integer deviations make tied cost values common
+    devs = data.draw(st.lists(st.integers(0, 3), min_size=m // 2, max_size=m // 2))
+    values = [2 + d for d in devs] + [2 - d for d in devs] + [2] * (m % 2)
+    c = cost_function(data.draw(st.permutations(values), label="values"))
+    method = data.draw(st.sampled_from(METHODS), label="method")
+    try:
+        report = min_guesswork_qubit(e, c, method=method)
+    except ValueError as exc:
+        assert method == "benevolent" and "no benevolent structure" in str(exc)
+        return
+    except NumericalCheckError:
+        # auto refuses a fast-path answer the enumeration contradicts
+        assert method == "auto"
+        return
+    assert report.condition_verified == condition_check(e, c, report.optimal_numbering)
+
+
+def test_qubit_certificate_fails_just_above_the_height_bound():
+    # benevolent within tolerance, yet the zig-zag misses the QAP maximum
+    e = generate_polygon_antiprism(4, h=(1 + 1e-9) * antiprism_h_bound(4))
+    c = identity_cost(4)
+    for method in ("auto", "benevolent"):
+        report = min_guesswork_qubit(e, c, method=method)
+        assert report.method == "benevolent"
+        assert not report.condition_verified
+        assert not condition_check(e, c, report.optimal_numbering)
+
+
+def test_qubit_solve_runs_no_condition_sweep(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the qubit path swept the condition")
+
+    monkeypatch.setattr(engine, "condition_check", refuse)
+    random6 = generate_random_uniform_prior(6, 2, seed=3)
+    for e, method in [(generate_mub(), m) for m in METHODS] + [
+        (random6, "auto"),
+        (random6, "brute"),
+    ]:
+        report = solve(e, identity_cost(6), method=method)
+        assert report.condition_verified and report.measurement is not None
+
+
+def test_unverified_solve_sweeps_once(monkeypatch):
+    calls = []
+    sweep = engine.tracenorm_argmax
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "tracenorm_argmax", counted)
+    report = solve(validate(ORTHONORMAL_TRIPLE), identity_cost(3))
+    assert len(calls) == 1
+    assert report.measurement is None
+    assert not report.condition_verified
+    assert report.method == "condition_check_only"
+    assert report.value == pytest.approx(2 - 2 / 3, abs=1e-12)
+
+
+def _summary(report):
+    return (
+        report.value,
+        report.optimal_numbering,
+        report.method,
+        report.condition_verified,
+        sorted(report.measurement.elements),
+    )
+
+
+def test_solve_matches_the_solvers_it_dispatches_to():
+    e = generate_polygon_antiprism(4, h=0.3)
+    c = identity_cost(4)
+    assert _summary(solve(e, c)) == _summary(min_guesswork_qubit(e, c))
+    pair = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.5, 0.0])])
+    c = identity_cost(2)
+    assert _summary(solve(pair, c)) == _summary(min_guesswork_general(pair, c))
+
+
+def test_solve_above_cap_degrades_to_zigzag_bound():
+    c = identity_cost(4)
+    for e in (
+        generate_random_uniform_prior(4, 2, seed=99),  # qubit, no benevolent structure
+        generate_random_uniform_prior(4, 3, seed=1),  # general dimension
+    ):
+        report = solve(e, c, cap=3)
+        numbering, norm_value = zigzag_candidate(e, c)
+        assert report.measurement is None
+        assert report.optimal_numbering == numbering
+        assert report.value == c.mean - norm_value / 2
+
+
+def test_solve_input_errors():
+    e = generate_random_uniform_prior(4, 2, seed=99)
+    with pytest.raises(FactorialCapError):
+        solve(e, identity_cost(4), method="brute", cap=3)
+    with pytest.raises(ValueError, match="not balanced"):
+        solve(generate_random_uniform_prior(3, 3, seed=1), cost_function([0.0, 1.0, 3.0]))
+    with pytest.raises(ValueError, match="3 values but the ensemble has 4"):
+        solve(e, identity_cost(3))
+    with pytest.raises(ValueError, match="unknown method"):
+        solve(e, identity_cost(4), method="magic")
+    with pytest.raises(ValueError, match="dim = 2"):
+        solve(generate_random_uniform_prior(3, 3, seed=1), identity_cost(3), method="brute")

@@ -43,11 +43,12 @@ from .operators import (
 )
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
+    SCREEN_MARGIN,
     QapInstance,
-    _permutation_blocks,
     benevolent_solve,
     bloch_gram,
     brute_force_solve,
+    numbering_blocks,
     zigzag_numbering,
 )
 
@@ -199,9 +200,31 @@ def optimal_two_outcome_measurement(
 def _effective_operator_batch(
     e: Ensemble, c: CostFunction, block: np.ndarray
 ) -> np.ndarray:
+    """Exact E(n) for each row of 0-based numberings, from the gathered states."""
     states = np.stack(e.states)
     coefficients = np.asarray(c.values) - c.mean
     return 2 * np.einsum("t,ktij->kij", coefficients, states[block])
+
+
+def _screened_operators(e: Ensemble, c: CostFunction, block: np.ndarray) -> np.ndarray:
+    """E(n) for each row of 0-based numberings as one product W @ states.
+
+    Row n of W holds 2 (gamma(t) - mean) at column n(t).  The complex states
+    enter as interleaved (re, im) doubles, so the product stays real.
+    """
+    weights = np.empty(block.shape)
+    np.put_along_axis(weights, block, 2 * (np.asarray(c.values) - c.mean)[None, :], axis=1)
+    states = np.stack(e.states).reshape(e.size, -1).view(float)
+    return (weights @ states).view(complex).reshape(-1, e.dim, e.dim)
+
+
+def _screen_error(e: Ensemble, c: CostFunction) -> float:
+    """How far a screened eigenvalue, or sum of |eigenvalues|, of E(n) or
+    |E(n*)| - E(n) can lie from the exact batch's: SCREEN_MARGIN / 2 of d
+    times a bound on ||E(n)||_F."""
+    largest = max(float(np.linalg.norm(s)) for s in e.states)
+    bound = 2 * float(np.abs(np.asarray(c.values) - c.mean).sum()) * largest
+    return SCREEN_MARGIN / 2 * e.dim * bound
 
 
 def condition_check(
@@ -215,6 +238,10 @@ def condition_check(
 
     Sweeps all M! numberings (refused above the cap), so a True result
     certifies that the two-outcome measurement at n* attains the minimum.
+    Each numbering's smallest eigenvalue is screened from E(n) = W @ states;
+    one screened below -tol by more than the screen's error fails the check,
+    and those within that error of -tol are recomputed from the exact batch
+    of E(n).  The result equals the exact sweep over all numberings.
     """
     n_star = require_numbering(n_star, size=e.size)
     if e.size > cap:
@@ -222,10 +249,16 @@ def condition_check(
             f"condition check sweeps {e.size}! numberings, above the cap {cap}"
         )
     magnitude = abs_operator(effective_operator(e, c, n_star))
-    for block in _permutation_blocks(e.size):
-        difference = magnitude[None, :, :] - _effective_operator_batch(e, c, block)
-        lowest = np.linalg.eigvalsh(difference)[:, 0]
-        if float(lowest.min()) < -tol:
+    error = _screen_error(e, c)
+    for block in numbering_blocks(e.size):
+        lowest = np.linalg.eigvalsh(magnitude - _screened_operators(e, c, block))[:, 0]
+        if float(lowest.min()) < -tol - error:
+            return False
+        near = block[lowest <= -tol + error]
+        if not len(near):
+            continue
+        difference = magnitude[None, :, :] - _effective_operator_batch(e, c, near)
+        if float(np.linalg.eigvalsh(difference)[:, 0].min()) < -tol:
             return False
     return True
 
@@ -248,21 +281,29 @@ def tracenorm_argmax(
     """Numbering maximizing ||E(n)||_1, by exhaustive enumeration.
 
     Ties resolve to the lexicographically smallest numbering (first hit in
-    lexicographic block order).
+    lexicographic block order).  Each norm is screened from E(n) = W @ states;
+    only numberings screened within twice the screen's error of the running
+    maximum are recomputed from the exact batch of E(n), so the result equals
+    the exact sweep over all numberings, ties included.
     """
     if e.size > cap:
         raise FactorialCapError(
             f"trace-norm search sweeps {e.size}! numberings, above the cap {cap}"
         )
-    best_norm = -math.inf
+    error = _screen_error(e, c)
+    best_norm = running = -math.inf
     best_perm = None
-    for block in _permutation_blocks(e.size):
-        operators = _effective_operator_batch(e, c, block)
-        norms = np.abs(np.linalg.eigvalsh(operators)).sum(axis=1)
+    for block in numbering_blocks(e.size):
+        scores = np.abs(np.linalg.eigvalsh(_screened_operators(e, c, block))).sum(axis=1)
+        running = max(running, float(scores.max()))
+        rows = block[scores >= running - 2 * error]
+        if not len(rows):
+            continue
+        norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
         k = int(np.argmax(norms))
         if norms[k] > best_norm:
             best_norm = float(norms[k])
-            best_perm = block[k]
+            best_perm = rows[k]
     return tuple(int(x) + 1 for x in best_perm), best_norm
 
 

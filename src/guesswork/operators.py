@@ -37,7 +37,9 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "operator") -
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
     if mat.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    deviation = float(np.max(np.abs(mat - mat.conj().T)))
+    if not np.isfinite(mat).all():  # NaN would pass the comparison below
+        raise ValueError(f"{name} has non-finite entries")
+    deviation = float(np.abs(mat - mat.conj().T).max())
     if deviation > tol:
         raise ValueError(
             f"{name} is not Hermitian: max |A - A^dag| = {deviation:.3e} exceeds {tol:.1e}"

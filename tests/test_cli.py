@@ -340,3 +340,12 @@ def test_factorial_cap_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", "abc")
     code = run_cli(["solve", "--ensemble", ensemble_path])
     assert_input_error(code, capsys, "GUESSWORK_FACTORIAL_CAP must be an integer, got 'abc'")
+
+
+def test_non_finite_state_is_input_error(tmp_path, capsys):
+    doc = serialize.ensemble_to_json(generate_polygon_antiprism(3))
+    doc["states"][1][0][1][0] = math.nan  # off-diagonal: passes the PSD check
+    ensemble_path = tmp_path / "trine.json"
+    ensemble_path.write_text(json.dumps(doc))
+    code = run_cli(["solve", "--ensemble", str(ensemble_path)])
+    assert_input_error(code, capsys, "state 1 has non-finite entries")

@@ -33,6 +33,13 @@ def test_validate_rejects_non_psd():
         validate([np.diag([0.6, -0.1]), np.diag([0.25, 0.25])])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_rejects_non_finite_entries(bad):
+    # NaN compares False in the Hermiticity and trace checks, so it needs its own
+    with pytest.raises(ValueError, match="state 1 has non-finite entries"):
+        validate([np.diag([0.5, 0.0]), np.diag([0.0, bad])])
+
+
 def test_validate_rejects_mixed_dims():
     with pytest.raises(ValueError, match="mixed dimensions"):
         validate([np.diag([0.5, 0.0]), np.diag([0.25, 0.15, 0.1])])

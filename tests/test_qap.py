@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,8 @@ def test_qap_instance_validation():
         QapInstance(np.eye(2), np.eye(3))
     with pytest.raises(ValueError, match="square"):
         QapInstance(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(ValueError, match="bloch_gram has non-finite entries"):
+        QapInstance(np.eye(2), np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
 
 def test_objective_zero_cost():

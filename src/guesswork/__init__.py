@@ -36,7 +36,6 @@ from .engine import (
 )
 from .ensembles import (
     Ensemble,
-    EnsembleFamilySpec,
     antiprism_h_bound,
     constant_overlap_check,
     generate_mub,

@@ -20,9 +20,12 @@ from . import serialize
 from .costs import identity_cost
 from .engine import simulate, solve
 from .ensembles import (
-    EnsembleFamilySpec,
     antiprism_h_bound,
     constant_overlap_check,
+    generate_mub,
+    generate_polygon_antiprism,
+    generate_random_uniform_prior,
+    generate_sic,
     is_uniform_prior,
 )
 from .errors import NumericalCheckError
@@ -63,10 +66,14 @@ def _load_ensemble(path: str):
 
 def cmd_generate(args) -> int:
     lam = args.lam if args.lam == "pure" else float(args.lam)
-    spec = EnsembleFamilySpec(
-        family=args.family, m=args.m, h=args.h, lam=lam, dim=args.dim, seed=args.seed
-    )
-    ensemble = spec.build()
+    if args.family == "polygon_antiprism":
+        ensemble = generate_polygon_antiprism(args.m, h=args.h, lam=lam)
+    elif args.family == "sic":
+        ensemble = generate_sic()
+    elif args.family == "mub":
+        ensemble = generate_mub()
+    else:
+        ensemble = generate_random_uniform_prior(args.m, args.dim, args.seed)
     _write_json(args.out, serialize.ensemble_to_json(ensemble))
     print(f"family             {args.family}")
     print(f"states (M)         {ensemble.size}")

@@ -83,13 +83,13 @@ class CostFunction:
         return self.balancing_permutation is not None
 
 
-def balance_certificate(values, tol: float = BALANCE_TOL) -> Numbering | None:
+def balance_certificate(values) -> Numbering | None:
     """Find sigma with gamma(sigma^-1(t)) = 2*mean - gamma(t), or None.
 
     Exists iff the multiset of gamma equals the multiset of its reflection
     about the mean.  Deterministic construction: both sequences are matched
     in sorted order (stable on ties), then the pairing is verified pointwise
-    within ``tol``.
+    within BALANCE_TOL.
     """
     gamma = np.asarray(values, dtype=float)
     m = gamma.size
@@ -104,12 +104,12 @@ def balance_certificate(values, tol: float = BALANCE_TOL) -> Numbering | None:
     for g_idx, t_idx in zip(gamma_order, target_order):
         sigma_inverse[t_idx] = int(g_idx) + 1
     for t in range(m):
-        if abs(gamma[sigma_inverse[t] - 1] - target[t]) > tol:
+        if abs(gamma[sigma_inverse[t] - 1] - target[t]) > BALANCE_TOL:
             return None
     return invert(sigma_inverse)
 
 
-def cost_function(values, tol: float = BALANCE_TOL) -> CostFunction:
+def cost_function(values) -> CostFunction:
     """Build a cost function, computing its mean and permutation caches."""
     gamma = tuple(float(x) for x in values)
     if len(gamma) < 1:
@@ -121,7 +121,7 @@ def cost_function(values, tol: float = BALANCE_TOL) -> CostFunction:
     return CostFunction(
         values=gamma,
         mean=float(arr.mean()),
-        balancing_permutation=balance_certificate(gamma, tol=tol),
+        balancing_permutation=balance_certificate(gamma),
         sorting_permutation=sorting,
     )
 

@@ -132,16 +132,14 @@ def effective_operator(e: Ensemble, c: CostFunction, n) -> np.ndarray:
     return 2 * result
 
 
-def guesswork_value(
-    e: Ensemble, c: CostFunction, m: NumberingMeasurement, tol: float = EIGEN_TOL
-) -> float:
+def guesswork_value(e: Ensemble, c: CostFunction, m: NumberingMeasurement) -> float:
     """Expected cost of the guessing strategy induced by measurement ``m``.
 
     Computed directly as sum_t gamma(t) sum_n Tr[pi(n) rho(n(t))] and
     cross-checked against the equivalent form
     mean + (1/2) sum_n Tr[pi(n) E(n)].
     """
-    m.validated(tol)
+    m.validated()
     _require_same_size(e, c)
     direct = 0.0
     shifted = c.mean
@@ -280,11 +278,13 @@ def tracenorm_argmax(
 ) -> tuple[Numbering, float]:
     """Numbering maximizing ||E(n)||_1, by exhaustive enumeration.
 
-    Ties resolve to the lexicographically smallest numbering (first hit in
-    lexicographic block order).  Each norm is screened from E(n) = W @ states;
-    only numberings screened within twice the screen's error of the running
-    maximum are recomputed from the exact batch of E(n), so the result equals
-    the exact sweep over all numberings, ties included.
+    Each norm is screened from E(n) = W @ states; only numberings screened
+    within twice the screen's error of the running maximum are recomputed from
+    the exact batch of E(n), so the result equals the exact sweep over all
+    numberings: the largest computed norm, the lexicographically smallest
+    numbering among equal computed norms.  Numberings that tie in exact
+    arithmetic, such as n and n o sigma for every n, are usually separated by
+    rounding, not by that order.
     """
     if e.size > cap:
         raise FactorialCapError(
@@ -388,15 +388,6 @@ def min_guesswork_qubit(
     )
 
 
-def _certified_measurement(
-    e: Ensemble, c: CostFunction, candidate: Numbering, tol: float, cap: int
-) -> NumberingMeasurement | None:
-    """The two-outcome measurement at ``candidate`` if the condition sweep holds."""
-    if not condition_check(e, c, candidate, tol=tol, cap=cap):
-        return None
-    return optimal_two_outcome_measurement(e, c, candidate, tol=tol)
-
-
 def _condition_report(
     c: CostFunction, candidate: Numbering, norm_value: float, measurement=None
 ) -> GuessworkReport:
@@ -415,27 +406,24 @@ def _condition_report(
 def min_guesswork_general(
     e: Ensemble,
     c: CostFunction,
-    candidate=None,
     tol: float = EIGEN_TOL,
     cap: int = DEFAULT_FACTORIAL_CAP,
-) -> GuessworkReport | None:
-    """Certified minimum guesswork in arbitrary dimension, or None.
+) -> GuessworkReport:
+    """Minimum guesswork in arbitrary dimension, or an unverified upper bound.
 
-    Takes the trace-norm-maximizing numbering (or a provided candidate),
-    checks the sufficient condition |E(n*)| >= E(n) against every numbering,
-    and returns the report only when the condition holds.  None means the
-    condition failed at this candidate; the minimum may be smaller than the
-    candidate's achievable value (the condition is sufficient, not necessary).
+    One :func:`tracenorm_argmax` sweep gives n*; :func:`condition_check` tests
+    |E(n*)| >= E(n) for every n.  If it holds, the report carries the optimal
+    two-outcome measurement at n*; if not, ``measurement`` is None and the
+    value mean - ||E(n*)||_1 / 2 is achievable but not proved minimal (the
+    condition is sufficient, not necessary).
     """
     _require_balanced(c)
     _require_same_size(e, c)
-    if candidate is None:
-        candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
-    else:
-        candidate = require_numbering(candidate, size=e.size)
-        norm_value = trace_norm(effective_operator(e, c, candidate))
-    measurement = _certified_measurement(e, c, candidate, tol, cap)
-    return None if measurement is None else _condition_report(c, candidate, norm_value, measurement)
+    candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
+    measurement = None
+    if condition_check(e, c, candidate, tol=tol, cap=cap):
+        measurement = optimal_two_outcome_measurement(e, c, candidate, tol=tol)
+    return _condition_report(c, candidate, norm_value, measurement)
 
 
 def solve(
@@ -448,11 +436,10 @@ def solve(
     """Minimum guesswork, or an unverified upper bound when nothing certifies one.
 
     A forced ``method``, or a uniform-prior qubit ensemble in auto mode, goes
-    to :func:`min_guesswork_qubit`.  Anything else takes one
-    :func:`tracenorm_argmax` sweep; :func:`condition_check` certifies its
-    maximizer, and if it fails that candidate is the bound.  In auto mode a
-    sweep refused by the cap degrades to the :func:`zigzag_candidate` bound.
-    A bound has ``measurement`` None: its value is achievable, not proved minimal.
+    to :func:`min_guesswork_qubit`; anything else to
+    :func:`min_guesswork_general`.  In auto mode a sweep refused by the cap
+    degrades to the :func:`zigzag_candidate` bound.  A bound has
+    ``measurement`` None: its value is achievable, not proved minimal.
     """
     _require_same_size(e, c)
     _require_balanced(c)
@@ -461,13 +448,11 @@ def solve(
     try:
         if method != "auto" or (e.dim == 2 and is_uniform_prior(e, tol)):
             return min_guesswork_qubit(e, c, method=method, tol=tol, cap=cap)
-        candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
+        return min_guesswork_general(e, c, tol=tol, cap=cap)
     except FactorialCapError:
         if method != "auto":
             raise
         return _condition_report(c, *zigzag_candidate(e, c))
-    measurement = _certified_measurement(e, c, candidate, tol, cap)
-    return _condition_report(c, candidate, norm_value, measurement)
 
 
 def permute_problem(

@@ -43,7 +43,7 @@ class Ensemble:
         return len(self.states)
 
 
-def validate(raw_states, psd_tol: float = EIGEN_TOL, trace_tol: float = TRACE_TOL) -> Ensemble:
+def validate(raw_states) -> Ensemble:
     """Check PSD and total-trace invariants and build the cached Ensemble."""
     if len(raw_states) == 0:
         raise ValueError("ensemble must contain at least one state")
@@ -58,14 +58,14 @@ def validate(raw_states, psd_tol: float = EIGEN_TOL, trace_tol: float = TRACE_TO
                 f"mixed dimensions: state {index} is {mat.shape[0]}x{mat.shape[0]}, expected {dim}"
             )
         low = float(np.linalg.eigvalsh(mat)[0])
-        if low < -psd_tol:
+        if low < -EIGEN_TOL:
             raise ValueError(f"state {index} is not PSD (min eigenvalue {low:.3e})")
         mat.setflags(write=False)
         states.append(mat)
     prior = np.array([float(np.trace(s).real) for s in states])
     total = float(prior.sum())
-    if abs(total - 1.0) > trace_tol:
-        raise ValueError(f"total trace is {total!r}, must be 1 within {trace_tol:.1e}")
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValueError(f"total trace is {total!r}, must be 1 within {TRACE_TOL:.1e}")
     average = sum(states) / len(states)
     average.setflags(write=False)
     prior.setflags(write=False)
@@ -186,26 +186,3 @@ def constant_overlap_check(e: Ensemble, tol: float = TRACE_TOL) -> bool:
     center = pauli_vector(e.average_state)
     dots = e.bloch @ center
     return bool(np.max(np.abs(dots - dots.mean())) <= tol)
-
-
-@dataclass(frozen=True)
-class EnsembleFamilySpec:
-    """Generator configuration: which family, and its parameters."""
-
-    family: str
-    m: int = 0
-    h: float = 0.0
-    lam: float | str = "pure"
-    dim: int = 2
-    seed: int = 0
-
-    def build(self) -> Ensemble:
-        if self.family == "polygon_antiprism":
-            return generate_polygon_antiprism(self.m, h=self.h, lam=self.lam)
-        if self.family == "sic":
-            return generate_sic()
-        if self.family == "mub":
-            return generate_mub()
-        if self.family == "random":
-            return generate_random_uniform_prior(self.m, self.dim, self.seed)
-        raise ValueError(f"unknown ensemble family {self.family!r}")

@@ -30,7 +30,7 @@ PAULI_Y.setflags(write=False)
 PAULI_Z.setflags(write=False)
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.ndarray:
+def require_hermitian(a, name: str = "operator") -> np.ndarray:
     """Validate a square Hermitian matrix and return its exact Hermitian part."""
     mat = np.asarray(a, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -40,9 +40,10 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "operator") -
     if not np.isfinite(mat).all():  # NaN would pass the comparison below
         raise ValueError(f"{name} has non-finite entries")
     deviation = float(np.abs(mat - mat.conj().T).max())
-    if deviation > tol:
+    if deviation > HERMITICITY_TOL:
         raise ValueError(
-            f"{name} is not Hermitian: max |A - A^dag| = {deviation:.3e} exceeds {tol:.1e}"
+            f"{name} is not Hermitian: max |A - A^dag| = {deviation:.3e} "
+            f"exceeds {HERMITICITY_TOL:.1e}"
         )
     return (mat + mat.conj().T) / 2
 
@@ -54,7 +55,6 @@ class SpectralParts:
     negative_projector: np.ndarray
     null_projector: np.ndarray
     positive_projector: np.ndarray
-    eigenvalues: np.ndarray  # ascending
 
 
 def pauli_vector(a) -> np.ndarray:
@@ -101,7 +101,6 @@ def spectral_parts(a, tol: float = EIGEN_TOL) -> SpectralParts:
         negative_projector=projector(negative_mask),
         null_projector=projector(null_mask),
         positive_projector=projector(positive_mask),
-        eigenvalues=eigenvalues,
     )
 
 

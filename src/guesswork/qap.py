@@ -8,8 +8,8 @@ over all numberings n (equivalently Tr[C X_n B X_n^T] with permutation
 matrices).  Two solvers are provided:
 
 * :func:`brute_force_solve` — exhaustive enumeration over the blocks of
-  :func:`numbering_blocks`, deterministic block-wise reduction with a
-  lexicographic tie-break, capped at M! <= cap!.
+  :func:`numbering_blocks`, deterministic block-wise reduction (equal
+  computed values resolve lexicographically), capped at M! <= cap!.
 * :func:`benevolent_solve` — closed form when -bloch_gram is permutationally
   equivalent to a *benevolent* matrix: symmetric Toeplitz with a first column
   whose tail is non-decreasing up to the midpoint (Property 1) and dominated
@@ -158,8 +158,11 @@ def brute_force_solve(
     SCREEN_MARGIN times the product of the Grams' nuclear norms of the running
     maximum, block by block in lexicographic order, keeping the (max value,
     earliest) one.  The screen errs by less than half that window, so the
-    result equals the exact sweep over all numberings, ties included:
-    exact-value ties resolve to the lexicographically smallest numbering.
+    result equals the exact sweep over all numberings: the largest computed
+    value, the lexicographically smallest numbering among equal computed
+    values.  Numberings that tie in exact arithmetic, such as n and n o sigma
+    for every n under a balanced cost, are usually separated by rounding,
+    not by that order.
     """
     m = inst.size
     if m > cap:

@@ -68,7 +68,7 @@ def matrix_to_json(mat) -> list:
 def matrix_from_json(rows) -> np.ndarray:
     try:
         arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("matrix entries must be [re, im] pairs")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(f"matrix must be encoded as rows of [re, im] pairs, got shape {arr.shape}")
@@ -79,12 +79,34 @@ def ensemble_to_json(e: Ensemble) -> dict:
     return {"dim": e.dim, "states": [matrix_to_json(s) for s in e.states]}
 
 
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def _float(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be a number, got {value!r}") from None
+
+
+def _integer(value, field: str) -> int:
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+
+
 def ensemble_from_json(doc: dict) -> Ensemble:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ValueError("ensemble JSON requires a 'dim' key")
-    dim = int(doc["dim"])
+    dim = _integer(doc["dim"], "'dim'")
     if "states" in doc:
-        states = [matrix_from_json(rows) for rows in doc["states"]]
+        states = [matrix_from_json(rows) for rows in _list(doc["states"], "'states'")]
         for index, state in enumerate(states):
             if state.shape != (dim, dim):
                 raise ValueError(f"state {index} has shape {state.shape}, expected ({dim}, {dim})")
@@ -93,25 +115,25 @@ def ensemble_from_json(doc: dict) -> Ensemble:
         if dim != 2:
             raise ValueError("bloch-form ensembles require dim = 2")
         states = []
-        for index, item in enumerate(doc["bloch"]):
-            if "trace" not in item or "v" not in item:
+        for index, item in enumerate(_list(doc["bloch"], "'bloch'")):
+            if not isinstance(item, dict) or "trace" not in item or "v" not in item:
                 raise ValueError(f"bloch entry {index} requires 'trace' and 'v'")
-            states.append(from_bloch(float(item["trace"]), [float(x) for x in item["v"]]))
+            field = f"bloch entry {index}"
+            trace = _float(item["trace"], f"{field} 'trace'")
+            v = [_float(x, f"{field} 'v' entry") for x in _list(item["v"], f"{field} 'v'")]
+            states.append(from_bloch(trace, v))
         return validate(states)
     raise ValueError("ensemble JSON requires 'states' or 'bloch'")
-
-
-def cost_to_json(c: CostFunction) -> dict:
-    return {"values": list(c.values)}
 
 
 def cost_from_json(doc: dict, size_hint: int | None = None) -> CostFunction:
     if not isinstance(doc, dict):
         raise ValueError("cost JSON must be an object")
     if "values" in doc:
-        return cost_function([float(x) for x in doc["values"]])
+        values = _list(doc["values"], "'values'")
+        return cost_function([_float(x, "'values' entry") for x in values])
     if "identity" in doc:
-        m = int(doc["identity"])
+        m = _integer(doc["identity"], "'identity'")
         if size_hint is not None and m != size_hint:
             raise ValueError(f"identity cost of size {m} does not match ensemble size {size_hint}")
         return identity_cost(m)

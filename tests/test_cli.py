@@ -1,14 +1,23 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guesswork import serialize
 from guesswork.cli import main
 from guesswork.costs import identity_cost
 from guesswork.engine import min_guesswork_qubit, solve
-from guesswork.ensembles import generate_polygon_antiprism, generate_sic, validate
+from guesswork.ensembles import (
+    generate_mub,
+    generate_polygon_antiprism,
+    generate_random_uniform_prior,
+    generate_sic,
+    validate,
+)
 
 
 def run_cli(argv):
@@ -66,6 +75,32 @@ def test_generate_rejects_odd_m_with_height(tmp_path, capsys):
     assert code == 2
     assert "bound is 0 for odd M" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (
+            ["--family", "polygon_antiprism", "--m", "6", "--h", "0.3", "--lambda", "0.1"],
+            lambda: generate_polygon_antiprism(6, h=0.3, lam=0.1),
+        ),
+        (["--family", "sic"], generate_sic),
+        (["--family", "mub"], generate_mub),
+        (
+            ["--family", "random", "--m", "4", "--dim", "3", "--seed", "7"],
+            lambda: generate_random_uniform_prior(4, 3, 7),
+        ),
+    ],
+    ids=["polygon_antiprism", "sic", "mub", "random"],
+)
+def test_generate_writes_the_library_states(tmp_path, flags, expected):
+    out = tmp_path / "ensemble.json"
+    assert run_cli(["generate", *flags, "--out", str(out)]) == 0
+    written = serialize.ensemble_from_json(json.loads(out.read_text()))
+    library = expected()
+    assert written.dim == library.dim and written.size == library.size
+    for a, b in zip(written.states, library.states):
+        assert np.array_equal(a, b)
 
 
 def test_generate_random_deterministic(tmp_path):
@@ -349,3 +384,97 @@ def test_non_finite_state_is_input_error(tmp_path, capsys):
     ensemble_path.write_text(json.dumps(doc))
     code = run_cli(["solve", "--ensemble", str(ensemble_path)])
     assert_input_error(code, capsys, "state 1 has non-finite entries")
+
+
+TRINE_STATES = serialize.ensemble_to_json(generate_polygon_antiprism(3))["states"]
+TRINE_BLOCH = [{"trace": 1 / 3, "v": list(v)} for v in generate_polygon_antiprism(3).bloch]
+
+
+@pytest.mark.parametrize(
+    "ensemble, cost, fragment",
+    [
+        ({"dim": None, "states": TRINE_STATES}, None, "'dim' must be an integer, got None"),
+        ({"dim": [2], "states": TRINE_STATES}, None, "'dim' must be an integer, got [2]"),
+        ({"dim": 2.7, "states": TRINE_STATES}, None, "'dim' must be an integer, got 2.7"),
+        ({"dim": 2, "states": 5}, None, "'states' must be a list, got 5"),
+        ({"dim": 2, "bloch": 5}, None, "'bloch' must be a list, got 5"),
+        ({"dim": 2, "bloch": [5] + TRINE_BLOCH[1:]}, None, "bloch entry 0 requires 'trace' and 'v'"),
+        (
+            {"dim": 2, "bloch": [{"trace": None, "v": [0, 0, 0]}] + TRINE_BLOCH[1:]},
+            None,
+            "bloch entry 0 'trace' must be a number, got None",
+        ),
+        (
+            {"dim": 2, "bloch": [{"trace": 1 / 3, "v": None}] + TRINE_BLOCH[1:]},
+            None,
+            "bloch entry 0 'v' must be a list, got None",
+        ),
+        (
+            {"dim": 2, "bloch": [{"trace": 1 / 3, "v": [[0], [0], [0]]}] + TRINE_BLOCH[1:]},
+            None,
+            "bloch entry 0 'v' entry must be a number, got [0]",
+        ),
+        (None, {"values": None}, "'values' must be a list, got None"),
+        (None, {"values": 3}, "'values' must be a list, got 3"),
+        (None, {"values": [[1], [2]]}, "'values' entry must be a number, got [1]"),
+        (None, {"identity": None}, "'identity' must be an integer, got None"),
+    ],
+)
+def test_malformed_json_is_input_error(tmp_path, capsys, ensemble, cost, fragment):
+    ensemble_path = tmp_path / "ensemble.json"
+    ensemble_path.write_text(json.dumps(ensemble or {"dim": 2, "bloch": TRINE_BLOCH}))
+    cost_path = tmp_path / "cost.json"
+    cost_path.write_text(json.dumps(cost or {"identity": 3}))
+    code = run_cli(["solve", "--ensemble", str(ensemble_path), "--cost", str(cost_path)])
+    assert_input_error(code, capsys, fragment)
+
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _subtree_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _subtree_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_exit_code_contract_under_corrupted_json(data):
+    m = data.draw(st.integers(2, 4), label="m")
+    dim = data.draw(st.integers(2, 3), label="dim")
+    e = generate_random_uniform_prior(m, dim, seed=data.draw(st.integers(0, 20), label="seed"))
+    if dim == 2 and data.draw(st.booleans(), label="bloch form"):
+        ensemble = {"dim": 2, "bloch": [{"trace": 1 / m, "v": list(v)} for v in e.bloch]}
+    else:
+        ensemble = serialize.ensemble_to_json(e)
+    spread = data.draw(st.lists(st.integers(0, 3), min_size=m // 2, max_size=m // 2))
+    values = [2 + d for d in spread] + [2 - d for d in spread] + [2] * (m % 2)
+    cost = data.draw(st.sampled_from([{"identity": m}, {"values": values}]), label="cost")
+    docs = [ensemble, cost]
+    target = data.draw(st.integers(0, 1), label="document")
+    path = data.draw(st.sampled_from(list(_subtree_paths(docs[target]))), label="path")
+    docs[target] = _replaced(docs[target], path, data.draw(ANY_JSON, label="replacement"))
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = [Path(scratch) / "ensemble.json", Path(scratch) / "cost.json"]
+        for file, doc in zip(paths, docs):
+            file.write_text(json.dumps(doc))
+        code = main(["solve", "--ensemble", str(paths[0]), "--cost", str(paths[1])])
+    assert code in (0, 2, 3, 4)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from guesswork.ensembles import (
-    EnsembleFamilySpec,
     antiprism_h_bound,
     constant_overlap_check,
     generate_mub,
@@ -173,15 +172,3 @@ def test_constant_overlap_requires_qubits():
     e = generate_random_uniform_prior(3, 3, seed=0)
     with pytest.raises(ValueError):
         constant_overlap_check(e)
-
-
-def test_family_spec_round_trip():
-    spec = EnsembleFamilySpec(family="polygon_antiprism", m=6, h=0.5, lam="pure")
-    e = spec.build()
-    assert e.size == 6
-    sic = EnsembleFamilySpec(family="sic").build()
-    assert sic.size == 4
-    rand = EnsembleFamilySpec(family="random", m=3, seed=5).build()
-    assert rand.size == 3
-    with pytest.raises(ValueError):
-        EnsembleFamilySpec(family="nope", m=3).build()

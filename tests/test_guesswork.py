@@ -246,7 +246,7 @@ def test_min_guesswork_qubit_benevolent_above_cap():
 def test_min_guesswork_general_embedded_pair():
     e = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.5, 0.0])])
     report = min_guesswork_general(e, identity_cost(2))
-    assert report is not None
+    assert report.measurement is not None
     assert report.value == pytest.approx(1.0, abs=1e-12)
     assert report.method == "condition_check_only"
     assert report.condition_verified
@@ -257,7 +257,7 @@ def test_min_guesswork_general_absent_on_orthonormal_triple():
     # every numbering, so the sufficient condition never holds (a 3-outcome
     # strategy beats every two-outcome one here)
     e = validate([np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])])
-    assert min_guesswork_general(e, identity_cost(3)) is None
+    assert min_guesswork_general(e, identity_cost(3)).measurement is None
     _, best_norm = tracenorm_argmax(e, identity_cost(3))
     assert best_norm == pytest.approx(4 / 3, abs=1e-12)
 
@@ -269,7 +269,7 @@ def test_min_guesswork_general_agrees_with_qubit_path():
         c = random_balanced_cost(rng, m)
         qubit = min_guesswork_qubit(e, c)
         general = min_guesswork_general(e, c)
-        assert general is not None
+        assert general.measurement is not None
         assert general.value == pytest.approx(qubit.value, abs=1e-9)
 
 
@@ -285,11 +285,12 @@ def test_zigzag_candidate_is_optimal_on_benevolent_families():
         assert c.mean - norm_value / 2 == pytest.approx(report.value, abs=1e-12)
 
 
-def test_min_guesswork_general_accepts_candidate():
-    e = validate(ORTHOGONAL_PAIR + [])
-    report = min_guesswork_general(e, identity_cost(2), candidate=(2, 1))
-    assert report is not None
-    assert report.value == pytest.approx(1.0, abs=1e-12)
+def test_condition_certifies_a_given_numbering():
+    e = validate(ORTHOGONAL_PAIR)
+    c = identity_cost(2)
+    assert condition_check(e, c, (2, 1))
+    m = optimal_two_outcome_measurement(e, c, (2, 1))
+    assert guesswork_value(e, c, m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_permute_problem_identity():

@@ -117,10 +117,17 @@ def cost_function(values) -> CostFunction:
     arr = np.asarray(gamma)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"cost values must be finite, got {gamma}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = arr.mean()
+        deviations = 2 * (arr - mean)
+    if not (np.isfinite(mean) and np.all(np.isfinite(deviations))):
+        raise ValueError(
+            "cost values overflow: their mean or 2 (gamma - mean) is not a finite double"
+        )
     sorting = tuple(int(i) + 1 for i in np.argsort(arr, kind="stable"))
     return CostFunction(
         values=gamma,
-        mean=float(arr.mean()),
+        mean=float(mean),
         balancing_permutation=balance_certificate(gamma),
         sorting_permutation=sorting,
     )

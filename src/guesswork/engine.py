@@ -225,6 +225,31 @@ def _screen_error(e: Ensemble, c: CostFunction) -> float:
     return SCREEN_MARGIN / 2 * e.dim * bound
 
 
+def _refuted(
+    e: Ensemble, c: CostFunction, e_star: np.ndarray, magnitude: np.ndarray, tol: float
+) -> bool:
+    """True when ascent over psi finds an n with |E(n*)| - E(n) below -tol.
+
+    For a fixed psi, max_n <psi|E(n)|psi> is the sorted matching of
+    gamma - mean against p_i = <psi|rho_i|psi> (rearrangement inequality).
+    Starting from each eigenvector of E(n*), that n is tested with the exact
+    batch of E(n); if it holds, psi moves to the lowest eigenvector of
+    |E(n*)| - E(n), for at most four steps.
+    """
+    states = np.stack(e.states)
+    positions = np.argsort(np.asarray(c.values), kind="stable")
+    numbering = np.empty((1, e.size), dtype=np.intp)
+    for psi in np.linalg.eigh(e_star)[1].T:
+        for _ in range(4):
+            overlaps = np.einsum("i,kij,j->k", psi.conj(), states, psi).real
+            numbering[0, positions] = np.argsort(overlaps, kind="stable")
+            difference = magnitude - _effective_operator_batch(e, c, numbering)
+            if np.linalg.eigvalsh(difference)[0, 0] < -tol:
+                return True
+            psi = np.linalg.eigh(difference[0])[1][:, 0]
+    return False
+
+
 def condition_check(
     e: Ensemble,
     c: CostFunction,
@@ -236,17 +261,23 @@ def condition_check(
 
     Sweeps all M! numberings (refused above the cap), so a True result
     certifies that the two-outcome measurement at n* attains the minimum.
-    Each numbering's smallest eigenvalue is screened from E(n) = W @ states;
-    one screened below -tol by more than the screen's error fails the check,
-    and those within that error of -tol are recomputed from the exact batch
-    of E(n).  The result equals the exact sweep over all numberings.
+    A few steps of ascent over pure states first look for a violating
+    numbering (:func:`_refuted`); it fails the check only on a numbering whose
+    exact test the sweep also fails.  Otherwise each numbering's smallest
+    eigenvalue is screened from E(n) = W @ states; one screened below -tol by
+    more than the screen's error fails the check, and those within that error
+    of -tol are recomputed from the exact batch of E(n).  The result equals
+    the exact sweep over all numberings.
     """
     n_star = require_numbering(n_star, size=e.size)
     if e.size > cap:
         raise FactorialCapError(
             f"condition check sweeps {e.size}! numberings, above the cap {cap}"
         )
-    magnitude = abs_operator(effective_operator(e, c, n_star))
+    e_star = effective_operator(e, c, n_star)
+    magnitude = abs_operator(e_star)
+    if _refuted(e, c, e_star, magnitude, tol):
+        return False
     error = _screen_error(e, c)
     for block in numbering_blocks(e.size):
         lowest = np.linalg.eigvalsh(magnitude - _screened_operators(e, c, block))[:, 0]
@@ -278,32 +309,54 @@ def tracenorm_argmax(
 ) -> tuple[Numbering, float]:
     """Numbering maximizing ||E(n)||_1, by exhaustive enumeration.
 
-    Each norm is screened from E(n) = W @ states; only numberings screened
-    within twice the screen's error of the running maximum are recomputed from
-    the exact batch of E(n), so the result equals the exact sweep over all
-    numberings: the largest computed norm, the lexicographically smallest
-    numbering among equal computed norms.  Numberings that tie in exact
-    arithmetic, such as n and n o sigma for every n, are usually separated by
-    rounding, not by that order.
+    Each norm is screened from E(n) = W @ states.  When the balancing
+    permutation sigma is an involution other than the identity,
+    E(n o sigma) = -E(n) up to delta = sum_t |g(t) + g(sigma(t))| max_i
+    ||rho_i||_1 with g = 2 (gamma - mean), so only the numbering of each pair
+    {n, n o sigma} with n(t0) < n(t1) is screened, (t0, t1) being sigma's first
+    2-cycle.  Numberings screened within twice the screen's error plus 2 delta
+    of the running maximum are recomputed from the exact batch of E(n),
+    together with their partners n o sigma, so the result equals the exact
+    sweep over all numberings: the largest computed norm, the
+    lexicographically smallest numbering among equal computed norms.
+    Numberings that tie in exact arithmetic, such as n and n o sigma for every
+    n, are usually separated by rounding, not by that order.
     """
     if e.size > cap:
         raise FactorialCapError(
             f"trace-norm search sweeps {e.size}! numberings, above the cap {cap}"
         )
-    error = _screen_error(e, c)
+    window = 2 * _screen_error(e, c)
+    sigma = None
+    if c.balancing_permutation is not None:
+        sigma = np.asarray(c.balancing_permutation) - 1
+        moved = np.flatnonzero(sigma != np.arange(e.size))
+        if len(moved) and np.array_equal(sigma[sigma], np.arange(e.size)):
+            t0, t1 = int(moved[0]), int(sigma[moved[0]])
+            g = 2 * (np.asarray(c.values) - c.mean)
+            largest = max(trace_norm(s) for s in e.states)
+            window += 2 * float(np.abs(g + g[sigma]).sum()) * largest
+        else:
+            sigma = None
     best_norm = running = -math.inf
     best_perm = None
     for block in numbering_blocks(e.size):
+        if sigma is not None:
+            block = block[block[:, t0] < block[:, t1]]
+            if not len(block):
+                continue
         scores = np.abs(np.linalg.eigvalsh(_screened_operators(e, c, block))).sum(axis=1)
         running = max(running, float(scores.max()))
-        rows = block[scores >= running - 2 * error]
+        rows = block[scores >= running - window]
         if not len(rows):
             continue
+        if sigma is not None:
+            rows = np.concatenate([rows, rows[:, sigma]])
         norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
-        k = int(np.argmax(norms))
-        if norms[k] > best_norm:
-            best_norm = float(norms[k])
-            best_perm = rows[k]
+        top = float(norms.max())
+        perm = min(rows[norms == top].tolist())
+        if top > best_norm or (top == best_norm and perm < best_perm):
+            best_norm, best_perm = top, perm
     return tuple(int(x) + 1 for x in best_perm), best_norm
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,19 @@ def test_non_finite_cost_is_input_error(tmp_path, capsys):
     cost_path.write_text('{"values": [1, NaN, 3]}')
     code = run_cli(["solve", "--ensemble", ensemble_path, "--cost", str(cost_path)])
     assert_input_error(code, capsys, "cost values must be finite")
+
+
+@pytest.mark.parametrize("values", [[1e308, -1e308], [1e308, 1e308, -1e308, -1e308]])
+def test_overflowing_cost_is_input_error(tmp_path, capsys, values):
+    ensemble = generate_random_uniform_prior(len(values), 3, seed=1)
+    ensemble_path = write_ensemble(tmp_path / "random.json", ensemble)
+    cost_path = tmp_path / "cost.json"
+    cost_path.write_text(json.dumps({"values": values}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["solve", "--ensemble", ensemble_path, "--cost", str(cost_path)])
+    assert_input_error(code, capsys, "cost values overflow")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_tol_must_be_finite(tmp_path, capsys):

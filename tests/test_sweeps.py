@@ -4,7 +4,9 @@ The references enumerate ``itertools.permutations`` in blocks of 8! rows and
 evaluate every numbering with the exact formulas (the double sum over the
 gathered Bloch Gram, and the exact batch of effective operators), keeping the
 (max value, earliest) numbering block by block.  The screened sweeps must
-return the same numbering, the same float and the same bool, ties included.
+return the same numbering, the same float and the same bool, ties included,
+also where the trace-norm sweep screens one numbering of each pair
+{n, n o sigma} and the condition check first tries to refute n*.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guesswork
+from guesswork import engine
 from guesswork.costs import cost_function, cost_gram, identity_cost
 from guesswork.engine import (
     _effective_operator_batch,
@@ -33,6 +36,7 @@ from guesswork.ensembles import (
     generate_random_uniform_prior,
     validate,
 )
+from guesswork.errors import FactorialCapError
 from guesswork.operators import abs_operator
 from guesswork.qap import QapInstance, bloch_gram, brute_force_solve, numbering_blocks
 
@@ -95,21 +99,40 @@ sizes = st.sampled_from(range(2, 8))
 
 @st.composite
 def balanced_costs(draw, m):
-    """Identity, constant, or mirrored small-integer deviations (ties likely)."""
-    kind = draw(st.sampled_from(["identity", "constant", "tied"]))
+    """Identity, constant (sigma the identity), mirrored small-integer deviations
+    (ties likely), or those perturbed by up to 4e-11, so that sigma is found
+    only within BALANCE_TOL and n, n o sigma differ in exact arithmetic."""
+    kind = draw(st.sampled_from(["identity", "constant", "tied", "perturbed"]))
     if kind == "identity":
         return identity_cost(m)
     if kind == "constant":
         return cost_function([2.5] * m)
     deviations = draw(st.lists(st.integers(0, 2), min_size=m // 2, max_size=m // 2))
     values = [3 + d for d in deviations] + [3 - d for d in deviations] + [3] * (m % 2)
-    return cost_function(draw(st.permutations(values)))
+    if kind == "perturbed":
+        # only the upper half moves: every pairing then stays within 8e-11
+        noise = st.floats(-4e-11, 4e-11)
+        values[: m // 2] = [v + draw(noise) for v in values[: m // 2]]
+    c = cost_function(draw(st.permutations(values)))
+    assert c.is_balanced
+    return c
+
+
+def conjugate_mirror(m, seed):
+    """Random dim-3 states, a real one when m is odd, then the complex
+    conjugates of the first ones in reverse order.  Relabelling i -> m + 1 - i
+    conjugates every E(n), which here leaves its computed norm bitwise
+    unchanged, so distinct pairs {n, n o sigma} tie exactly."""
+    states = [s / 2 for s in generate_random_uniform_prior(m // 2 + m % 2, 3, seed).states]
+    middle = [2 * states.pop().real.astype(complex)] if m % 2 else []
+    return validate(states + middle + [s.conj() for s in reversed(states)])
 
 
 @st.composite
 def problems(draw):
     m = draw(sizes)
-    kind = draw(st.sampled_from(["random", "polygon", "antiprism", "ginibre", "embedded"]))
+    kinds = ["random", "polygon", "antiprism", "ginibre", "embedded", "mirror"]
+    kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 2**16))
     if kind == "random":
         e = generate_random_uniform_prior(m, 2, seed)
@@ -120,6 +143,9 @@ def problems(draw):
         e = generate_polygon_antiprism(m, h=draw(st.sampled_from([0.3, 0.7071067811865476])))
     elif kind == "ginibre":
         e = generate_random_uniform_prior(m, 3, seed)
+    elif kind == "mirror":
+        m = max(m, 3)
+        e = conjugate_mirror(m, seed)
     else:  # qubits embedded in dim 3: |E*| - E(n) always has an exact zero eigenvalue
         qubits = generate_random_uniform_prior(m, 2, seed)
         e = validate([np.pad(s, ((0, 1), (0, 1))) for s in qubits.states])
@@ -153,11 +179,83 @@ def test_polygon9_identity_cost_matches_exact_sweeps():
     assert_sweeps_match(e, identity_cost(9))
 
 
+def test_random_dim3_m9_identity_cost_matches_exact_sweeps():
+    # sigma's first 2-cycle is (1, 9): the blocks whose prefix n(1) = 9 hold
+    # no numbering with n(1) < n(9) and are skipped whole
+    assert_sweeps_match(generate_random_uniform_prior(9, 3, 2), identity_cost(9))
+
+
+def test_pair_window_covers_perturbed_costs():
+    # costs of small spread, moved by a few 1e-11: n and n o sigma differ in
+    # norm by far more than the screen's error, and the larger norm of the
+    # maximal pair is screened only through a partner that a window of twice
+    # the screen's error alone would drop
+    e = conjugate_mirror(4, 1)
+    c = cost_function([3.001 + 8e-12, 3.002 + 1.8e-11, 3.003, 3.004])
+    assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
+
+
+def test_partners_in_later_blocks_tie_lexicographically():
+    # at M = 9 a partner lies in another block, and the maximal norm is
+    # computed bitwise equal in several blocks
+    e = conjugate_mirror(9, 4)
+    values = [3 + t / 1000 for t in range(1, 10)]
+    for t, shift in enumerate([-3.6e-11, 4e-11, 1.2e-11, -2.1e-11]):
+        values[t] += shift
+    c = cost_function(values)
+    assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
+
+
 def test_random_m9_tied_cost_matches_exact_sweep():
     e = generate_random_uniform_prior(9, 2, 4)
     c = cost_function([1, 1, 2, 2, 3, 4, 4, 5, 5])
     inst = QapInstance(cost_gram(c), bloch_gram(e))
     assert brute_force_solve(inst) == reference_brute_force(inst)
+
+
+# --- work counts of the fast paths ------------------------------------------------
+
+
+def test_tracenorm_sweep_screens_one_numbering_per_pair(monkeypatch):
+    rows = []
+    screen = engine._screened_operators
+
+    def counted(e, c, block):
+        rows.append(len(block))
+        return screen(e, c, block)
+
+    monkeypatch.setattr(engine, "_screened_operators", counted)
+    e = generate_random_uniform_prior(7, 3, 1)
+    for c in (identity_cost(7), cost_function([1, 5, 2, 3, 4, 1, 5])):
+        rows.clear()
+        tracenorm_argmax(e, c)
+        assert sum(rows) == math.factorial(7) // 2
+    rows.clear()
+    tracenorm_argmax(e, cost_function([2.5] * 7))  # sigma is the identity: no pairs
+    assert sum(rows) == math.factorial(7)
+
+
+def failing_certificate():
+    e, c = generate_random_uniform_prior(6, 3, 1), identity_cost(6)
+    n_star, _ = tracenorm_argmax(e, c)
+    assert not reference_condition_check(e, c, n_star, 1e-10)
+    return e, c, n_star
+
+
+def test_condition_check_refutes_a_failing_certificate_without_sweeping(monkeypatch):
+    e, c, n_star = failing_certificate()
+
+    def refuse(m):
+        raise AssertionError("the condition check swept the numberings")
+
+    monkeypatch.setattr(engine, "numbering_blocks", refuse)
+    assert condition_check(e, c, n_star) is False
+
+
+def test_condition_check_above_cap_raises_before_refuting():
+    e, c, n_star = failing_certificate()
+    with pytest.raises(FactorialCapError):
+        condition_check(e, c, n_star, cap=5)
 
 
 # --- the enumeration primitive ---------------------------------------------------

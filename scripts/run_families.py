@@ -2,8 +2,9 @@
 """Sweep the polygon / anti-prism families and tabulate minimum guesswork.
 
 For each M and height fraction the table shows the QAP objective from the
-benevolent fast path, the exhaustive check, and the resulting guesswork under
-the identity cost.
+benevolent fast path, the exact arrangement solver (column "brute", the
+solver behind ``--method brute``), and the resulting guesswork under the
+identity cost.
 
 Usage:
     python scripts/run_families.py [--m-max 8]
@@ -13,12 +14,10 @@ import argparse
 import math
 
 from guesswork import (
-    QapInstance,
     antiprism_h_bound,
+    arrangement_solve,
     benevolent_solve,
     bloch_gram,
-    brute_force_solve,
-    cost_gram,
     generate_polygon_antiprism,
     identity_cost,
     min_guesswork_qubit,
@@ -41,7 +40,7 @@ def main() -> None:
             c = identity_cost(m)
             fast = benevolent_solve(c, bloch_gram(e))
             objective = fast[1] if fast else math.nan
-            _, brute = brute_force_solve(QapInstance(cost_gram(c), bloch_gram(e)))
+            _, brute = arrangement_solve(c, e.bloch)
             report = min_guesswork_qubit(e, c)
             print(
                 f"{m:>2} {h:>10.6f} {objective:>12.8f} {brute:>12.8f} "

@@ -2,10 +2,10 @@
 
 Computes the minimum expected cost of sequentially guessing which state of a
 known ensemble was drawn.  For uniform-prior qubit ensembles the problem is
-solved exactly through an equivalent quadratic assignment problem (exhaustive
-enumeration, or in closed form for benevolent Bloch Gram matrices); in
-arbitrary dimension a sufficient optimality condition certifies two-outcome
-measurements.
+solved exactly through an equivalent quadratic assignment problem (over the
+great-circle arrangement of the Bloch vectors, or in closed form for
+benevolent Bloch Gram matrices); in arbitrary dimension a sufficient
+optimality condition certifies two-outcome measurements.
 """
 
 from .costs import (
@@ -57,9 +57,9 @@ from .operators import (
 from .qap import (
     BenevolenceReport,
     QapInstance,
+    arrangement_solve,
     benevolent_solve,
     bloch_gram,
-    brute_force_solve,
     find_benevolent_permutation,
     is_benevolent,
     qap_objective,

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (verified optimum), 2 invalid input, 3 result is only
 an unverified upper bound, 4 internal numerical failure.  The environment
-variable GUESSWORK_FACTORIAL_CAP overrides the exhaustive-search cap
-(default 10).
+variable GUESSWORK_FACTORIAL_CAP overrides the enumeration cap (default 10),
+the largest M that the general sweeps and the exact qubit solver accept.
+``solve --method brute`` runs the exact qubit solver without the benevolent
+fast path.
 """
 
 from __future__ import annotations
@@ -247,7 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute the minimum guesswork")
     solve.add_argument("--ensemble", required=True, help="ensemble JSON path")
     solve.add_argument("--cost", default="identity", help="'identity' or a cost JSON path")
-    solve.add_argument("--method", default="auto", choices=["auto", "brute", "benevolent"])
+    solve.add_argument(
+        "--method",
+        default="auto",
+        choices=["auto", "brute", "benevolent"],
+        help="brute: the exact qubit solver without the benevolent fast path; "
+        "benevolent: the fast path alone",
+    )
     solve.add_argument("--tol", type=float, default=1e-10, help="spectral/PSD tolerance")
     solve.add_argument("--out", help="write the report JSON here")
     solve.set_defaults(func=cmd_solve)

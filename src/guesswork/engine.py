@@ -2,8 +2,8 @@
 
 Minimum guesswork of an ensemble under a balanced cost: effective operators,
 the optimal two-outcome measurement built from their spectral projectors, the
-sufficient optimality condition, the closed-form qubit solver (via the QAP
-reduction), and a Monte Carlo simulator of the single-measurement strategy.
+sufficient optimality condition, the qubit solver (via the QAP reduction), and
+a Monte Carlo simulator of the single-measurement strategy.
 
 The central object is the effective operator
 
@@ -27,7 +27,6 @@ from .costs import (
     Numbering,
     compose,
     cost_function,
-    cost_gram,
     invert,
     require_numbering,
 )
@@ -44,10 +43,9 @@ from .operators import (
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
     SCREEN_MARGIN,
-    QapInstance,
+    arrangement_solve,
     benevolent_solve,
     bloch_gram,
-    brute_force_solve,
     numbering_blocks,
     zigzag_numbering,
 )
@@ -98,7 +96,7 @@ class GuessworkReport:
 
     ``measurement`` is None exactly when ``value`` is only an unverified upper
     bound.  For uniform-prior qubits ``condition_verified`` comes from the
-    exhaustive QAP maximum through the rank-1 identity E(n) = u(n) . sigma
+    exact QAP maximum through the rank-1 identity E(n) = u(n) . sigma
     (see :func:`min_guesswork_qubit`), elsewhere from :func:`condition_check`.
     """
 
@@ -373,16 +371,19 @@ def min_guesswork_qubit(
     returns mean - |v(E(n*))|_2 / 2 together with the optimal two-outcome
     measurement.  ``method``:
 
-    * "brute"      — exhaustive enumeration (M <= cap);
+    * "brute"      — the exact solver :func:`arrangement_solve` without the
+      benevolent fast path (M <= cap; reported as "brute_force");
     * "benevolent" — closed form, error when no benevolent structure is found;
-    * "auto"       — benevolent first (cross-checked against enumeration when
-      M <= cap), falling back to brute force.
+    * "auto"       — benevolent first (cross-checked against the exact solver
+      when M <= cap), falling back to the exact solver.
 
-    ``condition_verified`` needs no sweep of its own: E(n) = u(n) . sigma with
-    u(n) = sum_t (gamma(t) - mean) v(rho(n(t))) and objective(n) = |u(n)|^2, so
-    the smallest eigenvalue of |E(n*)| - E(n) is |u(n*)| - |u(n)|.  The
-    condition holds iff sqrt(objective(n*)) >= sqrt(max objective) - tol, the
-    maximum coming from the one exhaustive QAP sweep (False above the cap).
+    The exact solver is polynomial in M, but the cap still bounds M, so exit
+    codes above it are unchanged.  ``condition_verified`` needs no sweep of
+    its own: E(n) = u(n) . sigma with u(n) = sum_t (gamma(t) - mean)
+    v(rho(n(t))) and objective(n) = |u(n)|^2, so the smallest eigenvalue of
+    |E(n*)| - E(n) is |u(n*)| - |u(n)|.  The condition holds iff
+    sqrt(objective(n*)) >= sqrt(max objective) - tol, the maximum coming from
+    the one exact solve (False above the cap).
     """
     if e.dim != 2:
         raise ValueError(f"qubit solver requires dim = 2, got {e.dim}")
@@ -394,33 +395,37 @@ def min_guesswork_qubit(
         raise ValueError(f"unknown method {method!r}")
 
     gram = bloch_gram(e)
-    inst = QapInstance(cost_gram(c), gram)
 
     n_star = None
-    best = None  # the exhaustive QAP maximum, once swept
+    best = None  # the exact QAP maximum, once solved
     if method in ("auto", "benevolent"):
         fast = benevolent_solve(c, gram, tol=tol, cap=cap)
         if fast is not None:
             n_star, objective = fast
             method_used = "benevolent"
             if e.size <= cap:
-                _, best = brute_force_solve(inst, cap=cap)
+                _, best = arrangement_solve(c, e.bloch)
                 if method == "auto" and abs(best - objective) > CROSS_METHOD_TOL:
                     raise NumericalCheckError(
                         f"fast path objective {objective!r} disagrees with "
-                        f"enumeration {best!r}"
+                        f"the exact solver {best!r}"
                     )
         elif method == "benevolent":
             raise ValueError(
                 "no benevolent structure found in -bloch_gram; use method='brute' or 'auto'"
             )
     if n_star is None:
-        if method == "auto" and e.size > cap:
+        if e.size > cap and method == "auto":
             raise FactorialCapError(
                 f"M = {e.size} exceeds the enumeration cap {cap} and no benevolent "
                 "structure was found"
             )
-        n_star, objective = brute_force_solve(inst, cap=cap)
+        if e.size > cap:
+            raise FactorialCapError(
+                f"M = {e.size} exceeds the exhaustive-search cap {cap} ({e.size}! "
+                "numberings); use the benevolent fast path"
+            )
+        n_star, objective = arrangement_solve(c, e.bloch)
         best = objective
         method_used = "brute_force"
 

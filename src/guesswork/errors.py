@@ -2,10 +2,11 @@
 
 
 class FactorialCapError(ValueError):
-    """Raised when an exhaustive sweep over all M! numberings is refused.
+    """Raised when M is above the enumeration cap (default M <= 10).
 
-    Exhaustive enumeration is capped (default M <= 10).  Above the cap, use
-    the benevolent fast path of :func:`guesswork.qap.benevolent_solve`.
+    The general sweeps enumerate all M! numberings; the exact qubit solver
+    keeps the same limit.  Above the cap, use the benevolent fast path of
+    :func:`guesswork.qap.benevolent_solve`.
     """
 
 

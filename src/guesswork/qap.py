@@ -1,15 +1,17 @@
-"""Quadratic assignment over numberings: exact enumeration and a structured fast path.
+"""Quadratic assignment over numberings: an exact qubit solver and a structured fast path.
 
 The qubit guesswork problem reduces to maximizing
 
     objective(n) = sum_{t,t'} cost_gram[t, t'] * bloch_gram[n(t), n(t')]
 
 over all numberings n (equivalently Tr[C X_n B X_n^T] with permutation
-matrices).  Two solvers are provided:
+matrices).  The cost Gram has rank 1, so objective(n) = |w(n)|^2 with
+w(n) = sum_t (gamma(t) - mean) v(n(t)).  Two solvers are provided:
 
-* :func:`brute_force_solve` — exhaustive enumeration over the blocks of
-  :func:`numbering_blocks`, deterministic block-wise reduction (equal
-  computed values resolve lexicographically), capped at M! <= cap!.
+* :func:`arrangement_solve` — exact: the sorted matchings of the cells of the
+  great-circle arrangement of the Bloch vectors, closed under near-tied
+  swaps, in polynomial time; its answer equals the exhaustive sweep's (equal
+  computed values resolve lexicographically).
 * :func:`benevolent_solve` — closed form when -bloch_gram is permutationally
   equivalent to a *benevolent* matrix: symmetric Toeplitz with a first column
   whose tail is non-decreasing up to the midpoint (Property 1) and dominated
@@ -30,7 +32,6 @@ import numpy as np
 from .costs import CostFunction, Numbering, compose, invert, require_numbering
 from .costs import cost_gram as build_cost_gram
 from .ensembles import Ensemble
-from .errors import FactorialCapError
 
 DEFAULT_FACTORIAL_CAP = 10
 SYMMETRY_TOL = 1e-12
@@ -47,6 +48,13 @@ _TABLE_POSITIONS = 8
 # stays below 1e-14 * scale, far inside the margin; on unit-trace ensembles the
 # margin stays far below EIGEN_TOL = 1e-10.
 SCREEN_MARGIN = 1e-12
+
+# Two arrangement circles whose unit normals are closer than this in angle
+# are one circle: their crossing points would be rounding noise.
+_PARALLEL = 1e-13
+
+# Up to M = 6, M! is no more than the arrangement's 4 K^2 candidate rows.
+_ENUMERATED = 6
 
 
 @dataclass(frozen=True)
@@ -133,67 +141,167 @@ def numbering_blocks(m: int):
         yield block
 
 
-def _eigenpairs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvalues and eigenvectors of a symmetric Gram, and its nuclear norm.
+def _scores(g: np.ndarray, bloch: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|w(n)|^2 for each row of 0-based numberings, w(n) = W @ bloch with
+    row n of W holding g(t) at column n(t)."""
+    weights = np.empty(rows.shape)
+    np.put_along_axis(weights, rows, g[None, :], axis=1)
+    w = weights @ bloch
+    return np.einsum("kx,kx->k", w, w)
 
-    Eigenvalues within SCREEN_MARGIN / 8 of zero, relative to the mean
-    |eigenvalue|, are dropped: together they weigh at most SCREEN_MARGIN / 8
-    of the nuclear norm.
+
+def _sorted_matchings(g: np.ndarray, bloch: np.ndarray) -> np.ndarray:
+    """The identity, and the sorted matching of g against (r . v_i) for r on
+    both sides of the midpoint of every arc of the great-circle arrangement.
+
+    Circle a is the plane (v_i - v_j) . r = 0 of one pair of distinct Bloch
+    vectors; normals closer than _PARALLEL in angle make one circle.  Each
+    midpoint m is stepped by +-delta n_a, delta half its distance to every
+    other circle, and -r gives the reversed matching.
     """
-    values, vectors = np.linalg.eigh(gram)
-    nuclear = float(np.abs(values).sum())
-    keep = np.abs(values) > SCREEN_MARGIN / 8 * nuclear / len(values)
-    return values[keep], vectors[:, keep], nuclear
+    m = len(g)
+    identity = np.arange(m)[None, :]
+    i, j = np.triu_indices(m, 1)
+    normals = bloch[i] - bloch[j]
+    lengths = np.linalg.norm(normals, axis=1)
+    normals = normals[lengths > 0] / lengths[lengths > 0, None]
+    if not len(normals):
+        return identity
+    # (e1, e2) spans each circle; crossings are measured by angle mod pi, as
+    # the crossing points of two circles are antipodal
+    e1 = np.cross(normals, np.eye(3)[np.argmin(np.abs(normals), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(normals, e1)
+    crossings = np.cross(normals[:, None, :], normals[None, :, :])
+    apart = np.linalg.norm(crossings, axis=2) > _PARALLEL
+    angles = np.arctan2(
+        (crossings * e2[:, None, :]).sum(axis=2), (crossings * e1[:, None, :]).sum(axis=2)
+    )
+    angles = np.sort(np.where(apart, angles % np.pi, 0.0), axis=1)
+    mids = (angles + np.concatenate([angles[:, 1:], angles[:, :1] + np.pi], axis=1)) / 2
+    points = np.cos(mids)[:, :, None] * e1[:, None, :] + np.sin(mids)[:, :, None] * e2[:, None, :]
+    distances = np.where(apart[:, None, :], np.abs(points @ normals.T), np.inf)
+    steps = (np.minimum(distances.min(axis=2), 1.0) / 2)[:, :, None] * normals[:, None, :]
+    directions = np.concatenate([points + steps, points - steps]).reshape(-1, 3)
+    order = np.argsort(directions @ bloch.T, axis=1)
+    matchings = np.empty((2, len(order), m), dtype=np.intp)
+    matchings[:, :, np.argsort(g, kind="stable")] = order, order[:, ::-1]
+    return np.concatenate([identity, matchings.reshape(-1, m)])
 
 
-def brute_force_solve(
-    inst: QapInstance, cap: int = DEFAULT_FACTORIAL_CAP
-) -> tuple[Numbering, float]:
-    """Exhaustively maximize the objective over all M! numberings.
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per row; keys sort as the rows do lexicographically."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{rows.shape[1]}").ravel()
 
-    A screen scores every numbering: with cost_gram = sum_j mu_j c_j c_j^T and
-    bloch_gram = sum_i lambda_i b_i b_i^T, objective(n) = sum_j mu_j sum_i
-    lambda_i (W_j b_i)^2, where row n of W_j holds c_j(t) at column n(t).  The
-    exact double sum is then evaluated only for numberings screened within
-    SCREEN_MARGIN times the product of the Grams' nuclear norms of the running
-    maximum, block by block in lexicographic order, keeping the (max value,
-    earliest) one.  The screen errs by less than half that window, so the
-    result equals the exact sweep over all numberings: the largest computed
-    value, the lexicographically smallest numbering among equal computed
-    values.  Numberings that tie in exact arithmetic, such as n and n o sigma
-    for every n under a balanced cost, are usually separated by rounding,
-    not by that order.
-    """
-    m = inst.size
-    if m > cap:
-        raise FactorialCapError(
-            f"M = {m} exceeds the exhaustive-search cap {cap} ({m}! numberings); "
-            "use the benevolent fast path"
+
+def _closure(
+    g: np.ndarray, bloch: np.ndarray, rows: np.ndarray, window: float
+) -> np.ndarray | None:
+    """The rows screened within window of the top, closed under swaps of two
+    entries that keep the screen within window, as one lexicographically
+    sorted block; None once the closure would screen more rows than M!."""
+    m = len(g)
+    first, second = np.triu_indices(m, 1)
+    swaps = np.arange(len(first))
+    chunk = max(1, math.factorial(_TABLE_POSITIONS) // len(swaps))
+    scores = _scores(g, bloch, rows)
+    top = float(scores.max())
+    seen = frontier = np.unique(_keys(rows[scores >= top - window]))
+    while len(frontier):
+        if len(seen) * len(swaps) > math.factorial(m):
+            return None
+        found = []
+        for start in range(0, len(frontier), chunk):
+            base = frontier[start : start + chunk].view(np.uint8).reshape(-1, m).astype(np.intp)
+            near = np.repeat(base[:, None, :], len(swaps), axis=1)
+            near[:, swaps, first] = base[:, second]
+            near[:, swaps, second] = base[:, first]
+            near = near.reshape(-1, m)
+            scores = _scores(g, bloch, near)
+            top = max(top, float(scores.max()))
+            found.append(near[scores >= top - window])
+        frontier = np.setdiff1d(_keys(np.concatenate(found)), seen)
+        seen = np.union1d(seen, frontier)
+    return seen.view(np.uint8).reshape(-1, m).astype(np.intp)
+
+
+def _cost_gram(c: CostFunction) -> np.ndarray:
+    """The rank-1 cost Gram; refused when the objective's sums could overflow."""
+    with np.errstate(over="ignore"):
+        spread = float(np.abs(np.asarray(c.values) - c.mean).sum())
+    if not math.isfinite(spread * spread):
+        raise ValueError(
+            "cost values are too large for the qubit solver: "
+            "(sum |gamma - mean|)^2 is not a finite double"
         )
-    costs, cost_vectors, cost_norm = _eigenpairs(inst.cost_gram)
-    blochs, bloch_vectors, bloch_norm = _eigenpairs(inst.bloch_gram)
-    # |objective| <= cost_norm * bloch_norm; the eigenvalues each Gram drops
-    # move a score by at most window / 8, rounding by far less.
-    window = SCREEN_MARGIN * cost_norm * bloch_norm
+    return build_cost_gram(c)
+
+
+def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, float]:
+    """Maximize the qubit objective |w(n)|^2, w(n) = sum_t g(t) v(n(t)), exactly.
+
+    ``bloch`` stacks the Bloch vectors v_i, and g = gamma - mean.  The result
+    equals the exhaustive exact sweep over all M! numberings: the largest
+    value of sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t), n(t')] as the
+    einsum below computes it, and the lexicographically smallest numbering
+    among equal computed values.  Numberings that tie in exact arithmetic,
+    such as n and n o sigma under a balanced cost, are usually separated by
+    rounding, not by that order.
+
+    The candidates are :func:`_sorted_matchings`, about 4 K^2 rows for the
+    K = M(M - 1)/2 circles, or all M! numberings when that is no more
+    (M <= _ENUMERATED).  Those screened within window = SCREEN_MARGIN *
+    Tr(cost_gram) * Tr(bloch_gram) of the top are closed under swaps
+    (:func:`_closure`) and evaluated with the exact formula.  Both Grams are
+    PSD, so their traces are their nuclear norms and bound |objective|; the
+    screen and the exact formula each err by far less than a quarter of the
+    window.  When the closure would screen more rows than M!, every
+    numbering is swept instead.  Costs or Bloch vectors that are all zero
+    make every value 0, and the identity is returned.
+
+    Soundness.  |w|^2 is convex, so its maximum over the convex hull P of
+    the w(n) is at a vertex.  The vertex maximizing r . w is w of the sorted
+    matching of g against (r . v_i) for any r inside one cell of the
+    arrangement of the circles (v_i - v_j) . r = 0, and every numbering
+    mapped to that vertex is such a matching; they differ by swaps of equal
+    costs or identical Bloch vectors, which leave w unchanged.  Every cell
+    has an edge, an arc of one circle between two crossings.  A point
+    stepped off the arc's midpoint by less than its distance to every other
+    circle lies inside one of the two cells beside the arc (with a single
+    circle, a hemisphere), so the candidates reach every vertex of P.
+    Rounding decides among exactly tied numberings.  Numberings within
+    rounding of the maximum that no candidate reaches (nearly equal costs or
+    states, thin cells between circles closer than _PARALLEL) differ from a
+    candidate by swaps that each stay within the window.  So the closure
+    holds every numbering whose computed value can be the largest.  The
+    floating-point part is argued, not proved; the tests compare the solver
+    with the exhaustive sweep on degenerate layouts.
+    """
+    g = np.asarray(c.values) - c.mean
+    cost = _cost_gram(c)
+    gram = bloch @ bloch.T
+    m = len(g)
+    window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
+    if window == 0:
+        blocks = [np.arange(m)[None, :]]
+    elif m <= _ENUMERATED:
+        blocks = numbering_blocks(m)
+    else:
+        closed = _closure(g, bloch, _sorted_matchings(g, bloch), window)
+        blocks = numbering_blocks(m) if closed is None else [closed]
     best_value = running = -math.inf
-    best_perm = None
-    for block in numbering_blocks(m):
-        weights = np.empty(block.shape)
-        scores = np.zeros(len(block))
-        for value, vector in zip(costs, cost_vectors.T):
-            np.put_along_axis(weights, block, vector[None, :], axis=1)
-            scores += value * ((weights @ bloch_vectors) ** 2 @ blochs)
+    best = None
+    for block in blocks:
+        scores = _scores(g, bloch, block)
         running = max(running, float(scores.max()))
         rows = block[scores >= running - window]
         if not len(rows):
             continue
-        permuted = inst.bloch_gram[rows[:, :, None], rows[:, None, :]]
-        values = np.einsum("ts,kts->k", inst.cost_gram, permuted)
+        values = np.einsum("ts,kts->k", cost, gram[rows[:, :, None], rows[:, None, :]])
         k = int(np.argmax(values))
         if values[k] > best_value:
-            best_value = float(values[k])
-            best_perm = rows[k]
-    return tuple(int(x) + 1 for x in best_perm), best_value
+            best_value, best = float(values[k]), rows[k]
+    return tuple(int(x) + 1 for x in best), best_value
 
 
 def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
@@ -358,5 +466,5 @@ def benevolent_solve(
     if sigma2 is None:
         return None
     n_star = compose(sigma2, compose(zigzag_numbering(m), invert(c.sorting_permutation)))
-    inst = QapInstance(build_cost_gram(c), bloch)
+    inst = QapInstance(_cost_gram(c), bloch)
     return n_star, qap_objective(inst, n_star)

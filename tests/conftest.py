@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -38,6 +39,27 @@ def oracle_qap_max(cost_gram, bloch_gram) -> float:
                 total += cost_gram[t, s] * bloch_gram[perm[t], perm[s]]
         best = max(best, total)
     return best
+
+
+def reference_blocks(m):
+    """Every permutation of range(m) in ``itertools.permutations`` order, in blocks of 8! rows."""
+    perms = itertools.permutations(range(m))
+    while chunk := list(itertools.islice(perms, 40320)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def reference_brute_force(inst):
+    """The exhaustive exact QAP sweep: the double sum of every numbering over
+    the gathered Bloch Gram, keeping the (max value, earliest) numbering block
+    by block, i.e. the lexicographically smallest among equal computed values."""
+    best_value, best_perm = -math.inf, None
+    for block in reference_blocks(inst.size):
+        permuted = inst.bloch_gram[block[:, :, None], block[:, None, :]]
+        values = np.einsum("ts,kts->k", inst.cost_gram, permuted)
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_value, best_perm = float(values[k]), block[k]
+    return tuple(int(x) + 1 for x in best_perm), best_value
 
 
 def random_balanced_values(rng, m: int, span: float = 5.0) -> list[float]:

@@ -11,7 +11,12 @@ import time
 
 import numpy as np
 
-from conftest import oracle_min_guesswork, random_balanced_cost, random_numbering
+from conftest import (
+    oracle_min_guesswork,
+    random_balanced_cost,
+    random_numbering,
+    reference_brute_force,
+)
 from guesswork import serialize
 from guesswork.cli import main as cli_main
 from guesswork.costs import compose, cost_gram, identity_cost
@@ -32,7 +37,7 @@ from guesswork.ensembles import (
     generate_sic,
 )
 from guesswork.operators import pauli_vector, trace_norm
-from guesswork.qap import QapInstance, benevolent_solve, bloch_gram, brute_force_solve, is_benevolent
+from guesswork.qap import QapInstance, benevolent_solve, bloch_gram, is_benevolent
 
 
 def _passed(number: int, text: str) -> None:
@@ -60,7 +65,7 @@ _DIM3_SUITE = [
 
 def _brute_optimum(e, c):
     inst = QapInstance(cost_gram(c), bloch_gram(e))
-    return brute_force_solve(inst)
+    return reference_brute_force(inst)
 
 
 def test_criterion_01_benevolent_matches_brute_force():

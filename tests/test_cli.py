@@ -378,6 +378,19 @@ def test_overflowing_cost_is_input_error(tmp_path, capsys, values):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_qubit_cost_too_large_for_the_exact_solver(tmp_path, capsys):
+    # 2 (gamma - mean) is finite, but the qubit objective's sums of products
+    # of (gamma - mean) are not
+    ensemble_path = write_ensemble(tmp_path / "pair.json", generate_random_uniform_prior(2, 2, 1))
+    cost_path = tmp_path / "cost.json"
+    cost_path.write_text(json.dumps({"values": [1e200, -1e200]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["solve", "--ensemble", ensemble_path, "--cost", str(cost_path)])
+    assert_input_error(code, capsys, "cost values are too large for the qubit solver")
+    assert not caught
+
+
 def test_tol_must_be_finite(tmp_path, capsys):
     ensemble_path = write_ensemble(tmp_path / "sic.json", generate_sic())
     code = run_cli(["solve", "--ensemble", ensemble_path, "--tol", "nan"])

@@ -26,7 +26,7 @@ from guesswork.ensembles import (
     validate,
 )
 from guesswork.errors import FactorialCapError
-from guesswork.qap import QapInstance, bloch_gram, brute_force_solve
+from guesswork.qap import QapInstance, arrangement_solve, bloch_gram
 from guesswork.costs import cost_gram
 
 ORTHOGONAL_PAIR = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
@@ -129,7 +129,7 @@ def test_two_outcome_measurement_degenerate_constant_cost():
 def test_two_outcome_measurement_valid_on_trine():
     e = generate_polygon_antiprism(3)
     c = identity_cost(3)
-    n_star, _ = brute_force_solve(QapInstance(cost_gram(c), bloch_gram(e)))
+    n_star, _ = arrangement_solve(c, e.bloch)
     m = optimal_two_outcome_measurement(e, c, n_star)
     m.validated(1e-10)
 
@@ -163,7 +163,7 @@ def test_condition_check_random_argmax():
     for m in (2, 3, 4, 5):
         e = generate_random_uniform_prior(m, 2, seed=m)
         c = random_balanced_cost(rng, m)
-        n_star, _ = brute_force_solve(QapInstance(cost_gram(c), bloch_gram(e)))
+        n_star, _ = arrangement_solve(c, e.bloch)
         assert condition_check(e, c, n_star)
 
 
@@ -324,8 +324,8 @@ def test_permuted_optimum_maps_back():
     sigma1 = random_numbering(rng, 4)
     sigma2 = random_numbering(rng, 4)
     e2, c2 = permute_problem(e, c, sigma1, sigma2)
-    n2, value2 = brute_force_solve(QapInstance(cost_gram(c2), bloch_gram(e2)))
-    n1, value1 = brute_force_solve(QapInstance(cost_gram(c), bloch_gram(e)))
+    n2, value2 = arrangement_solve(c2, e2.bloch)
+    n1, value1 = arrangement_solve(c, e.bloch)
     # n2 maps to an optimum of the original problem (up to ties)
     mapped = compose(sigma2, compose(n2, invert(sigma1)))
     inst1 = QapInstance(cost_gram(c), bloch_gram(e))

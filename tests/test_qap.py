@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_qap_max, random_numbering
+from conftest import oracle_qap_max, random_numbering, reference_brute_force
 from guesswork.costs import cost_function, cost_gram, identity_cost
-from guesswork.engine import effective_operator
+from guesswork.engine import effective_operator, min_guesswork_qubit
 from guesswork.ensembles import (
     antiprism_h_bound,
     generate_mub,
@@ -19,9 +19,9 @@ from guesswork.errors import FactorialCapError
 from guesswork.operators import pauli_vector
 from guesswork.qap import (
     QapInstance,
+    arrangement_solve,
     benevolent_solve,
     bloch_gram,
-    brute_force_solve,
     find_benevolent_permutation,
     is_benevolent,
     qap_objective,
@@ -94,16 +94,16 @@ def test_objective_constant_for_sic():
 
 def test_brute_force_tie_breaks_lexicographically():
     e = validate([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])
-    inst = QapInstance(cost_gram(identity_cost(2)), bloch_gram(e))
-    numbering, value = brute_force_solve(inst)
+    numbering, value = arrangement_solve(identity_cost(2), e.bloch)
     assert numbering == (1, 2)
     assert value == pytest.approx(0.25, abs=1e-15)
 
 
 def test_brute_force_trine_value():
     # all six numberings tie at 1/3 (checked against the plain double-sum oracle)
-    inst = QapInstance(cost_gram(identity_cost(3)), bloch_gram(generate_polygon_antiprism(3)))
-    numbering, value = brute_force_solve(inst)
+    e = generate_polygon_antiprism(3)
+    inst = QapInstance(cost_gram(identity_cost(3)), bloch_gram(e))
+    numbering, value = arrangement_solve(identity_cost(3), e.bloch)
     assert value == pytest.approx(oracle_qap_max(inst.cost_gram, inst.bloch_gram), abs=1e-14)
     assert value == pytest.approx(1 / 3, abs=1e-12)
     assert numbering == (1, 2, 3)
@@ -114,15 +114,14 @@ def test_brute_force_dominates_random_numberings():
     e = generate_random_uniform_prior(5, 2, seed=23)
     c = cost_function(rng.uniform(-2, 2, size=5))
     inst = QapInstance(cost_gram(c), bloch_gram(e))
-    _, best = brute_force_solve(inst)
+    _, best = arrangement_solve(c, e.bloch)
     for _ in range(100):
         assert best >= qap_objective(inst, random_numbering(rng, 5)) - 1e-12
 
 
 def test_brute_force_cap_refusal():
-    inst = QapInstance(cost_gram(identity_cost(4)), bloch_gram(generate_sic()))
     with pytest.raises(FactorialCapError, match="fast path"):
-        brute_force_solve(inst, cap=3)
+        min_guesswork_qubit(generate_sic(), identity_cost(4), method="brute", cap=3)
 
 
 def test_square_gram_is_benevolent():
@@ -194,7 +193,7 @@ def test_benevolent_solve_square_matches_brute():
     fast = benevolent_solve(c, bloch_gram(e))
     assert fast is not None
     n_fast, value_fast = fast
-    _, value_bf = brute_force_solve(inst)
+    _, value_bf = reference_brute_force(inst)
     assert value_fast == pytest.approx(value_bf, abs=1e-12)
     assert value_fast == pytest.approx(0.625, abs=1e-12)
 
@@ -204,7 +203,7 @@ def test_benevolent_solve_mub_matches_brute():
     c = identity_cost(6)
     inst = QapInstance(cost_gram(c), bloch_gram(e))
     n_fast, value_fast = benevolent_solve(c, bloch_gram(e))
-    _, value_bf = brute_force_solve(inst)
+    _, value_bf = reference_brute_force(inst)
     assert value_fast == pytest.approx(value_bf, abs=1e-12)
     assert value_fast == pytest.approx(35 / 36, abs=1e-12)
 
@@ -215,7 +214,7 @@ def test_benevolent_solve_handles_decreasing_cost():
     c = cost_function([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
     inst = QapInstance(cost_gram(c), bloch_gram(e))
     n_fast, value_fast = benevolent_solve(c, bloch_gram(e))
-    _, value_bf = brute_force_solve(inst)
+    _, value_bf = reference_brute_force(inst)
     assert value_fast == pytest.approx(value_bf, abs=1e-12)
     assert value_fast == pytest.approx(35 / 36, abs=1e-12)
 

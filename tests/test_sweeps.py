@@ -1,21 +1,26 @@
-"""The screened sweeps against the exact sweeps they replace, compared with ==.
+"""The screened sweeps and the exact qubit solver against the exhaustive exact
+sweeps, compared with ==.
 
 The references enumerate ``itertools.permutations`` in blocks of 8! rows and
 evaluate every numbering with the exact formulas (the double sum over the
-gathered Bloch Gram, and the exact batch of effective operators), keeping the
-(max value, earliest) numbering block by block.  The screened sweeps must
-return the same numbering, the same float and the same bool, ties included,
-also where the trace-norm sweep screens one numbering of each pair
-{n, n o sigma} and the condition check first tries to refute n*.
+gathered Bloch Gram, ``reference_brute_force`` in conftest, and the exact
+batch of effective operators), keeping the (max value, earliest) numbering
+block by block.  The fast paths must return the same numbering, the same
+float and the same bool, ties included: also where the trace-norm sweep
+screens one numbering of each pair {n, n o sigma}, where the condition check
+first tries to refute n*, and where the qubit solver sees only the sorted
+matchings of the great-circle arrangement and their near-tied swaps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,12 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guesswork
-from guesswork import engine
+from conftest import reference_blocks, reference_brute_force
+from guesswork import engine, qap
 from guesswork.costs import cost_function, cost_gram, identity_cost
 from guesswork.engine import (
     _effective_operator_batch,
     condition_check,
     effective_operator,
+    min_guesswork_qubit,
+    solve,
     tracenorm_argmax,
 )
 from guesswork.ensembles import (
@@ -37,25 +45,8 @@ from guesswork.ensembles import (
     validate,
 )
 from guesswork.errors import FactorialCapError
-from guesswork.operators import abs_operator
-from guesswork.qap import QapInstance, bloch_gram, brute_force_solve, numbering_blocks
-
-
-def reference_blocks(m):
-    perms = itertools.permutations(range(m))
-    while chunk := list(itertools.islice(perms, 40320)):
-        yield np.array(chunk, dtype=np.intp)
-
-
-def reference_brute_force(inst):
-    best_value, best_perm = -math.inf, None
-    for block in reference_blocks(inst.size):
-        permuted = inst.bloch_gram[block[:, :, None], block[:, None, :]]
-        values = np.einsum("ts,kts->k", inst.cost_gram, permuted)
-        k = int(np.argmax(values))
-        if values[k] > best_value:
-            best_value, best_perm = float(values[k]), block[k]
-    return tuple(int(x) + 1 for x in best_perm), best_value
+from guesswork.operators import abs_operator, from_bloch
+from guesswork.qap import QapInstance, arrangement_solve, bloch_gram, numbering_blocks
 
 
 def reference_tracenorm_argmax(e, c):
@@ -85,7 +76,7 @@ def reference_condition_check(e, c, n_star, tol):
 def assert_sweeps_match(e, c, candidates=()):
     if e.dim == 2 and np.allclose(e.prior, 1 / e.size):
         inst = QapInstance(cost_gram(c), bloch_gram(e))
-        assert brute_force_solve(inst) == reference_brute_force(inst)
+        assert arrangement_solve(c, e.bloch) == reference_brute_force(inst)
     best = tracenorm_argmax(e, c)
     assert best == reference_tracenorm_argmax(e, c)
     for n_star in (best[0], *candidates):
@@ -210,7 +201,137 @@ def test_random_m9_tied_cost_matches_exact_sweep():
     e = generate_random_uniform_prior(9, 2, 4)
     c = cost_function([1, 1, 2, 2, 3, 4, 4, 5, 5])
     inst = QapInstance(cost_gram(c), bloch_gram(e))
-    assert brute_force_solve(inst) == reference_brute_force(inst)
+    assert arrangement_solve(c, e.bloch) == reference_brute_force(inst)
+
+
+# --- the exact qubit solver on degenerate layouts ----------------------------------
+
+
+@contextlib.contextmanager
+def arrangement_only():
+    """Send every M > 1 through the arrangement, not the small-M enumeration."""
+    with mock.patch.object(qap, "_ENUMERATED", 1):
+        yield
+
+
+def qubits(vectors):
+    """Uniform-prior qubits whose Bloch vectors are ``vectors``, scaled into the ball."""
+    vectors = np.asarray(vectors, dtype=float)
+    m = len(vectors)
+    radius = float(np.linalg.norm(vectors, axis=1).max())
+    scale = 0.9 / (m * radius) if radius > 0 else 0.0
+    return validate([from_bloch(1 / m, scale * v) for v in vectors])
+
+
+def degenerate_layout(kind, m):
+    rng = np.random.default_rng(m)
+    v = rng.normal(size=(m, 3))
+    if kind == "repeated":
+        v[m // 2 :] = v[: m - m // 2]
+    elif kind == "identical":  # no arrangement at all: every numbering ties
+        v[:] = v[0]
+    elif kind == "collinear":  # every circle coincides
+        v = np.outer(rng.uniform(-1, 1, m), v[0])
+    elif kind == "collinear_offset":
+        v = np.outer(rng.uniform(-1, 1, m), v[0]) + v[1]
+    elif kind == "coplanar":  # every circle passes through the poles
+        v[:, 2] = 0
+    elif kind == "coplanar_offset":
+        v[:, 2] = 1.5
+    elif kind == "mixed":  # maximally mixed states among pure ones
+        v[::2] = 0
+    elif kind == "all_mixed":
+        v[:] = 0
+    elif kind == "near_parallel":  # the circles of (1, 2) and (3, 4) lie 1e-12 apart
+        v[3] = v[2] + 0.7 * (v[1] - v[0]) + 1e-12 * np.array([0.3, -0.5, 0.8])
+    return qubits(v)
+
+
+def degenerate_costs(m):
+    half, pairs = m // 2, (m - m // 2) // 2
+    mirrored = [3.0 + d for d in range(1, pairs + 1)] + [3.0 - d for d in range(1, pairs + 1)]
+    return [
+        identity_cost(m),
+        cost_function([2.5] * m),
+        # the mean repeated M/2 times, and two values each repeated M/2 times
+        cost_function([3.0] * (m - 2 * pairs) + mirrored),
+        cost_function([1.0] * half + [2.0] * half + [1.5] * (m % 2)),
+    ]
+
+
+@pytest.mark.parametrize("m", [4, 7])
+@pytest.mark.parametrize(
+    "kind",
+    ["random", "repeated", "identical", "collinear", "collinear_offset", "coplanar",
+     "coplanar_offset", "mixed", "all_mixed", "near_parallel"],
+)
+def test_arrangement_equals_exact_sweep_on_degenerate_layouts(kind, m):
+    e = degenerate_layout(kind, m)
+    for c in degenerate_costs(m):
+        assert c.is_balanced
+        inst = QapInstance(cost_gram(c), bloch_gram(e))
+        expected = reference_brute_force(inst)
+        assert arrangement_solve(c, e.bloch) == expected
+        with arrangement_only():
+            assert arrangement_solve(c, e.bloch) == expected
+
+
+def test_near_parallel_circles_are_1e12_apart():
+    e = degenerate_layout("near_parallel", 7)
+    a, b = e.bloch[0] - e.bloch[1], e.bloch[2] - e.bloch[3]
+    sine = np.linalg.norm(np.cross(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+    assert 1e-13 < sine < 1e-11
+
+
+@pytest.mark.parametrize(
+    "e",
+    [generate_random_uniform_prior(m, 2, seed) for m, seed in [(3, 1), (4, 2), (6, 3), (8, 4)]]
+    + [generate_polygon_antiprism(m, h) for m, h in [(5, 0.0), (8, 0.0), (6, 0.3)]]
+    + [degenerate_layout(kind, 6) for kind in ("collinear_offset", "near_parallel")],
+)
+def test_sorted_matchings_reach_every_sampled_cell(e):
+    # the sorted matching of a random direction lies in a random cell of the
+    # arrangement; each must be among the candidates
+    g = np.arange(e.size) - (e.size - 1) / 2
+    directions = np.random.default_rng(e.size).normal(size=(20000, 3))
+    sampled = np.empty((len(directions), e.size), dtype=np.intp)
+    sampled[:, np.argsort(g)] = np.argsort(directions @ e.bloch.T, axis=1)
+    candidates = {tuple(row) for row in qap._sorted_matchings(g, e.bloch).tolist()}
+    assert {tuple(row) for row in sampled.tolist()} <= candidates
+
+
+def test_circles_parallel_up_to_rounding_are_one_circle():
+    # collinear Bloch vectors: every circle is one great circle, whose two
+    # hemispheres give the ascending and the descending matching
+    e = degenerate_layout("collinear_offset", 7)
+    g = np.arange(7) - 3.0
+    rows = {tuple(row) for row in qap._sorted_matchings(g, e.bloch).tolist()}
+    assert len(rows - {tuple(range(7))}) == 2
+
+
+def test_closure_hands_a_tie_of_every_numbering_to_the_sweep():
+    e, c = degenerate_layout("identical", 7), identity_cost(7)
+    g = np.asarray(c.values) - c.mean
+    window = qap.SCREEN_MARGIN * float(g @ g) * float(np.trace(bloch_gram(e)))
+    assert qap._closure(g, e.bloch, qap._sorted_matchings(g, e.bloch), window) is None
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_arrangement_equals_exact_sweep_at_m1_and_m2(m):
+    e = qubits(np.random.default_rng(5).normal(size=(m, 3)))
+    for c in (cost_function([4.0] * m), identity_cost(m), cost_function([-1.5, 7.0][:m])):
+        inst = QapInstance(cost_gram(c), bloch_gram(e))
+        with arrangement_only():
+            assert arrangement_solve(c, e.bloch) == reference_brute_force(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems().filter(lambda problem: problem[0].dim == 2))
+def test_arrangement_equals_exact_sweep(problem):
+    e, c, _ = problem
+    inst = QapInstance(cost_gram(c), bloch_gram(e))
+    with arrangement_only():
+        assert arrangement_solve(c, e.bloch) == reference_brute_force(inst)
 
 
 # --- work counts of the fast paths ------------------------------------------------
@@ -250,6 +371,20 @@ def test_condition_check_refutes_a_failing_certificate_without_sweeping(monkeypa
 
     monkeypatch.setattr(engine, "numbering_blocks", refuse)
     assert condition_check(e, c, n_star) is False
+
+
+def test_m9_qubit_solves_do_not_sweep(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the qubit solve swept the numberings")
+
+    monkeypatch.setattr(qap, "numbering_blocks", refuse)
+    monkeypatch.setattr(engine, "numbering_blocks", refuse)
+    polygon, rand = generate_polygon_antiprism(9), generate_random_uniform_prior(9, 2, 1)
+    c = identity_cost(9)
+    assert solve(polygon, c).method == "benevolent"
+    assert solve(rand, c).method == "brute_force"
+    assert min_guesswork_qubit(rand, c, method="brute").condition_verified
+    assert min_guesswork_qubit(polygon, c, method="benevolent").condition_verified
 
 
 def test_condition_check_above_cap_raises_before_refuting():

@@ -43,6 +43,7 @@ from .operators import (
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
     SCREEN_MARGIN,
+    _cost_gram,
     arrangement_solve,
     benevolent_solve,
     bloch_gram,
@@ -395,6 +396,7 @@ def min_guesswork_qubit(
         raise ValueError(f"unknown method {method!r}")
 
     gram = bloch_gram(e)
+    _cost_gram(c)  # refuses overflowing costs before any solver or cap check
 
     n_star = None
     best = None  # the exact QAP maximum, once solved
@@ -404,7 +406,7 @@ def min_guesswork_qubit(
             n_star, objective = fast
             method_used = "benevolent"
             if e.size <= cap:
-                _, best = arrangement_solve(c, e.bloch)
+                _, best = arrangement_solve(c, e.bloch, cap=cap)
                 if method == "auto" and abs(best - objective) > CROSS_METHOD_TOL:
                     raise NumericalCheckError(
                         f"fast path objective {objective!r} disagrees with "
@@ -415,17 +417,15 @@ def min_guesswork_qubit(
                 "no benevolent structure found in -bloch_gram; use method='brute' or 'auto'"
             )
     if n_star is None:
-        if e.size > cap and method == "auto":
+        if e.size > cap:
             raise FactorialCapError(
                 f"M = {e.size} exceeds the enumeration cap {cap} and no benevolent "
                 "structure was found"
-            )
-        if e.size > cap:
-            raise FactorialCapError(
-                f"M = {e.size} exceeds the exhaustive-search cap {cap} ({e.size}! "
+                if method == "auto"
+                else f"M = {e.size} exceeds the exhaustive-search cap {cap} ({e.size}! "
                 "numberings); use the benevolent fast path"
             )
-        n_star, objective = arrangement_solve(c, e.bloch)
+        n_star, objective = arrangement_solve(c, e.bloch, cap=cap)
         best = objective
         method_used = "brute_force"
 

@@ -32,6 +32,7 @@ import numpy as np
 from .costs import CostFunction, Numbering, compose, invert, require_numbering
 from .costs import cost_gram as build_cost_gram
 from .ensembles import Ensemble
+from .errors import FactorialCapError
 
 DEFAULT_FACTORIAL_CAP = 10
 SYMMETRY_TOL = 1e-12
@@ -53,8 +54,10 @@ SCREEN_MARGIN = 1e-12
 # are one circle: their crossing points would be rounding noise.
 _PARALLEL = 1e-13
 
-# Up to M = 6, M! is no more than the arrangement's 4 K^2 candidate rows.
-_ENUMERATED = 6
+# Up to M = 7 sweeping all M! numberings is faster than building the
+# arrangement: about 0.1 ms against 0.9 ms at M = 6, and 0.7-0.9 ms against
+# 1.0-1.4 ms at M = 7 (random and polygon layouts, BENCH_6.json).
+_ENUMERATED = 7
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,9 @@ def _cost_gram(c: CostFunction) -> np.ndarray:
     return build_cost_gram(c)
 
 
-def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, float]:
+def arrangement_solve(
+    c: CostFunction, bloch: np.ndarray, cap: int = DEFAULT_FACTORIAL_CAP
+) -> tuple[Numbering, float]:
     """Maximize the qubit objective |w(n)|^2, w(n) = sum_t g(t) v(n(t)), exactly.
 
     ``bloch`` stacks the Bloch vectors v_i, and g = gamma - mean.  The result
@@ -249,15 +254,16 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
     rounding, not by that order.
 
     The candidates are :func:`_sorted_matchings`, about 4 K^2 rows for the
-    K = M(M - 1)/2 circles, or all M! numberings when that is no more
-    (M <= _ENUMERATED).  Those screened within window = SCREEN_MARGIN *
-    Tr(cost_gram) * Tr(bloch_gram) of the top are closed under swaps
-    (:func:`_closure`) and evaluated with the exact formula.  Both Grams are
-    PSD, so their traces are their nuclear norms and bound |objective|; the
-    screen and the exact formula each err by far less than a quarter of the
-    window.  When the closure would screen more rows than M!, every
-    numbering is swept instead.  Costs or Bloch vectors that are all zero
-    make every value 0, and the identity is returned.
+    K = M(M - 1)/2 circles, or all M! numberings up to M = _ENUMERATED,
+    where that sweep is the faster.  Those screened within window =
+    SCREEN_MARGIN * Tr(cost_gram) * Tr(bloch_gram) of the top are closed
+    under swaps (:func:`_closure`) and evaluated with the exact formula.
+    Both Grams are PSD, so their traces are their nuclear norms and bound
+    |objective|; the screen and the exact formula each err by far less than
+    a quarter of the window.  When the closure would screen more rows than M!, every
+    numbering is swept instead, and FactorialCapError refuses that sweep
+    above ``cap``.  Costs or Bloch vectors that are all zero make every
+    value 0, and the identity is returned.
 
     Soundness.  |w|^2 is convex, so its maximum over the convex hull P of
     the w(n) is at a vertex.  The vertex maximizing r . w is w of the sorted
@@ -272,10 +278,17 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
     Rounding decides among exactly tied numberings.  Numberings within
     rounding of the maximum that no candidate reaches (nearly equal costs or
     states, thin cells between circles closer than _PARALLEL) differ from a
-    candidate by swaps that each stay within the window.  So the closure
-    holds every numbering whose computed value can be the largest.  The
-    floating-point part is argued, not proved; the tests compare the solver
-    with the exhaustive sweep on degenerate layouts.
+    candidate by swaps that each stay within the window.  For thin cells:
+    if n* is the maximum, w* = w(n*), and swapping its states i, j at
+    positions s, t moves w by D = (g_s - g_t)(v_j - v_i), then
+    |w* + D|^2 <= |w*|^2 puts r = w*/|w*| at least
+    |g_s - g_t| |v_i - v_j| / (2 |w*|) in angle from the circle of (i, j).
+    So a cell narrower than _PARALLEL holds the maximum only if a swap has
+    |D| < 2 _PARALLEL |w*|, which moves the value by about _PARALLEL^2
+    |w*|^2, and |w*|^2 <= Tr(cost_gram) Tr(bloch_gram) keeps that far inside
+    the window.  So the closure holds every numbering whose computed value
+    can be the largest.  The floating-point part is argued, not proved; the
+    tests compare the solver with the exhaustive sweep on degenerate layouts.
     """
     g = np.asarray(c.values) - c.mean
     cost = _cost_gram(c)
@@ -284,10 +297,15 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
     window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
     if window == 0:
         blocks = [np.arange(m)[None, :]]
-    elif m <= _ENUMERATED:
-        blocks = numbering_blocks(m)
     else:
-        closed = _closure(g, bloch, _sorted_matchings(g, bloch), window)
+        closed = None
+        if m > _ENUMERATED:
+            closed = _closure(g, bloch, _sorted_matchings(g, bloch), window)
+        if closed is None and m > cap:
+            raise FactorialCapError(
+                f"M = {m} exceeds the exhaustive-search cap {cap} ({m}! numberings) "
+                "and the near-tied numberings outnumber a sweep"
+            )
         blocks = numbering_blocks(m) if closed is None else [closed]
     best_value = running = -math.inf
     best = None

@@ -19,6 +19,7 @@ from guesswork.ensembles import (
     generate_sic,
     validate,
 )
+from guesswork.qap import DEFAULT_FACTORIAL_CAP
 
 
 def run_cli(argv):
@@ -378,12 +379,13 @@ def test_overflowing_cost_is_input_error(tmp_path, capsys, values):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_qubit_cost_too_large_for_the_exact_solver(tmp_path, capsys):
+@pytest.mark.parametrize("m", [2, DEFAULT_FACTORIAL_CAP + 1])
+def test_qubit_cost_too_large_for_the_exact_solver(tmp_path, capsys, m):
     # 2 (gamma - mean) is finite, but the qubit objective's sums of products
-    # of (gamma - mean) are not
-    ensemble_path = write_ensemble(tmp_path / "pair.json", generate_random_uniform_prior(2, 2, 1))
+    # of (gamma - mean) are not; above the cap too, before the cap is checked
+    ensemble_path = write_ensemble(tmp_path / "qubits.json", generate_random_uniform_prior(m, 2, 1))
     cost_path = tmp_path / "cost.json"
-    cost_path.write_text(json.dumps({"values": [1e200, -1e200]}))
+    cost_path.write_text(json.dumps({"values": [1e200, -1e200] + [0.0] * (m - 2)}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run_cli(["solve", "--ensemble", ensemble_path, "--cost", str(cost_path)])

@@ -223,6 +223,12 @@ def qubits(vectors):
     return validate([from_bloch(1 / m, scale * v) for v in vectors])
 
 
+# Coplanar layouts whose circles of (1, 2) and (3, 4) lie about this far apart
+# in angle, on either side of qap._PARALLEL = 1e-13.  Every circle passes
+# through the poles, so no other circle crosses the lune between those two.
+THIN_LUNES = {"near_parallel_merged": 1e-14, "near_parallel_split": 1e-10}
+
+
 def degenerate_layout(kind, m):
     rng = np.random.default_rng(m)
     v = rng.normal(size=(m, 3))
@@ -244,6 +250,11 @@ def degenerate_layout(kind, m):
         v[:] = 0
     elif kind == "near_parallel":  # the circles of (1, 2) and (3, 4) lie 1e-12 apart
         v[3] = v[2] + 0.7 * (v[1] - v[0]) + 1e-12 * np.array([0.3, -0.5, 0.8])
+    elif kind in THIN_LUNES:
+        v[:, 2] = 0
+        d = v[1] - v[0]
+        across = np.array([-d[1], d[0], 0.0]) / np.linalg.norm(d)
+        v[3] = v[2] + 0.7 * d + THIN_LUNES[kind] * across
     return qubits(v)
 
 
@@ -263,7 +274,7 @@ def degenerate_costs(m):
 @pytest.mark.parametrize(
     "kind",
     ["random", "repeated", "identical", "collinear", "collinear_offset", "coplanar",
-     "coplanar_offset", "mixed", "all_mixed", "near_parallel"],
+     "coplanar_offset", "mixed", "all_mixed", "near_parallel", *THIN_LUNES],
 )
 def test_arrangement_equals_exact_sweep_on_degenerate_layouts(kind, m):
     e = degenerate_layout(kind, m)
@@ -276,18 +287,44 @@ def test_arrangement_equals_exact_sweep_on_degenerate_layouts(kind, m):
             assert arrangement_solve(c, e.bloch) == expected
 
 
-def test_near_parallel_circles_are_1e12_apart():
-    e = degenerate_layout("near_parallel", 7)
+@pytest.mark.parametrize("m", [4, 6, 7])
+@pytest.mark.parametrize(
+    "kind, low, high",
+    [("near_parallel", 1e-13, 1e-11), ("near_parallel_merged", 0.0, 2e-14),
+     ("near_parallel_split", 5e-11, 2e-10)],
+)
+def test_near_parallel_circles_lie_at_their_angle(kind, low, high, m):
+    e = degenerate_layout(kind, m)
     a, b = e.bloch[0] - e.bloch[1], e.bloch[2] - e.bloch[3]
     sine = np.linalg.norm(np.cross(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-    assert 1e-13 < sine < 1e-11
+    assert low < sine < high
+
+
+@pytest.mark.parametrize(
+    "kind, reached", [("near_parallel_split", True), ("near_parallel_merged", False)]
+)
+def test_only_merged_circles_leave_the_lune_between_them_to_the_closure(kind, reached):
+    # directions on the circle bisecting the two near-parallel circles lie in
+    # the thin lune between them, which no other circle crosses: its cells are
+    # candidates unless the two circles were merged into one
+    e = degenerate_layout(kind, 6)
+    g = np.arange(6) - 2.5
+    a, b = e.bloch[0] - e.bloch[1], e.bloch[2] - e.bloch[3]
+    bisector = a / np.linalg.norm(a) + b / np.linalg.norm(b)
+    bisector /= np.linalg.norm(bisector)
+    directions = np.random.default_rng(0).normal(size=(2000, 3))
+    directions -= np.outer(directions @ bisector, bisector)
+    sampled = np.empty((len(directions), 6), dtype=np.intp)
+    sampled[:, np.argsort(g)] = np.argsort(directions @ e.bloch.T, axis=1)
+    candidates = {tuple(row) for row in qap._sorted_matchings(g, e.bloch).tolist()}
+    assert ({tuple(row) for row in sampled.tolist()} <= candidates) == reached
 
 
 @pytest.mark.parametrize(
     "e",
     [generate_random_uniform_prior(m, 2, seed) for m, seed in [(3, 1), (4, 2), (6, 3), (8, 4)]]
     + [generate_polygon_antiprism(m, h) for m, h in [(5, 0.0), (8, 0.0), (6, 0.3)]]
-    + [degenerate_layout(kind, 6) for kind in ("collinear_offset", "near_parallel")],
+    + [degenerate_layout(kind, 6) for kind in ("collinear_offset", "near_parallel", *THIN_LUNES)],
 )
 def test_sorted_matchings_reach_every_sampled_cell(e):
     # the sorted matching of a random direction lies in a random cell of the
@@ -314,6 +351,23 @@ def test_closure_hands_a_tie_of_every_numbering_to_the_sweep():
     g = np.asarray(c.values) - c.mean
     window = qap.SCREEN_MARGIN * float(g @ g) * float(np.trace(bloch_gram(e)))
     assert qap._closure(g, e.bloch, qap._sorted_matchings(g, e.bloch), window) is None
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_arrangement_refuses_a_sweep_above_the_cap(m):
+    # identical states tie every numbering: M = 5 is enumerated outright, and
+    # at M = 8 the closure hands the tie to a sweep
+    e, c = degenerate_layout("identical", m), identity_cost(m)
+    with pytest.raises(FactorialCapError, match="exhaustive-search cap"):
+        arrangement_solve(c, e.bloch, cap=m - 1)
+    expected = reference_brute_force(QapInstance(cost_gram(c), bloch_gram(e)))
+    assert arrangement_solve(c, e.bloch, cap=m) == expected
+
+
+def test_arrangement_above_the_cap_when_the_closure_needs_no_sweep():
+    e, c = generate_random_uniform_prior(8, 2, 1), identity_cost(8)
+    expected = reference_brute_force(QapInstance(cost_gram(c), bloch_gram(e)))
+    assert arrangement_solve(c, e.bloch, cap=7) == expected
 
 
 @pytest.mark.parametrize("m", [1, 2])

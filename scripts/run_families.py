@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the polygon / anti-prism families and tabulate minimum guesswork.
 
-For each M and height fraction the table shows the QAP objective from the
+For each M and height fraction the table shows the objective |w(n*)|^2 from the
 benevolent fast path, the exact arrangement solver (column "brute", the
 solver behind ``--method brute``), and the resulting guesswork under the
 identity cost.

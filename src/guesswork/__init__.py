@@ -2,10 +2,11 @@
 
 Computes the minimum expected cost of sequentially guessing which state of a
 known ensemble was drawn.  For uniform-prior qubit ensembles the problem is
-solved exactly through an equivalent quadratic assignment problem (over the
-great-circle arrangement of the Bloch vectors, or in closed form for
-benevolent Bloch Gram matrices); in arbitrary dimension a sufficient
-optimality condition certifies two-outcome measurements.
+solved exactly by maximizing |w(n)|^2, w(n) = sum_t (gamma(t) - mean) v(n(t))
+over the Bloch vectors v, across numberings n (over the great-circle
+arrangement of the Bloch vectors, or in closed form for benevolent Bloch Gram
+matrices); in arbitrary dimension a sufficient optimality condition certifies
+two-outcome measurements.
 """
 
 from .costs import (
@@ -14,7 +15,6 @@ from .costs import (
     balance_certificate,
     compose,
     cost_function,
-    cost_gram,
     identity_cost,
     identity_numbering,
     invert,
@@ -56,13 +56,12 @@ from .operators import (
 )
 from .qap import (
     BenevolenceReport,
-    QapInstance,
     arrangement_solve,
     benevolent_solve,
     bloch_gram,
+    cost_gram,
     find_benevolent_permutation,
     is_benevolent,
-    qap_objective,
     zigzag_numbering,
 )
 

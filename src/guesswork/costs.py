@@ -2,7 +2,8 @@
 
 A numbering is a bijection of {1..M} stored as a tuple ``n`` with
 ``n[t - 1] = n(t)``.  The same representation serves as a guessing order, a
-permutation acting on ensembles or costs, and a QAP assignment.
+permutation acting on ensembles or costs, and an assignment of states to
+guess positions.
 
 A cost function gamma over positions {1..M} is *balanced* when some
 permutation sigma pairs every value gamma(t) with a partner 2*mean - gamma(t);
@@ -138,9 +139,3 @@ def identity_cost(m: int) -> CostFunction:
     if m < 1:
         raise ValueError("m must be >= 1")
     return cost_function(range(1, m + 1))
-
-
-def cost_gram(c: CostFunction, shift: float = 0.0) -> np.ndarray:
-    """Rank-1 Gram matrix G_ij = (gamma(i) - mean + shift)(gamma(j) - mean + shift)."""
-    centered = np.asarray(c.values) - c.mean + shift
-    return np.outer(centered, centered)

@@ -2,8 +2,9 @@
 
 Minimum guesswork of an ensemble under a balanced cost: effective operators,
 the optimal two-outcome measurement built from their spectral projectors, the
-sufficient optimality condition, the qubit solver (via the QAP reduction), and
-a Monte Carlo simulator of the single-measurement strategy.
+sufficient optimality condition, the uniform-prior qubit solver (maximizing
+|w(n)|^2 over the Bloch vectors), and a Monte Carlo simulator of the
+single-measurement strategy.
 
 The central object is the effective operator
 
@@ -43,11 +44,12 @@ from .operators import (
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
     SCREEN_MARGIN,
-    _cost_gram,
     arrangement_solve,
     benevolent_solve,
     bloch_gram,
+    cost_gram,
     numbering_blocks,
+    screened_max,
     zigzag_numbering,
 )
 
@@ -97,7 +99,7 @@ class GuessworkReport:
 
     ``measurement`` is None exactly when ``value`` is only an unverified upper
     bound.  For uniform-prior qubits ``condition_verified`` comes from the
-    exact QAP maximum through the rank-1 identity E(n) = u(n) . sigma
+    exact maximum of |w(n)|^2 through the identity E(n) = w(n) . sigma
     (see :func:`min_guesswork_qubit`), elsewhere from :func:`condition_check`.
     """
 
@@ -315,9 +317,9 @@ def tracenorm_argmax(
     {n, n o sigma} with n(t0) < n(t1) is screened, (t0, t1) being sigma's first
     2-cycle.  Numberings screened within twice the screen's error plus 2 delta
     of the running maximum are recomputed from the exact batch of E(n),
-    together with their partners n o sigma, so the result equals the exact
-    sweep over all numberings: the largest computed norm, the
-    lexicographically smallest numbering among equal computed norms.
+    together with their partners n o sigma (:func:`screened_max`), so the
+    result equals the exact sweep over all numberings: the largest computed
+    norm, the lexicographically smallest numbering among equal computed norms.
     Numberings that tie in exact arithmetic, such as n and n o sigma for every
     n, are usually separated by rounding, not by that order.
     """
@@ -326,6 +328,7 @@ def tracenorm_argmax(
             f"trace-norm search sweeps {e.size}! numberings, above the cap {cap}"
         )
     window = 2 * _screen_error(e, c)
+    blocks = numbering_blocks(e.size)
     sigma = None
     if c.balancing_permutation is not None:
         sigma = np.asarray(c.balancing_permutation) - 1
@@ -335,28 +338,21 @@ def tracenorm_argmax(
             g = 2 * (np.asarray(c.values) - c.mean)
             largest = max(trace_norm(s) for s in e.states)
             window += 2 * float(np.abs(g + g[sigma]).sum()) * largest
+            blocks = (block[block[:, t0] < block[:, t1]] for block in blocks)
         else:
             sigma = None
-    best_norm = running = -math.inf
-    best_perm = None
-    for block in numbering_blocks(e.size):
-        if sigma is not None:
-            block = block[block[:, t0] < block[:, t1]]
-            if not len(block):
-                continue
-        scores = np.abs(np.linalg.eigvalsh(_screened_operators(e, c, block))).sum(axis=1)
-        running = max(running, float(scores.max()))
-        rows = block[scores >= running - window]
-        if not len(rows):
-            continue
+
+    def norms(rows):
         if sigma is not None:
             rows = np.concatenate([rows, rows[:, sigma]])
-        norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
-        top = float(norms.max())
-        perm = min(rows[norms == top].tolist())
-        if top > best_norm or (top == best_norm and perm < best_perm):
-            best_norm, best_perm = top, perm
-    return tuple(int(x) + 1 for x in best_perm), best_norm
+        return rows, np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
+
+    return screened_max(
+        blocks,
+        lambda block: np.abs(np.linalg.eigvalsh(_screened_operators(e, c, block))).sum(axis=1),
+        norms,
+        window,
+    )
 
 
 def min_guesswork_qubit(
@@ -368,9 +364,9 @@ def min_guesswork_qubit(
 ) -> GuessworkReport:
     """Minimum guesswork of a uniform-prior qubit ensemble under a balanced cost.
 
-    Solves the equivalent quadratic assignment problem over Gram matrices and
-    returns mean - |v(E(n*))|_2 / 2 together with the optimal two-outcome
-    measurement.  ``method``:
+    Maximizes |w(n)|^2, w(n) = sum_t (gamma(t) - mean) v(rho(n(t))), over
+    numberings n, and returns mean - |w(n*)| together with the optimal
+    two-outcome measurement.  ``method``:
 
     * "brute"      — the exact solver :func:`arrangement_solve` without the
       benevolent fast path (M <= cap; reported as "brute_force");
@@ -378,13 +374,13 @@ def min_guesswork_qubit(
     * "auto"       — benevolent first (cross-checked against the exact solver
       when M <= cap), falling back to the exact solver.
 
-    The exact solver is polynomial in M, but the cap still bounds M, so exit
+    Benevolence is detected within BENEVOLENCE_TOL whatever ``tol`` is.  The
+    exact solver is polynomial in M, but the cap still bounds M, so exit
     codes above it are unchanged.  ``condition_verified`` needs no sweep of
-    its own: E(n) = u(n) . sigma with u(n) = sum_t (gamma(t) - mean)
-    v(rho(n(t))) and objective(n) = |u(n)|^2, so the smallest eigenvalue of
-    |E(n*)| - E(n) is |u(n*)| - |u(n)|.  The condition holds iff
-    sqrt(objective(n*)) >= sqrt(max objective) - tol, the maximum coming from
-    the one exact solve (False above the cap).
+    its own: E(n) = w(n) . sigma, so the smallest eigenvalue of
+    |E(n*)| - E(n) is |w(n*)| - |w(n)|.  The condition holds iff
+    |w(n*)| >= max_n |w(n)| - tol, the maximum coming from the one exact
+    solve (False above the cap).
     """
     if e.dim != 2:
         raise ValueError(f"qubit solver requires dim = 2, got {e.dim}")
@@ -396,50 +392,41 @@ def min_guesswork_qubit(
         raise ValueError(f"unknown method {method!r}")
 
     gram = bloch_gram(e)
-    _cost_gram(c)  # refuses overflowing costs before any solver or cap check
+    cost_gram(c)  # refuses overflowing costs before any solver or cap check
 
-    n_star = None
-    best = None  # the exact QAP maximum, once solved
-    if method in ("auto", "benevolent"):
-        fast = benevolent_solve(c, gram, tol=tol, cap=cap)
-        if fast is not None:
-            n_star, objective = fast
-            method_used = "benevolent"
-            if e.size <= cap:
-                _, best = arrangement_solve(c, e.bloch, cap=cap)
-                if method == "auto" and abs(best - objective) > CROSS_METHOD_TOL:
-                    raise NumericalCheckError(
-                        f"fast path objective {objective!r} disagrees with "
-                        f"the exact solver {best!r}"
-                    )
-        elif method == "benevolent":
+    fast = None
+    if method != "brute":
+        fast = benevolent_solve(c, gram, cap=cap)
+        if fast is None and method == "benevolent":
             raise ValueError(
                 "no benevolent structure found in -bloch_gram; use method='brute' or 'auto'"
             )
-    if n_star is None:
-        if e.size > cap:
-            raise FactorialCapError(
-                f"M = {e.size} exceeds the enumeration cap {cap} and no benevolent "
-                "structure was found"
-                if method == "auto"
-                else f"M = {e.size} exceeds the exhaustive-search cap {cap} ({e.size}! "
-                "numberings); use the benevolent fast path"
-            )
-        n_star, objective = arrangement_solve(c, e.bloch, cap=cap)
-        best = objective
-        method_used = "brute_force"
+    if fast is None and e.size > cap:
+        raise FactorialCapError(
+            f"M = {e.size} exceeds the enumeration cap {cap} and no benevolent "
+            "structure was found"
+            if method == "auto"
+            else f"M = {e.size} exceeds the exhaustive-search cap {cap} ({e.size}! "
+            "numberings); use the benevolent fast path"
+        )
+    exact = arrangement_solve(c, e.bloch, cap=cap) if e.size <= cap else None
+    n_star, objective = fast or exact
+    if method == "auto" and fast and exact and abs(exact[1] - objective) > CROSS_METHOD_TOL:
+        raise NumericalCheckError(
+            f"fast path objective {objective!r} disagrees with the exact solver {exact[1]!r}"
+        )
 
     e_star = effective_operator(e, c, n_star)
     value = c.mean - float(np.linalg.norm(pauli_vector(e_star))) / 2
     measurement = optimal_two_outcome_measurement(e, c, n_star, tol=tol)
-    verified = best is not None and (
-        math.sqrt(max(objective, 0.0)) >= math.sqrt(max(best, 0.0)) - tol
+    verified = exact is not None and (
+        math.sqrt(max(objective, 0.0)) >= math.sqrt(max(exact[1], 0.0)) - tol
     )
     return GuessworkReport(
         value=value,
         optimal_numbering=n_star,
         measurement=measurement,
-        method=method_used,
+        method="brute_force" if fast is None else "benevolent",
         condition_verified=verified,
         mean_cost=c.mean,
         trace_norm_term=trace_norm(e_star) / 2,

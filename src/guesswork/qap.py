@@ -1,12 +1,9 @@
-"""Quadratic assignment over numberings: an exact qubit solver and a structured fast path.
+"""Uniform-prior qubit solvers: an exact polynomial solver and a closed-form fast path.
 
-The qubit guesswork problem reduces to maximizing
-
-    objective(n) = sum_{t,t'} cost_gram[t, t'] * bloch_gram[n(t), n(t')]
-
-over all numberings n (equivalently Tr[C X_n B X_n^T] with permutation
-matrices).  The cost Gram has rank 1, so objective(n) = |w(n)|^2 with
-w(n) = sum_t (gamma(t) - mean) v(n(t)).  Two solvers are provided:
+The qubit guesswork problem reduces to maximizing |w(n)|^2 over all
+numberings n, with w(n) = sum_t (gamma(t) - mean) v(n(t)) and v the Bloch
+vectors; as a double sum it is sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t),
+n(t')] with the rank-1 :func:`cost_gram`.  Two solvers are provided:
 
 * :func:`arrangement_solve` — exact: the sorted matchings of the cells of the
   great-circle arrangement of the Bloch vectors, closed under near-tied
@@ -18,6 +15,9 @@ w(n) = sum_t (gamma(t) - mean) v(n(t)).  Two solvers are provided:
   by its mirrored tail (Property 2).  Paired with the rank-1 (monotone
   anti-Monge) cost Gram, such instances are maximized by the zig-zag
   numbering, conjugated back through the sorting and relabeling permutations.
+
+:func:`screened_max` is the reduction shared by this solver and the engine's
+trace-norm sweep.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostFunction, Numbering, compose, invert, require_numbering
-from .costs import cost_gram as build_cost_gram
+from .costs import CostFunction, Numbering, compose, invert
 from .ensembles import Ensemble
 from .errors import FactorialCapError
 
 DEFAULT_FACTORIAL_CAP = 10
-SYMMETRY_TOL = 1e-12
 BENEVOLENCE_TOL = 1e-10
 
 # Blocks list the permutations of the last min(M, 8) positions under one prefix
@@ -61,35 +59,6 @@ _ENUMERATED = 7
 
 
 @dataclass(frozen=True)
-class QapInstance:
-    """A cost Gram / Bloch Gram pair defining one assignment problem."""
-
-    cost_gram: np.ndarray
-    bloch_gram: np.ndarray
-
-    def __post_init__(self):
-        cost = np.asarray(self.cost_gram, dtype=float)
-        bloch = np.asarray(self.bloch_gram, dtype=float)
-        for name, mat in (("cost_gram", cost), ("bloch_gram", bloch)):
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be square, got shape {mat.shape}")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"{name} has non-finite entries")
-            if float(np.max(np.abs(mat - mat.T))) > SYMMETRY_TOL:
-                raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL:.1e}")
-        if cost.shape != bloch.shape:
-            raise ValueError(f"size mismatch: {cost.shape} vs {bloch.shape}")
-        cost.setflags(write=False)
-        bloch.setflags(write=False)
-        object.__setattr__(self, "cost_gram", cost)
-        object.__setattr__(self, "bloch_gram", bloch)
-
-    @property
-    def size(self) -> int:
-        return self.cost_gram.shape[0]
-
-
-@dataclass(frozen=True)
 class BenevolenceReport:
     """Outcome of the benevolent-structure checks on a matrix."""
 
@@ -108,12 +77,6 @@ def bloch_gram(e: Ensemble) -> np.ndarray:
     if e.dim != 2:
         raise ValueError(f"bloch_gram requires dim = 2, got {e.dim}")
     return e.bloch @ e.bloch.T
-
-
-def qap_objective(inst: QapInstance, n) -> float:
-    """Evaluate sum_{t,t'} cost_gram[t, t'] * bloch_gram[n(t), n(t')]."""
-    perm = np.asarray(require_numbering(n, size=inst.size), dtype=np.intp) - 1
-    return float(np.sum(inst.cost_gram * inst.bloch_gram[np.ix_(perm, perm)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,16 +191,53 @@ def _closure(
     return seen.view(np.uint8).reshape(-1, m).astype(np.intp)
 
 
-def _cost_gram(c: CostFunction) -> np.ndarray:
-    """The rank-1 cost Gram; refused when the objective's sums could overflow."""
+def cost_gram(c: CostFunction) -> np.ndarray:
+    """Rank-1 Gram matrix G_ij = (gamma(i) - mean)(gamma(j) - mean); refused
+    when the objective's sums could overflow."""
+    centered = np.asarray(c.values) - c.mean
     with np.errstate(over="ignore"):
-        spread = float(np.abs(np.asarray(c.values) - c.mean).sum())
+        spread = float(np.abs(centered).sum())
     if not math.isfinite(spread * spread):
         raise ValueError(
             "cost values are too large for the qubit solver: "
             "(sum |gamma - mean|)^2 is not a finite double"
         )
-    return build_cost_gram(c)
+    return np.outer(centered, centered)
+
+
+def _objective(cost: np.ndarray, gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_{t,t'} cost[t, t'] gram[n(t), n(t')] for each row n of 0-based numberings."""
+    return np.einsum("ts,kts->k", cost, gram[rows[:, :, None], rows[:, None, :]])
+
+
+def screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, float]:
+    """The largest exact value over every row of ``blocks``, and the
+    lexicographically smallest row among equal exact values, as a 1-based numbering.
+
+    ``blocks`` yields arrays of 0-based numberings, one per row; empty blocks
+    are skipped.  ``screen(block)`` scores each row cheaply.  Rows screened
+    within ``window`` of the running maximum go to ``exact(rows)``, which
+    returns the rows it evaluated (it may add others, such as partners of
+    equal value) and their exact values.  When every screened score lies
+    within window / 2 of the exact value, the result equals the exact values
+    of all rows reduced the same way.
+    """
+    best_value = running = -math.inf
+    best = None
+    for block in blocks:
+        if not len(block):
+            continue
+        scores = screen(block)
+        running = max(running, float(scores.max()))
+        rows = block[scores >= running - window]
+        if not len(rows):
+            continue
+        rows, values = exact(rows)
+        top = float(values.max())
+        row = min(rows[values == top].tolist())
+        if top > best_value or (top == best_value and row < best):
+            best_value, best = top, row
+    return tuple(int(x) + 1 for x in best), best_value
 
 
 def arrangement_solve(
@@ -247,11 +247,11 @@ def arrangement_solve(
 
     ``bloch`` stacks the Bloch vectors v_i, and g = gamma - mean.  The result
     equals the exhaustive exact sweep over all M! numberings: the largest
-    value of sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t), n(t')] as the
-    einsum below computes it, and the lexicographically smallest numbering
-    among equal computed values.  Numberings that tie in exact arithmetic,
-    such as n and n o sigma under a balanced cost, are usually separated by
-    rounding, not by that order.
+    value of sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t), n(t')] as
+    :func:`_objective` computes it, and the lexicographically smallest
+    numbering among equal computed values (:func:`screened_max`).
+    Numberings that tie in exact arithmetic, such as n and n o sigma under a
+    balanced cost, are usually separated by rounding, not by that order.
 
     The candidates are :func:`_sorted_matchings`, about 4 K^2 rows for the
     K = M(M - 1)/2 circles, or all M! numberings up to M = _ENUMERATED,
@@ -291,7 +291,7 @@ def arrangement_solve(
     tests compare the solver with the exhaustive sweep on degenerate layouts.
     """
     g = np.asarray(c.values) - c.mean
-    cost = _cost_gram(c)
+    cost = cost_gram(c)
     gram = bloch @ bloch.T
     m = len(g)
     window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
@@ -307,19 +307,12 @@ def arrangement_solve(
                 "and the near-tied numberings outnumber a sweep"
             )
         blocks = numbering_blocks(m) if closed is None else [closed]
-    best_value = running = -math.inf
-    best = None
-    for block in blocks:
-        scores = _scores(g, bloch, block)
-        running = max(running, float(scores.max()))
-        rows = block[scores >= running - window]
-        if not len(rows):
-            continue
-        values = np.einsum("ts,kts->k", cost, gram[rows[:, :, None], rows[:, None, :]])
-        k = int(np.argmax(values))
-        if values[k] > best_value:
-            best_value, best = float(values[k]), rows[k]
-    return tuple(int(x) + 1 for x in best), best_value
+    return screened_max(
+        blocks,
+        lambda block: _scores(g, bloch, block),
+        lambda rows: (rows, _objective(cost, gram, rows)),
+        window,
+    )
 
 
 def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
@@ -468,11 +461,11 @@ def benevolent_solve(
     tol: float = BENEVOLENCE_TOL,
     cap: int = DEFAULT_FACTORIAL_CAP,
 ) -> tuple[Numbering, float] | None:
-    """Closed-form QAP solution for benevolent instances.
+    """Closed-form maximum of |w(n)|^2 for benevolent instances.
 
     Returns the optimal numbering sigma_2 o zigzag o sigma_1^-1 and its
     objective, or None when no relabeling sigma_2 making -bloch benevolent
-    was found.  Requires a balanced cost.
+    was found.  ``bloch`` is the Bloch Gram.  Requires a balanced cost.
     """
     if not c.is_balanced:
         raise ValueError("benevolent_solve requires a balanced cost function")
@@ -484,5 +477,5 @@ def benevolent_solve(
     if sigma2 is None:
         return None
     n_star = compose(sigma2, compose(zigzag_numbering(m), invert(c.sorting_permutation)))
-    inst = QapInstance(_cost_gram(c), bloch)
-    return n_star, qap_objective(inst, n_star)
+    rows = np.asarray([n_star], dtype=np.intp) - 1
+    return n_star, float(_objective(cost_gram(c), bloch, rows)[0])

@@ -15,7 +15,7 @@ from guesswork.operators import spectral_parts
 def oracle_min_guesswork(e, c) -> float:
     """Independent enumeration oracle: mean - max_n ||E(n)||_1 / 2.
 
-    Deliberately avoids the QAP/Gram route so it can certify it: the effective
+    Deliberately avoids the Gram route so it can certify it: the effective
     operator is assembled inline and its trace norm taken from eigenvalues.
     """
     coefficients = np.asarray(c.values) - c.mean
@@ -48,14 +48,20 @@ def reference_blocks(m):
         yield np.array(chunk, dtype=np.intp)
 
 
-def reference_brute_force(inst):
-    """The exhaustive exact QAP sweep: the double sum of every numbering over
+def double_sum(cost_gram, bloch_gram, n) -> float:
+    """sum_{t,t'} cost_gram[t, t'] * bloch_gram[n(t), n(t')] for a 1-based numbering n."""
+    perm = np.asarray(n, dtype=np.intp) - 1
+    return float(np.sum(cost_gram * bloch_gram[np.ix_(perm, perm)]))
+
+
+def reference_brute_force(cost_gram, bloch_gram):
+    """The exhaustive exact sweep: the double sum of every numbering over
     the gathered Bloch Gram, keeping the (max value, earliest) numbering block
     by block, i.e. the lexicographically smallest among equal computed values."""
     best_value, best_perm = -math.inf, None
-    for block in reference_blocks(inst.size):
-        permuted = inst.bloch_gram[block[:, :, None], block[:, None, :]]
-        values = np.einsum("ts,kts->k", inst.cost_gram, permuted)
+    for block in reference_blocks(len(cost_gram)):
+        permuted = bloch_gram[block[:, :, None], block[:, None, :]]
+        values = np.einsum("ts,kts->k", cost_gram, permuted)
         k = int(np.argmax(values))
         if values[k] > best_value:
             best_value, best_perm = float(values[k]), block[k]

@@ -19,7 +19,7 @@ from conftest import (
 )
 from guesswork import serialize
 from guesswork.cli import main as cli_main
-from guesswork.costs import compose, cost_gram, identity_cost
+from guesswork.costs import compose, identity_cost
 from guesswork.engine import (
     condition_check,
     effective_operator,
@@ -37,7 +37,7 @@ from guesswork.ensembles import (
     generate_sic,
 )
 from guesswork.operators import pauli_vector, trace_norm
-from guesswork.qap import QapInstance, benevolent_solve, bloch_gram, is_benevolent
+from guesswork.qap import benevolent_solve, bloch_gram, cost_gram, is_benevolent
 
 
 def _passed(number: int, text: str) -> None:
@@ -64,8 +64,7 @@ _DIM3_SUITE = [
 
 
 def _brute_optimum(e, c):
-    inst = QapInstance(cost_gram(c), bloch_gram(e))
-    return reference_brute_force(inst)
+    return reference_brute_force(cost_gram(c), bloch_gram(e))
 
 
 def test_criterion_01_benevolent_matches_brute_force():
@@ -108,12 +107,11 @@ def test_criterion_02_frozen_regression_values():
 def test_criterion_03_norm_identity():
     rng = np.random.default_rng(3)
     for e, c in _QUBIT_SUITE:
-        inst = QapInstance(cost_gram(c), bloch_gram(e))
+        cost, gram = cost_gram(c), bloch_gram(e)
         for _ in range(20):
             n = random_numbering(rng, e.size)
             v = pauli_vector(effective_operator(e, c, n))
-            objective = float(np.sum(inst.cost_gram * inst.bloch_gram[
-                np.ix_([x - 1 for x in n], [x - 1 for x in n])]))
+            objective = float(np.sum(cost * gram[np.ix_([x - 1 for x in n], [x - 1 for x in n])]))
             assert abs(float(v @ v) - 4 * objective) <= 1e-9
     _passed(3, "|v(E(n))|^2 = 4*objective on 100 ensembles x 20 numberings within 1e-9")
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from guesswork import serialize
 from guesswork.cli import main
 from guesswork.costs import identity_cost
-from guesswork.engine import min_guesswork_qubit, solve
+from guesswork.engine import guesswork_value, min_guesswork_qubit, solve
 from guesswork.ensembles import (
     generate_mub,
     generate_polygon_antiprism,
@@ -507,3 +509,79 @@ def test_solve_exit_code_contract_under_corrupted_json(data):
             file.write_text(json.dumps(doc))
         code = main(["solve", "--ensemble", str(paths[0]), "--cost", str(paths[1])])
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("tol", ["0.05", "0.1", "0.5"])
+def test_solve_tol_does_not_drive_benevolence_detection(tmp_path, capsys, tol):
+    # a loose --tol once made -bloch_gram of this ensemble pass as benevolent,
+    # and the exact solver's cross-check then failed with exit 4
+    e = generate_random_uniform_prior(4, 2, seed=1)
+    ensemble_path = write_ensemble(tmp_path / "random.json", e)
+    out = tmp_path / "report.json"
+    assert run_cli(["solve", "--ensemble", ensemble_path, "--tol", tol, "--out", str(out)]) == 0
+    assert "method               brute_force" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    measurement = serialize.measurement_from_json(doc["measurement"], dim=2)
+    assert guesswork_value(e, identity_cost(4), measurement) == pytest.approx(
+        doc["value"], abs=1e-12
+    )
+
+
+def _cli_outcome(argv):
+    """(exit code, stderr) of one CLI run; an exception escaping main propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, err.getvalue()
+
+
+FLOAT_TEXT = st.one_of(
+    st.floats(-2, 2).map(repr), st.sampled_from(["0", "1e-10", "1e300", "nan", "inf", "-inf", "x"])
+)
+
+
+def _mostly(valid, invalid):
+    """Draws that are valid about two times in three."""
+    return st.one_of(valid, valid, invalid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_flags_end_in_an_exit_code(data):
+    draw = data.draw
+    generate = [
+        "generate",
+        "--family", draw(st.sampled_from(["polygon_antiprism", "sic", "mub", "random"])),
+        "--m", str(draw(_mostly(st.integers(2, 7), st.integers(-1, 1)), label="m")),
+        "--dim", str(draw(_mostly(st.integers(2, 4), st.integers(-1, 1)), label="dim")),
+        "--h", draw(_mostly(st.sampled_from(["0", "0.5"]), FLOAT_TEXT), label="h"),
+        "--lambda", draw(_mostly(st.just("pure"), FLOAT_TEXT), label="lambda"),
+        "--seed", str(draw(st.integers(-2, 50), label="seed")),
+    ]
+    tol = draw(_mostly(st.sampled_from(["1e-10", "1e-6", "0.1"]), FLOAT_TEXT), label="tol")
+    kind = draw(st.sampled_from(["solve", "simulate", "check"]), label="subcommand")
+    cost = draw(
+        _mostly(st.sampled_from(["identity", "balanced"]), st.sampled_from(["unbalanced", "missing"]))
+    )
+    with tempfile.TemporaryDirectory() as workdir:
+        ensemble_path = str(Path(workdir) / "ensemble.json")
+        code, err = _cli_outcome(generate + ["--out", ensemble_path])
+        assert code in (0, 2) and "Traceback" not in err
+        if code != 0:
+            return
+        argv = [kind, "--ensemble", ensemble_path, "--tol", tol]
+        if kind != "check":
+            m = len(json.loads(Path(ensemble_path).read_text())["states"])
+            cost_path = Path(workdir) / "cost.json"
+            values = {"balanced": list(range(m)), "unbalanced": [0.0] * (m - 1) + [1.0]}
+            if cost in values:
+                cost_path.write_text(json.dumps({"values": values[cost]}))
+            argv += ["--cost", "identity" if cost == "identity" else str(cost_path)]
+        if kind == "solve":
+            argv += ["--method", draw(st.sampled_from(["auto", "brute", "benevolent"]))]
+        if kind == "simulate":
+            argv += ["--samples", str(draw(_mostly(st.integers(1, 2000), st.integers(-1, 0))))]
+            argv += ["--seed", str(draw(st.integers(-2, 50), label="simulate seed"))]
+        code, err = _cli_outcome(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_min_guesswork, random_balanced_cost, random_numbering
+from conftest import double_sum, oracle_min_guesswork, random_balanced_cost, random_numbering
 from guesswork.costs import compose, cost_function, identity_cost
 from guesswork.engine import (
     NumberingMeasurement,
@@ -26,8 +26,7 @@ from guesswork.ensembles import (
     validate,
 )
 from guesswork.errors import FactorialCapError
-from guesswork.qap import QapInstance, arrangement_solve, bloch_gram
-from guesswork.costs import cost_gram
+from guesswork.qap import arrangement_solve, bloch_gram, cost_gram
 
 ORTHOGONAL_PAIR = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
 
@@ -148,10 +147,9 @@ def test_condition_check_orthogonal_pair():
 def test_condition_check_fails_at_suboptimal_square_numbering():
     e = generate_polygon_antiprism(4, h=0.0)
     c = identity_cost(4)
-    inst = QapInstance(cost_gram(c), bloch_gram(e))
-    from guesswork.qap import qap_objective
-
-    values = {n: qap_objective(inst, n) for n in itertools.permutations(range(1, 5))}
+    values = {
+        n: double_sum(cost_gram(c), bloch_gram(e), n) for n in itertools.permutations(range(1, 5))
+    }
     worst = min(values, key=values.get)
     best = max(values, key=values.get)
     assert condition_check(e, c, best)
@@ -316,7 +314,6 @@ def test_permute_problem_covariance_of_value():
 
 def test_permuted_optimum_maps_back():
     from guesswork.costs import invert
-    from guesswork.qap import qap_objective
 
     rng = np.random.default_rng(15)
     e = generate_random_uniform_prior(4, 2, seed=78)
@@ -328,8 +325,7 @@ def test_permuted_optimum_maps_back():
     n1, value1 = arrangement_solve(c, e.bloch)
     # n2 maps to an optimum of the original problem (up to ties)
     mapped = compose(sigma2, compose(n2, invert(sigma1)))
-    inst1 = QapInstance(cost_gram(c), bloch_gram(e))
-    assert qap_objective(inst1, mapped) == pytest.approx(value1, abs=1e-10)
+    assert double_sum(cost_gram(c), bloch_gram(e), mapped) == pytest.approx(value1, abs=1e-10)
 
 
 def test_simulate_perfect_pair_zero_variance():

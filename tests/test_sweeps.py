@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import guesswork
 from conftest import reference_blocks, reference_brute_force
 from guesswork import engine, qap
-from guesswork.costs import cost_function, cost_gram, identity_cost
+from guesswork.costs import cost_function, identity_cost
 from guesswork.engine import (
     _effective_operator_batch,
     condition_check,
@@ -46,7 +46,7 @@ from guesswork.ensembles import (
 )
 from guesswork.errors import FactorialCapError
 from guesswork.operators import abs_operator, from_bloch
-from guesswork.qap import QapInstance, arrangement_solve, bloch_gram, numbering_blocks
+from guesswork.qap import arrangement_solve, bloch_gram, cost_gram, numbering_blocks, screened_max
 
 
 def reference_tracenorm_argmax(e, c):
@@ -75,8 +75,7 @@ def reference_condition_check(e, c, n_star, tol):
 
 def assert_sweeps_match(e, c, candidates=()):
     if e.dim == 2 and np.allclose(e.prior, 1 / e.size):
-        inst = QapInstance(cost_gram(c), bloch_gram(e))
-        assert arrangement_solve(c, e.bloch) == reference_brute_force(inst)
+        assert arrangement_solve(c, e.bloch) == reference_brute_force(cost_gram(c), bloch_gram(e))
     best = tracenorm_argmax(e, c)
     assert best == reference_tracenorm_argmax(e, c)
     for n_star in (best[0], *candidates):
@@ -200,8 +199,51 @@ def test_partners_in_later_blocks_tie_lexicographically():
 def test_random_m9_tied_cost_matches_exact_sweep():
     e = generate_random_uniform_prior(9, 2, 4)
     c = cost_function([1, 1, 2, 2, 3, 4, 4, 5, 5])
-    inst = QapInstance(cost_gram(c), bloch_gram(e))
-    assert arrangement_solve(c, e.bloch) == reference_brute_force(inst)
+    assert arrangement_solve(c, e.bloch) == reference_brute_force(cost_gram(c), bloch_gram(e))
+
+
+# --- the shared screened-max reduction ------------------------------------------
+
+# Exact values of the numberings of range(3), equal under reversal, so a row
+# and its reversal are partners of equal value.
+_VALUES = {(0, 1, 2): 3.0, (2, 1, 0): 3.0, (0, 2, 1): 3.0, (1, 2, 0): 3.0, (1, 0, 2): 1.0, (2, 0, 1): 1.0}
+
+
+def _exact(rows):
+    return rows, np.array([_VALUES[tuple(row)] for row in rows.tolist()])
+
+
+def _screen(block):
+    # below the exact values by less than half the window used below
+    return _exact(block)[1] - 0.2 * (block[:, 0] == 1)
+
+
+def _rows(*rows):
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+def test_screened_max_tie_across_blocks_keeps_the_earlier_row():
+    blocks = [_rows((1, 0, 2), (1, 2, 0)), _rows((2, 1, 0))]
+    assert screened_max(iter(blocks), _screen, _exact, 0.5) == ((2, 3, 1), 3.0)
+    # the same with the later block first: the smaller row still wins
+    assert screened_max(iter(blocks[::-1]), _screen, _exact, 0.5) == ((2, 3, 1), 3.0)
+
+
+def test_screened_max_skips_empty_blocks():
+    empty = _rows()
+    blocks = [empty, _rows((1, 0, 2)), empty, _rows((2, 0, 1), (0, 2, 1)), empty]
+    assert screened_max(iter(blocks), _screen, _exact, 0.5) == ((1, 3, 2), 3.0)
+
+
+def test_screened_max_partner_rows_sort_before_the_screened_row():
+    def with_reversals(rows):
+        return _exact(np.concatenate([rows, rows[:, ::-1]]))
+
+    # (1, 2, 0) brings its partner (0, 2, 1); the later (2, 1, 0) brings
+    # (0, 1, 2), which sorts before both and wins the tie
+    blocks = [_rows((1, 0, 2), (1, 2, 0)), _rows((2, 0, 1), (2, 1, 0))]
+    assert screened_max(iter(blocks), _screen, with_reversals, 0.5) == ((1, 2, 3), 3.0)
+    assert screened_max(iter(blocks[:1]), _screen, with_reversals, 0.5) == ((1, 3, 2), 3.0)
 
 
 # --- the exact qubit solver on degenerate layouts ----------------------------------
@@ -280,8 +322,7 @@ def test_arrangement_equals_exact_sweep_on_degenerate_layouts(kind, m):
     e = degenerate_layout(kind, m)
     for c in degenerate_costs(m):
         assert c.is_balanced
-        inst = QapInstance(cost_gram(c), bloch_gram(e))
-        expected = reference_brute_force(inst)
+        expected = reference_brute_force(cost_gram(c), bloch_gram(e))
         assert arrangement_solve(c, e.bloch) == expected
         with arrangement_only():
             assert arrangement_solve(c, e.bloch) == expected
@@ -360,13 +401,13 @@ def test_arrangement_refuses_a_sweep_above_the_cap(m):
     e, c = degenerate_layout("identical", m), identity_cost(m)
     with pytest.raises(FactorialCapError, match="exhaustive-search cap"):
         arrangement_solve(c, e.bloch, cap=m - 1)
-    expected = reference_brute_force(QapInstance(cost_gram(c), bloch_gram(e)))
+    expected = reference_brute_force(cost_gram(c), bloch_gram(e))
     assert arrangement_solve(c, e.bloch, cap=m) == expected
 
 
 def test_arrangement_above_the_cap_when_the_closure_needs_no_sweep():
     e, c = generate_random_uniform_prior(8, 2, 1), identity_cost(8)
-    expected = reference_brute_force(QapInstance(cost_gram(c), bloch_gram(e)))
+    expected = reference_brute_force(cost_gram(c), bloch_gram(e))
     assert arrangement_solve(c, e.bloch, cap=7) == expected
 
 
@@ -374,18 +415,18 @@ def test_arrangement_above_the_cap_when_the_closure_needs_no_sweep():
 def test_arrangement_equals_exact_sweep_at_m1_and_m2(m):
     e = qubits(np.random.default_rng(5).normal(size=(m, 3)))
     for c in (cost_function([4.0] * m), identity_cost(m), cost_function([-1.5, 7.0][:m])):
-        inst = QapInstance(cost_gram(c), bloch_gram(e))
+        expected = reference_brute_force(cost_gram(c), bloch_gram(e))
         with arrangement_only():
-            assert arrangement_solve(c, e.bloch) == reference_brute_force(inst)
+            assert arrangement_solve(c, e.bloch) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(problems().filter(lambda problem: problem[0].dim == 2))
 def test_arrangement_equals_exact_sweep(problem):
     e, c, _ = problem
-    inst = QapInstance(cost_gram(c), bloch_gram(e))
+    expected = reference_brute_force(cost_gram(c), bloch_gram(e))
     with arrangement_only():
-        assert arrangement_solve(c, e.bloch) == reference_brute_force(inst)
+        assert arrangement_solve(c, e.bloch) == expected
 
 
 # --- work counts of the fast paths ------------------------------------------------

@@ -256,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="brute: the exact qubit solver without the benevolent fast path; "
         "benevolent: the fast path alone",
     )
-    solve.add_argument("--tol", type=float, default=1e-10, help="spectral/PSD tolerance")
+    solve.add_argument(
+        "--tol", type=float, default=1e-10, help="tolerance of the optimality condition"
+    )
     solve.add_argument("--out", help="write the report JSON here")
     solve.set_defaults(func=cmd_solve)
 
@@ -270,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--cost", default="identity", help="'identity' or a cost JSON path")
     sim.add_argument("--samples", type=int, default=100000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--tol", type=float, default=1e-10, help="spectral/PSD tolerance")
+    sim.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="tolerance of the optimality condition and the PSD check",
+    )
     sim.add_argument("--out", help="write the estimate JSON here")
     sim.set_defaults(func=cmd_simulate)
     return parser

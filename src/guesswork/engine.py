@@ -205,25 +205,123 @@ def _effective_operator_batch(
     return 2 * np.einsum("t,ktij->kij", coefficients, states[block])
 
 
-def _screened_operators(e: Ensemble, c: CostFunction, block: np.ndarray) -> np.ndarray:
-    """E(n) for each row of 0-based numberings as one product W @ states.
+def _screened_operators(e: Ensemble, c: CostFunction, inverses: np.ndarray) -> np.ndarray:
+    """E(n) for each row n^-1 of 0-based inverse numberings as one product W @ states.
 
-    Row n of W holds 2 (gamma(t) - mean) at column n(t).  The complex states
-    enter as interleaved (re, im) doubles, so the product stays real.
+    E(n) = 2 sum_i (gamma(n^-1(i)) - mean) rho_i, so W is 2 (gamma - mean)
+    gathered by the rows.  The complex states enter as interleaved (re, im)
+    doubles, so the product stays real.
     """
-    weights = np.empty(block.shape)
-    np.put_along_axis(weights, block, 2 * (np.asarray(c.values) - c.mean)[None, :], axis=1)
+    weights = (2 * (np.asarray(c.values) - c.mean))[inverses]
     states = np.stack(e.states).reshape(e.size, -1).view(float)
     return (weights @ states).view(complex).reshape(-1, e.dim, e.dim)
+
+
+# Rows per screened batch: the temporaries of the product and of the closed
+# forms stay in cache, and their allocations are reused instead of paged in.
+_CHUNK = 4096
+
+
+def _screened_spectra(
+    e: Ensemble, c: CostFunction, inverses: np.ndarray, budget: float, minuend=None
+) -> np.ndarray:
+    """Screened spectra of E(n), or of ``minuend`` - E(n), for each row n^-1 of
+    0-based inverse numberings: :func:`_screened_operators`, then :func:`_spectra`."""
+    spectra = []
+    for start in range(0, len(inverses), _CHUNK):
+        operators = _screened_operators(e, c, inverses[start : start + _CHUNK])
+        if minuend is not None:
+            operators = minuend - operators
+        spectra.append(_spectra(operators, budget))
+    return np.concatenate(spectra)
 
 
 def _screen_error(e: Ensemble, c: CostFunction) -> float:
     """How far a screened eigenvalue, or sum of |eigenvalues|, of E(n) or
     |E(n*)| - E(n) can lie from the exact batch's: SCREEN_MARGIN / 2 of d
-    times a bound on ||E(n)||_F."""
+    times a bound on ||E(n)||_F.  :func:`_spectra` keeps each screened
+    eigenvalue within a quarter of it, so a sum of d <= 3 of them stays inside."""
     largest = max(float(np.linalg.norm(s)) for s in e.states)
     bound = 2 * float(np.abs(np.asarray(c.values) - c.mean).sum()) * largest
     return SCREEN_MARGIN / 2 * e.dim * bound
+
+
+# c eps in the closed forms' error bounds: against 40-digit spectra of random,
+# shifted, scaled and nearly degenerate 3x3 matrices, no row erred by more than
+# a tenth of the bound.
+_ROUNDING = 64 * np.finfo(float).eps
+# Halves and squares below the normal range keep fewer bits: each may be off
+# by 2^-1075, which moves a 2x2 eigenvalue by as much and r by about
+# 2^-1073 / p^2 through the terms of p^2.
+_UNDERFLOW = 2.0**-1070
+
+
+def _closed_form_2(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Eigenvalues mid -+ hypot((a - b) / 2, |x|) of [[a, x*], [x, b]] into
+    ``out``; returns each row's error bound."""
+    a, b = parts[:, 0], parts[:, 6]
+    mid = (a + b) / 2
+    half = np.hypot((a - b) / 2, np.hypot(parts[:, 4], parts[:, 5]))
+    out[:, 0] = mid - half
+    out[:, 1] = mid + half
+    return _ROUNDING * (np.abs(mid) + half) + _UNDERFLOW
+
+
+def _closed_form_3(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Trigonometric eigenvalues of 3x3 Hermitian matrices into ``out``;
+    returns each row's error bound (see :func:`_spectra`)."""
+    q = (parts[:, 0] + parts[:, 8] + parts[:, 16]) / 3
+    s0, s1, s2 = parts[:, 0] - q, parts[:, 8] - q, parts[:, 16] - q
+    # real and imaginary parts of A10, A20, A21
+    xr, xi, yr, yi, zr, zi = (parts[:, k] for k in (6, 7, 12, 13, 14, 15))
+    xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
+    p2 = (s0 * s0 + s1 * s1 + s2 * s2 + 2 * (xx + yy + zz)) / 6
+    p = np.sqrt(p2)
+    # det((A - qI) / p), from entries of order 1 whatever the scale
+    s0, s1, s2, xr, xi, yr, yi, zr, zi = (v / p for v in (s0, s1, s2, xr, xi, yr, yi, zr, zi))
+    det = (
+        s0 * s1 * s2
+        - (s0 * zz + s1 * yy + s2 * xx) / p2
+        + 2 * (yr * (xr * zr - xi * zi) + yi * (xr * zi + xi * zr))
+    )
+    r = np.clip(det / 2, -1.0, 1.0)
+    # phi in [0, pi / 3]: 2 cos(phi + 2 pi / 3) = -cos - sin and
+    # 2 cos(phi + 4 pi / 3) = -cos + sin, with sin = sqrt(3) sin(phi)
+    cos = np.cos(np.arccos(r) / 3)
+    sin = np.sqrt(3 * (1 - cos * cos))
+    out[:, 0] = q - p * (cos + sin)
+    out[:, 1] = q - p * (cos - sin)
+    out[:, 2] = q + 2 * p * cos
+    dr = _ROUNDING * (1 + np.abs(q) / p) + _UNDERFLOW / p2
+    return 2 * p * dr / (3 * np.sqrt(1 - r * r)) + _ROUNDING * (np.abs(q) + p)
+
+
+def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of an (N, d, d) batch,
+    each within ``budget`` of ``eigvalsh``'s; like it, read from the lower triangle.
+
+    d = 2: mid -+ hypot((a - b) / 2, |x|).  d = 3: the trigonometric form
+    (Smith, Commun. ACM 4:168, 1961): q = tr / 3, p^2 = ||A - qI||_F^2 / 6,
+    r = det((A - qI) / p) / 2 clipped to [-1, 1] and
+    lambda_k = q + 2p cos(acos(r) / 3 + 2 pi k / 3).  Rounding moves r by at
+    most dr = c eps (1 + |q| / p), so a row's values lie within
+    2p dr / (3 sqrt(1 - r^2)) + c eps (|q| + p) of the exact ones (Kopp,
+    Int. J. Mod. Phys. C 19:523, 2008).  Rows whose bound exceeds ``budget``
+    (nearly repeated eigenvalues), rows with non-finite values (p = 0) and
+    every batch of another d go to ``eigvalsh``.
+    """
+    size, d, _ = batch.shape
+    if d not in (2, 3):
+        return np.linalg.eigvalsh(batch)
+    closed_form = _closed_form_2 if d == 2 else _closed_form_3
+    parts = batch.reshape(size, d * d).view(float)  # (re, im) of each entry
+    values = np.empty((size, d))
+    with np.errstate(all="ignore"):  # p = 0 and overflow leave non-finite rows
+        bound = closed_form(parts, values)
+        redo = ~(bound <= budget) | ~np.isfinite(values).all(axis=1)
+    if redo.any():
+        values[redo] = np.linalg.eigvalsh(batch[redo])
+    return values
 
 
 def _refuted(
@@ -265,10 +363,12 @@ def condition_check(
     A few steps of ascent over pure states first look for a violating
     numbering (:func:`_refuted`); it fails the check only on a numbering whose
     exact test the sweep also fails.  Otherwise each numbering's smallest
-    eigenvalue is screened from E(n) = W @ states; one screened below -tol by
-    more than the screen's error fails the check, and those within that error
-    of -tol are recomputed from the exact batch of E(n).  The result equals
-    the exact sweep over all numberings.
+    eigenvalue is screened: E(n) = W @ states, and the closed-form spectra
+    of :func:`_spectra` for d <= 3 (eigvalsh for larger d and for rows whose
+    error bound exceeds a quarter of the screen's error).  One screened below
+    -tol by more than the screen's error fails the check, and those within
+    that error of -tol are recomputed from the exact batch of E(n).  The
+    result equals the exact sweep over all numberings.
     """
     n_star = require_numbering(n_star, size=e.size)
     if e.size > cap:
@@ -280,11 +380,11 @@ def condition_check(
     if _refuted(e, c, e_star, magnitude, tol):
         return False
     error = _screen_error(e, c)
-    for block in numbering_blocks(e.size):
-        lowest = np.linalg.eigvalsh(magnitude - _screened_operators(e, c, block))[:, 0]
+    for inverses in numbering_blocks(e.size):  # every numbering once, as n^-1
+        lowest = _screened_spectra(e, c, inverses, error / 4, magnitude)[:, 0]
         if float(lowest.min()) < -tol - error:
             return False
-        near = block[lowest <= -tol + error]
+        near = np.argsort(inverses[lowest <= -tol + error], axis=1)
         if not len(near):
             continue
         difference = magnitude[None, :, :] - _effective_operator_batch(e, c, near)
@@ -310,7 +410,9 @@ def tracenorm_argmax(
 ) -> tuple[Numbering, float]:
     """Numbering maximizing ||E(n)||_1, by exhaustive enumeration.
 
-    Each norm is screened from E(n) = W @ states.  When the balancing
+    Each norm is screened: E(n) = W @ states, and the closed-form spectra of
+    :func:`_spectra` for d <= 3 (eigvalsh for larger d and for rows whose
+    error bound exceeds a quarter of the screen's error).  When the balancing
     permutation sigma is an involution other than the identity,
     E(n o sigma) = -E(n) up to delta = sum_t |g(t) + g(sigma(t))| max_i
     ||rho_i||_1 with g = 2 (gamma - mean), so only the numbering of each pair
@@ -327,8 +429,9 @@ def tracenorm_argmax(
         raise FactorialCapError(
             f"trace-norm search sweeps {e.size}! numberings, above the cap {cap}"
         )
-    window = 2 * _screen_error(e, c)
-    blocks = numbering_blocks(e.size)
+    error = _screen_error(e, c)
+    window = 2 * error
+    blocks = numbering_blocks(e.size)  # every numbering once, as n^-1
     sigma = None
     if c.balancing_permutation is not None:
         sigma = np.asarray(c.balancing_permutation) - 1
@@ -338,18 +441,20 @@ def tracenorm_argmax(
             g = 2 * (np.asarray(c.values) - c.mean)
             largest = max(trace_norm(s) for s in e.states)
             window += 2 * float(np.abs(g + g[sigma]).sum()) * largest
-            blocks = (block[block[:, t0] < block[:, t1]] for block in blocks)
+            # n(t) is the column of t in the row n^-1
+            blocks = (u[(u == t0).argmax(axis=1) < (u == t1).argmax(axis=1)] for u in blocks)
         else:
             sigma = None
 
-    def norms(rows):
+    def norms(inverses):
+        rows = np.argsort(inverses, axis=1)
         if sigma is not None:
             rows = np.concatenate([rows, rows[:, sigma]])
         return rows, np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
 
     return screened_max(
         blocks,
-        lambda block: np.abs(np.linalg.eigvalsh(_screened_operators(e, c, block))).sum(axis=1),
+        lambda inverses: np.abs(_screened_spectra(e, c, inverses, error / 4)).sum(axis=1),
         norms,
         window,
     )
@@ -374,9 +479,10 @@ def min_guesswork_qubit(
     * "auto"       — benevolent first (cross-checked against the exact solver
       when M <= cap), falling back to the exact solver.
 
-    Benevolence is detected within BENEVOLENCE_TOL whatever ``tol`` is.  The
-    exact solver is polynomial in M, but the cap still bounds M, so exit
-    codes above it are unchanged.  ``condition_verified`` needs no sweep of
+    The uniform prior is detected within TRACE_TOL, benevolence within
+    BENEVOLENCE_TOL and the measurement's null space within EIGEN_TOL,
+    whatever ``tol`` is.  The exact solver is polynomial in M, but the cap
+    still bounds M, so exit codes above it are unchanged.  ``condition_verified`` needs no sweep of
     its own: E(n) = w(n) . sigma, so the smallest eigenvalue of
     |E(n*)| - E(n) is |w(n*)| - |w(n)|.  The condition holds iff
     |w(n*)| >= max_n |w(n)| - tol, the maximum coming from the one exact
@@ -384,7 +490,7 @@ def min_guesswork_qubit(
     """
     if e.dim != 2:
         raise ValueError(f"qubit solver requires dim = 2, got {e.dim}")
-    if not is_uniform_prior(e, tol):
+    if not is_uniform_prior(e):
         raise ValueError("qubit solver requires a uniform prior")
     _require_balanced(c)
     _require_same_size(e, c)
@@ -418,7 +524,7 @@ def min_guesswork_qubit(
 
     e_star = effective_operator(e, c, n_star)
     value = c.mean - float(np.linalg.norm(pauli_vector(e_star))) / 2
-    measurement = optimal_two_outcome_measurement(e, c, n_star, tol=tol)
+    measurement = optimal_two_outcome_measurement(e, c, n_star)
     verified = exact is not None and (
         math.sqrt(max(objective, 0.0)) >= math.sqrt(max(exact[1], 0.0)) - tol
     )
@@ -460,14 +566,15 @@ def min_guesswork_general(
     |E(n*)| >= E(n) for every n.  If it holds, the report carries the optimal
     two-outcome measurement at n*; if not, ``measurement`` is None and the
     value mean - ||E(n*)||_1 / 2 is achievable but not proved minimal (the
-    condition is sufficient, not necessary).
+    condition is sufficient, not necessary).  ``tol`` is the condition's
+    tolerance; the measurement's null space is split within EIGEN_TOL.
     """
     _require_balanced(c)
     _require_same_size(e, c)
     candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
     measurement = None
     if condition_check(e, c, candidate, tol=tol, cap=cap):
-        measurement = optimal_two_outcome_measurement(e, c, candidate, tol=tol)
+        measurement = optimal_two_outcome_measurement(e, c, candidate)
     return _condition_report(c, candidate, norm_value, measurement)
 
 
@@ -482,7 +589,8 @@ def solve(
 
     A forced ``method``, or a uniform-prior qubit ensemble in auto mode, goes
     to :func:`min_guesswork_qubit`; anything else to
-    :func:`min_guesswork_general`.  In auto mode a sweep refused by the cap
+    :func:`min_guesswork_general`; the prior is detected within TRACE_TOL
+    whatever ``tol`` is.  In auto mode a sweep refused by the cap
     degrades to the :func:`zigzag_candidate` bound.  A bound has
     ``measurement`` None: its value is achievable, not proved minimal.
     """
@@ -491,7 +599,7 @@ def solve(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     try:
-        if method != "auto" or (e.dim == 2 and is_uniform_prior(e, tol)):
+        if method != "auto" or (e.dim == 2 and is_uniform_prior(e)):
             return min_guesswork_qubit(e, c, method=method, tol=tol, cap=cap)
         return min_guesswork_general(e, c, tol=tol, cap=cap)
     except FactorialCapError:

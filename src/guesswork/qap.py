@@ -43,9 +43,12 @@ _TABLE_POSITIONS = 8
 # The sweeps score every numbering with a cheap screen and recompute the exact
 # formula only where the screen comes within SCREEN_MARGIN * scale of a
 # decision, scale bounding the magnitude of the scored quantity.  Double
-# rounding in sums of M <= 16 terms and in the eigensolvers of d <= 16 matrices
-# stays below 1e-14 * scale, far inside the margin; on unit-trace ensembles the
-# margin stays far below EIGEN_TOL = 1e-10.
+# rounding in sums of M <= 16 terms and in eigvalsh of d <= 16 matrices stays
+# below 1e-14 * scale, far inside the margin.  The engine's closed-form spectra
+# for d <= 3 bound each row's error and hand a row to eigvalsh when that bound
+# exceeds a quarter of the screen's error, SCREEN_MARGIN / 8 * d * scale per
+# eigenvalue (nearly repeated eigenvalues).  On unit-trace ensembles the margin
+# stays far below EIGEN_TOL = 1e-10.
 SCREEN_MARGIN = 1e-12
 
 # Two arrangement circles whose unit normals are closer than this in angle
@@ -96,10 +99,14 @@ def numbering_blocks(m: int):
     """Every permutation of range(m), in ``itertools.permutations`` order, in blocks.
 
     Each block is an integer array with one permutation per row: those that
-    share their first m - 8 entries (all m! permutations when m <= 8).
+    share their first m - 8 entries.  When m <= 8 the one block is the cached
+    read-only table itself.
     """
     tail = min(m, _TABLE_POSITIONS)
     table = _permutation_table(tail)
+    if m == tail:
+        yield table
+        return
     for prefix in itertools.permutations(range(m), m - tail):
         block = np.empty((len(table), m), dtype=np.intp)
         block[:, : m - tail] = prefix

@@ -527,6 +527,31 @@ def test_solve_tol_does_not_drive_benevolence_detection(tmp_path, capsys, tol):
     )
 
 
+def test_solve_tol_does_not_drive_prior_detection(tmp_path, capsys):
+    # a loose --tol once let this non-uniform qubit pair pass as uniform, and
+    # the qubit solver then reported a proved optimum that its own
+    # measurement does not attain
+    path = tmp_path / "nonuniform.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "bloch": [{"trace": 0.3, "v": [0.05, 0, 0]}, {"trace": 0.7, "v": [0, 0.05, 0]}],
+    }))
+    reports = {}
+    for tol in (None, "0.05", "0.3"):
+        out = tmp_path / f"report-{tol}.json"
+        argv = ["solve", "--ensemble", str(path), "--out", str(out)]
+        assert run_cli(argv + (["--tol", tol] if tol else [])) == 0
+        reports[tol] = capsys.readouterr().out, out.read_text()
+        doc = json.loads(reports[tol][1])
+        measurement = serialize.measurement_from_json(doc["measurement"], dim=2)
+        ensemble = serialize.ensemble_from_json(json.loads(path.read_text()))
+        assert guesswork_value(ensemble, identity_cost(2), measurement) == pytest.approx(
+            doc["value"], abs=1e-12
+        )
+    assert reports["0.05"] == reports[None]
+    assert reports["0.3"] == reports[None]
+
+
 def _cli_outcome(argv):
     """(exit code, stderr) of one CLI run; an exception escaping main propagates."""
     err = io.StringIO()

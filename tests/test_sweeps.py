@@ -121,11 +121,28 @@ def conjugate_mirror(m, seed):
 @st.composite
 def problems(draw):
     m = draw(sizes)
-    kinds = ["random", "polygon", "antiprism", "ginibre", "embedded", "mirror"]
+    kinds = [
+        "random", "polygon", "antiprism", "ginibre", "embedded", "mirror",
+        "nonuniform", "ginibre4", "mixed", "identical",
+    ]
     kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 2**16))
     if kind == "random":
         e = generate_random_uniform_prior(m, 2, seed)
+    elif kind == "nonuniform":  # Tr E(n) != 0: the d = 2 closed form's trace term
+        weights = np.random.default_rng(seed).uniform(0.3, 1.7, m)
+        states = generate_random_uniform_prior(m, 2, seed).states
+        e = validate([s * (w * m / weights.sum()) for s, w in zip(states, weights)])
+    elif kind == "ginibre4":  # d = 4: the screens' eigvalsh branch
+        e = generate_random_uniform_prior(m, 4, seed)
+    elif kind == "mixed":  # up to two states that are not maximally mixed: repeated spectra
+        d, kept = draw(st.sampled_from([2, 3])), draw(st.integers(0, 2))
+        states = generate_random_uniform_prior(m, d, seed).states
+        e = validate(list(states[:kept]) + [np.eye(d) / (d * m)] * (m - kept))
+    elif kind == "identical":  # every E(n) is zero up to rounding
+        d = draw(st.sampled_from([2, 3]))
+        state = generate_random_uniform_prior(2, d, seed).states[0] * (2 / m)
+        e = validate([state] * m)
     elif kind == "polygon":  # coplanar Bloch vectors, many exact ties
         e = generate_polygon_antiprism(m)
     elif kind == "antiprism":
@@ -200,6 +217,97 @@ def test_random_m9_tied_cost_matches_exact_sweep():
     e = generate_random_uniform_prior(9, 2, 4)
     c = cost_function([1, 1, 2, 2, 3, 4, 4, 5, 5])
     assert arrangement_solve(c, e.bloch) == reference_brute_force(cost_gram(c), bloch_gram(e))
+
+
+# --- the closed-form spectra of the screens ---------------------------------------
+
+# A quarter of the screen's error on unit-norm operators is about 4e-13.
+BUDGET = 1e-12
+
+
+def rotated(spectra, seed):
+    """Hermitian matrices with the given rows of eigenvalues in random eigenbases."""
+    rng = np.random.default_rng(seed)
+    n, d = spectra.shape
+    u = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+    return np.einsum("kij,kj,klj->kil", u, spectra, u.conj())
+
+
+def spectra_of_pairs(split, n=40, seed=3):
+    """Rows (a, a + split, b) with b at least 0.2 away from a."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, n)
+    b = a + rng.choice([-1, 1], n) * rng.uniform(0.2, 1, n)
+    return np.stack([a, a + split, b], axis=1)
+
+
+def crafted_3x3():
+    """(batches whose every row must go to eigvalsh, batches that may take
+    either path, well-conditioned batches that must not)."""
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.1, 2, 40)[:, None]
+    psi = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    qubits = rotated(rng.uniform(-1, 1, (40, 2)), 12)
+    ill = [
+        np.zeros((4, 3, 3), dtype=complex),
+        np.array([k * np.eye(3) for k in (-2.5, 1e-3, 1.0, 7.0)], dtype=complex),
+        rotated(s * [2, -1, -1], 13),
+        rotated(s * [1, 1, -2], 14),
+        rotated(spectra_of_pairs(1e-9), 15),
+        rotated(spectra_of_pairs(1e-14), 16),
+        np.einsum("ki,kj->kij", psi, psi.conj()),  # rank 1: (0, 0, |psi|^2)
+    ]
+    either = [
+        rotated(spectra_of_pairs(split), 17) for split in (1e-3, 1e-4, 1e-5, 1e-6)
+    ] + [np.pad(qubits, ((0, 0), (0, 1), (0, 1)))]  # embedded qubits
+    well = rotated(rng.uniform(-1, 1, (40, 1)) + s * [-1, 0, 1], 18)
+    return ill, either, [well, well + 40 * np.eye(3)]
+
+
+def spectra_and_fallback(batch, monkeypatch):
+    """The kernel's values and which rows it handed to eigvalsh."""
+    eigvalsh, handed = np.linalg.eigvalsh, set()
+
+    def recording(matrices):
+        handed.update(m.tobytes() for m in matrices)
+        return eigvalsh(matrices)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", recording)
+        values = engine._spectra(batch, BUDGET)
+    return values, np.array([m.tobytes() in handed for m in batch])
+
+
+def test_3x3_spectra_within_budget_and_ill_conditioned_rows_fall_back(monkeypatch):
+    ill, either, well = crafted_3x3()
+    batch = np.concatenate(ill + either + well)
+    expected = np.linalg.eigvalsh(batch)
+    values, fell_back = spectra_and_fallback(batch, monkeypatch)
+    assert np.all(np.abs(values - expected) <= BUDGET)
+    n_ill, n_well = sum(map(len, ill)), sum(map(len, well))
+    assert fell_back[:n_ill].all()
+    assert not fell_back[-n_well:].any()
+    np.testing.assert_array_equal(values[fell_back], expected[fell_back])
+
+
+def test_2x2_spectra_within_budget_without_fallback(monkeypatch):
+    rng = np.random.default_rng(21)
+    batch = np.concatenate([
+        np.zeros((4, 2, 2), dtype=complex),
+        np.array([k * np.eye(2) for k in (-2.5, 1e-3, 7.0)], dtype=complex),
+        rotated(rng.uniform(-1, 1, (40, 2)), 22) + 3 * np.eye(2),  # trace far from 0
+        rotated(rng.uniform(-1, 1, (40, 1)) + [0, 1e-14], 23),
+    ])
+    expected = np.linalg.eigvalsh(batch)
+    values, fell_back = spectra_and_fallback(batch, monkeypatch)
+    assert np.all(np.abs(values - expected) <= BUDGET)
+    assert not fell_back.any()
+
+
+def test_spectra_of_other_dimensions_are_eigvalsh():
+    for d in (1, 4):
+        batch = rotated(np.random.default_rng(d).uniform(-1, 1, (20, d)), d)
+        np.testing.assert_array_equal(engine._spectra(batch, BUDGET), np.linalg.eigvalsh(batch))
 
 
 # --- the shared screened-max reduction ------------------------------------------

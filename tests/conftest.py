@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from guesswork import cost_function
+from guesswork.costs import invert
 from guesswork.engine import NumberingMeasurement
 from guesswork.operators import spectral_parts
 
@@ -66,6 +67,44 @@ def reference_brute_force(cost_gram, bloch_gram):
         if values[k] > best_value:
             best_value, best_perm = float(values[k]), block[k]
     return tuple(int(x) + 1 for x in best_perm), best_value
+
+
+def reference_simulate(e, c, m, samples: int, seed: int) -> tuple[float, float]:
+    """Round-by-round Monte Carlo: the sampler ``engine.simulate`` replaced.
+
+    Draws a state label from the prior for every round, then a numbering
+    outcome from Tr[pi(n) rho] / Tr[rho] for every round of each label, and
+    pays gamma(n^-1(label)).  O(samples) memory, so only for small runs.
+    """
+    rng = np.random.default_rng(seed)
+    size = e.size
+    prior = np.clip(e.prior, 0.0, None)
+    prior = prior / prior.sum()
+    outcomes = list(m.elements.items())
+    joint = np.array(
+        [
+            [float(np.trace(element @ state).real) for state in e.states]
+            for _, element in outcomes
+        ]
+    )
+    joint = np.clip(joint, 0.0, None)
+    column_totals = joint.sum(axis=0, keepdims=True)
+    conditional = joint / np.where(column_totals > 0, column_totals, 1.0)
+    cost_table = np.array(
+        [[c.values[invert(numbering)[label] - 1] for label in range(size)]
+         for numbering, _ in outcomes]
+    )
+    labels = rng.choice(size, size=samples, p=prior)
+    drawn = np.empty(samples, dtype=np.intp)
+    for label in range(size):
+        hits = np.flatnonzero(labels == label)
+        if hits.size:
+            drawn[hits] = rng.choice(len(outcomes), size=hits.size, p=conditional[:, label])
+    costs = cost_table[drawn, labels]
+    estimate = float(costs.mean())
+    if samples < 2:
+        return estimate, math.nan
+    return estimate, float(costs.std(ddof=1) / math.sqrt(samples))
 
 
 def random_balanced_values(rng, m: int, span: float = 5.0) -> list[float]:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -336,6 +337,16 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_sample_count_bound(tmp_path, capsys):
+    ensemble_path = write_ensemble(tmp_path / "trine.json", generate_polygon_antiprism(3))
+    started = time.perf_counter()
+    assert run_cli(["simulate", "--ensemble", ensemble_path, "--samples", str(10**15)]) == 0
+    assert time.perf_counter() - started < 1.0
+    capsys.readouterr()
+    assert run_cli(["simulate", "--ensemble", ensemble_path, "--samples", str(10**16)]) == 2
+    assert "2**53" in capsys.readouterr().err
+
+
 def test_simulate_unverifiable_exits_3(tmp_path, capsys):
     triple = validate(
         [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
@@ -552,6 +563,22 @@ def test_solve_tol_does_not_drive_prior_detection(tmp_path, capsys):
     assert reports["0.3"] == reports[None]
 
 
+def test_solve_accepts_a_cost_balanced_within_balance_tol(tmp_path):
+    # the balance check accepts this cost, so the two-outcome measurement's
+    # antisymmetry check must allow the gap that its balance residual leaves
+    ensemble_path = write_ensemble(tmp_path / "r3.json", generate_random_uniform_prior(3, 2, 1))
+    cost_path = tmp_path / "cost.json"
+    cost_path.write_text(json.dumps({"values": [1, 2, 3.00000000003]}))
+    out = tmp_path / "report.json"
+    argv = ["solve", "--ensemble", ensemble_path, "--cost", str(cost_path), "--out", str(out)]
+    assert run_cli(argv) == 0
+    doc = json.loads(out.read_text())
+    measurement = serialize.measurement_from_json(doc["measurement"], dim=2)
+    ensemble = serialize.ensemble_from_json(json.loads(Path(ensemble_path).read_text()))
+    cost = serialize.cost_from_json(json.loads(cost_path.read_text()))
+    assert abs(guesswork_value(ensemble, cost, measurement) - doc["value"]) <= 5e-13
+
+
 def _cli_outcome(argv):
     """(exit code, stderr) of one CLI run; an exception escaping main propagates."""
     err = io.StringIO()
@@ -605,7 +632,8 @@ def test_cli_flags_end_in_an_exit_code(data):
         if kind == "solve":
             argv += ["--method", draw(st.sampled_from(["auto", "brute", "benevolent"]))]
         if kind == "simulate":
-            argv += ["--samples", str(draw(_mostly(st.integers(1, 2000), st.integers(-1, 0))))]
+            samples = _mostly(st.integers(1, 2000) | st.integers(1, 2**64), st.integers(-1, 0))
+            argv += ["--samples", str(draw(samples, label="samples"))]
             argv += ["--seed", str(draw(st.integers(-2, 50), label="simulate seed"))]
         code, err = _cli_outcome(argv)
     assert code in (0, 2, 3, 4)

@@ -1,10 +1,20 @@
+import collections
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import double_sum, oracle_min_guesswork, random_balanced_cost, random_numbering
+from conftest import (
+    double_sum,
+    oracle_min_guesswork,
+    random_balanced_cost,
+    random_numbering,
+    random_two_outcome_measurement,
+    reference_simulate,
+)
 from guesswork.costs import compose, cost_function, identity_cost
 from guesswork.engine import (
     NumberingMeasurement,
@@ -366,6 +376,76 @@ def test_simulate_deterministic_and_single_sample():
     assert estimate in {1.0, 2.0, 3.0}
     with pytest.raises(ValueError):
         simulate(e, c, report.measurement, samples=0, seed=7)
+
+
+def _skewed_problem():
+    """Three qubit states with prior (0.5, 0.3, 0.2) and a two-outcome measurement."""
+    e = validate(
+        [
+            0.5 * np.array([[0.9, 0.3], [0.3, 0.1]]),
+            0.3 * np.array([[0.2, 0.4j], [-0.4j, 0.8]]),
+            0.1 * np.eye(2),
+        ]
+    )
+    c = identity_cost(3)
+    return e, c, random_two_outcome_measurement(np.random.default_rng(5), e, c)
+
+
+def test_simulate_has_the_round_by_round_distribution():
+    # at 3 rounds the pair (estimate, standard error) takes finitely many
+    # values; the cell-count draw and the round-by-round oracle must give them
+    # the same distribution (seeds differ so that the two samples are independent)
+    e, c, m = _skewed_problem()
+    tallies = [collections.Counter(), collections.Counter()]
+    for seed in range(3000):
+        for tally, sampler, offset in zip(tallies, (simulate, reference_simulate), (0, 10**6)):
+            estimate, std_error = sampler(e, c, m, samples=3, seed=seed + offset)
+            tally[round(estimate, 9), round(std_error, 9)] += 1
+    keys = set(tallies[0]) | set(tallies[1])
+    # the two-sample chi-square statistic for equal sample sizes; df + 5 sqrt(2 df)
+    # lies beyond its 0.999 quantile for these df
+    chi2 = sum((tallies[0][k] - tallies[1][k]) ** 2 / (tallies[0][k] + tallies[1][k]) for k in keys)
+    df = len(keys) - 1
+    assert df >= 5
+    assert chi2 <= df + 5 * math.sqrt(2 * df)
+
+
+def test_simulate_z_scores_are_standard():
+    e, c, m = _skewed_problem()
+    analytic = guesswork_value(e, c, m)
+    z = []
+    for seed in range(400):
+        estimate, std_error = simulate(e, c, m, samples=10_000, seed=seed)
+        z.append((estimate - analytic) / std_error)
+    assert abs(np.mean(z)) <= 0.2
+    assert 0.8 <= np.var(z) <= 1.25
+
+
+def test_simulate_memory_does_not_grow_with_samples():
+    e = generate_mub()
+    c = identity_cost(6)
+    report = min_guesswork_qubit(e, c)
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        estimate, std_error = simulate(e, c, report.measurement, samples=10**12, seed=1)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
+    assert abs(estimate - report.value) <= 5 * std_error
+
+
+def test_simulate_samples_bound():
+    e = generate_polygon_antiprism(3)
+    c = identity_cost(3)
+    report = min_guesswork_qubit(e, c)
+    estimate, std_error = simulate(e, c, report.measurement, samples=2**53, seed=1)
+    assert abs(estimate - report.value) <= 5 * std_error
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        simulate(e, c, report.measurement, samples=2**53 + 1, seed=1)
 
 
 def test_optimality_against_random_measurements():

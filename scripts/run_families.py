@@ -2,9 +2,9 @@
 """Sweep the polygon / anti-prism families and tabulate minimum guesswork.
 
 For each M and height fraction the table shows the objective |w(n*)|^2 from the
-benevolent fast path, the exact arrangement solver (column "brute", the
-solver behind ``--method brute``), and the resulting guesswork under the
-identity cost.
+benevolent fast path, from the exact arrangement solver (column "brute", the
+solver that decides every qubit solve up to the cap), and the resulting
+guesswork under the identity cost with the method that reported it.
 
 Usage:
     python scripts/run_families.py [--m-max 8]

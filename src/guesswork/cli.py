@@ -4,8 +4,9 @@ Exit codes: 0 success (verified optimum), 2 invalid input, 3 result is only
 an unverified upper bound, 4 internal numerical failure.  The environment
 variable GUESSWORK_FACTORIAL_CAP overrides the enumeration cap (default 10),
 the largest M that the general sweeps and the exact qubit solver accept.
-``solve --method brute`` runs the exact qubit solver without the benevolent
-fast path.
+Up to the cap an exit 0 is always a verified optimum; above it, a
+benevolent qubit ensemble's closed form is reported with "condition
+verified no".
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _load_and_solve(args):
         cost = identity_cost(ensemble.size)
     else:
         cost = serialize.cost_from_json(_load_json(args.cost), size_hint=ensemble.size)
-    return ensemble, cost, solve(ensemble, cost, getattr(args, "method", "auto"), args.tol, _cap())
+    return ensemble, cost, solve(ensemble, cost, args.tol, _cap())
 
 
 def cmd_solve(args) -> int:
@@ -249,13 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute the minimum guesswork")
     solve.add_argument("--ensemble", required=True, help="ensemble JSON path")
     solve.add_argument("--cost", default="identity", help="'identity' or a cost JSON path")
-    solve.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", "brute", "benevolent"],
-        help="brute: the exact qubit solver without the benevolent fast path; "
-        "benevolent: the fast path alone",
-    )
     solve.add_argument(
         "--tol", type=float, default=1e-10, help="tolerance of the optimality condition"
     )

@@ -56,7 +56,6 @@ from .qap import (
 ALGEBRAIC_TOL = 1e-12
 VALUE_TOL = 1e-10
 CROSS_METHOD_TOL = 1e-9
-METHODS = ("auto", "brute", "benevolent")
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,8 @@ class GuessworkReport:
     bound.  For uniform-prior qubits ``condition_verified`` comes from the
     exact maximum of |w(n)|^2 through the identity E(n) = w(n) . sigma
     (see :func:`min_guesswork_qubit`), elsewhere from :func:`condition_check`.
+    A report with a measurement is verified unless it is the closed form of a
+    benevolent qubit ensemble above the cap.
     """
 
     value: float
@@ -123,14 +124,11 @@ def _require_same_size(e: Ensemble, c: CostFunction) -> None:
 
 
 def effective_operator(e: Ensemble, c: CostFunction, n) -> np.ndarray:
-    """E(n) = 2 sum_t (gamma(t) - mean) rho(n(t))."""
+    """E(n) = 2 sum_t (gamma(t) - mean) rho(n(t)), as one row of
+    :func:`_effective_operator_batch`."""
     numbering = require_numbering(n, size=e.size)
     _require_same_size(e, c)
-    coefficients = np.asarray(c.values) - c.mean
-    result = np.zeros((e.dim, e.dim), dtype=complex)
-    for coefficient, label in zip(coefficients, numbering):
-        result += coefficient * e.states[label - 1]
-    return 2 * result
+    return _effective_operator_batch(e, c, np.asarray([numbering]) - 1)[0]
 
 
 def guesswork_value(e: Ensemble, c: CostFunction, m: NumberingMeasurement) -> float:
@@ -159,14 +157,15 @@ def guesswork_value(e: Ensemble, c: CostFunction, m: NumberingMeasurement) -> fl
 
 
 def optimal_two_outcome_measurement(
-    e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
+    e: Ensemble, c: CostFunction, n_star
 ) -> NumberingMeasurement:
     """Measurement on {n*, n* o sigma} from the spectral parts of E(n*).
 
     The n* element is the negative projector plus half the null projector of
     E(n*); the partner element is the mirror image (positive plus half null).
     When sigma is the identity (constant cost) the two outcomes coincide and
-    the measurement degenerates to the identity on n*.
+    the measurement degenerates to the identity on n*.  The null space and
+    the validation take EIGEN_TOL.
     """
     if not c.is_balanced:
         raise ValueError("the two-outcome construction requires a balanced cost")
@@ -175,7 +174,7 @@ def optimal_two_outcome_measurement(
     if partner == n_star:
         return NumberingMeasurement(
             dim=e.dim, elements={n_star: np.eye(e.dim, dtype=complex)}
-        ).validated(tol)
+        ).validated()
     e_star = effective_operator(e, c, n_star)
     e_partner = effective_operator(e, c, partner)
     antisymmetry = float(np.max(np.abs(e_star + e_partner)))
@@ -190,14 +189,14 @@ def optimal_two_outcome_measurement(
             f"effective operators are not antisymmetric under the balancing "
             f"permutation (gap {antisymmetry:.3e}); is the cost certificate valid?"
         )
-    parts = spectral_parts(e_star, tol)
+    parts = spectral_parts(e_star)
     elements = {
         n_star: parts.negative_projector + parts.null_projector / 2,
         partner: parts.positive_projector + parts.null_projector / 2,
     }
     measurement = NumberingMeasurement(dim=e.dim, elements=elements)
     try:
-        return measurement.validated(tol)
+        return measurement.validated()
     except ValueError as exc:  # construction guarantees validity; failure is numerical
         raise NumericalCheckError(f"constructed measurement failed validation: {exc}") from exc
 
@@ -469,7 +468,6 @@ def tracenorm_argmax(
 def min_guesswork_qubit(
     e: Ensemble,
     c: CostFunction,
-    method: str = "auto",
     tol: float = EIGEN_TOL,
     cap: int = DEFAULT_FACTORIAL_CAP,
 ) -> GuessworkReport:
@@ -477,22 +475,20 @@ def min_guesswork_qubit(
 
     Maximizes |w(n)|^2, w(n) = sum_t (gamma(t) - mean) v(rho(n(t))), over
     numberings n, and returns mean - |w(n*)| together with the optimal
-    two-outcome measurement.  ``method``:
-
-    * "brute"      — the exact solver :func:`arrangement_solve` without the
-      benevolent fast path (M <= cap; reported as "brute_force");
-    * "benevolent" — closed form, error when no benevolent structure is found;
-    * "auto"       — benevolent first (cross-checked against the exact solver
-      when M <= cap), falling back to the exact solver.
+    two-outcome measurement.  The closed form :func:`benevolent_solve` runs
+    first.  Up to the cap the exact :func:`arrangement_solve` decides: the
+    closed form's numbering is reported ("benevolent") when |w| reaches the
+    exact max_n |w(n)| within ``tol``, the exact one ("brute_force")
+    otherwise, so ``condition_verified`` is True there.  E(n) = w(n) . sigma,
+    so the smallest eigenvalue of |E(n*)| - E(n) is |w(n*)| - |w(n)| and the
+    condition needs no sweep of its own.  A closed-form objective above the
+    exact one by more than CROSS_METHOD_TOL is a NumericalCheckError.  Above
+    the cap the closed form is reported unverified, and FactorialCapError
+    is raised when it finds no benevolent structure.
 
     The uniform prior is detected within TRACE_TOL, benevolence within
     BENEVOLENCE_TOL and the measurement's null space within EIGEN_TOL,
-    whatever ``tol`` is.  The exact solver is polynomial in M, but the cap
-    still bounds M, so exit codes above it are unchanged.  ``condition_verified`` needs no sweep of
-    its own: E(n) = w(n) . sigma, so the smallest eigenvalue of
-    |E(n*)| - E(n) is |w(n*)| - |w(n)|.  The condition holds iff
-    |w(n*)| >= max_n |w(n)| - tol, the maximum coming from the one exact
-    solve (False above the cap).
+    whatever ``tol`` is.
     """
     if e.dim != 2:
         raise ValueError(f"qubit solver requires dim = 2, got {e.dim}")
@@ -500,45 +496,33 @@ def min_guesswork_qubit(
         raise ValueError("qubit solver requires a uniform prior")
     _require_balanced(c)
     _require_same_size(e, c)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
 
     gram = bloch_gram(e)
     cost_gram(c)  # refuses overflowing costs before any solver or cap check
-
-    fast = None
-    if method != "brute":
-        fast = benevolent_solve(c, gram, cap=cap)
-        if fast is None and method == "benevolent":
-            raise ValueError(
-                "no benevolent structure found in -bloch_gram; use method='brute' or 'auto'"
+    fast = benevolent_solve(c, gram, cap=cap)
+    if e.size > cap:
+        if fast is None:
+            raise FactorialCapError(
+                f"M = {e.size} exceeds the enumeration cap {cap} and no benevolent "
+                "structure was found"
             )
-    if fast is None and e.size > cap:
-        raise FactorialCapError(
-            f"M = {e.size} exceeds the enumeration cap {cap} and no benevolent "
-            "structure was found"
-            if method == "auto"
-            else f"M = {e.size} exceeds the exhaustive-search cap {cap} ({e.size}! "
-            "numberings); use the benevolent fast path"
-        )
-    exact = arrangement_solve(c, e.bloch, cap=cap) if e.size <= cap else None
-    n_star, objective = fast or exact
-    if method == "auto" and fast and exact and abs(exact[1] - objective) > CROSS_METHOD_TOL:
-        raise NumericalCheckError(
-            f"fast path objective {objective!r} disagrees with the exact solver {exact[1]!r}"
-        )
+        n_star, method, verified = fast[0], "benevolent", False
+    else:
+        n_star, exact = arrangement_solve(c, e.bloch, cap=cap)
+        method, verified = "brute_force", True
+        if fast and fast[1] - exact > CROSS_METHOD_TOL:
+            raise NumericalCheckError(
+                f"fast path objective {fast[1]!r} exceeds the exact maximum {exact!r}"
+            )
+        if fast and math.sqrt(max(fast[1], 0.0)) >= math.sqrt(max(exact, 0.0)) - tol:
+            n_star, method = fast[0], "benevolent"
 
     e_star = effective_operator(e, c, n_star)
-    value = c.mean - float(np.linalg.norm(pauli_vector(e_star))) / 2
-    measurement = optimal_two_outcome_measurement(e, c, n_star)
-    verified = exact is not None and (
-        math.sqrt(max(objective, 0.0)) >= math.sqrt(max(exact[1], 0.0)) - tol
-    )
     return GuessworkReport(
-        value=value,
+        value=c.mean - float(np.linalg.norm(pauli_vector(e_star))) / 2,
         optimal_numbering=n_star,
-        measurement=measurement,
-        method="brute_force" if fast is None else "benevolent",
+        measurement=optimal_two_outcome_measurement(e, c, n_star),
+        method=method,
         condition_verified=verified,
         mean_cost=c.mean,
         trace_norm_term=trace_norm(e_star) / 2,
@@ -587,30 +571,24 @@ def min_guesswork_general(
 def solve(
     e: Ensemble,
     c: CostFunction,
-    method: str = "auto",
     tol: float = EIGEN_TOL,
     cap: int = DEFAULT_FACTORIAL_CAP,
 ) -> GuessworkReport:
     """Minimum guesswork, or an unverified upper bound when nothing certifies one.
 
-    A forced ``method``, or a uniform-prior qubit ensemble in auto mode, goes
-    to :func:`min_guesswork_qubit`; anything else to
-    :func:`min_guesswork_general`; the prior is detected within TRACE_TOL
-    whatever ``tol`` is.  In auto mode a sweep refused by the cap
+    A uniform-prior qubit ensemble goes to :func:`min_guesswork_qubit`,
+    anything else to :func:`min_guesswork_general`; the prior is detected
+    within TRACE_TOL whatever ``tol`` is.  A sweep refused by the cap
     degrades to the :func:`zigzag_candidate` bound.  A bound has
     ``measurement`` None: its value is achievable, not proved minimal.
     """
     _require_same_size(e, c)
     _require_balanced(c)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     try:
-        if method != "auto" or (e.dim == 2 and is_uniform_prior(e)):
-            return min_guesswork_qubit(e, c, method=method, tol=tol, cap=cap)
+        if e.dim == 2 and is_uniform_prior(e):
+            return min_guesswork_qubit(e, c, tol=tol, cap=cap)
         return min_guesswork_general(e, c, tol=tol, cap=cap)
     except FactorialCapError:
-        if method != "auto":
-            raise
         return _condition_report(c, *zigzag_candidate(e, c))
 
 

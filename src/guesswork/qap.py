@@ -463,16 +463,14 @@ def find_benevolent_permutation(
 
 
 def benevolent_solve(
-    c: CostFunction,
-    bloch: np.ndarray,
-    tol: float = BENEVOLENCE_TOL,
-    cap: int = DEFAULT_FACTORIAL_CAP,
+    c: CostFunction, bloch: np.ndarray, cap: int = DEFAULT_FACTORIAL_CAP
 ) -> tuple[Numbering, float] | None:
     """Closed-form maximum of |w(n)|^2 for benevolent instances.
 
     Returns the optimal numbering sigma_2 o zigzag o sigma_1^-1 and its
     objective, or None when no relabeling sigma_2 making -bloch benevolent
-    was found.  ``bloch`` is the Bloch Gram.  Requires a balanced cost.
+    within BENEVOLENCE_TOL was found.  ``bloch`` is the Bloch Gram.
+    Requires a balanced cost.
     """
     if not c.is_balanced:
         raise ValueError("benevolent_solve requires a balanced cost function")
@@ -480,7 +478,7 @@ def benevolent_solve(
     m = bloch.shape[0]
     if c.size != m:
         raise ValueError(f"cost has {c.size} values but the Gram matrix is {m}x{m}")
-    sigma2 = find_benevolent_permutation(-bloch, tol=tol, cap=cap)
+    sigma2 = find_benevolent_permutation(-bloch, cap=cap)
     if sigma2 is None:
         return None
     n_star = compose(sigma2, compose(zigzag_numbering(m), invert(c.sorting_permutation)))

@@ -37,7 +37,13 @@ from guesswork.ensembles import (
     generate_sic,
 )
 from guesswork.operators import pauli_vector, trace_norm
-from guesswork.qap import benevolent_solve, bloch_gram, cost_gram, is_benevolent
+from guesswork.qap import (
+    arrangement_solve,
+    benevolent_solve,
+    bloch_gram,
+    cost_gram,
+    is_benevolent,
+)
 
 
 def _passed(number: int, text: str) -> None:
@@ -97,11 +103,14 @@ def test_criterion_02_frozen_regression_values():
         c = identity_cost(e.size)
         oracle = oracle_min_guesswork(e, c)
         assert abs(oracle - frozen) <= 1e-9, name
-        for method in ("brute", "benevolent"):
-            report = min_guesswork_qubit(e, c, method=method)
-            assert abs(report.value - frozen) <= 1e-9, (name, method)
-    _passed(2, "trine/SIC/MUB values reproduced by the enumeration oracle and both "
-               "solver paths within 1e-9")
+        for solver, (_, objective) in [
+            ("exact", arrangement_solve(c, e.bloch)),
+            ("benevolent", benevolent_solve(c, bloch_gram(e))),
+        ]:
+            assert abs(c.mean - math.sqrt(objective) - frozen) <= 1e-9, (name, solver)
+        assert abs(min_guesswork_qubit(e, c).value - frozen) <= 1e-9, name
+    _passed(2, "trine/SIC/MUB values reproduced by the enumeration oracle, the exact "
+               "and benevolent solvers and the solve pipeline within 1e-9")
 
 
 def test_criterion_03_norm_identity():

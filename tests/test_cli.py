@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import oracle_min_guesswork
 from hypothesis import given, settings, strategies as st
 
 from guesswork import serialize
@@ -22,7 +23,7 @@ from guesswork.ensembles import (
     generate_sic,
     validate,
 )
-from guesswork.qap import DEFAULT_FACTORIAL_CAP
+from guesswork.qap import DEFAULT_FACTORIAL_CAP, arrangement_solve
 
 
 def run_cli(argv):
@@ -118,17 +119,17 @@ def test_generate_random_deterministic(tmp_path):
 
 
 def test_solve_trine_brute(tmp_path, capsys):
-    ensemble_path = write_ensemble(tmp_path / "trine.json", generate_polygon_antiprism(3))
+    # the reported value is the exact solver's maximum
+    e = generate_polygon_antiprism(3)
+    ensemble_path = write_ensemble(tmp_path / "trine.json", e)
     out = tmp_path / "report.json"
-    code = run_cli(
-        ["solve", "--ensemble", ensemble_path, "--cost", "identity", "--method", "brute", "--out", str(out)]
-    )
+    code = run_cli(["solve", "--ensemble", ensemble_path, "--cost", "identity", "--out", str(out)])
     assert code == 0
-    stdout = capsys.readouterr().out
-    assert "brute_force" in stdout
+    assert "condition verified   yes" in capsys.readouterr().out
     doc = json.loads(out.read_text())
+    _, objective = arrangement_solve(identity_cost(3), e.bloch)
+    assert doc["value"] == pytest.approx(2 - math.sqrt(objective), abs=1e-12)
     assert doc["value"] == pytest.approx(2 - 1 / math.sqrt(3), abs=1e-9)
-    assert doc["method"] == "brute_force"
     assert doc["condition_verified"] is True
 
 
@@ -162,10 +163,33 @@ def test_solve_accepts_bloch_form_ensemble(tmp_path):
 def test_solve_mub_auto_uses_benevolent(tmp_path):
     ensemble_path = write_ensemble(tmp_path / "mub.json", generate_polygon_antiprism(6, h=1 / math.sqrt(2)))
     out = tmp_path / "report.json"
-    assert run_cli(["solve", "--ensemble", ensemble_path, "--method", "auto", "--out", str(out)]) == 0
+    assert run_cli(["solve", "--ensemble", ensemble_path, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["method"] == "benevolent"
     assert doc["value"] == pytest.approx(3.5 - math.sqrt(35) / 6, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_solve_near_bound_antiprism_reports_the_exact_maximum(tmp_path, capsys, m):
+    # at h = bound (1 + 1e-9) the ensemble is benevolent within tolerance, but
+    # the zig-zag's objective lies about 1e-9 below the exact maximum
+    path = str(tmp_path / "antiprism.json")
+    argv = ["generate", "--family", "polygon_antiprism", "--m", str(m)]
+    assert run_cli(argv + ["--h", "0.7071067818936543", "--out", path]) == 0
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run_cli(["solve", "--ensemble", path, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "method               brute_force" in stdout
+    assert "condition verified   yes" in stdout
+    doc = json.loads(out.read_text())
+    e = serialize.ensemble_from_json(json.loads(Path(path).read_text()))
+    c = identity_cost(m)
+    _, objective = arrangement_solve(c, e.bloch)
+    assert doc["value"] == pytest.approx(c.mean - math.sqrt(objective), abs=1e-12)
+    assert doc["value"] == pytest.approx(oracle_min_guesswork(e, c), abs=1e-12)
+    if m == 4:
+        assert doc["value"] == pytest.approx(1.8545027753308652, abs=1e-12)
 
 
 def test_solve_rejects_unbalanced_cost(tmp_path, capsys):
@@ -175,14 +199,6 @@ def test_solve_rejects_unbalanced_cost(tmp_path, capsys):
     code = run_cli(["solve", "--ensemble", ensemble_path, "--cost", str(cost_path)])
     assert code == 2
     assert "not balanced" in capsys.readouterr().err
-
-
-def test_solve_forced_qubit_method_requires_uniform_prior(tmp_path, capsys):
-    skew = validate([np.diag([0.6, 0.0]), np.diag([0.0, 0.4])])
-    ensemble_path = write_ensemble(tmp_path / "skew.json", skew)
-    code = run_cli(["solve", "--ensemble", ensemble_path, "--method", "brute"])
-    assert code == 2
-    assert "uniform prior" in capsys.readouterr().err
 
 
 def test_solve_general_dim3_verified(tmp_path):
@@ -230,13 +246,12 @@ def test_solve_missing_file_is_input_error(tmp_path, capsys):
 
 
 def test_factorial_cap_env(tmp_path, capsys, monkeypatch):
-    e = generate_polygon_antiprism(4, h=0.2)  # benevolent, so auto still works
+    e = generate_polygon_antiprism(4, h=0.2)  # benevolent, so it solves above the cap
     ensemble_path = write_ensemble(tmp_path / "anti.json", e)
+    assert run_cli(["solve", "--ensemble", ensemble_path]) == 0
+    assert "condition verified   yes" in capsys.readouterr().out
     monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", "3")
-    code = run_cli(["solve", "--ensemble", ensemble_path, "--method", "brute"])
-    assert code == 2
-    assert "cap" in capsys.readouterr().err
-    assert run_cli(["solve", "--ensemble", ensemble_path, "--method", "auto"]) == 0
+    assert run_cli(["solve", "--ensemble", ensemble_path]) == 0
     stdout = capsys.readouterr().out
     assert "benevolent" in stdout
     assert "condition verified   no" in stdout
@@ -629,8 +644,6 @@ def test_cli_flags_end_in_an_exit_code(data):
             if cost in values:
                 cost_path.write_text(json.dumps({"values": values[cost]}))
             argv += ["--cost", "identity" if cost == "identity" else str(cost_path)]
-        if kind == "solve":
-            argv += ["--method", draw(st.sampled_from(["auto", "brute", "benevolent"]))]
         if kind == "simulate":
             samples = _mostly(st.integers(1, 2000) | st.integers(1, 2**64), st.integers(-1, 0))
             argv += ["--samples", str(draw(samples, label="samples"))]

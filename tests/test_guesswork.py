@@ -26,6 +26,7 @@ from guesswork.engine import (
     optimal_two_outcome_measurement,
     permute_problem,
     simulate,
+    solve,
     tracenorm_argmax,
 )
 from guesswork.ensembles import (
@@ -36,7 +37,7 @@ from guesswork.ensembles import (
     validate,
 )
 from guesswork.errors import FactorialCapError
-from guesswork.qap import arrangement_solve, bloch_gram, cost_gram
+from guesswork.qap import arrangement_solve, benevolent_solve, bloch_gram, cost_gram
 
 ORTHOGONAL_PAIR = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
 
@@ -204,21 +205,32 @@ def test_frozen_values_match_oracle(name):
     assert oracle_min_guesswork(e, c) == pytest.approx(FROZEN_VALUES[name], abs=1e-12)
 
 
-@pytest.mark.parametrize("method", ["auto", "brute", "benevolent"])
+# The optimal numbering from the solve pipeline, the exact solver and the closed form
+QUBIT_SOLVERS = {
+    "auto": lambda e, c: min_guesswork_qubit(e, c).optimal_numbering,
+    "brute": lambda e, c: arrangement_solve(c, e.bloch)[0],
+    "benevolent": lambda e, c: benevolent_solve(c, bloch_gram(e))[0],
+}
+
+
+@pytest.mark.parametrize("solver", ["auto", "brute", "benevolent"])
 @pytest.mark.parametrize("name", ["trine", "sic", "mub"])
-def test_min_guesswork_qubit_families(name, method):
+def test_min_guesswork_qubit_families(name, solver):
     e = ensembles_under_test()[name]
     c = identity_cost(e.size)
-    report = min_guesswork_qubit(e, c, method=method)
+    n_star = QUBIT_SOLVERS[solver](e, c)
+    assert condition_check(e, c, n_star)
+    measurement = optimal_two_outcome_measurement(e, c, n_star)
+    assert guesswork_value(e, c, measurement) == pytest.approx(FROZEN_VALUES[name], abs=1e-9)
+    report = min_guesswork_qubit(e, c)
     assert report.value == pytest.approx(FROZEN_VALUES[name], abs=1e-9)
     assert report.condition_verified
     assert report.value == pytest.approx(report.mean_cost - report.trace_norm_term, abs=1e-10)
-    if method != "auto":
-        assert report.method == {"brute": "brute_force", "benevolent": "benevolent"}[method]
+    assert report.method == "benevolent"
 
 
 def test_mub_optimal_numbering_pairs_antipodes():
-    report = min_guesswork_qubit(generate_mub(), identity_cost(6), method="benevolent")
+    report = solve(generate_mub(), identity_cost(6))
     n = report.optimal_numbering
     # positions (1,6), (2,5), (3,4) must carry antipodal state pairs
     for t in range(1, 4):
@@ -234,18 +246,14 @@ def test_min_guesswork_qubit_input_errors():
         min_guesswork_qubit(skew, identity_cost(2))
     with pytest.raises(ValueError, match="not balanced"):
         min_guesswork_qubit(generate_polygon_antiprism(3), cost_function([0.0, 1.0, 3.0]))
-    with pytest.raises(ValueError, match="unknown method"):
-        min_guesswork_qubit(generate_polygon_antiprism(3), identity_cost(3), method="magic")
     e = generate_random_uniform_prior(4, 2, seed=99)  # no benevolent structure
-    with pytest.raises(ValueError, match="no benevolent structure"):
-        min_guesswork_qubit(e, identity_cost(4), method="benevolent")
-    with pytest.raises(FactorialCapError):
-        min_guesswork_qubit(e, identity_cost(4), method="auto", cap=3)
+    with pytest.raises(FactorialCapError, match="no benevolent structure"):
+        min_guesswork_qubit(e, identity_cost(4), cap=3)
 
 
 def test_min_guesswork_qubit_benevolent_above_cap():
     # the fast path needs no enumeration, so it works above the cap
-    report = min_guesswork_qubit(generate_mub(), identity_cost(6), method="auto", cap=4)
+    report = min_guesswork_qubit(generate_mub(), identity_cost(6), cap=4)
     assert report.method == "benevolent"
     assert not report.condition_verified
     assert report.value == pytest.approx(FROZEN_VALUES["mub"], abs=1e-9)

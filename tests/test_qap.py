@@ -108,8 +108,9 @@ def test_brute_force_dominates_random_numberings():
 
 
 def test_brute_force_cap_refusal():
-    with pytest.raises(FactorialCapError, match="fast path"):
-        min_guesswork_qubit(generate_sic(), identity_cost(4), method="brute", cap=3)
+    e = generate_random_uniform_prior(4, 2, seed=99)  # no benevolent structure
+    with pytest.raises(FactorialCapError, match="enumeration cap 3"):
+        min_guesswork_qubit(e, identity_cost(4), cap=3)
 
 
 def test_square_gram_is_benevolent():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from guesswork import engine
 from guesswork.costs import cost_function, identity_cost
 from guesswork.engine import (
-    METHODS,
     condition_check,
     min_guesswork_general,
     min_guesswork_qubit,
@@ -21,7 +20,8 @@ from guesswork.ensembles import (
     generate_random_uniform_prior,
     validate,
 )
-from guesswork.errors import FactorialCapError, NumericalCheckError
+from guesswork.errors import FactorialCapError
+from guesswork.qap import benevolent_solve, bloch_gram
 
 ORTHONORMAL_TRIPLE = [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
 # Anti-prism heights as multiples of the bound; just above it the benevolence
@@ -42,28 +42,23 @@ def test_qubit_certificate_matches_condition_sweep(data):
     devs = data.draw(st.lists(st.integers(0, 3), min_size=m // 2, max_size=m // 2))
     values = [2 + d for d in devs] + [2 - d for d in devs] + [2] * (m % 2)
     c = cost_function(data.draw(st.permutations(values), label="values"))
-    method = data.draw(st.sampled_from(METHODS), label="method")
-    try:
-        report = min_guesswork_qubit(e, c, method=method)
-    except ValueError as exc:
-        assert method == "benevolent" and "no benevolent structure" in str(exc)
-        return
-    except NumericalCheckError:
-        # auto refuses a fast-path answer the enumeration contradicts
-        assert method == "auto"
-        return
-    assert report.condition_verified == condition_check(e, c, report.optimal_numbering)
+    report = min_guesswork_qubit(e, c)
+    # up to the cap the exact solver decides, so every answer is certified
+    assert report.condition_verified
+    assert condition_check(e, c, report.optimal_numbering)
 
 
 def test_qubit_certificate_fails_just_above_the_height_bound():
-    # benevolent within tolerance, yet the zig-zag misses the QAP maximum
+    # benevolent within tolerance, yet the zig-zag misses the maximum, so the
+    # exact solver's numbering is reported, and it is certified
     e = generate_polygon_antiprism(4, h=(1 + 1e-9) * antiprism_h_bound(4))
     c = identity_cost(4)
-    for method in ("auto", "benevolent"):
-        report = min_guesswork_qubit(e, c, method=method)
-        assert report.method == "benevolent"
-        assert not report.condition_verified
-        assert not condition_check(e, c, report.optimal_numbering)
+    zigzag, _ = benevolent_solve(c, bloch_gram(e))
+    assert not condition_check(e, c, zigzag)
+    report = min_guesswork_qubit(e, c)
+    assert report.method == "brute_force"
+    assert report.condition_verified
+    assert condition_check(e, c, report.optimal_numbering)
 
 
 def test_qubit_solve_runs_no_condition_sweep(monkeypatch):
@@ -71,12 +66,12 @@ def test_qubit_solve_runs_no_condition_sweep(monkeypatch):
         raise AssertionError("the qubit path swept the condition")
 
     monkeypatch.setattr(engine, "condition_check", refuse)
-    random6 = generate_random_uniform_prior(6, 2, seed=3)
-    for e, method in [(generate_mub(), m) for m in METHODS] + [
-        (random6, "auto"),
-        (random6, "brute"),
+    for e, method in [
+        (generate_mub(), "benevolent"),
+        (generate_random_uniform_prior(6, 2, seed=3), "brute_force"),
     ]:
-        report = solve(e, identity_cost(6), method=method)
+        report = solve(e, identity_cost(6))
+        assert report.method == method
         assert report.condition_verified and report.measurement is not None
 
 
@@ -131,13 +126,9 @@ def test_solve_above_cap_degrades_to_zigzag_bound():
 
 def test_solve_input_errors():
     e = generate_random_uniform_prior(4, 2, seed=99)
-    with pytest.raises(FactorialCapError):
-        solve(e, identity_cost(4), method="brute", cap=3)
+    with pytest.raises(FactorialCapError):  # solve degrades this to the zig-zag bound
+        min_guesswork_qubit(e, identity_cost(4), cap=3)
     with pytest.raises(ValueError, match="not balanced"):
         solve(generate_random_uniform_prior(3, 3, seed=1), cost_function([0.0, 1.0, 3.0]))
     with pytest.raises(ValueError, match="3 values but the ensemble has 4"):
         solve(e, identity_cost(3))
-    with pytest.raises(ValueError, match="unknown method"):
-        solve(e, identity_cost(4), method="magic")
-    with pytest.raises(ValueError, match="dim = 2"):
-        solve(generate_random_uniform_prior(3, 3, seed=1), identity_cost(3), method="brute")

@@ -35,7 +35,6 @@ from guesswork.engine import (
     _effective_operator_batch,
     condition_check,
     effective_operator,
-    min_guesswork_qubit,
     solve,
     tracenorm_argmax,
 )
@@ -584,10 +583,10 @@ def test_m9_qubit_solves_do_not_sweep(monkeypatch):
     monkeypatch.setattr(engine, "numbering_blocks", refuse)
     polygon, rand = generate_polygon_antiprism(9), generate_random_uniform_prior(9, 2, 1)
     c = identity_cost(9)
-    assert solve(polygon, c).method == "benevolent"
-    assert solve(rand, c).method == "brute_force"
-    assert min_guesswork_qubit(rand, c, method="brute").condition_verified
-    assert min_guesswork_qubit(polygon, c, method="benevolent").condition_verified
+    for e, method in [(polygon, "benevolent"), (rand, "brute_force")]:
+        report = solve(e, c)
+        assert report.method == method
+        assert report.condition_verified
 
 
 def test_condition_check_above_cap_raises_before_refuting():

@@ -446,8 +446,8 @@ def tracenorm_argmax(
             g = 2 * (np.asarray(c.values) - c.mean)
             largest = max(trace_norm(s) for s in e.states)
             window += 2 * float(np.abs(g + g[sigma]).sum()) * largest
-            # n(t) is the column of t in the row n^-1
-            blocks = (u[(u == t0).argmax(axis=1) < (u == t1).argmax(axis=1)] for u in blocks)
+            # n(t) is the column of t in the row n^-1, so t0 comes first iff n(t0) < n(t1)
+            blocks = numbering_blocks(e.size, (t0, t1))
         else:
             sigma = None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import EIGEN_TOL, from_bloch, pauli_vector, require_hermitian
+from .operators import EIGEN_TOL, HERMITICITY_TOL, from_bloch, pauli_vector, require_hermitian
 
 TRACE_TOL = 1e-10
 
@@ -44,25 +44,39 @@ class Ensemble:
 
 
 def validate(raw_states) -> Ensemble:
-    """Check PSD and total-trace invariants and build the cached Ensemble."""
+    """Check PSD and total-trace invariants and build the cached Ensemble.
+
+    Each check runs once over the stacked states.  An error names the first
+    failing state and its first failing check (shape, finite, Hermitian,
+    dimension, PSD); the total-trace check comes last.
+    """
     if len(raw_states) == 0:
         raise ValueError("ensemble must contain at least one state")
-    states = []
-    dim = None
-    for index, raw in enumerate(raw_states):
-        mat = require_hermitian(raw, name=f"state {index}")
-        if dim is None:
-            dim = mat.shape[0]
-        elif mat.shape[0] != dim:
-            raise ValueError(
-                f"mixed dimensions: state {index} is {mat.shape[0]}x{mat.shape[0]}, expected {dim}"
-            )
-        low = float(np.linalg.eigvalsh(mat)[0])
-        if low < -EIGEN_TOL:
-            raise ValueError(f"state {index} is not PSD (min eigenvalue {low:.3e})")
-        mat.setflags(write=False)
-        states.append(mat)
-    prior = np.array([float(np.trace(s).real) for s in states])
+    dim = require_hermitian(raw_states[0], name="state 0").shape[0]  # state 0 fixes the shape
+    mats = []
+    for raw in raw_states:  # the batch ends at a state that fails to convert or has another shape
+        try:
+            mat = np.asarray(raw, dtype=complex)
+        except (ArithmeticError, TypeError, ValueError):
+            break
+        if mat.shape != (dim, dim):
+            break
+        mats.append(mat)
+    stack = np.stack(mats)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):  # non-finite entries give NaN or inf deviations
+        valid = np.abs(stack - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOL
+    count = int(valid.argmin()) if not valid.all() else len(mats)
+    states = (stack[:count] + adjoint[:count]) / 2
+    low = np.linalg.eigvalsh(states)[:, 0]
+    index = int(np.argmax(low < -EIGEN_TOL))
+    if low[index] < -EIGEN_TOL:
+        raise ValueError(f"state {index} is not PSD (min eigenvalue {low[index]:.3e})")
+    if count < len(raw_states):  # the first state that is not a valid dim x dim matrix
+        other = require_hermitian(raw_states[count], name=f"state {count}").shape[0]
+        raise ValueError(f"mixed dimensions: state {count} is {other}x{other}, expected {dim}")
+    states.setflags(write=False)
+    prior = np.ascontiguousarray(np.trace(states, axis1=1, axis2=2).real)
     total = float(prior.sum())
     if abs(total - 1.0) > TRACE_TOL:
         raise ValueError(f"total trace is {total!r}, must be 1 within {TRACE_TOL:.1e}")
@@ -71,7 +85,8 @@ def validate(raw_states) -> Ensemble:
     prior.setflags(write=False)
     bloch = None
     if dim == 2:
-        bloch = np.stack([pauli_vector(s) for s in states])
+        a01, a10, a00, a11 = states[:, 0, 1], states[:, 1, 0], states[:, 0, 0], states[:, 1, 1]
+        bloch = np.stack([(a01 + a10).real, (a10 - a01).imag, (a00 - a11).real], axis=1)
         bloch.setflags(write=False)
     return Ensemble(
         dim=dim, states=tuple(states), prior=prior, average_state=average, bloch=bloch
@@ -110,6 +125,8 @@ def generate_polygon_antiprism(m: int, h: float = 0.0, lam: float | str = "pure"
     """
     if m < 2:
         raise ValueError("m must be >= 2")
+    if not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h}")
     if h < 0:
         raise ValueError("h must be >= 0")
     if m % 2 == 1 and h > 0:
@@ -121,7 +138,7 @@ def generate_polygon_antiprism(m: int, h: float = 0.0, lam: float | str = "pure"
         scale = 1.0 / (m * slant)
     else:
         scale = float(lam)
-        if scale <= 0:
+        if not scale > 0:  # NaN included
             raise ValueError("lambda must be positive or the string 'pure'")
         if scale * slant > 1.0 / m + 1e-12:
             raise ValueError(

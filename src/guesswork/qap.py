@@ -82,9 +82,19 @@ def bloch_gram(e: Ensemble) -> np.ndarray:
     return e.bloch @ e.bloch.T
 
 
+def _in_order(rows: np.ndarray, order: tuple[int, int]) -> np.ndarray:
+    """The rows in which the entry order[0] comes before the entry order[1]."""
+    return rows[(rows == order[0]).argmax(axis=1) < (rows == order[1]).argmax(axis=1)]
+
+
 @functools.lru_cache(maxsize=None)
-def _permutation_table(k: int) -> np.ndarray:
-    """All permutations of range(k) in lexicographic order, as a read-only int8 table."""
+def _permutation_table(k: int, order: tuple[int, int] | None = None) -> np.ndarray:
+    """All permutations of range(k) in lexicographic order, as a read-only int8
+    table; with ``order``, only the rows that :func:`_in_order` keeps."""
+    if order is not None:
+        table = _in_order(_permutation_table(k), order)
+        table.setflags(write=False)
+        return table
     table = np.zeros((1, 0), dtype=np.int8)
     for size in range(1, k + 1):
         # rows led by each first entry in turn, then the shorter table relabelled around it
@@ -95,23 +105,24 @@ def _permutation_table(k: int) -> np.ndarray:
     return table
 
 
-def numbering_blocks(m: int):
+def numbering_blocks(m: int, order: tuple[int, int] | None = None):
     """Every permutation of range(m), in ``itertools.permutations`` order, in blocks.
 
     Each block is an integer array with one permutation per row: those that
-    share their first m - 8 entries.  When m <= 8 the one block is the cached
-    read-only table itself.
+    share their first m - 8 entries.  With ``order``, each block keeps only
+    the rows that :func:`_in_order` keeps.  When m <= 8 the one block is a
+    cached read-only table.
     """
     tail = min(m, _TABLE_POSITIONS)
     table = _permutation_table(tail)
     if m == tail:
-        yield table
+        yield table if order is None else _permutation_table(m, order)
         return
     for prefix in itertools.permutations(range(m), m - tail):
         block = np.empty((len(table), m), dtype=np.intp)
         block[:, : m - tail] = prefix
         block[:, m - tail :] = np.array([x for x in range(m) if x not in prefix])[table]
-        yield block
+        yield block if order is None else _in_order(block, order)
 
 
 def _scores(g: np.ndarray, bloch: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -335,34 +346,21 @@ def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
     m = mat.shape[0]
 
     symmetric = float(np.max(np.abs(mat - mat.T))) <= tol
-    toeplitz = True
-    for offset in range(-(m - 1), m):
-        diag = np.diagonal(mat, offset)
-        if diag.size > 1 and float(np.max(np.abs(diag - diag[0]))) > tol:
-            toeplitz = False
-            break
+    # every entry against the head of its diagonal: mat[0, k] above, mat[k, 0] below
+    offset = np.subtract.outer(np.arange(m), np.arange(m))
+    heads = mat[np.maximum(offset, 0), np.maximum(-offset, 0)]
+    toeplitz = float(np.max(np.abs(mat - heads))) <= tol
 
     column = mat[:, 0]
     half = m // 2
-    property1 = True
-    property2 = True
-    failing = None
-    for step in range(1, half):
-        if column[step + 1] < column[step] - tol:
-            property1 = False
-            failing = step
-            break
-    for step in range(1, half + 1):
-        if column[m - step] < column[step] - tol:
-            property2 = False
-            if failing is None:
-                failing = step
-            break
+    drops = np.flatnonzero(column[2 : half + 1] < column[1:half] - tol) + 1
+    crossings = np.flatnonzero(column[::-1][:half] < column[1 : half + 1] - tol) + 1
+    failing = [int(steps[0]) for steps in (drops, crossings) if len(steps)]
     return BenevolenceReport(
         is_symmetric_toeplitz=bool(symmetric and toeplitz),
-        property1_ok=property1,
-        property2_ok=property2,
-        failing_index=failing,
+        property1_ok=not len(drops),
+        property2_ok=not len(crossings),
+        failing_index=failing[0] if failing else None,
     )
 
 

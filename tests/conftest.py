@@ -10,7 +10,83 @@ import numpy as np
 from guesswork import cost_function
 from guesswork.costs import invert
 from guesswork.engine import NumberingMeasurement
-from guesswork.operators import spectral_parts
+from guesswork.ensembles import TRACE_TOL, Ensemble
+from guesswork.operators import EIGEN_TOL, pauli_vector, require_hermitian, spectral_parts
+from guesswork.qap import BENEVOLENCE_TOL, BenevolenceReport
+
+
+def reference_validate(raw_states) -> Ensemble:
+    """The per-state validation loop that ``ensembles.validate`` batched.
+
+    Each state in turn: square shape, finite entries, Hermiticity, the
+    dimension of state 0, then PSD; the total trace after the loop.
+    """
+    if len(raw_states) == 0:
+        raise ValueError("ensemble must contain at least one state")
+    states = []
+    dim = None
+    for index, raw in enumerate(raw_states):
+        mat = require_hermitian(raw, name=f"state {index}")
+        if dim is None:
+            dim = mat.shape[0]
+        elif mat.shape[0] != dim:
+            raise ValueError(
+                f"mixed dimensions: state {index} is {mat.shape[0]}x{mat.shape[0]}, expected {dim}"
+            )
+        low = float(np.linalg.eigvalsh(mat)[0])
+        if low < -EIGEN_TOL:
+            raise ValueError(f"state {index} is not PSD (min eigenvalue {low:.3e})")
+        mat.setflags(write=False)
+        states.append(mat)
+    prior = np.array([float(np.trace(s).real) for s in states])
+    total = float(prior.sum())
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValueError(f"total trace is {total!r}, must be 1 within {TRACE_TOL:.1e}")
+    average = sum(states) / len(states)
+    average.setflags(write=False)
+    prior.setflags(write=False)
+    bloch = None
+    if dim == 2:
+        bloch = np.stack([pauli_vector(s) for s in states])
+        bloch.setflags(write=False)
+    return Ensemble(
+        dim=dim, states=tuple(states), prior=prior, average_state=average, bloch=bloch
+    )
+
+
+def reference_is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
+    """The loop form of ``qap.is_benevolent``: one pass per diagonal for the
+    Toeplitz test and one step at a time along the first column."""
+    mat = np.asarray(a, dtype=float)
+    m = mat.shape[0]
+    symmetric = float(np.max(np.abs(mat - mat.T))) <= tol
+    toeplitz = True
+    for offset in range(-(m - 1), m):
+        diag = np.diagonal(mat, offset)
+        if diag.size > 1 and float(np.max(np.abs(diag - diag[0]))) > tol:
+            toeplitz = False
+            break
+    column = mat[:, 0]
+    half = m // 2
+    property1 = property2 = True
+    failing = None
+    for step in range(1, half):
+        if column[step + 1] < column[step] - tol:
+            property1 = False
+            failing = step
+            break
+    for step in range(1, half + 1):
+        if column[m - step] < column[step] - tol:
+            property2 = False
+            if failing is None:
+                failing = step
+            break
+    return BenevolenceReport(
+        is_symmetric_toeplitz=bool(symmetric and toeplitz),
+        property1_ok=property1,
+        property2_ok=property2,
+        failing_index=failing,
+    )
 
 
 def oracle_min_guesswork(e, c) -> float:

@@ -83,6 +83,18 @@ def test_generate_rejects_odd_m_with_height(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("h", ["inf", "nan"])
+def test_generate_names_a_height_that_is_not_finite(tmp_path, capsys, h):
+    out = tmp_path / "bad.json"
+    argv = ["generate", "--family", "polygon_antiprism", "--m", "4", "--h", h, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning before the refusal
+        assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: h must be finite, got {float(h)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, expected",
     [

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conftest import reference_validate
+from hypothesis import given, settings, strategies as st
 
 from guesswork.ensembles import (
     antiprism_h_bound,
@@ -47,6 +50,108 @@ def test_validate_rejects_mixed_dims():
 def test_validate_rejects_empty():
     with pytest.raises(ValueError):
         validate([])
+
+
+def test_validate_defers_a_late_conversion_error():
+    # a state that cannot be converted does not hide an earlier fault
+    with pytest.raises(ValueError, match="state 0 is not PSD"):
+        validate([np.diag([0.6, -0.1]), "not a matrix"])
+    with pytest.raises(ValueError, match="malformed string"):
+        validate([np.diag([0.5, 0.5]), "not a matrix"])
+
+
+# --- the batched validation against the per-state loop ----------------------------
+
+
+def _outcome(check, raw_states):
+    """Every field of the Ensemble as bytes, or the exception's type and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = check(raw_states)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = [*e.states, e.prior, e.average_state] + ([] if e.bloch is None else [e.bloch])
+    return e.dim, e.bloch is None, [
+        (a.dtype, a.shape, a.tobytes(), a.flags.writeable) for a in arrays
+    ]
+
+
+@st.composite
+def valid_states(draw):
+    """M = 1..8 PSD states of dimension 1..4 whose traces sum to 1, as arrays
+    or nested lists; qubits are often built from Bloch vectors with exact and
+    signed zeros, and some states are rank-deficient."""
+    dim, m = draw(st.integers(1, 4), label="dim"), draw(st.integers(1, 8), label="M")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    prior = rng.dirichlet(np.ones(m))
+    states = []
+    for weight in prior:
+        if dim == 2 and draw(st.booleans(), label="from Bloch"):
+            parts = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 0.1])
+            v = np.array([draw(parts) for _ in range(3)])
+            states.append(from_bloch(weight, weight * v / max(1.0, float(np.linalg.norm(v)))))
+            continue
+        rank = draw(st.integers(1, dim), label="rank")
+        g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        w = g @ g.conj().T
+        states.append(weight * w / np.trace(w).real)
+    if draw(st.booleans(), label="as lists"):
+        return [s.tolist() for s in states]
+    return states
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_states())
+def test_validate_matches_the_per_state_loop_on_valid_ensembles(raw_states):
+    want = _outcome(reference_validate, raw_states)
+    assert not isinstance(want[0], type), want
+    assert _outcome(validate, raw_states) == want
+
+
+FAULTS = ["non-square", "vector", "mixed", "mixed non-finite", "nan", "inf",
+          "non-Hermitian", "non-PSD"]
+
+
+def _corrupt(draw, state, fault):
+    """The valid state ``state`` with one fault."""
+    dim = state.shape[0]
+    state = state.copy()
+    if fault == "non-square":
+        return np.zeros((dim, dim + 1))
+    if fault == "vector":
+        return np.zeros(dim)
+    if fault == "mixed":
+        return np.eye(dim + 1) * np.trace(state).real / (dim + 1)
+    if fault == "mixed non-finite":
+        state = np.eye(dim + 1)
+        state[0, 0] = math.nan
+        return state
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    if fault in ("nan", "inf"):
+        state[i, j] = complex(math.nan if fault == "nan" else -math.inf, 0.0)
+    elif fault == "non-Hermitian":
+        # around HERMITICITY_TOL = 1e-12 as well as far beyond it
+        step = draw(st.sampled_from([5e-13, 9e-13, 1e-12, 1.1e-12, 1e-6]))
+        state[i, j] += step * 1j if i == j else step
+    else:
+        # around EIGEN_TOL = 1e-10 as well as far beyond it
+        state -= draw(st.sampled_from([5e-11, 1e-10, 2e-10, 0.3])) * np.eye(dim)
+    return state
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_validate_matches_the_per_state_loop_on_corrupted_ensembles(data):
+    states = [np.array(s, dtype=complex) for s in data.draw(valid_states())]
+    if data.draw(st.booleans(), label="bad total trace"):
+        scale = data.draw(st.sampled_from([1 + 5e-11, 1 + 2e-10, 2.0, 0.0]))
+        states = [s * scale for s in states]
+    positions = st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=3, unique=True)
+    for index in data.draw(positions, label="positions"):
+        fault = data.draw(st.sampled_from(FAULTS), label=f"fault at {index}")
+        states[index] = _corrupt(data.draw, states[index], fault)
+    assert _outcome(validate, states) == _outcome(reference_validate, states)
 
 
 def test_trine_geometry():
@@ -120,6 +225,19 @@ def test_h_bound_infinite_for_antipodal_pair():
 def test_polygon_rejects_odd_m_with_height():
     with pytest.raises(ValueError, match="bound is 0 for odd M"):
         generate_polygon_antiprism(5, h=0.1)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, -math.inf])
+def test_polygon_rejects_a_height_that_is_not_finite(h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h must be finite"):
+            generate_polygon_antiprism(4, h=h)
+
+
+def test_polygon_rejects_nan_lambda():
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        generate_polygon_antiprism(4, lam=math.nan)
 
 
 def test_polygon_rejects_oversized_lambda():

@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import double_sum, oracle_qap_max, random_numbering, reference_brute_force
+from conftest import (
+    double_sum,
+    oracle_qap_max,
+    random_numbering,
+    reference_brute_force,
+    reference_is_benevolent,
+)
+from guesswork import qap
 from guesswork.costs import cost_function, identity_cost
 from guesswork.engine import effective_operator, min_guesswork_qubit
 from guesswork.ensembles import (
@@ -166,6 +173,58 @@ def test_find_benevolent_round_trip():
         sigma = find_benevolent_permutation(scrambled)
         assert sigma is not None
         assert is_benevolent(conjugate(scrambled, sigma)).is_benevolent
+
+
+def _near_toeplitz(rng, m, tol):
+    """A symmetric Toeplitz matrix on a grid of tol, with a few entries (and
+    their mirrors, mostly) moved to tol from the head of their diagonal and
+    then one ulp either way, so both the Toeplitz test and the column
+    properties meet equalities at tol."""
+    mat = toeplitz_from_column(rng.integers(-3, 4, size=m) * tol)
+    for _ in range(rng.integers(0, 4)):
+        i, j = rng.integers(0, m, size=2)
+        head = mat[max(i - j, 0), max(j - i, 0)]
+        value = head + rng.choice([-1.0, 1.0]) * tol
+        value = [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)][rng.integers(3)]
+        mat[i, j] = value
+        if rng.random() < 0.8:
+            mat[j, i] = value
+    return mat
+
+
+@pytest.mark.parametrize("tol", [2.0**-10, qap.BENEVOLENCE_TOL, 0.3])
+def test_is_benevolent_matches_the_per_diagonal_loop(tol):
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(1500):
+        mat = _near_toeplitz(rng, int(rng.integers(1, 10)), tol)
+        report = is_benevolent(mat, tol)
+        assert report == reference_is_benevolent(mat, tol), mat
+        verdicts.add((report.is_symmetric_toeplitz, report.is_benevolent, report.failing_index))
+    # the draws reach every branch
+    assert {v[:2] for v in verdicts} == {(False, False), (True, False), (True, True)}
+    assert {v[2] for v in verdicts} >= {None, 1, 2}
+
+
+def _gram_cases():
+    rng = np.random.default_rng(5)
+    for m in range(2, 13):
+        bound = antiprism_h_bound(m)
+        heights = [0.0] if m % 2 else [0.0, bound / 2, bound, bound * (1 + 1e-9), bound + 0.05]
+        for h in heights if np.isfinite(bound) else [0.0, 0.5]:
+            gram = -bloch_gram(generate_polygon_antiprism(m, h=h))
+            yield gram
+            yield conjugate(gram, random_numbering(rng, m))
+        yield -bloch_gram(generate_random_uniform_prior(m, 2, seed=m))
+
+
+def test_find_benevolent_permutation_matches_the_loop_oracle(monkeypatch):
+    cases = list(_gram_cases())
+    found = [find_benevolent_permutation(gram) for gram in cases]
+    monkeypatch.setattr(qap, "is_benevolent", reference_is_benevolent)
+    assert [find_benevolent_permutation(gram) for gram in cases] == found
+    assert any(sigma is None for sigma in found)
+    assert sum(sigma is not None for sigma in found) > len(found) // 2
 
 
 def test_find_benevolent_absent_for_distinct_rows():

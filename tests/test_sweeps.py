@@ -604,6 +604,22 @@ def test_numbering_blocks_follow_itertools_order(m):
     assert [tuple(row) for row in rows.tolist()] == list(itertools.permutations(range(m)))
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_ordered_numbering_blocks_keep_the_rows_in_that_order(m):
+    first, second = (m - 1, 0) if m % 2 else (0, m - 1)
+    rows = np.concatenate(list(numbering_blocks(m, (first, second))))
+    assert [tuple(row) for row in rows.tolist()] == [
+        p for p in itertools.permutations(range(m)) if p.index(first) < p.index(second)
+    ]
+
+
+def test_ordered_table_is_cached_and_read_only():
+    (block,) = numbering_blocks(8, (3, 5))
+    (again,) = numbering_blocks(8, (3, 5))
+    assert block is again and not block.flags.writeable
+    assert len(block) == math.factorial(8) // 2
+
+
 def test_numbering_blocks_m10_shape_and_ends():
     blocks = list(numbering_blocks(10))
     assert len(blocks) == 90

@@ -12,6 +12,7 @@ verified no".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -192,9 +193,7 @@ def cmd_simulate(args) -> int:
     if report.measurement is None:
         print("no verified optimal measurement; nothing to simulate")
         return 3
-    estimate, std_error = simulate(
-        ensemble, cost, report.measurement, args.samples, args.seed, tol=args.tol
-    )
+    estimate, std_error = simulate(ensemble, cost, report.measurement, args.samples, args.seed)
     gap = estimate - report.value
     if math.isnan(std_error):
         z = None
@@ -221,6 +220,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guesswork",
@@ -267,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--samples", type=int, default=100000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="tolerance of the optimality condition and the PSD check",
+        "--tol", type=float, default=1e-10, help="tolerance of the optimality condition"
     )
     sim.add_argument("--out", help="write the estimate JSON here")
     sim.set_defaults(func=cmd_simulate)

@@ -14,6 +14,7 @@ what allows the optimal measurement to use only two outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +63,9 @@ def invert(n) -> Numbering:
 
 @dataclass(frozen=True)
 class CostFunction:
-    """A real cost vector over guess positions {1..M} with cached structure.
+    """A real cost vector over guess positions {1..M}, and what derives from it.
 
+    ``mean`` and the permutations are computed from ``values`` on first use.
     ``balancing_permutation`` is a certificate sigma with
     gamma(sigma^-1(t)) = 2*mean - gamma(t) for every t, or None when gamma is
     not balanced.  ``sorting_permutation`` is a stable sigma_1 such that
@@ -71,13 +73,22 @@ class CostFunction:
     """
 
     values: tuple[float, ...]
-    mean: float
-    balancing_permutation: Numbering | None
-    sorting_permutation: Numbering
 
     @property
     def size(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def mean(self) -> float:
+        return float(np.asarray(self.values).mean())
+
+    @cached_property
+    def balancing_permutation(self) -> Numbering | None:
+        return balance_certificate(self.values)
+
+    @cached_property
+    def sorting_permutation(self) -> Numbering:
+        return tuple(int(i) + 1 for i in np.argsort(np.asarray(self.values), kind="stable"))
 
     @property
     def is_balanced(self) -> bool:
@@ -111,7 +122,7 @@ def balance_certificate(values) -> Numbering | None:
 
 
 def cost_function(values) -> CostFunction:
-    """Build a cost function, computing its mean and permutation caches."""
+    """Build a cost function from finite values with finite mean and 2 (gamma - mean)."""
     gamma = tuple(float(x) for x in values)
     if len(gamma) < 1:
         raise ValueError("cost function must have at least one value")
@@ -125,13 +136,7 @@ def cost_function(values) -> CostFunction:
         raise ValueError(
             "cost values overflow: their mean or 2 (gamma - mean) is not a finite double"
         )
-    sorting = tuple(int(i) + 1 for i in np.argsort(arr, kind="stable"))
-    return CostFunction(
-        values=gamma,
-        mean=float(mean),
-        balancing_permutation=balance_certificate(gamma),
-        sorting_permutation=sorting,
-    )
+    return CostFunction(values=gamma)
 
 
 def identity_cost(m: int) -> CostFunction:

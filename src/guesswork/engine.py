@@ -65,8 +65,8 @@ class NumberingMeasurement:
     dim: int
     elements: dict[Numbering, np.ndarray]
 
-    def validated(self, tol: float = EIGEN_TOL) -> "NumberingMeasurement":
-        """Raise unless every element is PSD and the elements sum to the identity."""
+    def validated(self) -> "NumberingMeasurement":
+        """Raise unless the elements are PSD and sum to the identity, within EIGEN_TOL."""
         if not self.elements:
             raise ValueError("measurement has no elements")
         total = np.zeros((self.dim, self.dim), dtype=complex)
@@ -81,13 +81,13 @@ class NumberingMeasurement:
                 size = len(numbering)
             require_numbering(numbering, size=size)
             low = float(np.linalg.eigvalsh(mat)[0])
-            if low < -tol:
+            if low < -EIGEN_TOL:
                 raise ValueError(
                     f"element {numbering} is not PSD (min eigenvalue {low:.3e})"
                 )
             total += mat
         gap = float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(self.dim)))))
-        if gap > tol:
+        if gap > EIGEN_TOL:
             raise ValueError(f"elements do not sum to the identity (gap {gap:.3e})")
         return self
 
@@ -205,9 +205,8 @@ def _effective_operator_batch(
     e: Ensemble, c: CostFunction, block: np.ndarray
 ) -> np.ndarray:
     """Exact E(n) for each row of 0-based numberings, from the gathered states."""
-    states = np.stack(e.states)
     coefficients = np.asarray(c.values) - c.mean
-    return 2 * np.einsum("t,ktij->kij", coefficients, states[block])
+    return 2 * np.einsum("t,ktij->kij", coefficients, e.states[block])
 
 
 def _screened_operators(e: Ensemble, c: CostFunction, inverses: np.ndarray) -> np.ndarray:
@@ -218,7 +217,7 @@ def _screened_operators(e: Ensemble, c: CostFunction, inverses: np.ndarray) -> n
     doubles, so the product stays real.
     """
     weights = (2 * (np.asarray(c.values) - c.mean))[inverses]
-    states = np.stack(e.states).reshape(e.size, -1).view(float)
+    states = e.states.reshape(e.size, -1).view(float)
     return (weights @ states).view(complex).reshape(-1, e.dim, e.dim)
 
 
@@ -340,12 +339,11 @@ def _refuted(
     batch of E(n); if it holds, psi moves to the lowest eigenvector of
     |E(n*)| - E(n), for at most four steps.
     """
-    states = np.stack(e.states)
     positions = np.argsort(np.asarray(c.values), kind="stable")
     numbering = np.empty((1, e.size), dtype=np.intp)
     for psi in np.linalg.eigh(e_star)[1].T:
         for _ in range(4):
-            overlaps = np.einsum("i,kij,j->k", psi.conj(), states, psi).real
+            overlaps = np.einsum("i,kij,j->k", psi.conj(), e.states, psi).real
             numbering[0, positions] = np.argsort(overlaps, kind="stable")
             difference = magnitude - _effective_operator_batch(e, c, numbering)
             if np.linalg.eigvalsh(difference)[0, 0] < -tol:
@@ -608,12 +606,7 @@ def permute_problem(
 
 
 def simulate(
-    e: Ensemble,
-    c: CostFunction,
-    m: NumberingMeasurement,
-    samples: int,
-    seed: int,
-    tol: float = EIGEN_TOL,
+    e: Ensemble, c: CostFunction, m: NumberingMeasurement, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the guesswork of measurement ``m``.
 
@@ -628,7 +621,7 @@ def simulate(
     Returns (sample mean, standard error); the standard error is NaN for a
     single sample.  Fully deterministic for a fixed seed.
     """
-    m.validated(tol)
+    m.validated()
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > 2**53:
@@ -640,7 +633,7 @@ def simulate(
     prior = prior / prior.sum()
     # joint[j, label] = Tr[pi_j rho(label)]; tiny negatives are numerical noise
     elements = np.stack(list(m.elements.values()))
-    joint = np.clip(np.einsum("jab,lba->jl", elements, np.stack(e.states)).real, 0.0, None)
+    joint = np.clip(np.einsum("jab,lba->jl", elements, e.states).real, 0.0, None)
     # a zero column belongs to a zero-trace state, which is never drawn
     column_totals = joint.sum(axis=0, keepdims=True)
     cells = prior * (joint / np.where(column_totals > 0, column_totals, 1.0))

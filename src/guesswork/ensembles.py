@@ -27,13 +27,14 @@ TRACE_TOL = 1e-10
 class Ensemble:
     """Validated ensemble with cached prior, average state and Bloch vectors.
 
-    ``prior[m-1] = Tr[rho(m)]``; ``average_state`` is the arithmetic mean of
-    the stored (subnormalized) states; ``bloch`` stacks the Pauli vectors of
-    the states and is present only for dim = 2.
+    ``states`` is a read-only (M, d, d) array; ``prior[m-1] = Tr[rho(m)]``;
+    ``average_state`` is the arithmetic mean of the stored (subnormalized)
+    states; ``bloch`` stacks the Pauli vectors of the states and is present
+    only for dim = 2.
     """
 
     dim: int
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     prior: np.ndarray
     average_state: np.ndarray
     bloch: np.ndarray | None
@@ -88,9 +89,7 @@ def validate(raw_states) -> Ensemble:
         a01, a10, a00, a11 = states[:, 0, 1], states[:, 1, 0], states[:, 0, 0], states[:, 1, 1]
         bloch = np.stack([(a01 + a10).real, (a10 - a01).imag, (a00 - a11).real], axis=1)
         bloch.setflags(write=False)
-    return Ensemble(
-        dim=dim, states=tuple(states), prior=prior, average_state=average, bloch=bloch
-    )
+    return Ensemble(dim=dim, states=states, prior=prior, average_state=average, bloch=bloch)
 
 
 def antiprism_h_bound(m: int) -> float:

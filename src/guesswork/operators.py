@@ -76,14 +76,12 @@ def from_bloch(trace: float, v) -> np.ndarray:
     return mat / 2
 
 
-def spectral_parts(a, tol: float = EIGEN_TOL) -> SpectralParts:
+def spectral_parts(a) -> SpectralParts:
     """Split a Hermitian operator into negative / null / positive eigenspaces.
 
-    Eigenvalues with |lambda| <= tol are classified as null.  Only projectors
-    are exposed, so degenerate eigenvalues are harmless.
+    Eigenvalues with |lambda| <= EIGEN_TOL are classified as null.  Only
+    projectors are exposed, so degenerate eigenvalues are harmless.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mat = require_hermitian(a)
     dim = mat.shape[0]
     eigenvalues, vectors = np.linalg.eigh(mat)
@@ -94,9 +92,9 @@ def spectral_parts(a, tol: float = EIGEN_TOL) -> SpectralParts:
         sub = vectors[:, mask]
         return sub @ sub.conj().T
 
-    null_mask = np.abs(eigenvalues) <= tol
-    negative_mask = (eigenvalues < -tol) & ~null_mask
-    positive_mask = (eigenvalues > tol) & ~null_mask
+    null_mask = np.abs(eigenvalues) <= EIGEN_TOL
+    negative_mask = (eigenvalues < -EIGEN_TOL) & ~null_mask
+    positive_mask = (eigenvalues > EIGEN_TOL) & ~null_mask
     return SpectralParts(
         negative_projector=projector(negative_mask),
         null_projector=projector(null_mask),
@@ -117,9 +115,7 @@ def abs_operator(a) -> np.ndarray:
     return (vectors * np.abs(eigenvalues)) @ vectors.conj().T
 
 
-def is_psd(a, tol: float = EIGEN_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+def is_psd(a) -> bool:
+    """True iff the smallest eigenvalue is >= -EIGEN_TOL."""
     mat = require_hermitian(a)
-    return bool(np.linalg.eigvalsh(mat)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(mat)[0] >= -EIGEN_TOL)

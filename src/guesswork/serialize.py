@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .costs import CostFunction, cost_function, identity_cost
+from .costs import CostFunction, cost_function, identity_cost, require_numbering
 from .engine import GuessworkReport, NumberingMeasurement
 from .ensembles import Ensemble, validate
 from .operators import from_bloch
@@ -149,11 +149,15 @@ def measurement_to_json(m: NumberingMeasurement) -> dict:
 
 
 def measurement_from_json(doc: dict, dim: int) -> NumberingMeasurement:
-    if "elements" not in doc:
+    if not isinstance(doc, dict) or "elements" not in doc:
         raise ValueError("measurement JSON requires 'elements'")
     elements = {}
-    for item in doc["elements"]:
-        numbering = tuple(int(x) for x in item["numbering"])
+    for index, item in enumerate(_list(doc["elements"], "'elements'")):
+        field = f"measurement element {index}"
+        if not isinstance(item, dict) or "numbering" not in item or "matrix" not in item:
+            raise ValueError(f"{field} requires 'numbering' and 'matrix'")
+        entries = _list(item["numbering"], f"{field} 'numbering'")
+        numbering = require_numbering([_integer(x, f"{field} 'numbering' entry") for x in entries])
         elements[numbering] = matrix_from_json(item["matrix"])
     return NumberingMeasurement(dim=dim, elements=elements)
 

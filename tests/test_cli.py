@@ -12,7 +12,7 @@ import pytest
 from conftest import oracle_min_guesswork
 from hypothesis import given, settings, strategies as st
 
-from guesswork import serialize
+from guesswork import engine, serialize
 from guesswork.cli import main
 from guesswork.costs import identity_cost
 from guesswork.engine import guesswork_value, min_guesswork_qubit, solve
@@ -311,6 +311,24 @@ def test_check_dim3_skips_bloch(tmp_path, capsys):
     assert "bloch checks skipped (dim = 3)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "cap, verdict",
+    [(None, "yes (relabeling 1 4 2 6 3 5)"), ("3", "no (no relabeling found)")],
+)
+def test_check_relabels_a_shuffled_hexagon(tmp_path, capsys, monkeypatch, cap, verdict):
+    # no rotation or reflection of these labels is benevolent, so only the
+    # exhaustive search, which runs up to the cap, finds the relabeling
+    if cap is not None:
+        monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", cap)
+    hexagon = generate_polygon_antiprism(6)
+    shuffled = validate([hexagon.states[label - 1] for label in (1, 3, 5, 2, 6, 4)])
+    ensemble_path = write_ensemble(tmp_path / "hexagon.json", shuffled)
+    assert run_cli(["check", "--ensemble", ensemble_path]) == 0
+    stdout = capsys.readouterr().out
+    assert "symmetric toeplitz   no" in stdout
+    assert f"benevolent           {verdict}" in stdout
+
+
 def test_check_invalid_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     two = validate([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])
@@ -374,6 +392,23 @@ def test_simulate_sample_count_bound(tmp_path, capsys):
     assert "2**53" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["1e-16", "1e-10", "1e-6"])
+@pytest.mark.parametrize(
+    "family", [["mub"], ["sic"], ["polygon_antiprism", "--m", "5"]], ids=["mub", "sic", "pentagon"]
+)
+def test_simulate_accepts_the_measurement_solve_returns(tmp_path, capsys, family, tol):
+    # --tol is the optimality condition of the solve that simulate runs; the
+    # measurement solve returns is checked at the tolerance it was built with
+    ensemble_path = str(tmp_path / "ensemble.json")
+    assert run_cli(["generate", "--family", *family, "--out", ensemble_path]) == 0
+    argv = ["--ensemble", ensemble_path, "--tol", tol]
+    capsys.readouterr()
+    assert run_cli(["solve", *argv]) == 0
+    value = capsys.readouterr().out.splitlines()[0].split()[-1]
+    assert run_cli(["simulate", *argv, "--samples", "1000"]) == 0
+    assert f"analytic value       {value}" in capsys.readouterr().out
+
+
 def test_simulate_unverifiable_exits_3(tmp_path, capsys):
     triple = validate(
         [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
@@ -385,6 +420,16 @@ def test_simulate_unverifiable_exits_3(tmp_path, capsys):
 def test_tol_must_be_positive(tmp_path, capsys):
     ensemble_path = write_ensemble(tmp_path / "sic.json", generate_sic())
     assert run_cli(["solve", "--ensemble", ensemble_path, "--tol", "0"]) == 2
+
+
+def test_engine_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a closed form above the exact maximum is a numerical failure of the
+    # engine, not an input error
+    monkeypatch.setattr(engine, "benevolent_solve", lambda c, bloch, cap: ((1, 2, 3, 4), 1.0))
+    ensemble_path = write_ensemble(tmp_path / "sic.json", generate_sic())
+    assert run_cli(["solve", "--ensemble", ensemble_path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: fast path objective 1.0 exceeds the exact maximum")
 
 
 def test_usage_error_exits_2():

@@ -141,7 +141,7 @@ def test_two_outcome_measurement_valid_on_trine():
     c = identity_cost(3)
     n_star, _ = arrangement_solve(c, e.bloch)
     m = optimal_two_outcome_measurement(e, c, n_star)
-    m.validated(1e-10)
+    m.validated()
 
 
 def test_two_outcome_measurement_requires_balanced():

@@ -74,19 +74,19 @@ def test_round_trip_random_hermitian():
 
 
 def test_spectral_parts_diagonal():
-    parts = spectral_parts(np.diag([-0.5, 0.5]), tol=1e-10)
+    parts = spectral_parts(np.diag([-0.5, 0.5]))
     np.testing.assert_allclose(parts.negative_projector, np.diag([1.0, 0.0]), atol=1e-12)
     np.testing.assert_allclose(parts.null_projector, np.zeros((2, 2)), atol=1e-12)
     np.testing.assert_allclose(parts.positive_projector, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_spectral_parts_zero_operator():
-    parts = spectral_parts(np.zeros((2, 2)), tol=1e-10)
+    parts = spectral_parts(np.zeros((2, 2)))
     np.testing.assert_allclose(parts.null_projector, np.eye(2), atol=1e-12)
 
 
 def test_spectral_parts_ranks():
-    parts = spectral_parts(np.diag([3.0, -1.0, 0.0]), tol=1e-10)
+    parts = spectral_parts(np.diag([3.0, -1.0, 0.0]))
     ranks = tuple(
         int(round(np.trace(p).real))
         for p in (parts.negative_projector, parts.null_projector, parts.positive_projector)
@@ -150,6 +150,6 @@ def test_trace_norm_dominates_trace():
 
 def test_is_psd():
     assert is_psd(np.eye(2) / 2)
-    assert not is_psd(np.diag([1.0, -0.1]), tol=1e-10)
+    assert not is_psd(np.diag([1.0, -0.1]))
     assert is_psd(from_bloch(1 / 3, [1 / 3, 0, 0]))
-    assert not is_psd(from_bloch(1 / 3, [1 / 3 + 0.01, 0, 0]), tol=1e-10)
+    assert not is_psd(from_bloch(1 / 3, [1 / 3 + 0.01, 0, 0]))

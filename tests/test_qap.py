@@ -234,6 +234,13 @@ def test_find_benevolent_absent_for_distinct_rows():
     assert find_benevolent_permutation(bad) is None
 
 
+def test_find_benevolent_skips_the_search_for_an_asymmetric_matrix(monkeypatch):
+    # no relabeling repairs asymmetry, so the exhaustive search never starts
+    monkeypatch.setattr(qap, "_toeplitz_search", lambda mat, tol: pytest.fail("searched"))
+    bad = np.array([[0.0, 1.0, 2.0], [1.5, 0.0, 4.0], [2.0, 4.0, 0.0]])
+    assert find_benevolent_permutation(bad) is None
+
+
 def test_benevolent_solve_square_matches_brute():
     e = generate_polygon_antiprism(4, h=0.0)
     c = identity_cost(4)

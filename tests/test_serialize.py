@@ -109,7 +109,24 @@ def test_report_json_schema():
     parsed = json.loads(serialize.dumps(doc))
     assert parsed["value"] == pytest.approx(report.value)
     rebuilt = serialize.measurement_from_json(parsed["measurement"], dim=2)
-    rebuilt.validated(1e-10)
+    rebuilt.validated()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({}, "requires 'elements'"),
+        ({"elements": 5}, "'elements' must be a list"),
+        ({"elements": [5]}, "element 0 requires 'numbering' and 'matrix'"),
+        ({"elements": [{"numbering": [1]}]}, "element 0 requires 'numbering' and 'matrix'"),
+        ({"elements": [{"numbering": 1, "matrix": [[[1, 0]]]}]}, "'numbering' must be a list"),
+        ({"elements": [{"numbering": [1.5], "matrix": [[[1, 0]]]}]}, "must be an integer"),
+        ({"elements": [{"numbering": [1, 1], "matrix": [[[1, 0]]]}]}, "not a bijection"),
+    ],
+)
+def test_measurement_json_errors(doc, message):
+    with pytest.raises(ValueError, match=message):
+        serialize.measurement_from_json(doc, dim=1)
 
 
 def test_measurement_elements_sorted():

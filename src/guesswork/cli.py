@@ -6,7 +6,9 @@ variable GUESSWORK_FACTORIAL_CAP overrides the enumeration cap (default 10),
 the largest M that the general sweeps and the exact qubit solver accept.
 Up to the cap an exit 0 is always a verified optimum; above it, a
 benevolent qubit ensemble's closed form is reported with "condition
-verified no".
+verified no".  The solve first drops the coordinates that no state uses
+(see :func:`guesswork.engine.solve`), so a qubit ensemble padded with zero
+rows and columns gets the exit code and the stdout of the qubit ensemble.
 """
 
 from __future__ import annotations

@@ -24,8 +24,18 @@ Numbering = tuple[int, ...]
 
 
 def require_numbering(n, size: int | None = None) -> Numbering:
-    """Validate a 1-based bijection of {1..M} and return it as a tuple."""
-    mapping = tuple(int(x) for x in n)
+    """Validate a 1-based bijection of {1..M} and return it as a tuple.
+
+    Entries may be ints, numpy integers or integral floats; any other entry
+    is refused, never truncated.
+    """
+    entries = tuple(n)
+    try:
+        mapping = tuple(int(x) for x in entries)
+    except (TypeError, ValueError, OverflowError):
+        mapping = None
+    if mapping is None or mapping != entries:
+        raise ValueError(f"numbering entries must be integers, got {entries}")
     m = len(mapping)
     if size is not None and m != size:
         raise ValueError(f"numbering has length {m}, expected {size}")

@@ -14,12 +14,14 @@ for a numbering n.  For a balanced cost, E(n o sigma) = -E(n) with sigma the
 balancing permutation, and the measurement supported on {n*, n* o sigma} with
 elements built from the negative and null projectors of E attains guesswork
 mean - ||E(n*)||_1 / 2 whenever |E(n*)| >= E(n) for every numbering n.
+:func:`solve` works on the coordinates the states use, so an embedded qubit
+ensemble is solved as a qubit ensemble.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -574,20 +576,49 @@ def solve(
 ) -> GuessworkReport:
     """Minimum guesswork, or an unverified upper bound when nothing certifies one.
 
-    A uniform-prior qubit ensemble goes to :func:`min_guesswork_qubit`,
-    anything else to :func:`min_guesswork_general`; the prior is detected
-    within TRACE_TOL whatever ``tol`` is.  A sweep refused by the cap
-    degrades to the :func:`zigzag_candidate` bound.  A bound has
-    ``measurement`` None: its value is achievable, not proved minimal.
+    When the states use at least two but not all of the d coordinates (some
+    state has a nonzero entry, compared exactly, in the coordinate's row or
+    column), the sub-ensemble on the used ones is solved and :func:`_lift`
+    pads its answer: every E(n) is zero on the unused coordinates, so the
+    answer is exact, and an embedded qubit ensemble takes the qubit solvers.
+    Otherwise a uniform-prior qubit ensemble goes to
+    :func:`min_guesswork_qubit`, anything else to
+    :func:`min_guesswork_general`; the prior is detected within TRACE_TOL
+    whatever ``tol`` is.  A sweep refused by the cap degrades to the
+    :func:`zigzag_candidate` bound.  A bound has ``measurement`` None: its
+    value is achievable, not proved minimal.
     """
     _require_same_size(e, c)
     _require_balanced(c)
+    nonzero = (e.states != 0).any(axis=0)
+    used = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    if 2 <= len(used) < e.dim:
+        sub = validate(e.states[:, used][:, :, used])
+        return _lift(solve(sub, c, tol=tol, cap=cap), used, e.dim)
     try:
         if e.dim == 2 and is_uniform_prior(e):
             return min_guesswork_qubit(e, c, tol=tol, cap=cap)
         return min_guesswork_general(e, c, tol=tol, cap=cap)
     except FactorialCapError:
         return _condition_report(c, *zigzag_candidate(e, c))
+
+
+def _lift(report: GuessworkReport, used: np.ndarray, dim: int) -> GuessworkReport:
+    """The report of the sub-ensemble on coordinates ``used``, in ``dim``
+    dimensions: each of the K elements is padded with zeros plus P / K, P the
+    projector onto the unused coordinates (two outcomes split P as they split
+    the null space).  The rest of the report does not depend on the dimension.
+    """
+    if report.measurement is None:
+        return report
+    elements = report.measurement.elements
+    share = np.eye(dim, dtype=complex) / len(elements)
+    share[used, used] = 0
+    lifted = {}
+    for numbering, element in elements.items():
+        lifted[numbering] = share.copy()
+        lifted[numbering][np.ix_(used, used)] = element
+    return replace(report, measurement=NumberingMeasurement(dim, lifted).validated())
 
 
 def permute_problem(

@@ -23,14 +23,14 @@ from .operators import EIGEN_TOL, HERMITICITY_TOL, from_bloch, pauli_vector, req
 TRACE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Validated ensemble with cached prior, average state and Bloch vectors.
 
     ``states`` is a read-only (M, d, d) array; ``prior[m-1] = Tr[rho(m)]``;
     ``average_state`` is the arithmetic mean of the stored (subnormalized)
     states; ``bloch`` stacks the Pauli vectors of the states and is present
-    only for dim = 2.
+    only for dim = 2.  Ensembles compare and hash by identity.
     """
 
     dim: int

@@ -106,7 +106,15 @@ def ensemble_from_json(doc: dict) -> Ensemble:
         raise ValueError("ensemble JSON requires a 'dim' key")
     dim = _integer(doc["dim"], "'dim'")
     if "states" in doc:
-        states = [matrix_from_json(rows) for rows in _list(doc["states"], "'states'")]
+        raw = _list(doc["states"], "'states'")
+        try:
+            pairs = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pairs = None
+        if pairs is not None and pairs.shape == (len(raw), dim, dim, 2):
+            return validate(pairs[..., 0] + 1j * pairs[..., 1])
+        # the batch does not convert: the per-state path words the error
+        states = [matrix_from_json(rows) for rows in raw]
         for index, state in enumerate(states):
             if state.shape != (dim, dim):
                 raise ValueError(f"state {index} has shape {state.shape}, expected ({dim}, {dim})")

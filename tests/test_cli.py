@@ -214,13 +214,42 @@ def test_solve_rejects_unbalanced_cost(tmp_path, capsys):
 
 
 def test_solve_general_dim3_verified(tmp_path):
-    e = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.5, 0.0])])
+    # the pair uses all three coordinates, so it stays on the general path
+    e = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.25, 0.25])])
     ensemble_path = write_ensemble(tmp_path / "pair3.json", e)
     out = tmp_path / "report.json"
     assert run_cli(["solve", "--ensemble", ensemble_path, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["value"] == pytest.approx(1.0, abs=1e-10)
     assert doc["method"] == "condition_check_only"
+
+
+def test_solve_embedded_pair_takes_the_qubit_solver(tmp_path):
+    e = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.5, 0.0])])
+    ensemble_path = write_ensemble(tmp_path / "pair3.json", e)
+    out = tmp_path / "report.json"
+    assert run_cli(["solve", "--ensemble", ensemble_path, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["value"] == 1.0
+    assert doc["method"] == "benevolent"
+    diagonals = [
+        [row[k][0] for k, row in enumerate(element["matrix"])]
+        for element in doc["measurement"]["elements"]
+    ]
+    assert diagonals == [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]
+
+
+def test_solve_embedded_benevolent_polygon_above_the_cap(tmp_path, capsys):
+    # a zero row and column leave the 12-gon's closed form to the qubit solver
+    polygon = generate_polygon_antiprism(12)
+    padded = np.zeros((12, 3, 3), dtype=complex)
+    padded[:, :2, :2] = polygon.states
+    outputs = []
+    for name, e in (("polygon.json", polygon), ("padded.json", validate(padded))):
+        assert run_cli(["solve", "--ensemble", write_ensemble(tmp_path / name, e)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "condition verified   no" in outputs[1]
 
 
 def test_solve_unverified_bound_exits_3(tmp_path, capsys):

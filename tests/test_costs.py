@@ -141,6 +141,20 @@ def test_require_numbering_rejects():
         compose((1, 2), (1, 2, 3))
 
 
+def test_require_numbering_accepts_integral_entries():
+    assert require_numbering([2.0, 1.0]) == (2, 1)
+    assert require_numbering(np.array([3, 1, 2])) == (3, 1, 2)
+    assert require_numbering((np.int64(1), np.float64(2.0))) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "bad", [[1.9, 2.2], [1.5, 2, 3], [float("nan"), 1], [float("inf"), 1], ["1", "2"], [[1, 2]]]
+)
+def test_require_numbering_refuses_entries_that_are_not_integers(bad):
+    with pytest.raises(ValueError, match="numbering entries must be integers"):
+        require_numbering(bad)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_cost_function_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="must be finite"):

@@ -25,6 +25,13 @@ def test_validate_orthogonal_pair():
     assert e.dim == 2 and e.size == 2
 
 
+def test_ensembles_compare_and_hash_by_identity():
+    e, twin = generate_sic(), generate_sic()
+    assert e == e and e != twin
+    assert hash(e) == hash(e)
+    assert len({e, twin, e}) == 2
+
+
 def test_validate_rejects_bad_total_trace():
     with pytest.raises(ValueError, match="total trace"):
         validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

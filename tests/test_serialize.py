@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,30 @@ def test_ensemble_json_errors():
     sic_doc["dim"] = 3
     with pytest.raises(ValueError, match="expected"):
         serialize.ensemble_from_json(sic_doc)
+
+
+PAIR = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]  # diag(0.5, 0.5) as [re, im] rows
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"dim": 2, "states": 5}, "'states' must be a list, got 5"),
+        ({"dim": 2, "states": []}, "ensemble must contain at least one state"),
+        ({"dim": 1, "states": [[[["a", 0.0]]]]}, "matrix entries must be [re, im] pairs"),
+        ({"dim": 2, "states": [[[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+         "matrix entries must be [re, im] pairs"),
+        ({"dim": 1, "states": [[[0.5, 0.5]]]},
+         "matrix must be encoded as rows of [re, im] pairs, got shape (1, 2)"),
+        ({"dim": 2, "states": [PAIR, [[[0.0, 0.0]]]]}, "state 1 has shape (1, 1), expected (2, 2)"),
+        ({"dim": 3, "states": [PAIR]}, "state 0 has shape (2, 2), expected (3, 3)"),
+        ({"dim": 1, "states": [[[[-0.5, 0.0]]], [[[1.5, 0.0]]]]},
+         "state 0 is not PSD (min eigenvalue -5.000e-01)"),
+    ],
+)
+def test_ensemble_states_json_errors(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize.ensemble_from_json(doc)
 
 
 def test_cost_round_trip_and_identity_form():

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from guesswork import engine
 from guesswork.costs import cost_function, identity_cost
 from guesswork.engine import (
+    VALUE_TOL,
     condition_check,
+    guesswork_value,
     min_guesswork_general,
     min_guesswork_qubit,
     solve,
@@ -21,6 +23,7 @@ from guesswork.ensembles import (
     validate,
 )
 from guesswork.errors import FactorialCapError
+from guesswork.operators import from_bloch
 from guesswork.qap import benevolent_solve, bloch_gram
 
 ORTHONORMAL_TRIPLE = [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
@@ -106,9 +109,107 @@ def test_solve_matches_the_solvers_it_dispatches_to():
     e = generate_polygon_antiprism(4, h=0.3)
     c = identity_cost(4)
     assert _summary(solve(e, c)) == _summary(min_guesswork_qubit(e, c))
-    pair = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.5, 0.0])])
+    # the pair uses all three coordinates, so it stays on the general path
+    pair = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.25, 0.25])])
     c = identity_cost(2)
     assert _summary(solve(pair, c)) == _summary(min_guesswork_general(pair, c))
+    assert solve(pair, c).value == 1.0
+
+
+def test_solve_reduces_an_embedded_pair_to_its_qubit_pair():
+    pair = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.5, 0.0])])
+    qubits = validate([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])
+    c = identity_cost(2)
+    report = solve(pair, c)
+    assert _summary(report)[:4] == _summary(min_guesswork_qubit(qubits, c))[:4]
+    assert report.method == "benevolent" and report.condition_verified
+    assert report.value == 1.0
+    # the unused third coordinate is split evenly between the two elements
+    assert {n: np.diag(m).real.tolist() for n, m in report.measurement.elements.items()} == {
+        (1, 2): [1.0, 0.0, 0.5],
+        (2, 1): [0.0, 1.0, 0.5],
+    }
+
+
+def _embed(states, used, dim):
+    """The states as dim x dim matrices that are zero off the coordinates ``used``."""
+    padded = np.zeros((len(states), dim, dim), dtype=complex)
+    for state, block in zip(padded, states):
+        state[np.ix_(used, used)] = block
+    return padded
+
+
+@st.composite
+def embedded_problems(draw):
+    """Qubit or qutrit states embedded at random coordinates of d = 3 or 4,
+    with a uniform or random prior and an identity or tied balanced cost."""
+    m = draw(st.integers(2, 6), label="m")
+    dim = draw(st.integers(3, 4), label="dim")
+    count = draw(st.integers(2, dim - 1), label="used coordinates")
+    used = sorted(draw(st.permutations(range(dim)), label="order")[:count])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    prior = np.full(m, 1 / m)
+    if draw(st.booleans(), label="random prior"):
+        prior = rng.uniform(0.5, 1.5, size=m)
+        prior /= prior.sum()
+    states = []
+    for weight in prior:
+        if len(used) == 2:
+            v = rng.normal(size=3)
+            states.append(from_bloch(weight, weight * rng.uniform(0, 1) * v / np.linalg.norm(v)))
+        else:
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            w = g @ g.conj().T
+            states.append(weight * w / np.trace(w).real)
+    c = identity_cost(m)
+    if draw(st.booleans(), label="tied cost"):
+        devs = draw(st.lists(st.integers(0, 3), min_size=m // 2, max_size=m // 2))
+        values = [2 + d for d in devs] + [2 - d for d in devs] + [2] * (m % 2)
+        c = cost_function(draw(st.permutations(values), label="values"))
+    return states, used, dim, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_problems())
+def test_solve_reduces_to_the_used_coordinates(problem):
+    states, used, dim, c = problem
+    sub = validate(states)
+    padded = validate(_embed(states, used, dim))
+    # a trace with two nonzero terms is exact in any order, so an embedded
+    # qubit keeps its prior, which picks its solver, bit for bit; numpy sums
+    # four diagonal entries pairwise, so three of four may move the last bit
+    if len(used) == 2:
+        np.testing.assert_array_equal(padded.prior, sub.prior)
+    np.testing.assert_allclose(padded.prior, sub.prior, rtol=0, atol=1e-15)
+    expected, report = solve(sub, c), solve(padded, c)
+    assert report.optimal_numbering == expected.optimal_numbering
+    assert report.value == expected.value
+    assert report.method == expected.method
+    assert report.condition_verified == expected.condition_verified
+    assert report.trace_norm_term == expected.trace_norm_term
+    if expected.measurement is None:
+        assert report.measurement is None
+        return
+    elements = expected.measurement.elements
+    assert sorted(report.measurement.elements) == sorted(elements)
+    unused = np.eye(dim, dtype=complex)
+    unused[used, used] = 0
+    for numbering, element in elements.items():
+        lifted = unused / len(elements)
+        lifted[np.ix_(used, used)] = element
+        np.testing.assert_array_equal(report.measurement.elements[numbering], lifted)
+    assert abs(guesswork_value(padded, c, report.measurement) - report.value) <= VALUE_TOL
+
+
+def test_a_tiny_entry_in_an_unused_row_keeps_the_general_path():
+    qubits = generate_random_uniform_prior(4, 2, seed=5)
+    c = identity_cost(4)
+    padded = _embed(qubits.states, [0, 1], 3)
+    assert solve(validate(padded), c).method == "brute_force"
+    padded[2, 2, 2] = 1e-300
+    report = solve(validate(padded), c)
+    assert report.method == "condition_check_only"
+    assert report.value == pytest.approx(solve(qubits, c).value, abs=1e-12)
 
 
 def test_solve_above_cap_degrades_to_zigzag_bound():

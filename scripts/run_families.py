@@ -17,7 +17,6 @@ from guesswork import (
     antiprism_h_bound,
     arrangement_solve,
     benevolent_solve,
-    bloch_gram,
     generate_polygon_antiprism,
     identity_cost,
     min_guesswork_qubit,
@@ -38,7 +37,7 @@ def main() -> None:
         for h in heights:
             e = generate_polygon_antiprism(m, h=h)
             c = identity_cost(m)
-            fast = benevolent_solve(c, bloch_gram(e))
+            fast = benevolent_solve(c, e.bloch)
             objective = fast[1] if fast else math.nan
             _, brute = arrangement_solve(c, e.bloch)
             report = min_guesswork_qubit(e, c)

@@ -48,8 +48,6 @@ from .qap import (
     SCREEN_MARGIN,
     arrangement_solve,
     benevolent_solve,
-    bloch_gram,
-    cost_gram,
     numbering_blocks,
     screened_max,
     zigzag_numbering,
@@ -72,24 +70,23 @@ class NumberingMeasurement:
         if not self.elements:
             raise ValueError("measurement has no elements")
         total = np.zeros((self.dim, self.dim), dtype=complex)
-        size = None
+        size = len(next(iter(self.elements)))
         for numbering, element in self.elements.items():
             mat = require_hermitian(element, name=f"element {numbering}")
             if mat.shape[0] != self.dim:
                 raise ValueError(
                     f"element {numbering} has dim {mat.shape[0]}, expected {self.dim}"
                 )
-            if size is None:
-                size = len(numbering)
             require_numbering(numbering, size=size)
             low = float(np.linalg.eigvalsh(mat)[0])
             if low < -EIGEN_TOL:
                 raise ValueError(
                     f"element {numbering} is not PSD (min eigenvalue {low:.3e})"
                 )
-            total += mat
+            with np.errstate(over="ignore"):  # an infinite sum gives a NaN gap below
+                total += mat
         gap = float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(self.dim)))))
-        if gap > EIGEN_TOL:
+        if not gap <= EIGEN_TOL:
             raise ValueError(f"elements do not sum to the identity (gap {gap:.3e})")
         return self
 
@@ -483,8 +480,8 @@ def min_guesswork_qubit(
     so the smallest eigenvalue of |E(n*)| - E(n) is |w(n*)| - |w(n)| and the
     condition needs no sweep of its own.  A closed-form objective above the
     exact one by more than CROSS_METHOD_TOL is a NumericalCheckError.  Above
-    the cap the closed form is reported unverified, and FactorialCapError
-    is raised when it finds no benevolent structure.
+    the cap the closed form is reported unverified, or, when it finds no
+    benevolent structure, the :func:`zigzag_candidate` bound.
 
     The uniform prior is detected within TRACE_TOL, benevolence within
     BENEVOLENCE_TOL and the measurement's null space within EIGEN_TOL,
@@ -497,15 +494,10 @@ def min_guesswork_qubit(
     _require_balanced(c)
     _require_same_size(e, c)
 
-    gram = bloch_gram(e)
-    cost_gram(c)  # refuses overflowing costs before any solver or cap check
-    fast = benevolent_solve(c, gram, cap=cap)
+    fast = benevolent_solve(c, e.bloch, cap=cap)  # refuses overflowing costs at every M
     if e.size > cap:
         if fast is None:
-            raise FactorialCapError(
-                f"M = {e.size} exceeds the enumeration cap {cap} and no benevolent "
-                "structure was found"
-            )
+            return _condition_report(c, *zigzag_candidate(e, c))
         n_star, method, verified = fast[0], "benevolent", False
     else:
         n_star, exact = arrangement_solve(c, e.bloch, cap=cap)
@@ -556,11 +548,14 @@ def min_guesswork_general(
     |E(n*)| >= E(n) for every n.  If it holds, the report carries the optimal
     two-outcome measurement at n*; if not, ``measurement`` is None and the
     value mean - ||E(n*)||_1 / 2 is achievable but not proved minimal (the
-    condition is sufficient, not necessary).  ``tol`` is the condition's
-    tolerance; the measurement's null space is split within EIGEN_TOL.
+    condition is sufficient, not necessary).  Above the cap no sweep runs
+    and the :func:`zigzag_candidate` bound is returned.  ``tol`` is the
+    condition's; the measurement's null space is split within EIGEN_TOL.
     """
     _require_balanced(c)
     _require_same_size(e, c)
+    if e.size > cap:
+        return _condition_report(c, *zigzag_candidate(e, c))
     candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
     measurement = None
     if condition_check(e, c, candidate, tol=tol, cap=cap):
@@ -584,9 +579,9 @@ def solve(
     Otherwise a uniform-prior qubit ensemble goes to
     :func:`min_guesswork_qubit`, anything else to
     :func:`min_guesswork_general`; the prior is detected within TRACE_TOL
-    whatever ``tol`` is.  A sweep refused by the cap degrades to the
-    :func:`zigzag_candidate` bound.  A bound has ``measurement`` None: its
-    value is achievable, not proved minimal.
+    whatever ``tol`` is.  Above the cap both solvers return the
+    :func:`zigzag_candidate` bound themselves when they know nothing better.
+    A bound has ``measurement`` None: its value is achievable, not proved minimal.
     """
     _require_same_size(e, c)
     _require_balanced(c)
@@ -595,12 +590,9 @@ def solve(
     if 2 <= len(used) < e.dim:
         sub = validate(e.states[:, used][:, :, used])
         return _lift(solve(sub, c, tol=tol, cap=cap), used, e.dim)
-    try:
-        if e.dim == 2 and is_uniform_prior(e):
-            return min_guesswork_qubit(e, c, tol=tol, cap=cap)
-        return min_guesswork_general(e, c, tol=tol, cap=cap)
-    except FactorialCapError:
-        return _condition_report(c, *zigzag_candidate(e, c))
+    if e.dim == 2 and is_uniform_prior(e):
+        return min_guesswork_qubit(e, c, tol=tol, cap=cap)
+    return min_guesswork_general(e, c, tol=tol, cap=cap)
 
 
 def _lift(report: GuessworkReport, used: np.ndarray, dim: int) -> GuessworkReport:

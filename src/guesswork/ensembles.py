@@ -65,10 +65,12 @@ def validate(raw_states) -> Ensemble:
         mats.append(mat)
     stack = np.stack(mats)
     adjoint = stack.conj().transpose(0, 2, 1)
-    with np.errstate(invalid="ignore"):  # non-finite entries give NaN or inf deviations
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge entries
         valid = np.abs(stack - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOL
+        hermitian = (stack + adjoint) / 2
+    valid &= np.isfinite(hermitian).all(axis=(1, 2))
     count = int(valid.argmin()) if not valid.all() else len(mats)
-    states = (stack[:count] + adjoint[:count]) / 2
+    states = hermitian[:count]
     low = np.linalg.eigvalsh(states)[:, 0]
     index = int(np.argmax(low < -EIGEN_TOL))
     if low[index] < -EIGEN_TOL:

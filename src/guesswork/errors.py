@@ -2,12 +2,9 @@
 
 
 class FactorialCapError(ValueError):
-    """Raised when M is above the enumeration cap (default M <= 10).
-
-    The general sweeps enumerate all M! numberings; the exact qubit solver
-    keeps the same limit.  Above the cap, use the benevolent fast path of
-    :func:`guesswork.qap.benevolent_solve`.
-    """
+    """Raised when an exhaustive sweep is asked for above the enumeration cap
+    (default M <= 10): ``tracenorm_argmax``, ``condition_check`` and the
+    fallback sweep of ``arrangement_solve``.  No solver raises it."""
 
 
 class NumericalCheckError(RuntimeError):

@@ -37,15 +37,17 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
     if mat.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.isfinite(mat).all():  # NaN would pass the comparison below
-        raise ValueError(f"{name} has non-finite entries")
-    deviation = float(np.abs(mat - mat.conj().T).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        deviation = float(np.abs(mat - mat.conj().T).max())
+        hermitian = (mat + mat.conj().T) / 2
+    if not np.isfinite(hermitian).all():  # NaN would pass the comparison below
+        raise ValueError(f"{name} has non-finite entries or entries too large to symmetrize")
     if deviation > HERMITICITY_TOL:
         raise ValueError(
             f"{name} is not Hermitian: max |A - A^dag| = {deviation:.3e} "
             f"exceeds {HERMITICITY_TOL:.1e}"
         )
-    return (mat + mat.conj().T) / 2
+    return hermitian
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,11 @@ def from_bloch(trace: float, v) -> np.ndarray:
     vec = np.asarray(v, dtype=float)
     if vec.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {vec.shape}")
-    mat = trace * np.eye(2, dtype=complex)
-    for component, pauli in zip(vec, PAULIS):
-        mat = mat + component * pauli
-    return mat / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # validation refuses non-finite entries
+        mat = trace * np.eye(2, dtype=complex)
+        for component, pauli in zip(vec, PAULIS):
+            mat = mat + component * pauli
+        return mat / 2
 
 
 def spectral_parts(a) -> SpectralParts:

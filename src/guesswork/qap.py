@@ -465,20 +465,22 @@ def benevolent_solve(
 ) -> tuple[Numbering, float] | None:
     """Closed-form maximum of |w(n)|^2 for benevolent instances.
 
+    ``bloch`` stacks the Bloch vectors v_i, as in :func:`arrangement_solve`.
     Returns the optimal numbering sigma_2 o zigzag o sigma_1^-1 and its
-    objective, or None when no relabeling sigma_2 making -bloch benevolent
-    within BENEVOLENCE_TOL was found.  ``bloch`` is the Bloch Gram.
-    Requires a balanced cost.
+    objective, or None when no relabeling sigma_2 making -bloch_gram
+    benevolent within BENEVOLENCE_TOL was found.  Requires a balanced cost;
+    :func:`cost_gram` refuses an overflowing one before the search.
     """
     if not c.is_balanced:
         raise ValueError("benevolent_solve requires a balanced cost function")
+    cost = cost_gram(c)
     bloch = np.asarray(bloch, dtype=float)
-    m = bloch.shape[0]
-    if c.size != m:
-        raise ValueError(f"cost has {c.size} values but the Gram matrix is {m}x{m}")
-    sigma2 = find_benevolent_permutation(-bloch, cap=cap)
+    if bloch.shape != (c.size, 3):
+        raise ValueError(f"expected {c.size} Bloch vectors of 3 entries, got shape {bloch.shape}")
+    gram = bloch @ bloch.T
+    sigma2 = find_benevolent_permutation(-gram, cap=cap)
     if sigma2 is None:
         return None
-    n_star = compose(sigma2, compose(zigzag_numbering(m), invert(c.sorting_permutation)))
+    n_star = compose(sigma2, compose(zigzag_numbering(c.size), invert(c.sorting_permutation)))
     rows = np.asarray([n_star], dtype=np.intp) - 1
-    return n_star, float(_objective(cost_gram(c), bloch, rows)[0])
+    return n_star, float(_objective(cost, gram, rows)[0])

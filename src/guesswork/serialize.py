@@ -72,7 +72,8 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ValueError("matrix entries must be [re, im] pairs")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(f"matrix must be encoded as rows of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN that validation names
+        return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
 def ensemble_to_json(e: Ensemble) -> dict:
@@ -112,7 +113,8 @@ def ensemble_from_json(doc: dict) -> Ensemble:
         except (TypeError, ValueError, OverflowError):
             pairs = None
         if pairs is not None and pairs.shape == (len(raw), dim, dim, 2):
-            return validate(pairs[..., 0] + 1j * pairs[..., 1])
+            # the rows of all states as one matrix
+            return validate(matrix_from_json(pairs.reshape(-1, dim, 2)).reshape(-1, dim, dim))
         # the batch does not convert: the per-state path words the error
         states = [matrix_from_json(rows) for rows in raw]
         for index, state in enumerate(states):

@@ -10,7 +10,7 @@ import numpy as np
 from guesswork import cost_function
 from guesswork.costs import invert
 from guesswork.engine import NumberingMeasurement
-from guesswork.ensembles import TRACE_TOL, Ensemble
+from guesswork.ensembles import TRACE_TOL, Ensemble, generate_random_uniform_prior, validate
 from guesswork.operators import EIGEN_TOL, pauli_vector, require_hermitian, spectral_parts
 from guesswork.qap import BENEVOLENCE_TOL, BenevolenceReport
 
@@ -226,3 +226,15 @@ def random_two_outcome_measurement(rng, e, c) -> NumberingMeasurement:
             partner: parts.positive_projector + parts.null_projector / 2,
         },
     )
+
+
+def rotated_qubits(m: int, seed: int) -> tuple[Ensemble, Ensemble]:
+    """Random uniform-prior qubits, and the same states padded to dim 3 and
+    conjugated by a seeded random unitary.  The rotated states use every
+    coordinate, so ``solve`` cannot drop one, yet they share a kernel vector:
+    0 is an eigenvalue of every |E(n*)| - E(n)."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    qubits = generate_random_uniform_prior(m, 2, seed)
+    padded = [np.pad(s, ((0, 1), (0, 1))) for s in qubits.states]
+    return qubits, validate([u @ s @ u.conj().T for s in padded])

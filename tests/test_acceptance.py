@@ -81,7 +81,7 @@ def test_criterion_01_benevolent_matches_brute_force():
         for h in sorted({0.0, bound / 2, bound}):
             e = generate_polygon_antiprism(m, h=h)
             c = identity_cost(m)
-            fast = benevolent_solve(c, bloch_gram(e))
+            fast = benevolent_solve(c, e.bloch)
             assert fast is not None, f"no benevolent structure found for M={m}, h={h}"
             _, fast_value = fast
             _, brute_value = _brute_optimum(e, c)
@@ -105,7 +105,7 @@ def test_criterion_02_frozen_regression_values():
         assert abs(oracle - frozen) <= 1e-9, name
         for solver, (_, objective) in [
             ("exact", arrangement_solve(c, e.bloch)),
-            ("benevolent", benevolent_solve(c, bloch_gram(e))),
+            ("benevolent", benevolent_solve(c, e.bloch)),
         ]:
             assert abs(c.mean - math.sqrt(objective) - frozen) <= 1e-9, (name, solver)
         assert abs(min_guesswork_qubit(e, c).value - frozen) <= 1e-9, name

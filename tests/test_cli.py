@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import math
+import re
 import tempfile
 import time
 import warnings
@@ -527,6 +529,49 @@ def test_non_finite_state_is_input_error(tmp_path, capsys):
     ensemble_path.write_text(json.dumps(doc))
     code = run_cli(["solve", "--ensemble", str(ensemble_path)])
     assert_input_error(code, capsys, "state 1 has non-finite entries")
+    # in Bloch form an infinite component is refused by name, without a warning
+    bloch = [{"trace": 0.5, "v": [0, 0, 0]}, {"trace": 0.5, "v": [math.inf, 0, 0]}]
+    doc = {"dim": 2, "bloch": bloch}
+    ensemble_path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(["solve", "--ensemble", str(ensemble_path)])
+    assert_input_error(code, capsys, "state 1 has non-finite entries")
+
+
+HUGE = 1.7e308
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize(
+    "matrix, fragment",
+    [
+        ([[[1.0, math.inf]]], "has non-finite entries"),
+        ([[[0.5, 0.0], [HUGE, 0.0]], [[-HUGE, 0.0], [0.5, 0.0]]], "is not Hermitian"),
+        (
+            [[[HUGE, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-HUGE, 0.0]]],
+            "has non-finite entries or entries too large to symmetrize",
+        ),
+    ],
+)
+def test_huge_or_infinite_entries_are_refused_without_a_warning(
+    tmp_path, capsys, matrix, fragment, index
+):
+    # re + 1j * im and A -+ A^dag overflow or make NaNs here: with warnings
+    # raised as errors they must still exit 2, naming the state or element
+    dim = len(matrix)
+    states = [[[[0.0, 0.0]] * dim] * dim] * index + [matrix]
+    ensemble_path = tmp_path / "ensemble.json"
+    ensemble_path.write_text(json.dumps({"dim": dim, "states": states}))
+    numberings = list(itertools.permutations(range(1, len(states) + 1)))
+    elements = [{"numbering": list(n), "matrix": s} for n, s in zip(numberings, states)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(["solve", "--ensemble", str(ensemble_path)])
+        measurement = serialize.measurement_from_json({"elements": elements}, dim)
+        with pytest.raises(ValueError, match=re.escape(f"element {numberings[index]} {fragment}")):
+            measurement.validated()
+    assert_input_error(code, capsys, f"state {index} {fragment}")
 
 
 TRINE_STATES = serialize.ensemble_to_json(generate_polygon_antiprism(3))["states"]

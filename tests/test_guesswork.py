@@ -3,6 +3,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ def test_two_outcome_measurement_valid_on_trine():
     m.validated()
 
 
+def test_elements_whose_sum_overflows_do_not_validate():
+    # each element is finite and PSD, but their sum overflows, so the gap to
+    # the identity is NaN: that must fail the check, without a warning
+    element = np.diag([8e307, 0.0]).astype(complex)
+    numberings = [(1, 2, 3), (1, 3, 2), (2, 1, 3)]
+    m = NumberingMeasurement(dim=2, elements={n: element for n in numberings})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            m.validated()
+
+
 def test_two_outcome_measurement_requires_balanced():
     e = generate_polygon_antiprism(3)
     with pytest.raises(ValueError, match="balanced"):
@@ -209,7 +222,7 @@ def test_frozen_values_match_oracle(name):
 QUBIT_SOLVERS = {
     "auto": lambda e, c: min_guesswork_qubit(e, c).optimal_numbering,
     "brute": lambda e, c: arrangement_solve(c, e.bloch)[0],
-    "benevolent": lambda e, c: benevolent_solve(c, bloch_gram(e))[0],
+    "benevolent": lambda e, c: benevolent_solve(c, e.bloch)[0],
 }
 
 
@@ -247,8 +260,10 @@ def test_min_guesswork_qubit_input_errors():
     with pytest.raises(ValueError, match="not balanced"):
         min_guesswork_qubit(generate_polygon_antiprism(3), cost_function([0.0, 1.0, 3.0]))
     e = generate_random_uniform_prior(4, 2, seed=99)  # no benevolent structure
-    with pytest.raises(FactorialCapError, match="no benevolent structure"):
-        min_guesswork_qubit(e, identity_cost(4), cap=3)
+    # above the cap that is no error: the solver reports solve's zig-zag bound
+    report = min_guesswork_qubit(e, identity_cost(4), cap=3)
+    assert report.measurement is None
+    assert report == solve(e, identity_cost(4), cap=3)
 
 
 def test_min_guesswork_qubit_benevolent_above_cap():

@@ -12,7 +12,7 @@ from conftest import (
 )
 from guesswork import qap
 from guesswork.costs import cost_function, identity_cost
-from guesswork.engine import effective_operator, min_guesswork_qubit
+from guesswork.engine import effective_operator, min_guesswork_qubit, zigzag_candidate
 from guesswork.ensembles import (
     antiprism_h_bound,
     generate_mub,
@@ -21,7 +21,6 @@ from guesswork.ensembles import (
     generate_sic,
     validate,
 )
-from guesswork.errors import FactorialCapError
 from guesswork.operators import pauli_vector
 from guesswork.qap import (
     _objective,
@@ -114,10 +113,15 @@ def test_brute_force_dominates_random_numberings():
         assert best >= double_sum(cost_gram(c), bloch_gram(e), random_numbering(rng, 5)) - 1e-12
 
 
-def test_brute_force_cap_refusal():
+def test_qubit_solver_above_the_cap_reports_the_zigzag_bound():
     e = generate_random_uniform_prior(4, 2, seed=99)  # no benevolent structure
-    with pytest.raises(FactorialCapError, match="enumeration cap 3"):
-        min_guesswork_qubit(e, identity_cost(4), cap=3)
+    c = identity_cost(4)
+    report = min_guesswork_qubit(e, c, cap=3)
+    numbering, norm_value = zigzag_candidate(e, c)
+    assert report.measurement is None and not report.condition_verified
+    assert report.method == "condition_check_only"
+    assert report.optimal_numbering == numbering
+    assert report.value == c.mean - norm_value / 2
 
 
 def test_square_gram_is_benevolent():
@@ -244,7 +248,7 @@ def test_find_benevolent_skips_the_search_for_an_asymmetric_matrix(monkeypatch):
 def test_benevolent_solve_square_matches_brute():
     e = generate_polygon_antiprism(4, h=0.0)
     c = identity_cost(4)
-    fast = benevolent_solve(c, bloch_gram(e))
+    fast = benevolent_solve(c, e.bloch)
     assert fast is not None
     n_fast, value_fast = fast
     _, value_bf = reference_brute_force(cost_gram(c), bloch_gram(e))
@@ -255,7 +259,7 @@ def test_benevolent_solve_square_matches_brute():
 def test_benevolent_solve_mub_matches_brute():
     e = generate_mub()
     c = identity_cost(6)
-    n_fast, value_fast = benevolent_solve(c, bloch_gram(e))
+    n_fast, value_fast = benevolent_solve(c, e.bloch)
     _, value_bf = reference_brute_force(cost_gram(c), bloch_gram(e))
     assert value_fast == pytest.approx(value_bf, abs=1e-12)
     assert value_fast == pytest.approx(35 / 36, abs=1e-12)
@@ -265,7 +269,7 @@ def test_benevolent_solve_handles_decreasing_cost():
     # gamma given in decreasing order exercises the sorting permutation
     e = generate_mub()
     c = cost_function([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
-    n_fast, value_fast = benevolent_solve(c, bloch_gram(e))
+    n_fast, value_fast = benevolent_solve(c, e.bloch)
     _, value_bf = reference_brute_force(cost_gram(c), bloch_gram(e))
     assert value_fast == pytest.approx(value_bf, abs=1e-12)
     assert value_fast == pytest.approx(35 / 36, abs=1e-12)
@@ -273,14 +277,20 @@ def test_benevolent_solve_handles_decreasing_cost():
 
 def test_benevolent_solve_requires_balanced_cost():
     with pytest.raises(ValueError, match="balanced"):
-        benevolent_solve(cost_function([0.0, 1.0, 3.0]), bloch_gram(generate_polygon_antiprism(3)))
+        benevolent_solve(cost_function([0.0, 1.0, 3.0]), generate_polygon_antiprism(3).bloch)
+
+
+def test_benevolent_solve_takes_bloch_vectors_not_their_gram():
+    gram = bloch_gram(generate_polygon_antiprism(4))
+    with pytest.raises(ValueError, match=r"4 Bloch vectors of 3 entries, got shape \(4, 4\)"):
+        benevolent_solve(identity_cost(4), gram)
 
 
 def test_benevolent_solve_none_without_structure():
     rng = np.random.default_rng(3)
     e = generate_random_uniform_prior(4, 2, seed=99)
     assert find_benevolent_permutation(-bloch_gram(e)) is None
-    assert benevolent_solve(identity_cost(4), bloch_gram(e)) is None
+    assert benevolent_solve(identity_cost(4), e.bloch) is None
 
 
 @pytest.mark.parametrize(

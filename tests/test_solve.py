@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import rotated_qubits
 from hypothesis import given, settings, strategies as st
 
 from guesswork import engine
@@ -20,11 +21,11 @@ from guesswork.ensembles import (
     generate_mub,
     generate_polygon_antiprism,
     generate_random_uniform_prior,
+    is_uniform_prior,
     validate,
 )
-from guesswork.errors import FactorialCapError
 from guesswork.operators import from_bloch
-from guesswork.qap import benevolent_solve, bloch_gram
+from guesswork.qap import benevolent_solve
 
 ORTHONORMAL_TRIPLE = [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
 # Anti-prism heights as multiples of the bound; just above it the benevolence
@@ -56,7 +57,7 @@ def test_qubit_certificate_fails_just_above_the_height_bound():
     # exact solver's numbering is reported, and it is certified
     e = generate_polygon_antiprism(4, h=(1 + 1e-9) * antiprism_h_bound(4))
     c = identity_cost(4)
-    zigzag, _ = benevolent_solve(c, bloch_gram(e))
+    zigzag, _ = benevolent_solve(c, e.bloch)
     assert not condition_check(e, c, zigzag)
     report = min_guesswork_qubit(e, c)
     assert report.method == "brute_force"
@@ -212,23 +213,41 @@ def test_a_tiny_entry_in_an_unused_row_keeps_the_general_path():
     assert report.value == pytest.approx(solve(qubits, c).value, abs=1e-12)
 
 
+def test_solve_verifies_a_rotated_embedded_qubit_through_the_general_path():
+    # the rotated states use every coordinate, so nothing is dropped, and
+    # the condition holds with 0 an eigenvalue of every |E*| - E(n)
+    qubits, rotated = rotated_qubits(6, 8)
+    c = identity_cost(6)
+    report = solve(rotated, c)
+    assert report.method == "condition_check_only" and report.condition_verified
+    assert abs(report.value - solve(qubits, c).value) <= 1e-12
+    assert abs(guesswork_value(rotated, c, report.measurement) - report.value) <= VALUE_TOL
+
+
 def test_solve_above_cap_degrades_to_zigzag_bound():
     c = identity_cost(4)
+    weights = (0.4, 0.8, 1.2, 1.6)
+    skewed = [s * w for s, w in zip(generate_random_uniform_prior(4, 2, seed=3).states, weights)]
     for e in (
         generate_random_uniform_prior(4, 2, seed=99),  # qubit, no benevolent structure
         generate_random_uniform_prior(4, 3, seed=1),  # general dimension
+        validate(skewed),  # qubit, non-uniform prior
     ):
         report = solve(e, c, cap=3)
         numbering, norm_value = zigzag_candidate(e, c)
         assert report.measurement is None
         assert report.optimal_numbering == numbering
         assert report.value == c.mean - norm_value / 2
+        # the solvers return that report themselves, field by field; none raises
+        assert min_guesswork_general(e, c, cap=3) == report
+        if e.dim == 2 and is_uniform_prior(e):
+            assert min_guesswork_qubit(e, c, cap=3) == report
 
 
 def test_solve_input_errors():
     e = generate_random_uniform_prior(4, 2, seed=99)
-    with pytest.raises(FactorialCapError):  # solve degrades this to the zig-zag bound
-        min_guesswork_qubit(e, identity_cost(4), cap=3)
+    # above the cap the solver returns the zig-zag bound instead of raising
+    assert min_guesswork_qubit(e, identity_cost(4), cap=3).measurement is None
     with pytest.raises(ValueError, match="not balanced"):
         solve(generate_random_uniform_prior(3, 3, seed=1), cost_function([0.0, 1.0, 3.0]))
     with pytest.raises(ValueError, match="3 values but the ensemble has 4"):

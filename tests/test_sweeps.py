@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guesswork
-from conftest import reference_blocks, reference_brute_force
+from conftest import reference_blocks, reference_brute_force, rotated_qubits
 from guesswork import engine, qap
 from guesswork.costs import cost_function, identity_cost
 from guesswork.engine import (
@@ -122,7 +122,7 @@ def problems(draw):
     m = draw(sizes)
     kinds = [
         "random", "polygon", "antiprism", "ginibre", "embedded", "mirror",
-        "nonuniform", "ginibre4", "mixed", "identical",
+        "nonuniform", "ginibre4", "mixed", "identical", "rotated",
     ]
     kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 2**16))
@@ -152,6 +152,8 @@ def problems(draw):
     elif kind == "mirror":
         m = max(m, 3)
         e = conjugate_mirror(m, seed)
+    elif kind == "rotated":  # embedded, then off the coordinate axes: a shared kernel vector
+        e = rotated_qubits(m, seed)[1]
     else:  # qubits embedded in dim 3: |E*| - E(n) always has an exact zero eigenvalue
         qubits = generate_random_uniform_prior(m, 2, seed)
         e = validate([np.pad(s, ((0, 1), (0, 1))) for s in qubits.states])

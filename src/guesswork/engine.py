@@ -55,7 +55,6 @@ from .qap import (
 
 ALGEBRAIC_TOL = 1e-12
 VALUE_TOL = 1e-10
-CROSS_METHOD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class GuessworkReport:
     value: float
     optimal_numbering: Numbering
     measurement: NumberingMeasurement | None
-    method: str  # brute_force | benevolent | condition_check_only
+    method: str  # brute_force | benevolent | condition_check_only | zigzag
     condition_verified: bool
     mean_cost: float
     trace_norm_term: float
@@ -463,29 +462,21 @@ def tracenorm_argmax(
 
 
 def min_guesswork_qubit(
-    e: Ensemble,
-    c: CostFunction,
-    tol: float = EIGEN_TOL,
-    cap: int = DEFAULT_FACTORIAL_CAP,
+    e: Ensemble, c: CostFunction, cap: int = DEFAULT_FACTORIAL_CAP
 ) -> GuessworkReport:
     """Minimum guesswork of a uniform-prior qubit ensemble under a balanced cost.
 
     Maximizes |w(n)|^2, w(n) = sum_t (gamma(t) - mean) v(rho(n(t))), over
     numberings n, and returns mean - |w(n*)| together with the optimal
-    two-outcome measurement.  The closed form :func:`benevolent_solve` runs
-    first.  Up to the cap the exact :func:`arrangement_solve` decides: the
-    closed form's numbering is reported ("benevolent") when |w| reaches the
-    exact max_n |w(n)| within ``tol``, the exact one ("brute_force")
-    otherwise, so ``condition_verified`` is True there.  E(n) = w(n) . sigma,
-    so the smallest eigenvalue of |E(n*)| - E(n) is |w(n*)| - |w(n)| and the
-    condition needs no sweep of its own.  A closed-form objective above the
-    exact one by more than CROSS_METHOD_TOL is a NumericalCheckError.  Above
-    the cap the closed form is reported unverified, or, when it finds no
-    benevolent structure, the :func:`zigzag_candidate` bound.
+    two-outcome measurement.  Up to the cap :func:`arrangement_solve` alone
+    decides ("brute_force"): E(n) = w(n) . sigma, so the smallest eigenvalue
+    of |E(n*)| - E(n) is |w(n*)| - |w(n)| and ``condition_verified`` is True
+    with no sweep.  Above the cap the closed form :func:`benevolent_solve` is
+    reported unverified ("benevolent"), or, when it finds no benevolent
+    structure, the :func:`zigzag_candidate` bound ("zigzag").
 
     The uniform prior is detected within TRACE_TOL, benevolence within
-    BENEVOLENCE_TOL and the measurement's null space within EIGEN_TOL,
-    whatever ``tol`` is.
+    BENEVOLENCE_TOL and the measurement's null space within EIGEN_TOL.
     """
     if e.dim != 2:
         raise ValueError(f"qubit solver requires dim = 2, got {e.dim}")
@@ -494,20 +485,13 @@ def min_guesswork_qubit(
     _require_balanced(c)
     _require_same_size(e, c)
 
-    fast = benevolent_solve(c, e.bloch, cap=cap)  # refuses overflowing costs at every M
-    if e.size > cap:
-        if fast is None:
-            return _condition_report(c, *zigzag_candidate(e, c))
-        n_star, method, verified = fast[0], "benevolent", False
+    if e.size <= cap:  # both solvers refuse an overflowing cost before they search
+        n_star, method, verified = arrangement_solve(c, e.bloch, cap=cap)[0], "brute_force", True
     else:
-        n_star, exact = arrangement_solve(c, e.bloch, cap=cap)
-        method, verified = "brute_force", True
-        if fast and fast[1] - exact > CROSS_METHOD_TOL:
-            raise NumericalCheckError(
-                f"fast path objective {fast[1]!r} exceeds the exact maximum {exact!r}"
-            )
-        if fast and math.sqrt(max(fast[1], 0.0)) >= math.sqrt(max(exact, 0.0)) - tol:
-            n_star, method = fast[0], "benevolent"
+        fast = benevolent_solve(c, e.bloch, cap=cap)
+        if fast is None:
+            return _zigzag_report(e, c)
+        n_star, method, verified = fast[0], "benevolent", False
 
     e_star = effective_operator(e, c, n_star)
     return GuessworkReport(
@@ -536,6 +520,11 @@ def _condition_report(
     )
 
 
+def _zigzag_report(e: Ensemble, c: CostFunction) -> GuessworkReport:
+    """The unverified :func:`zigzag_candidate` bound of both solvers above the cap."""
+    return replace(_condition_report(c, *zigzag_candidate(e, c)), method="zigzag")
+
+
 def min_guesswork_general(
     e: Ensemble,
     c: CostFunction,
@@ -555,7 +544,7 @@ def min_guesswork_general(
     _require_balanced(c)
     _require_same_size(e, c)
     if e.size > cap:
-        return _condition_report(c, *zigzag_candidate(e, c))
+        return _zigzag_report(e, c)
     candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
     measurement = None
     if condition_check(e, c, candidate, tol=tol, cap=cap):
@@ -578,8 +567,8 @@ def solve(
     answer is exact, and an embedded qubit ensemble takes the qubit solvers.
     Otherwise a uniform-prior qubit ensemble goes to
     :func:`min_guesswork_qubit`, anything else to
-    :func:`min_guesswork_general`; the prior is detected within TRACE_TOL
-    whatever ``tol`` is.  Above the cap both solvers return the
+    :func:`min_guesswork_general`, the only one that reads ``tol``; the prior
+    is detected within TRACE_TOL.  Above the cap both solvers return the
     :func:`zigzag_candidate` bound themselves when they know nothing better.
     A bound has ``measurement`` None: its value is achievable, not proved minimal.
     """
@@ -591,7 +580,7 @@ def solve(
         sub = validate(e.states[:, used][:, :, used])
         return _lift(solve(sub, c, tol=tol, cap=cap), used, e.dim)
     if e.dim == 2 and is_uniform_prior(e):
-        return min_guesswork_qubit(e, c, tol=tol, cap=cap)
+        return min_guesswork_qubit(e, c, cap=cap)
     return min_guesswork_general(e, c, tol=tol, cap=cap)
 
 
@@ -642,7 +631,8 @@ def simulate(
     where every count is exact in a double.
 
     Returns (sample mean, standard error); the standard error is NaN for a
-    single sample.  Fully deterministic for a fixed seed.
+    single sample.  Fully deterministic for a fixed seed, whatever the order
+    of ``m``'s elements.
     """
     m.validated()
     if samples < 1:
@@ -654,14 +644,15 @@ def simulate(
 
     prior = np.clip(e.prior, 0.0, None)
     prior = prior / prior.sum()
+    outcomes = sorted(m.elements)
     # joint[j, label] = Tr[pi_j rho(label)]; tiny negatives are numerical noise
-    elements = np.stack(list(m.elements.values()))
+    elements = np.stack([m.elements[numbering] for numbering in outcomes])
     joint = np.clip(np.einsum("jab,lba->jl", elements, e.states).real, 0.0, None)
     # a zero column belongs to a zero-trace state, which is never drawn
     column_totals = joint.sum(axis=0, keepdims=True)
     cells = prior * (joint / np.where(column_totals > 0, column_totals, 1.0))
     # cost_table[j, label] = gamma(n_j^-1(label))
-    inverses = np.array([invert(numbering) for numbering in m.elements]) - 1
+    inverses = np.array([invert(numbering) for numbering in outcomes]) - 1
     cost_table = np.asarray(c.values)[inverses]
 
     # numpy gives the last cell whatever mass rounding leaves over, so only

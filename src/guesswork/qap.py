@@ -1,4 +1,4 @@
-"""Uniform-prior qubit solvers: an exact polynomial solver and a closed-form fast path.
+"""Uniform-prior qubit solvers: an exact polynomial solver and the paper's closed form.
 
 The qubit guesswork problem reduces to maximizing |w(n)|^2 over all
 numberings n, with w(n) = sum_t (gamma(t) - mean) v(n(t)) and v the Bloch
@@ -8,13 +8,14 @@ n(t')] with the rank-1 :func:`cost_gram`.  Two solvers are provided:
 * :func:`arrangement_solve` — exact: the sorted matchings of the cells of the
   great-circle arrangement of the Bloch vectors, closed under near-tied
   swaps, in polynomial time; its answer equals the exhaustive sweep's (equal
-  computed values resolve lexicographically).
-* :func:`benevolent_solve` — closed form when -bloch_gram is permutationally
-  equivalent to a *benevolent* matrix: symmetric Toeplitz with a first column
-  whose tail is non-decreasing up to the midpoint (Property 1) and dominated
-  by its mirrored tail (Property 2).  Paired with the rank-1 (monotone
-  anti-Monge) cost Gram, such instances are maximized by the zig-zag
-  numbering, conjugated back through the sorting and relabeling permutations.
+  computed values resolve lexicographically).  It alone decides solves up to the cap.
+* :func:`benevolent_solve` — the paper's closed form, when -bloch_gram is
+  permutationally equivalent to a *benevolent* matrix: symmetric Toeplitz
+  with a first column whose tail is non-decreasing up to the midpoint
+  (Property 1) and dominated by its mirrored tail (Property 2).  Paired with
+  the rank-1 (monotone anti-Monge) cost Gram, such instances are maximized
+  by the zig-zag numbering, conjugated back through the sorting and
+  relabeling permutations.
 
 :func:`screened_max` is the reduction shared by this solver and the engine's
 trace-norm sweep.
@@ -223,6 +224,17 @@ def cost_gram(c: CostFunction) -> np.ndarray:
     return np.outer(centered, centered)
 
 
+def _grams(c: CostFunction, bloch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`cost_gram`, ``bloch`` as an (M, 3) float array and its Gram.  Other
+    shapes of ``bloch``, such as the M x M Bloch Gram, are refused; the 3 x 3
+    Gram cannot be told from three Bloch vectors."""
+    cost = cost_gram(c)
+    bloch = np.asarray(bloch, dtype=float)
+    if bloch.shape != (c.size, 3):
+        raise ValueError(f"expected {c.size} Bloch vectors of 3 entries, got shape {bloch.shape}")
+    return cost, bloch, bloch @ bloch.T
+
+
 def _objective(cost: np.ndarray, gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_{t,t'} cost[t, t'] gram[n(t), n(t')] for each row n of 0-based numberings."""
     return np.einsum("ts,kts->k", cost, gram[rows[:, :, None], rows[:, None, :]])
@@ -263,8 +275,8 @@ def arrangement_solve(
 ) -> tuple[Numbering, float]:
     """Maximize the qubit objective |w(n)|^2, w(n) = sum_t g(t) v(n(t)), exactly.
 
-    ``bloch`` stacks the Bloch vectors v_i, and g = gamma - mean.  The result
-    equals the exhaustive exact sweep over all M! numberings: the largest
+    ``bloch`` stacks the Bloch vectors v_i (see :func:`_grams`), and g = gamma - mean.
+    The result equals the exhaustive exact sweep over all M! numberings: the largest
     value of sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t), n(t')] as
     :func:`_objective` computes it, and the lexicographically smallest
     numbering among equal computed values (:func:`screened_max`).
@@ -309,8 +321,7 @@ def arrangement_solve(
     tests compare the solver with the exhaustive sweep on degenerate layouts.
     """
     g = np.asarray(c.values) - c.mean
-    cost = cost_gram(c)
-    gram = bloch @ bloch.T
+    cost, bloch, gram = _grams(c, bloch)
     m = len(g)
     window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
     if window == 0:
@@ -473,11 +484,7 @@ def benevolent_solve(
     """
     if not c.is_balanced:
         raise ValueError("benevolent_solve requires a balanced cost function")
-    cost = cost_gram(c)
-    bloch = np.asarray(bloch, dtype=float)
-    if bloch.shape != (c.size, 3):
-        raise ValueError(f"expected {c.size} Bloch vectors of 3 entries, got shape {bloch.shape}")
-    gram = bloch @ bloch.T
+    cost, bloch, gram = _grams(c, bloch)
     sigma2 = find_benevolent_permutation(-gram, cap=cap)
     if sigma2 is None:
         return None

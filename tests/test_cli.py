@@ -8,6 +8,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from guesswork.ensembles import (
     generate_sic,
     validate,
 )
-from guesswork.qap import DEFAULT_FACTORIAL_CAP, arrangement_solve
+from guesswork.qap import DEFAULT_FACTORIAL_CAP, arrangement_solve, benevolent_solve
 
 
 def run_cli(argv):
@@ -174,13 +175,17 @@ def test_solve_accepts_bloch_form_ensemble(tmp_path):
     assert json.loads(out.read_text())["value"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_solve_mub_auto_uses_benevolent(tmp_path):
-    ensemble_path = write_ensemble(tmp_path / "mub.json", generate_polygon_antiprism(6, h=1 / math.sqrt(2)))
+def test_solve_mub_reports_the_exact_solver_at_the_closed_form_value(tmp_path):
+    e = generate_polygon_antiprism(6, h=1 / math.sqrt(2))
+    ensemble_path = write_ensemble(tmp_path / "mub.json", e)
     out = tmp_path / "report.json"
     assert run_cli(["solve", "--ensemble", ensemble_path, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["method"] == "benevolent"
+    # up to the cap the exact solver alone answers; the closed form agrees with it
+    assert doc["method"] == "brute_force"
     assert doc["value"] == pytest.approx(3.5 - math.sqrt(35) / 6, abs=1e-9)
+    c = identity_cost(6)
+    assert doc["value"] == pytest.approx(c.mean - math.sqrt(benevolent_solve(c, e.bloch)[1]), abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -233,7 +238,7 @@ def test_solve_embedded_pair_takes_the_qubit_solver(tmp_path):
     assert run_cli(["solve", "--ensemble", ensemble_path, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["value"] == 1.0
-    assert doc["method"] == "benevolent"
+    assert doc["method"] == "brute_force"
     diagonals = [
         [row[k][0] for k, row in enumerate(element["matrix"])]
         for element in doc["measurement"]["elements"]
@@ -454,13 +459,16 @@ def test_tol_must_be_positive(tmp_path, capsys):
 
 
 def test_engine_failure_exits_4(tmp_path, capsys, monkeypatch):
-    # a closed form above the exact maximum is a numerical failure of the
-    # engine, not an input error
-    monkeypatch.setattr(engine, "benevolent_solve", lambda c, bloch, cap: ((1, 2, 3, 4), 1.0))
+    # a two-outcome measurement that fails validation is a numerical failure
+    # of the engine, not an input error
+    broken = SimpleNamespace(
+        negative_projector=np.eye(2), positive_projector=np.eye(2), null_projector=np.zeros((2, 2))
+    )
+    monkeypatch.setattr(engine, "spectral_parts", lambda operator: broken)
     ensemble_path = write_ensemble(tmp_path / "sic.json", generate_sic())
     assert run_cli(["solve", "--ensemble", ensemble_path]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: fast path objective 1.0 exceeds the exact maximum")
+    assert err.startswith("numerical failure: constructed measurement failed validation")
 
 
 def test_usage_error_exits_2():

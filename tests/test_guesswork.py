@@ -16,6 +16,7 @@ from conftest import (
     random_two_outcome_measurement,
     reference_simulate,
 )
+from guesswork import serialize
 from guesswork.costs import compose, cost_function, identity_cost
 from guesswork.engine import (
     NumberingMeasurement,
@@ -239,7 +240,7 @@ def test_min_guesswork_qubit_families(name, solver):
     assert report.value == pytest.approx(FROZEN_VALUES[name], abs=1e-9)
     assert report.condition_verified
     assert report.value == pytest.approx(report.mean_cost - report.trace_norm_term, abs=1e-10)
-    assert report.method == "benevolent"
+    assert report.method == "brute_force"
 
 
 def test_mub_optimal_numbering_pairs_antipodes():
@@ -399,6 +400,20 @@ def test_simulate_deterministic_and_single_sample():
     assert estimate in {1.0, 2.0, 3.0}
     with pytest.raises(ValueError):
         simulate(e, c, report.measurement, samples=0, seed=7)
+
+
+def test_simulate_does_not_depend_on_the_order_of_the_elements():
+    e = generate_random_uniform_prior(6, 2, seed=7)
+    c = identity_cost(6)
+    measurement = min_guesswork_qubit(e, c).measurement
+    reversed_order = NumberingMeasurement(e.dim, dict(reversed(measurement.elements.items())))
+    read_back = serialize.measurement_from_json(
+        serialize.report_to_json(solve(e, c))["measurement"], dim=e.dim
+    )
+    estimates = {
+        simulate(e, c, m, samples=10**6, seed=7) for m in (measurement, reversed_order, read_back)
+    }
+    assert len(estimates) == 1
 
 
 def _skewed_problem():

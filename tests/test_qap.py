@@ -119,7 +119,7 @@ def test_qubit_solver_above_the_cap_reports_the_zigzag_bound():
     report = min_guesswork_qubit(e, c, cap=3)
     numbering, norm_value = zigzag_candidate(e, c)
     assert report.measurement is None and not report.condition_verified
-    assert report.method == "condition_check_only"
+    assert report.method == "zigzag"
     assert report.optimal_numbering == numbering
     assert report.value == c.mean - norm_value / 2
 
@@ -284,6 +284,13 @@ def test_benevolent_solve_takes_bloch_vectors_not_their_gram():
     gram = bloch_gram(generate_polygon_antiprism(4))
     with pytest.raises(ValueError, match=r"4 Bloch vectors of 3 entries, got shape \(4, 4\)"):
         benevolent_solve(identity_cost(4), gram)
+
+
+def test_arrangement_solve_takes_bloch_vectors_not_their_gram():
+    # the 5x5 Gram used to give a wrong maximum silently (0.0213 against 0.4166)
+    e = generate_random_uniform_prior(5, 2, seed=23)
+    with pytest.raises(ValueError, match=r"5 Bloch vectors of 3 entries, got shape \(5, 5\)"):
+        arrangement_solve(identity_cost(5), bloch_gram(e))
 
 
 def test_benevolent_solve_none_without_structure():

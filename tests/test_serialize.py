@@ -128,7 +128,7 @@ def test_report_json_schema():
         "condition_verified",
         "measurement",
     }
-    assert doc["method"] == "benevolent"
+    assert doc["method"] == "brute_force"
     assert doc["condition_verified"] is True
     assert len(doc["measurement"]["elements"]) == 2
     parsed = json.loads(serialize.dumps(doc))

@@ -1,5 +1,7 @@
 """The single solve pipeline: dispatch, unverified bounds, and the sweeps it runs."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import rotated_qubits
@@ -70,13 +72,14 @@ def test_qubit_solve_runs_no_condition_sweep(monkeypatch):
         raise AssertionError("the qubit path swept the condition")
 
     monkeypatch.setattr(engine, "condition_check", refuse)
-    for e, method in [
-        (generate_mub(), "benevolent"),
-        (generate_random_uniform_prior(6, 2, seed=3), "brute_force"),
-    ]:
-        report = solve(e, identity_cost(6))
-        assert report.method == method
+    c = identity_cost(6)
+    for e in [generate_mub(), generate_random_uniform_prior(6, 2, seed=3)]:
+        report = solve(e, c)
+        assert report.method == "brute_force"
         assert report.condition_verified and report.measurement is not None
+    # the exact solver's answer is the MUB's closed form
+    closed_form = c.mean - math.sqrt(benevolent_solve(c, generate_mub().bloch)[1])
+    assert solve(generate_mub(), c).value == pytest.approx(closed_form, abs=1e-12)
 
 
 def test_unverified_solve_sweeps_once(monkeypatch):
@@ -123,7 +126,7 @@ def test_solve_reduces_an_embedded_pair_to_its_qubit_pair():
     c = identity_cost(2)
     report = solve(pair, c)
     assert _summary(report)[:4] == _summary(min_guesswork_qubit(qubits, c))[:4]
-    assert report.method == "benevolent" and report.condition_verified
+    assert report.method == "brute_force" and report.condition_verified
     assert report.value == 1.0
     # the unused third coordinate is split evenly between the two elements
     assert {n: np.diag(m).real.tolist() for n, m in report.measurement.elements.items()} == {
@@ -235,7 +238,7 @@ def test_solve_above_cap_degrades_to_zigzag_bound():
     ):
         report = solve(e, c, cap=3)
         numbering, norm_value = zigzag_candidate(e, c)
-        assert report.measurement is None
+        assert report.measurement is None and report.method == "zigzag"
         assert report.optimal_numbering == numbering
         assert report.value == c.mean - norm_value / 2
         # the solvers return that report themselves, field by field; none raises

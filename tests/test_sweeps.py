@@ -581,14 +581,23 @@ def test_m9_qubit_solves_do_not_sweep(monkeypatch):
     def refuse(m):
         raise AssertionError("the qubit solve swept the numberings")
 
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("the qubit solve ran the closed form up to the cap")
+
     monkeypatch.setattr(qap, "numbering_blocks", refuse)
     monkeypatch.setattr(engine, "numbering_blocks", refuse)
     polygon, rand = generate_polygon_antiprism(9), generate_random_uniform_prior(9, 2, 1)
     c = identity_cost(9)
-    for e, method in [(polygon, "benevolent"), (rand, "brute_force")]:
-        report = solve(e, c)
-        assert report.method == method
-        assert report.condition_verified
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "benevolent_solve", no_closed_form)
+        for e in (polygon, rand):
+            report = solve(e, c)
+            assert report.method == "brute_force"
+            assert report.condition_verified
+    # above the cap only the closed form runs, unverified
+    report = solve(polygon, c, cap=8)
+    assert report.method == "benevolent"
+    assert not report.condition_verified
 
 
 def test_condition_check_above_cap_raises_before_refuting():

@@ -11,12 +11,10 @@ sufficient optimality condition certifies two-outcome measurements.
 
 from .costs import (
     CostFunction,
-    apply,
     balance_certificate,
     compose,
     cost_function,
     identity_cost,
-    identity_numbering,
     invert,
 )
 from .engine import (
@@ -49,7 +47,6 @@ from .errors import FactorialCapError, NumericalCheckError
 from .operators import (
     SpectralParts,
     from_bloch,
-    is_psd,
     pauli_vector,
     spectral_parts,
     trace_norm,

@@ -113,7 +113,10 @@ def cmd_solve(args) -> int:
     _, _, report = _load_and_solve(args)
     numbering = " ".join(str(x) for x in report.optimal_numbering)
     if report.measurement is None:
-        print("optimality condition failed at the best candidate numbering")
+        if report.method == "zigzag":
+            print("no sweep ran above the enumeration cap: zig-zag bound")
+        else:
+            print("optimality condition failed at the best candidate numbering")
         print(f"unverified upper bound   {_fmt(report.value)}")
         print(f"candidate numbering      {numbering}")
     else:

@@ -44,18 +44,6 @@ def require_numbering(n, size: int | None = None) -> Numbering:
     return mapping
 
 
-def identity_numbering(m: int) -> Numbering:
-    return tuple(range(1, m + 1))
-
-
-def apply(n, t: int) -> int:
-    """Evaluate n(t)."""
-    mapping = require_numbering(n)
-    if not 1 <= t <= len(mapping):
-        raise ValueError(f"position {t} out of range 1..{len(mapping)}")
-    return mapping[t - 1]
-
-
 def compose(a, b) -> Numbering:
     """Composition (a o b)(t) = a(b(t))."""
     left = require_numbering(a)

@@ -121,6 +121,16 @@ def _require_same_size(e: Ensemble, c: CostFunction) -> None:
         raise ValueError(f"cost has {c.size} values but the ensemble has {e.size} states")
 
 
+def _require_measurement_of(e: Ensemble, m: NumberingMeasurement) -> None:
+    """Validate ``m`` and refuse it unless it measures ``e``: its dimension, and
+    numberings of length M."""
+    m.validated()
+    if m.dim != e.dim:
+        raise ValueError(f"measurement has dim {m.dim} but the ensemble has dim {e.dim}")
+    for numbering in m.elements:
+        require_numbering(numbering, size=e.size)
+
+
 def effective_operator(e: Ensemble, c: CostFunction, n) -> np.ndarray:
     """E(n) = 2 sum_t (gamma(t) - mean) rho(n(t)), as one row of
     :func:`_effective_operator_batch`."""
@@ -136,12 +146,11 @@ def guesswork_value(e: Ensemble, c: CostFunction, m: NumberingMeasurement) -> fl
     cross-checked against the equivalent form
     mean + (1/2) sum_n Tr[pi(n) E(n)].
     """
-    m.validated()
+    _require_measurement_of(e, m)
     _require_same_size(e, c)
     direct = 0.0
     shifted = c.mean
     for numbering, element in m.elements.items():
-        require_numbering(numbering, size=e.size)
         for t, label in enumerate(numbering, start=1):
             direct += c.values[t - 1] * float(np.trace(element @ e.states[label - 1]).real)
         shifted += 0.5 * float(
@@ -632,9 +641,10 @@ def simulate(
 
     Returns (sample mean, standard error); the standard error is NaN for a
     single sample.  Fully deterministic for a fixed seed, whatever the order
-    of ``m``'s elements.
+    of ``m``'s elements.  A measurement of another dimension, or with
+    numberings of another length than M, is refused.
     """
-    m.validated()
+    _require_measurement_of(e, m)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > 2**53:

@@ -25,18 +25,16 @@ TRACE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Validated ensemble with cached prior, average state and Bloch vectors.
+    """Validated ensemble with cached prior and Bloch vectors.
 
     ``states`` is a read-only (M, d, d) array; ``prior[m-1] = Tr[rho(m)]``;
-    ``average_state`` is the arithmetic mean of the stored (subnormalized)
-    states; ``bloch`` stacks the Pauli vectors of the states and is present
-    only for dim = 2.  Ensembles compare and hash by identity.
+    ``bloch`` stacks the Pauli vectors of the states and is present only for
+    dim = 2.  Ensembles compare and hash by identity.
     """
 
     dim: int
     states: np.ndarray
     prior: np.ndarray
-    average_state: np.ndarray
     bloch: np.ndarray | None
 
     @property
@@ -83,15 +81,13 @@ def validate(raw_states) -> Ensemble:
     total = float(prior.sum())
     if abs(total - 1.0) > TRACE_TOL:
         raise ValueError(f"total trace is {total!r}, must be 1 within {TRACE_TOL:.1e}")
-    average = sum(states) / len(states)
-    average.setflags(write=False)
     prior.setflags(write=False)
     bloch = None
     if dim == 2:
         a01, a10, a00, a11 = states[:, 0, 1], states[:, 1, 0], states[:, 0, 0], states[:, 1, 1]
         bloch = np.stack([(a01 + a10).real, (a10 - a01).imag, (a00 - a11).real], axis=1)
         bloch.setflags(write=False)
-    return Ensemble(dim=dim, states=states, prior=prior, average_state=average, bloch=bloch)
+    return Ensemble(dim=dim, states=states, prior=prior, bloch=bloch)
 
 
 def antiprism_h_bound(m: int) -> float:
@@ -201,6 +197,6 @@ def constant_overlap_check(e: Ensemble, tol: float = TRACE_TOL) -> bool:
     """True iff v(average state) . v(rho(m)) is constant over m (dim = 2 only)."""
     if e.dim != 2:
         raise ValueError(f"constant_overlap_check requires dim = 2, got {e.dim}")
-    center = pauli_vector(e.average_state)
+    center = pauli_vector(sum(e.states) / e.size)
     dots = e.bloch @ center
     return bool(np.max(np.abs(dots - dots.mean())) <= tol)

@@ -4,7 +4,8 @@
 class FactorialCapError(ValueError):
     """Raised when an exhaustive sweep is asked for above the enumeration cap
     (default M <= 10): ``tracenorm_argmax``, ``condition_check`` and the
-    fallback sweep of ``arrangement_solve``.  No solver raises it."""
+    fallback sweep of ``arrangement_solve``.  ``solve``,
+    ``min_guesswork_qubit`` and ``min_guesswork_general`` never raise it."""
 
 
 class NumericalCheckError(RuntimeError):

@@ -116,9 +116,3 @@ def abs_operator(a) -> np.ndarray:
     mat = require_hermitian(a)
     eigenvalues, vectors = np.linalg.eigh(mat)
     return (vectors * np.abs(eigenvalues)) @ vectors.conj().T
-
-
-def is_psd(a) -> bool:
-    """True iff the smallest eigenvalue is >= -EIGEN_TOL."""
-    mat = require_hermitian(a)
-    return bool(np.linalg.eigvalsh(mat)[0] >= -EIGEN_TOL)

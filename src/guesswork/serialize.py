@@ -137,6 +137,9 @@ def ensemble_from_json(doc: dict) -> Ensemble:
 
 
 def cost_from_json(doc: dict, size_hint: int | None = None) -> CostFunction:
+    """The cost a JSON document describes.  ``size_hint`` refuses an
+    ``{"identity": M}`` of another size before its M values are built, so a
+    short document cannot ask for an arbitrarily large cost."""
     if not isinstance(doc, dict):
         raise ValueError("cost JSON must be an object")
     if "values" in doc:

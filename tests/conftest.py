@@ -42,16 +42,12 @@ def reference_validate(raw_states) -> Ensemble:
     total = float(prior.sum())
     if abs(total - 1.0) > TRACE_TOL:
         raise ValueError(f"total trace is {total!r}, must be 1 within {TRACE_TOL:.1e}")
-    average = sum(states) / len(states)
-    average.setflags(write=False)
     prior.setflags(write=False)
     bloch = None
     if dim == 2:
         bloch = np.stack([pauli_vector(s) for s in states])
         bloch.setflags(write=False)
-    return Ensemble(
-        dim=dim, states=tuple(states), prior=prior, average_state=average, bloch=bloch
-    )
+    return Ensemble(dim=dim, states=tuple(states), prior=prior, bloch=bloch)
 
 
 def reference_is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:

@@ -314,7 +314,10 @@ def test_auto_above_cap_degrades_to_unverified_bound(tmp_path, capsys, monkeypat
     out = tmp_path / "bound.json"
     code = run_cli(["solve", "--ensemble", ensemble_path, "--out", str(out)])
     assert code == 3
-    assert "unverified upper bound" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert stdout.splitlines()[0] == "no sweep ran above the enumeration cap: zig-zag bound"
+    assert "optimality condition failed" not in stdout
+    assert "unverified upper bound" in stdout
     doc = json.loads(out.read_text())
     assert doc["condition_verified"] is False
     # the heuristic bound can only overestimate the true minimum
@@ -530,6 +533,13 @@ def test_factorial_cap_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
     assert_input_error(code, capsys, "GUESSWORK_FACTORIAL_CAP must be an integer, got 'abc'")
 
 
+def test_factorial_cap_env_must_be_positive(tmp_path, capsys, monkeypatch):
+    ensemble_path = write_ensemble(tmp_path / "sic.json", generate_sic())
+    monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", "0")
+    code = run_cli(["solve", "--ensemble", ensemble_path])
+    assert_input_error(code, capsys, "GUESSWORK_FACTORIAL_CAP must be >= 1, got 0")
+
+
 def test_non_finite_state_is_input_error(tmp_path, capsys):
     doc = serialize.ensemble_to_json(generate_polygon_antiprism(3))
     doc["states"][1][0][1][0] = math.nan  # off-diagonal: passes the PSD check
@@ -614,6 +624,9 @@ TRINE_BLOCH = [{"trace": 1 / 3, "v": list(v)} for v in generate_polygon_antipris
         (None, {"values": 3}, "'values' must be a list, got 3"),
         (None, {"values": [[1], [2]]}, "'values' entry must be a number, got [1]"),
         (None, {"identity": None}, "'identity' must be an integer, got None"),
+        (None, {"identity": 4}, "identity cost of size 4 does not match ensemble size 3"),
+        # refused before a cost of 10**12 values is built
+        (None, {"identity": 10**12}, "identity cost of size 1000000000000 does not match"),
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, ensemble, cost, fragment):

@@ -4,12 +4,10 @@ from hypothesis import given, strategies as st
 
 from conftest import random_balanced_values
 from guesswork.costs import (
-    apply,
     balance_certificate,
     compose,
     cost_function,
     identity_cost,
-    identity_numbering,
     invert,
     require_numbering,
 )
@@ -117,19 +115,13 @@ def test_invert_involution():
     assert invert((4, 3, 2, 1)) == (4, 3, 2, 1)
 
 
-def test_apply():
-    assert apply((2, 3, 1), 3) == 1
-    with pytest.raises(ValueError):
-        apply((2, 3, 1), 4)
-
-
 def test_compose_inverse_is_identity():
     rng = np.random.default_rng(0)
     for _ in range(50):
         m = int(rng.integers(1, 8))
         n = tuple(int(x) + 1 for x in rng.permutation(m))
-        assert compose(n, invert(n)) == identity_numbering(m)
-        assert compose(invert(n), n) == identity_numbering(m)
+        assert compose(n, invert(n)) == tuple(range(1, m + 1))
+        assert compose(invert(n), n) == tuple(range(1, m + 1))
 
 
 def test_require_numbering_rejects():
@@ -159,3 +151,16 @@ def test_require_numbering_refuses_entries_that_are_not_integers(bad):
 def test_cost_function_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="must be finite"):
         cost_function([1.0, bad, 3.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: cost_function([]), "cost function must have at least one value"),
+        (lambda: balance_certificate([]), "cost function must have at least one value"),
+        (lambda: identity_cost(0), "m must be >= 1"),
+    ],
+)
+def test_an_empty_cost_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

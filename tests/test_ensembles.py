@@ -78,7 +78,7 @@ def _outcome(check, raw_states):
             e = check(raw_states)
     except Exception as exc:
         return type(exc), str(exc)
-    arrays = [*e.states, e.prior, e.average_state] + ([] if e.bloch is None else [e.bloch])
+    arrays = [*e.states, e.prior] + ([] if e.bloch is None else [e.bloch])
     return e.dim, e.bloch is None, [
         (a.dtype, a.shape, a.tobytes(), a.flags.writeable) for a in arrays
     ]
@@ -221,12 +221,23 @@ def test_generated_families_pass_validate_and_are_centered():
         h = antiprism_h_bound(m)
         e = generate_polygon_antiprism(m, h=h if math.isfinite(h) else 1.0)
         assert is_uniform_prior(e)
-        assert np.linalg.norm(pauli_vector(e.average_state)) < 1e-12
-        assert float(np.trace(e.average_state).real) == pytest.approx(1 / m, abs=1e-10)
+        average = sum(e.states) / e.size
+        assert np.linalg.norm(pauli_vector(average)) < 1e-12
+        assert float(np.trace(average).real) == pytest.approx(1 / m, abs=1e-10)
 
 
 def test_h_bound_infinite_for_antipodal_pair():
     assert antiprism_h_bound(2) == math.inf
+
+
+def test_h_bound_rejects_a_single_state():
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        antiprism_h_bound(1)
+
+
+def test_polygon_rejects_a_negative_height():
+    with pytest.raises(ValueError, match="h must be >= 0"):
+        generate_polygon_antiprism(4, h=-0.1)
 
 
 def test_polygon_rejects_odd_m_with_height():

@@ -196,6 +196,24 @@ def test_condition_check_cap():
         condition_check(e, identity_cost(4), (1, 2, 3, 4), cap=3)
 
 
+def test_tracenorm_argmax_cap():
+    e = generate_sic()
+    with pytest.raises(FactorialCapError, match="sweeps 4! numberings, above the cap 3"):
+        tracenorm_argmax(e, identity_cost(4), cap=3)
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ({}, "measurement has no elements"),
+        ({(1, 2): np.eye(3) / 2, (2, 1): np.eye(2) / 2}, r"element \(1, 2\) has dim 3, expected 2"),
+    ],
+)
+def test_measurement_refuses_missing_or_mis_sized_elements(elements, message):
+    with pytest.raises(ValueError, match=message):
+        NumberingMeasurement(dim=2, elements=elements).validated()
+
+
 FROZEN_VALUES = {
     # oracle-recomputed closed forms, see test_frozen_values_match_oracle
     "trine": 2 - 1 / math.sqrt(3),
@@ -484,6 +502,28 @@ def test_simulate_samples_bound():
     assert abs(estimate - report.value) <= 5 * std_error
     with pytest.raises(ValueError, match=r"2\*\*53"):
         simulate(e, c, report.measurement, samples=2**53 + 1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "solved, measured, message",
+    [
+        (generate_sic, generate_mub, "numbering has length 4, expected 6"),
+        (generate_mub, generate_sic, "numbering has length 6, expected 4"),
+        (
+            generate_sic,
+            lambda: generate_random_uniform_prior(4, 3, seed=1),
+            "measurement has dim 2 but the ensemble has dim 3",
+        ),
+    ],
+)
+def test_simulate_refuses_a_measurement_of_another_ensemble(solved, measured, message):
+    source = solved()
+    measurement = solve(source, identity_cost(source.size)).measurement
+    e = measured()
+    with pytest.raises(ValueError, match=message):
+        simulate(e, identity_cost(e.size), measurement, samples=100, seed=1)
+    with pytest.raises(ValueError, match=message):
+        guesswork_value(e, identity_cost(e.size), measurement)
 
 
 def test_optimality_against_random_measurements():

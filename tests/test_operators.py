@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from guesswork.operators import (
+    EIGEN_TOL,
     abs_operator,
     from_bloch,
-    is_psd,
     pauli_vector,
     require_hermitian,
     spectral_parts,
@@ -33,6 +33,11 @@ def test_require_hermitian_rejects_non_hermitian():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_require_hermitian_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="operator must have dimension >= 1"):
+        require_hermitian(np.zeros((0, 0)))
+
+
 def test_traceless_trace_norm_equals_bloch_norm():
     a = np.diag([-0.5, 0.5])
     assert trace_norm(a) == pytest.approx(1.0, abs=1e-12)
@@ -49,6 +54,11 @@ def test_traceless_norm_identity(v):
 
 def test_from_bloch_maximally_mixed():
     np.testing.assert_allclose(from_bloch(1.0, [0, 0, 0]), np.eye(2) / 2)
+
+
+def test_from_bloch_rejects_a_vector_of_two_components():
+    with pytest.raises(ValueError, match=r"must have 3 components, got shape \(2,\)"):
+        from_bloch(0.5, [0.1, 0.2])
 
 
 def test_from_bloch_pure_is_rank_one():
@@ -110,7 +120,7 @@ def test_spectral_parts_properties_random():
             np.testing.assert_allclose(total, np.eye(dim), atol=1e-10)
             for p in projectors:
                 np.testing.assert_allclose(p @ p, p, atol=1e-10)
-                assert is_psd(p)
+                assert np.linalg.eigvalsh(p)[0] >= -EIGEN_TOL
             for i, p in enumerate(projectors):
                 for q in projectors[i + 1 :]:
                     np.testing.assert_allclose(p @ q, np.zeros((dim, dim)), atol=1e-10)
@@ -146,10 +156,3 @@ def test_trace_norm_dominates_trace():
         raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a = (raw + raw.conj().T) / 2
         assert trace_norm(a) >= abs(float(np.trace(a).real)) - 1e-12
-
-
-def test_is_psd():
-    assert is_psd(np.eye(2) / 2)
-    assert not is_psd(np.diag([1.0, -0.1]))
-    assert is_psd(from_bloch(1 / 3, [1 / 3, 0, 0]))
-    assert not is_psd(from_bloch(1 / 3, [1 / 3 + 0.01, 0, 0]))

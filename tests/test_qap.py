@@ -150,6 +150,12 @@ def test_non_symmetric_matrix():
     assert not report.is_symmetric_toeplitz
 
 
+@pytest.mark.parametrize("test", [is_benevolent, find_benevolent_permutation])
+def test_benevolence_tests_refuse_a_non_square_matrix(test):
+    with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
+        test(np.zeros((2, 3)))
+
+
 def test_benevolence_survives_reversal_relabeling():
     ben = toeplitz_from_column([5.0, 0.0, 1.0, 3.0, 2.0, 0.0])
     assert is_benevolent(ben).is_benevolent
@@ -161,6 +167,8 @@ def test_zigzag_numberings():
     assert zigzag_numbering(4) == (1, 4, 2, 3)
     assert zigzag_numbering(5) == (1, 5, 2, 4, 3)
     assert zigzag_numbering(1) == (1,)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        zigzag_numbering(0)
 
 
 def test_find_benevolent_identity_first():

@@ -20,6 +20,7 @@ ensemble is solved as a qubit ensemble.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -223,7 +224,8 @@ def _screened_operators(e: Ensemble, c: CostFunction, inverses: np.ndarray) -> n
     gathered by the rows.  The complex states enter as interleaved (re, im)
     doubles, so the product stays real.
     """
-    weights = (2 * (np.asarray(c.values) - c.mean))[inverses]
+    # an intp index gathers faster than the cached int8 tables
+    weights = (2 * (np.asarray(c.values) - c.mean))[inverses.astype(np.intp, copy=False)]
     states = e.states.reshape(e.size, -1).view(float)
     return (weights @ states).view(complex).reshape(-1, e.dim, e.dim)
 
@@ -335,6 +337,52 @@ def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
     return values
 
 
+def _trace_norm_bounds(batch: np.ndarray, error: float) -> np.ndarray:
+    """Upper bounds on ||A||_1 for each Hermitian matrix of an (N, d, d)
+    batch, read from the lower triangle, each at least the sum of |eigenvalues|
+    that :func:`_spectra` screens within error / 4 per eigenvalue.
+
+    With tau = Tr A and F^2 = ||A||_F^2 the eigenvalues are tau / d + mu_k,
+    sum mu_k = 0 and sum mu_k^2 = F^2 - tau^2 / d.  The p positive mu_k and the
+    q negative ones each sum to some P in magnitude, and Cauchy-Schwarz gives
+    P^2 / p + P^2 / q <= sum mu_k^2.  pq / (p + q) is largest at the even split
+    of d, so ||A||_1 <= |tau| + 2P <= |tau| + c_d sqrt(F^2 - tau^2 / d) with
+    c_d = 2 sqrt(floor(d/2) ceil(d/2) / d), an equality at the spectra (a, -a),
+    (a, a, -2a) and (a, a, -a, -a).  Rounding: where the eigenvalues change
+    sign, |tau| <= d sqrt(F^2 - tau^2 / d), so the difference does not cancel;
+    where they do not, ||A||_1 = |tau|.  The bound is computed on A / 2^k, 2^k
+    near ``error``, so that no square overflows or underflows beyond the
+    error, and raised by 2^-40 of itself, which covers its rounding and
+    eigvalsh's, by ``error``, which covers the screened spectra, and by
+    _UNDERFLOW.  Rows with non-finite entries get non-finite bounds.
+    """
+    size, d, _ = batch.shape
+    scale = 2.0 ** -min(max(math.frexp(error)[1], -1000), 1000)  # 1 for error 0 or not finite
+    trace_weights, square_weights = _bound_weights(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = batch.reshape(size, d * d).view(float)
+        trace = parts @ (scale * trace_weights)
+        squares = parts * scale
+        squares *= squares
+        spread = np.sqrt(np.maximum(squares @ square_weights - trace * trace / d, 0.0))
+        bound = np.abs(trace) + 2 * math.sqrt((d // 2) * ((d + 1) // 2) / d) * spread
+        return bound * ((1 + 2.0**-40) / scale) + (error + _UNDERFLOW)
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of the (re, im) parts of a d x d matrix that give its
+    trace and, squared, its Frobenius norm from the real diagonal and the lower triangle."""
+    eye, below = np.eye(d), np.tril(np.ones((d, d)), -1)
+    weights = (
+        np.stack([eye, 0 * eye], axis=-1).ravel(),
+        np.stack([eye + 2 * below, 2 * below], axis=-1).ravel(),
+    )
+    for w in weights:
+        w.setflags(write=False)
+    return weights
+
+
 def _refuted(
     e: Ensemble, c: CostFunction, e_star: np.ndarray, magnitude: np.ndarray, tol: float
 ) -> bool:
@@ -415,6 +463,11 @@ def zigzag_candidate(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
     return n, trace_norm(effective_operator(e, c, n))
 
 
+# Rows per chunk, those with the largest bounds, whose norms set the pruning
+# threshold of the trace-norm sweep.
+_LEADS = 16
+
+
 def tracenorm_argmax(
     e: Ensemble, c: CostFunction, cap: int = DEFAULT_FACTORIAL_CAP
 ) -> tuple[Numbering, float]:
@@ -434,6 +487,19 @@ def tracenorm_argmax(
     norm, the lexicographically smallest numbering among equal computed norms.
     Numberings that tie in exact arithmetic, such as n and n o sigma for every
     n, are usually separated by rounding, not by that order.
+
+    Most spectra are never computed.  Each row of a chunk first scores the
+    bound U of :func:`_trace_norm_bounds`, at least its screened norm, from
+    the trace and the Frobenius norm of the same product.  L is the larger of
+    the running maximum (earlier blocks and chunks) and the largest eigvalsh
+    norm, less the screen's error, of the _LEADS rows with the largest U, so
+    L is at most the running maximum after the block.  Only the rows with
+    U >= L - window are screened; the others keep U, which lies below
+    L - window as their screened norm does.  So the running maximum and the
+    rows handed to the exact batch are those of the full screen.  A block
+    with a non-finite U (finite U means finite entries, so no screened norm
+    is NaN) is screened in full, and a chunk whose L - window is not finite
+    prunes nothing.
     """
     if e.size > cap:
         raise FactorialCapError(
@@ -449,12 +515,35 @@ def tracenorm_argmax(
         if len(moved) and np.array_equal(sigma[sigma], np.arange(e.size)):
             t0, t1 = int(moved[0]), int(sigma[moved[0]])
             g = 2 * (np.asarray(c.values) - c.mean)
-            largest = max(trace_norm(s) for s in e.states)
+            largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
             window += 2 * float(np.abs(g + g[sigma]).sum()) * largest
             # n(t) is the column of t in the row n^-1, so t0 comes first iff n(t0) < n(t1)
             blocks = numbering_blocks(e.size, (t0, t1))
         else:
             sigma = None
+    running = -math.inf  # screened_max's running maximum, updated the same way
+
+    def screen(inverses):
+        nonlocal running
+        top, scores = running, np.empty(len(inverses))  # top: the running maximum by chunk
+        for start in range(0, len(inverses), _CHUNK):
+            operators = _screened_operators(e, c, inverses[start : start + _CHUNK])
+            bounds = _trace_norm_bounds(operators, error)
+            if not np.isfinite(bounds).all():  # the block is screened in full
+                scores = np.abs(_screened_spectra(e, c, inverses, error / 4)).sum(axis=1)
+                break
+            # eigvalsh's norms less the screen's error lie below the screened norms
+            leads = operators[np.argpartition(bounds, -min(_LEADS, len(bounds)))[-_LEADS:]]
+            lead = float(np.abs(np.linalg.eigvalsh(leads)).sum(axis=1).max()) - error
+            threshold = max(top, lead) - window
+            screened = np.ones(len(bounds), dtype=bool)
+            if math.isfinite(threshold):
+                screened = bounds >= threshold
+            bounds[screened] = np.abs(_spectra(operators[screened], error / 4)).sum(axis=1)
+            scores[start : start + len(bounds)] = bounds
+            top = max(top, float(bounds.max()))
+        running = max(running, float(scores.max()))
+        return scores
 
     def norms(inverses):
         rows = np.argsort(inverses, axis=1)
@@ -462,12 +551,7 @@ def tracenorm_argmax(
             rows = np.concatenate([rows, rows[:, sigma]])
         return rows, np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
 
-    return screened_max(
-        blocks,
-        lambda inverses: np.abs(_screened_spectra(e, c, inverses, error / 4)).sum(axis=1),
-        norms,
-        window,
-    )
+    return screened_max(blocks, screen, norms, window)
 
 
 def min_guesswork_qubit(

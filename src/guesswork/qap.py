@@ -111,8 +111,11 @@ def numbering_blocks(m: int, order: tuple[int, int] | None = None):
 
     Each block is an integer array with one permutation per row: those that
     share their first m - 8 entries.  With ``order``, each block keeps only
-    the rows that :func:`_in_order` keeps.  When m <= 8 the one block is a
-    cached read-only table.
+    the rows that :func:`_in_order` keeps, and blocks left empty are skipped:
+    a prefix that places order[0] first keeps every row, one that places
+    order[1] first keeps none, and otherwise the tails are the cached ordered
+    table of the two entries' places among the remaining ones.  When m <= 8
+    the one block is a cached read-only table.
     """
     tail = min(m, _TABLE_POSITIONS)
     table = _permutation_table(tail)
@@ -120,10 +123,19 @@ def numbering_blocks(m: int, order: tuple[int, int] | None = None):
         yield table if order is None else _permutation_table(m, order)
         return
     for prefix in itertools.permutations(range(m), m - tail):
-        block = np.empty((len(table), m), dtype=np.intp)
+        rest = np.array([x for x in range(m) if x not in prefix])
+        rows = table
+        if order is not None:
+            first, second = (prefix.index(t) if t in prefix else m for t in order)
+            if second < first:
+                continue
+            if first == m:  # neither is placed yet: t is entry t - #{x in prefix: x < t} of rest
+                places = tuple(t - sum(x < t for x in prefix) for t in order)
+                rows = _permutation_table(tail, places)
+        block = np.empty((len(rows), m), dtype=np.intp)
         block[:, : m - tail] = prefix
-        block[:, m - tail :] = np.array([x for x in range(m) if x not in prefix])[table]
-        yield block if order is None else _in_order(block, order)
+        block[:, m - tail :] = rest[rows]
+        yield block
 
 
 def _scores(g: np.ndarray, bloch: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -117,6 +117,15 @@ def conjugate_mirror(m, seed):
     return validate(states + middle + [s.conj() for s in reversed(states)])
 
 
+def mirror_costs(m):
+    """3 + t / 1000, the first four moved by a few 1e-11: n and n o sigma differ
+    in norm by more than the screen's error."""
+    values = [3 + t / 1000 for t in range(1, m + 1)]
+    for t, shift in enumerate([-3.6e-11, 4e-11, 1.2e-11, -2.1e-11]):
+        values[t] += shift
+    return cost_function(values)
+
+
 @st.composite
 def problems(draw):
     m = draw(sizes)
@@ -206,11 +215,7 @@ def test_pair_window_covers_perturbed_costs():
 def test_partners_in_later_blocks_tie_lexicographically():
     # at M = 9 a partner lies in another block, and the maximal norm is
     # computed bitwise equal in several blocks
-    e = conjugate_mirror(9, 4)
-    values = [3 + t / 1000 for t in range(1, 10)]
-    for t, shift in enumerate([-3.6e-11, 4e-11, 1.2e-11, -2.1e-11]):
-        values[t] += shift
-    c = cost_function(values)
+    e, c = conjugate_mirror(9, 4), mirror_costs(9)
     assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
 
 
@@ -309,6 +314,54 @@ def test_spectra_of_other_dimensions_are_eigvalsh():
     for d in (1, 4):
         batch = rotated(np.random.default_rng(d).uniform(-1, 1, (20, d)), d)
         np.testing.assert_array_equal(engine._spectra(batch, BUDGET), np.linalg.eigvalsh(batch))
+
+
+# --- the trace-norm bound of the trace-norm sweep ---------------------------------
+
+
+def hermitian_batch(d, seed):
+    """General, traceless, rank-1 (both signs) and multiples of the identity."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+    general = a + a.conj().transpose(0, 2, 1)
+    traceless = general - np.trace(general, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
+    psi = rng.normal(size=(20, d)) + 1j * rng.normal(size=(20, d))
+    rank1 = np.einsum("ki,kj->kij", psi, psi.conj())
+    multiples = np.array([k * np.eye(d) for k in (-3.0, -1e-3, 0.0, 2.5)], dtype=complex)
+    return np.concatenate([general, traceless, rank1, -rank1, multiples])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
+def test_trace_norm_bounds_cover_the_norms(d, scale):
+    unit = hermitian_batch(d, d)
+    batch = unit * scale
+    norms = np.abs(np.linalg.eigvalsh(batch)).sum(axis=1)
+    unscaled = engine._trace_norm_bounds(batch, 0.0)  # squares overflow at 1e300
+    assert np.all((unscaled >= norms) | ~np.isfinite(unscaled))
+    # with the screen's error of these operators, at least the screened norms
+    error = qap.SCREEN_MARGIN / 2 * d * float(np.linalg.norm(unit, axis=(1, 2)).max()) * scale
+    bounds = engine._trace_norm_bounds(batch, error)
+    assert np.isfinite(bounds).all()
+    assert np.all(bounds >= np.abs(engine._spectra(batch, error / 4)).sum(axis=1))
+
+
+@pytest.mark.parametrize("spectrum", [(1, -1), (1, 1, -2), (1, 1, -1, -1)])
+@pytest.mark.parametrize("a", [1e-100, 0.3, 7.0, 1e100])
+def test_trace_norm_bounds_are_tight_at_balanced_spectra(spectrum, a):
+    spectra = a * np.tile(spectrum, (20, 1)).astype(float)
+    batch = rotated(spectra, len(spectrum))
+    norms = np.abs(spectra).sum(axis=1)
+    bounds = engine._trace_norm_bounds(batch, 0.0)
+    assert np.all(bounds >= norms)
+    assert np.all(bounds <= norms * (1 + 1e-12))
+
+
+def test_trace_norm_bounds_of_non_finite_entries_are_not_finite():
+    batch = hermitian_batch(3, 1)[:3].copy()
+    batch[0, 1, 0], batch[1, 2, 2], batch[2, 2, 1] = np.inf, np.nan, complex(0, np.inf)
+    assert not np.isfinite(engine._trace_norm_bounds(batch, 1e-12)).any()
 
 
 # --- the shared screened-max reduction ------------------------------------------
@@ -560,6 +613,68 @@ def test_tracenorm_sweep_screens_one_numbering_per_pair(monkeypatch):
     assert sum(rows) == math.factorial(7)
 
 
+@pytest.mark.parametrize("d, share", [(3, 0.05), (4, 0.2)])
+def test_tracenorm_sweep_screens_only_the_rows_its_bound_keeps(monkeypatch, d, share):
+    rows = []
+    spectra = engine._spectra
+
+    def counted(batch, budget):
+        rows.append(len(batch))
+        return spectra(batch, budget)
+
+    monkeypatch.setattr(engine, "_spectra", counted)
+    c = identity_cost(8)
+    for seed in range(6):
+        e = generate_random_uniform_prior(8, d, seed)
+        rows.clear()
+        assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
+        assert sum(rows) < share * math.factorial(8) // 2
+
+
+def handed_to_the_exact_batch(monkeypatch, e, c, bound=True):
+    """tracenorm_argmax's result and the rows it evaluates exactly; without
+    ``bound``, every bound is infinite and each block is screened in full."""
+    handed, batch = [], engine._effective_operator_batch
+
+    def recording(e, c, rows):
+        handed.append(rows.copy())
+        return batch(e, c, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_effective_operator_batch", recording)
+        if not bound:
+            patch.setattr(engine, "_trace_norm_bounds", lambda b, error: np.full(len(b), np.inf))
+        return tracenorm_argmax(e, c), np.concatenate(handed)
+
+
+@pytest.mark.parametrize(
+    "e, c",
+    [
+        (generate_random_uniform_prior(8, 3, 1), identity_cost(8)),
+        (generate_random_uniform_prior(8, 4, 2), cost_function([1, 5, 2, 3, 4, 1, 5, 3])),
+        (generate_random_uniform_prior(7, 2, 3), identity_cost(7)),
+        (generate_polygon_antiprism(8), identity_cost(8)),
+        (conjugate_mirror(8, 4), mirror_costs(8)),
+        (conjugate_mirror(9, 4), mirror_costs(9)),
+    ],
+)
+def test_the_bound_hands_the_full_screens_rows_to_the_exact_batch(monkeypatch, e, c):
+    result, rows = handed_to_the_exact_batch(monkeypatch, e, c)
+    full_result, full_rows = handed_to_the_exact_batch(monkeypatch, e, c, bound=False)
+    assert result == full_result
+    np.testing.assert_array_equal(rows, full_rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e100, 1e200, 1e300])
+def test_tracenorm_sweep_at_extreme_cost_scales(d, scale):
+    for m in range(2, 6):
+        e = generate_random_uniform_prior(m, d, m)
+        c = cost_function([scale * t for t in range(1, m + 1)])
+        assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
+
+
 def failing_certificate():
     e, c = generate_random_uniform_prior(6, 3, 1), identity_cost(6)
     n_star, _ = tracenorm_argmax(e, c)
@@ -622,6 +737,19 @@ def test_ordered_numbering_blocks_keep_the_rows_in_that_order(m):
     assert [tuple(row) for row in rows.tolist()] == [
         p for p in itertools.permutations(range(m)) if p.index(first) < p.index(second)
     ]
+
+
+@pytest.mark.parametrize(
+    "m, order", [(9, (0, 8)), (9, (8, 0)), (9, (3, 5)), (9, (5, 2)), (10, (0, 9)), (10, (6, 1))]
+)
+def test_ordered_blocks_above_the_table_are_the_filtered_plain_blocks(m, order):
+    # prefixes holding order[0], order[1], both or neither
+    ordered = numbering_blocks(m, order)
+    for plain in numbering_blocks(m):
+        expected = qap._in_order(plain, order)
+        if len(expected):
+            np.testing.assert_array_equal(next(ordered), expected)
+    assert next(ordered, None) is None
 
 
 def test_ordered_table_is_cached_and_read_only():

@@ -120,7 +120,8 @@ def balance_certificate(values) -> Numbering | None:
 
 
 def cost_function(values) -> CostFunction:
-    """Build a cost function from finite values with finite mean and 2 (gamma - mean)."""
+    """Build a cost function from finite values whose mean and sum of
+    |2 (gamma - mean)| are finite, so that every entry of E(n) is bounded."""
     gamma = tuple(float(x) for x in values)
     if len(gamma) < 1:
         raise ValueError("cost function must have at least one value")
@@ -129,10 +130,11 @@ def cost_function(values) -> CostFunction:
         raise ValueError(f"cost values must be finite, got {gamma}")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = arr.mean()
-        deviations = 2 * (arr - mean)
-    if not (np.isfinite(mean) and np.all(np.isfinite(deviations))):
+        spread = np.abs(2 * (arr - mean)).sum()
+    if not (np.isfinite(mean) and np.isfinite(spread)):
         raise ValueError(
-            "cost values overflow: their mean or 2 (gamma - mean) is not a finite double"
+            "cost values overflow: their mean or the sum of |2 (gamma - mean)| "
+            "is not a finite double"
         )
     return CostFunction(values=gamma)
 

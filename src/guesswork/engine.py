@@ -235,25 +235,20 @@ def _screened_operators(e: Ensemble, c: CostFunction, inverses: np.ndarray) -> n
 _CHUNK = 4096
 
 
-def _screened_spectra(
-    e: Ensemble, c: CostFunction, inverses: np.ndarray, budget: float, minuend=None
-) -> np.ndarray:
-    """Screened spectra of E(n), or of ``minuend`` - E(n), for each row n^-1 of
-    0-based inverse numberings: :func:`_screened_operators`, then :func:`_spectra`."""
-    spectra = []
+def _chunks(e: Ensemble, c: CostFunction, inverses: np.ndarray):
+    """Each run of at most _CHUNK rows of 0-based inverse numberings, with its
+    :func:`_screened_operators` product."""
     for start in range(0, len(inverses), _CHUNK):
-        operators = _screened_operators(e, c, inverses[start : start + _CHUNK])
-        if minuend is not None:
-            operators = minuend - operators
-        spectra.append(_spectra(operators, budget))
-    return np.concatenate(spectra)
+        rows = inverses[start : start + _CHUNK]
+        yield rows, _screened_operators(e, c, rows)
 
 
 def _screen_error(e: Ensemble, c: CostFunction) -> float:
     """How far a screened eigenvalue, or sum of |eigenvalues|, of E(n) or
     |E(n*)| - E(n) can lie from the exact batch's: SCREEN_MARGIN / 2 of d
-    times a bound on ||E(n)||_F.  :func:`_spectra` keeps each screened
-    eigenvalue within a quarter of it, so a sum of d <= 3 of them stays inside."""
+    times a bound on ||E(n)||_F.  :func:`_spectra` hands a row to eigvalsh
+    when its closed form's error bound exceeds a quarter of it (nearly
+    repeated eigenvalues), so a sum of d <= 3 screened eigenvalues stays inside."""
     largest = max(float(np.linalg.norm(s)) for s in e.states)
     bound = 2 * float(np.abs(np.asarray(c.values) - c.mean).sum()) * largest
     return SCREEN_MARGIN / 2 * e.dim * bound
@@ -439,15 +434,16 @@ def condition_check(
         return False
     error = _screen_error(e, c)
     for inverses in numbering_blocks(e.size):  # every numbering once, as n^-1
-        lowest = _screened_spectra(e, c, inverses, error / 4, magnitude)[:, 0]
-        if float(lowest.min()) < -tol - error:
-            return False
-        near = np.argsort(inverses[lowest <= -tol + error], axis=1)
-        if not len(near):
-            continue
-        difference = magnitude[None, :, :] - _effective_operator_batch(e, c, near)
-        if float(np.linalg.eigvalsh(difference)[:, 0].min()) < -tol:
-            return False
+        for rows, operators in _chunks(e, c, inverses):
+            lowest = _spectra(magnitude - operators, error / 4)[:, 0]
+            if float(lowest.min()) < -tol - error:
+                return False
+            near = np.argsort(rows[lowest <= -tol + error], axis=1)
+            if not len(near):
+                continue
+            difference = magnitude[None, :, :] - _effective_operator_batch(e, c, near)
+            if float(np.linalg.eigvalsh(difference)[:, 0].min()) < -tol:
+                return False
     return True
 
 
@@ -488,18 +484,13 @@ def tracenorm_argmax(
     Numberings that tie in exact arithmetic, such as n and n o sigma for every
     n, are usually separated by rounding, not by that order.
 
-    Most spectra are never computed.  Each row of a chunk first scores the
-    bound U of :func:`_trace_norm_bounds`, at least its screened norm, from
-    the trace and the Frobenius norm of the same product.  L is the larger of
-    the running maximum (earlier blocks and chunks) and the largest eigvalsh
-    norm, less the screen's error, of the _LEADS rows with the largest U, so
-    L is at most the running maximum after the block.  Only the rows with
-    U >= L - window are screened; the others keep U, which lies below
-    L - window as their screened norm does.  So the running maximum and the
-    rows handed to the exact batch are those of the full screen.  A block
-    with a non-finite U (finite U means finite entries, so no screened norm
-    is NaN) is screened in full, and a chunk whose L - window is not finite
-    prunes nothing.
+    Most spectra are never computed.  Each row of a chunk first gets the
+    bound U >= its screened norm of :func:`_trace_norm_bounds`.  The lead, the
+    largest eigvalsh norm less the screen's error among the _LEADS rows of
+    largest U, lies below a screened norm of the block, so a row with U below
+    max(running, lead) - window may keep U as its score
+    (:func:`screened_max`).  A NaN or infinite U and a threshold of -inf
+    compare false, so those rows are screened.
     """
     if e.size > cap:
         raise FactorialCapError(
@@ -521,29 +512,18 @@ def tracenorm_argmax(
             blocks = numbering_blocks(e.size, (t0, t1))
         else:
             sigma = None
-    running = -math.inf  # screened_max's running maximum, updated the same way
 
-    def screen(inverses):
-        nonlocal running
-        top, scores = running, np.empty(len(inverses))  # top: the running maximum by chunk
-        for start in range(0, len(inverses), _CHUNK):
-            operators = _screened_operators(e, c, inverses[start : start + _CHUNK])
+    def screen(inverses, running):
+        scores = []
+        for _, operators in _chunks(e, c, inverses):
             bounds = _trace_norm_bounds(operators, error)
-            if not np.isfinite(bounds).all():  # the block is screened in full
-                scores = np.abs(_screened_spectra(e, c, inverses, error / 4)).sum(axis=1)
-                break
             # eigvalsh's norms less the screen's error lie below the screened norms
             leads = operators[np.argpartition(bounds, -min(_LEADS, len(bounds)))[-_LEADS:]]
             lead = float(np.abs(np.linalg.eigvalsh(leads)).sum(axis=1).max()) - error
-            threshold = max(top, lead) - window
-            screened = np.ones(len(bounds), dtype=bool)
-            if math.isfinite(threshold):
-                screened = bounds >= threshold
+            screened = ~(bounds < max(running, lead) - window)
             bounds[screened] = np.abs(_spectra(operators[screened], error / 4)).sum(axis=1)
-            scores[start : start + len(bounds)] = bounds
-            top = max(top, float(bounds.max()))
-        running = max(running, float(scores.max()))
-        return scores
+            scores.append(bounds)
+        return np.concatenate(scores)
 
     def norms(inverses):
         rows = np.argsort(inverses, axis=1)

@@ -18,7 +18,9 @@ n(t')] with the rank-1 :func:`cost_gram`.  Two solvers are provided:
   relabeling permutations.
 
 :func:`screened_max` is the reduction shared by this solver and the engine's
-trace-norm sweep.
+trace-norm sweep: ``screen(block, running)`` scores a block given the running
+maximum of the earlier ones, and may give any score below running - window
+to a row it can show lies there.
 """
 
 from __future__ import annotations
@@ -45,11 +47,8 @@ _TABLE_POSITIONS = 8
 # formula only where the screen comes within SCREEN_MARGIN * scale of a
 # decision, scale bounding the magnitude of the scored quantity.  Double
 # rounding in sums of M <= 16 terms and in eigvalsh of d <= 16 matrices stays
-# below 1e-14 * scale, far inside the margin.  The engine's closed-form spectra
-# for d <= 3 bound each row's error and hand a row to eigvalsh when that bound
-# exceeds a quarter of the screen's error, SCREEN_MARGIN / 8 * d * scale per
-# eigenvalue (nearly repeated eigenvalues).  On unit-trace ensembles the margin
-# stays far below EIGEN_TOL = 1e-10.
+# below 1e-14 * scale, far inside the margin.  On unit-trace ensembles the
+# margin stays far below EIGEN_TOL = 1e-10.
 SCREEN_MARGIN = 1e-12
 
 # Two arrangement circles whose unit normals are closer than this in angle
@@ -257,19 +256,25 @@ def screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, float
     lexicographically smallest row among equal exact values, as a 1-based numbering.
 
     ``blocks`` yields arrays of 0-based numberings, one per row; empty blocks
-    are skipped.  ``screen(block)`` scores each row cheaply.  Rows screened
-    within ``window`` of the running maximum go to ``exact(rows)``, which
-    returns the rows it evaluated (it may add others, such as partners of
-    equal value) and their exact values.  When every screened score lies
-    within window / 2 of the exact value, the result equals the exact values
-    of all rows reduced the same way.
+    are skipped.  ``screen(block, running)`` scores each row cheaply, given
+    the running maximum: the largest score of the earlier blocks, -inf before
+    the first.  Rows scored within ``window`` of the running maximum, this
+    block's scores included, go to ``exact(rows)``, which returns the rows it
+    evaluated (it may add others, such as partners of equal value) and their
+    exact values.  When every screened score lies within window / 2 of the
+    exact value, the result equals the exact values of all rows reduced the
+    same way.
+
+    A row scored below running - window, running taken after its block, is
+    neither rechecked nor allowed to raise the maximum.  So a screen may give
+    any such score to a row it can show lies there, in place of its cheap score.
     """
     best_value = running = -math.inf
     best = None
     for block in blocks:
         if not len(block):
             continue
-        scores = screen(block)
+        scores = screen(block, running)
         running = max(running, float(scores.max()))
         rows = block[scores >= running - window]
         if not len(rows):
@@ -350,7 +355,7 @@ def arrangement_solve(
         blocks = numbering_blocks(m) if closed is None else [closed]
     return screened_max(
         blocks,
-        lambda block: _scores(g, bloch, block),
+        lambda block, running: _scores(g, bloch, block),
         lambda rows: (rows, _objective(cost, gram, rows)),
         window,
     )

@@ -9,9 +9,15 @@ import numpy as np
 
 from guesswork import cost_function
 from guesswork.costs import invert
-from guesswork.engine import NumberingMeasurement
+from guesswork.engine import NumberingMeasurement, _effective_operator_batch, effective_operator
 from guesswork.ensembles import TRACE_TOL, Ensemble, generate_random_uniform_prior, validate
-from guesswork.operators import EIGEN_TOL, pauli_vector, require_hermitian, spectral_parts
+from guesswork.operators import (
+    EIGEN_TOL,
+    abs_operator,
+    pauli_vector,
+    require_hermitian,
+    spectral_parts,
+)
 from guesswork.qap import BENEVOLENCE_TOL, BenevolenceReport
 
 
@@ -119,6 +125,19 @@ def reference_blocks(m):
     perms = itertools.permutations(range(m))
     while chunk := list(itertools.islice(perms, 40320)):
         yield np.array(chunk, dtype=np.intp)
+
+
+def reference_lowest(e, c, n_star):
+    """Smallest eigenvalue of |E(n*)| - E(n) over every n, from the exact batch."""
+    magnitude = abs_operator(effective_operator(e, c, n_star))
+    return min(
+        float(np.linalg.eigvalsh(magnitude - _effective_operator_batch(e, c, block))[:, 0].min())
+        for block in reference_blocks(e.size)
+    )
+
+
+def reference_condition_check(e, c, n_star, tol):
+    return not reference_lowest(e, c, n_star) < -tol
 
 
 def double_sum(cost_gram, bloch_gram, n) -> float:

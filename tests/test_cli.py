@@ -493,7 +493,11 @@ def test_non_finite_cost_is_input_error(tmp_path, capsys):
     assert_input_error(code, capsys, "cost values must be finite")
 
 
-@pytest.mark.parametrize("values", [[1e308, -1e308], [1e308, 1e308, -1e308, -1e308]])
+@pytest.mark.parametrize(
+    "values",
+    # the last has a finite 2 (gamma - mean) whose absolute sum overflows
+    [[1e308, -1e308], [1e308, 1e308, -1e308, -1e308], [8e307, 8e307, -8e307, -8e307]],
+)
 def test_overflowing_cost_is_input_error(tmp_path, capsys, values):
     ensemble = generate_random_uniform_prior(len(values), 3, seed=1)
     ensemble_path = write_ensemble(tmp_path / "random.json", ensemble)

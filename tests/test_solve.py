@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import rotated_qubits
+from conftest import reference_condition_check, rotated_qubits
 from hypothesis import given, settings, strategies as st
 
 from guesswork import engine
@@ -218,13 +218,19 @@ def test_a_tiny_entry_in_an_unused_row_keeps_the_general_path():
 
 def test_solve_verifies_a_rotated_embedded_qubit_through_the_general_path():
     # the rotated states use every coordinate, so nothing is dropped, and
-    # the condition holds with 0 an eigenvalue of every |E*| - E(n)
-    qubits, rotated = rotated_qubits(6, 8)
-    c = identity_cost(6)
-    report = solve(rotated, c)
-    assert report.method == "condition_check_only" and report.condition_verified
-    assert abs(report.value - solve(qubits, c).value) <= 1e-12
-    assert abs(guesswork_value(rotated, c, report.measurement) - report.value) <= VALUE_TOL
+    # the condition holds with 0 an eigenvalue of every |E*| - E(n); at M = 8
+    # the condition sweep runs over about ten chunks
+    for m in (6, 8):
+        qubits, rotated = rotated_qubits(m, 8)
+        c = identity_cost(m)
+        report = solve(rotated, c)
+        assert report.method == "condition_check_only" and report.condition_verified
+        assert abs(report.value - solve(qubits, c).value) <= 1e-12
+        assert abs(guesswork_value(rotated, c, report.measurement) - report.value) <= VALUE_TOL
+        n_star = report.optimal_numbering
+        assert condition_check(rotated, c, n_star) == reference_condition_check(
+            rotated, c, n_star, 1e-10
+        )
 
 
 def test_solve_above_cap_degrades_to_zigzag_bound():

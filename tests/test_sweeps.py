@@ -28,13 +28,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guesswork
-from conftest import reference_blocks, reference_brute_force, rotated_qubits
+from conftest import (
+    reference_blocks,
+    reference_brute_force,
+    reference_condition_check,
+    reference_lowest,
+    rotated_qubits,
+)
 from guesswork import engine, qap
 from guesswork.costs import cost_function, identity_cost
 from guesswork.engine import (
     _effective_operator_batch,
     condition_check,
-    effective_operator,
     solve,
     tracenorm_argmax,
 )
@@ -44,7 +49,7 @@ from guesswork.ensembles import (
     validate,
 )
 from guesswork.errors import FactorialCapError
-from guesswork.operators import abs_operator, from_bloch
+from guesswork.operators import from_bloch
 from guesswork.qap import arrangement_solve, bloch_gram, cost_gram, numbering_blocks, screened_max
 
 
@@ -57,19 +62,6 @@ def reference_tracenorm_argmax(e, c):
         if norms[k] > best_norm:
             best_norm, best_perm = float(norms[k]), block[k]
     return tuple(int(x) + 1 for x in best_perm), best_norm
-
-
-def reference_lowest(e, c, n_star):
-    """Smallest eigenvalue of |E(n*)| - E(n) over every n, from the exact batch."""
-    magnitude = abs_operator(effective_operator(e, c, n_star))
-    return min(
-        float(np.linalg.eigvalsh(magnitude - _effective_operator_batch(e, c, block))[:, 0].min())
-        for block in reference_blocks(e.size)
-    )
-
-
-def reference_condition_check(e, c, n_star, tol):
-    return not reference_lowest(e, c, n_star) < -tol
 
 
 def assert_sweeps_match(e, c, candidates=()):
@@ -375,7 +367,7 @@ def _exact(rows):
     return rows, np.array([_VALUES[tuple(row)] for row in rows.tolist()])
 
 
-def _screen(block):
+def _screen(block, running):
     # below the exact values by less than half the window used below
     return _exact(block)[1] - 0.2 * (block[:, 0] == 1)
 
@@ -406,6 +398,45 @@ def test_screened_max_partner_rows_sort_before_the_screened_row():
     blocks = [_rows((1, 0, 2), (1, 2, 0)), _rows((2, 0, 1), (2, 1, 0))]
     assert screened_max(iter(blocks), _screen, with_reversals, 0.5) == ((1, 2, 3), 3.0)
     assert screened_max(iter(blocks[:1]), _screen, with_reversals, 0.5) == ((1, 3, 2), 3.0)
+
+
+def test_screened_max_hands_the_screen_the_running_maximum_and_honours_its_contract():
+    # integer values over the numberings of range(5), so that exact ties are
+    # common; the screen errs by less than window / 4, and blocks of 8 rows
+    rng = np.random.default_rng(5)
+    rows = np.array(list(itertools.permutations(range(5))), dtype=np.intp)
+    values = dict(zip(map(tuple, rows.tolist()), rng.integers(0, 20, len(rows)).astype(float)))
+    noise = dict(zip(values, rng.uniform(-0.2, 0.2, len(rows))))
+    window = 1.0
+
+    def exact(block):
+        return block, np.array([values[tuple(row)] for row in block.tolist()])
+
+    def screen(block, running):
+        return exact(block)[1] + np.array([noise[tuple(row)] for row in block.tolist()])
+
+    blocks = [rows[start : start + 8] for start in range(0, len(rows), 8)]
+    handed = []
+
+    def recording(block, running):
+        handed.append(running)
+        return screen(block, running)
+
+    full = screened_max(iter(blocks), recording, exact, window)
+    tops = [float(screen(block, None).max()) for block in blocks]
+    assert handed == [-math.inf] + list(itertools.accumulate(tops, max))[:-1]
+
+    # an upper bound on each screened score places a row below running - window
+    pruned = []
+
+    def bounded(block, running):
+        scores = screen(block, running)
+        below = scores + 0.25 < running - window
+        pruned.append(int(below.sum()))
+        return np.where(below, -math.inf, scores)
+
+    assert screened_max(iter(blocks), bounded, exact, window) == full
+    assert sum(pruned) > len(rows) // 2
 
 
 # --- the exact qubit solver on degenerate layouts ----------------------------------

@@ -225,6 +225,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_TOL_HELP = "tolerance of the optimality condition, relative to the cost's scale"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--ensemble", required=True, help="ensemble JSON path")
     solve.add_argument("--cost", default="identity", help="'identity' or a cost JSON path")
     solve.add_argument(
-        "--tol", type=float, default=1e-10, help="tolerance of the optimality condition"
+        "--tol", type=float, default=1e-10, help=_TOL_HELP
     )
     solve.add_argument("--out", help="write the report JSON here")
     solve.set_defaults(func=cmd_solve)
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--samples", type=int, default=100000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
-        "--tol", type=float, default=1e-10, help="tolerance of the optimality condition"
+        "--tol", type=float, default=1e-10, help=_TOL_HELP
     )
     sim.add_argument("--out", help="write the estimate JSON here")
     sim.set_defaults(func=cmd_simulate)

@@ -47,10 +47,10 @@ from .operators import (
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
     SCREEN_MARGIN,
+    _numbering_blocks,
+    _screened_max,
     arrangement_solve,
     benevolent_solve,
-    numbering_blocks,
-    screened_max,
     zigzag_numbering,
 )
 
@@ -132,6 +132,13 @@ def _require_measurement_of(e: Ensemble, m: NumberingMeasurement) -> None:
         require_numbering(numbering, size=e.size)
 
 
+def _exponent(values) -> int:
+    """k such that 2^k is the smallest power of two above max |values|: 0 when
+    every value is 0, and at least -1000, so that 2^-k is a finite double.
+    Tolerances taken at 2^k scale with the cost, as the guesswork does."""
+    return max(math.frexp(float(np.abs(values).max()))[1], -1000)
+
+
 def effective_operator(e: Ensemble, c: CostFunction, n) -> np.ndarray:
     """E(n) = 2 sum_t (gamma(t) - mean) rho(n(t)), as one row of
     :func:`_effective_operator_batch`."""
@@ -145,7 +152,8 @@ def guesswork_value(e: Ensemble, c: CostFunction, m: NumberingMeasurement) -> fl
 
     Computed directly as sum_t gamma(t) sum_n Tr[pi(n) rho(n(t))] and
     cross-checked against the equivalent form
-    mean + (1/2) sum_n Tr[pi(n) E(n)].
+    mean + (1/2) sum_n Tr[pi(n) E(n)], within VALUE_TOL times the smallest
+    power of two above max |gamma|.
     """
     _require_measurement_of(e, m)
     _require_same_size(e, c)
@@ -157,7 +165,7 @@ def guesswork_value(e: Ensemble, c: CostFunction, m: NumberingMeasurement) -> fl
         shifted += 0.5 * float(
             np.trace(element @ effective_operator(e, c, numbering)).real
         )
-    if abs(direct - shifted) > VALUE_TOL:
+    if abs(direct - shifted) > math.ldexp(VALUE_TOL, _exponent(c.values)):
         raise NumericalCheckError(
             f"guesswork evaluations disagree: direct {direct!r} vs shifted {shifted!r}"
         )
@@ -172,8 +180,10 @@ def optimal_two_outcome_measurement(
     The n* element is the negative projector plus half the null projector of
     E(n*); the partner element is the mirror image (positive plus half null).
     When sigma is the identity (constant cost) the two outcomes coincide and
-    the measurement degenerates to the identity on n*.  The null space and
-    the validation take EIGEN_TOL.
+    the measurement degenerates to the identity on n*.  With 2^k the smallest
+    power of two above max |gamma - mean|, the null space is that of
+    E(n*) / 2^k within EIGEN_TOL, the antisymmetry gap is allowed
+    ALGEBRAIC_TOL 2^k, and the validation takes EIGEN_TOL.
     """
     if not c.is_balanced:
         raise ValueError("the two-outcome construction requires a balanced cost")
@@ -191,13 +201,14 @@ def optimal_two_outcome_measurement(
     # residual sum_t |g(t) + g(sigma(t))| times the largest prior, which bounds
     # every entry of a PSD state
     g = np.asarray(c.values) - c.mean
+    k = _exponent(g)
     residual = float(np.abs(g + g[np.asarray(c.balancing_permutation) - 1]).sum())
-    if antisymmetry > ALGEBRAIC_TOL + 2 * residual * float(e.prior.max()):
+    if antisymmetry > math.ldexp(ALGEBRAIC_TOL, k) + 2 * residual * float(e.prior.max()):
         raise NumericalCheckError(
             f"effective operators are not antisymmetric under the balancing "
             f"permutation (gap {antisymmetry:.3e}); is the cost certificate valid?"
         )
-    parts = spectral_parts(e_star)
+    parts = spectral_parts(e_star * math.ldexp(1.0, -k))
     elements = {
         n_star: parts.negative_projector + parts.null_projector / 2,
         partner: parts.positive_projector + parts.null_projector / 2,
@@ -217,17 +228,18 @@ def _effective_operator_batch(
     return 2 * np.einsum("t,ktij->kij", coefficients, e.states[block])
 
 
-def _screened_operators(e: Ensemble, c: CostFunction, inverses: np.ndarray) -> np.ndarray:
+def _screened_operators(e: Ensemble, weights: np.ndarray, inverses: np.ndarray) -> np.ndarray:
     """E(n) for each row n^-1 of 0-based inverse numberings as one product W @ states.
 
-    E(n) = 2 sum_i (gamma(n^-1(i)) - mean) rho_i, so W is 2 (gamma - mean)
-    gathered by the rows.  The complex states enter as interleaved (re, im)
-    doubles, so the product stays real.
+    E(n) = 2 sum_i (gamma(n^-1(i)) - mean) rho_i, so W is ``weights``, the
+    2 (gamma - mean) of the positions the rows number, gathered by the rows.
+    The complex states enter as interleaved (re, im) doubles, so the product
+    stays real.
     """
     # an intp index gathers faster than the cached int8 tables
-    weights = (2 * (np.asarray(c.values) - c.mean))[inverses.astype(np.intp, copy=False)]
+    gathered = weights[inverses.astype(np.intp, copy=False)]
     states = e.states.reshape(e.size, -1).view(float)
-    return (weights @ states).view(complex).reshape(-1, e.dim, e.dim)
+    return (gathered @ states).view(complex).reshape(-1, e.dim, e.dim)
 
 
 # Rows per screened batch: the temporaries of the product and of the closed
@@ -235,12 +247,12 @@ def _screened_operators(e: Ensemble, c: CostFunction, inverses: np.ndarray) -> n
 _CHUNK = 4096
 
 
-def _chunks(e: Ensemble, c: CostFunction, inverses: np.ndarray):
+def _chunks(e: Ensemble, weights: np.ndarray, inverses: np.ndarray):
     """Each run of at most _CHUNK rows of 0-based inverse numberings, with its
     :func:`_screened_operators` product."""
     for start in range(0, len(inverses), _CHUNK):
         rows = inverses[start : start + _CHUNK]
-        yield rows, _screened_operators(e, c, rows)
+        yield rows, _screened_operators(e, weights, rows)
 
 
 def _screen_error(e: Ensemble, c: CostFunction) -> float:
@@ -433,8 +445,9 @@ def condition_check(
     if _refuted(e, c, e_star, magnitude, tol):
         return False
     error = _screen_error(e, c)
-    for inverses in numbering_blocks(e.size):  # every numbering once, as n^-1
-        for rows, operators in _chunks(e, c, inverses):
+    weights = 2 * (np.asarray(c.values) - c.mean)
+    for inverses in _numbering_blocks(e.size):  # every numbering once, as n^-1
+        for rows, operators in _chunks(e, weights, inverses):
             lowest = _spectra(magnitude - operators, error / 4)[:, 0]
             if float(lowest.min()) < -tol - error:
                 return False
@@ -471,25 +484,25 @@ def tracenorm_argmax(
 
     Each norm is screened: E(n) = W @ states, and the closed-form spectra of
     :func:`_spectra` for d <= 3 (eigvalsh for larger d and for rows whose
-    error bound exceeds a quarter of the screen's error).  When the balancing
-    permutation sigma is an involution other than the identity,
-    E(n o sigma) = -E(n) up to delta = sum_t |g(t) + g(sigma(t))| max_i
-    ||rho_i||_1 with g = 2 (gamma - mean), so only the numbering of each pair
-    {n, n o sigma} with n(t0) < n(t1) is screened, (t0, t1) being sigma's first
-    2-cycle.  Numberings screened within twice the screen's error plus 2 delta
-    of the running maximum are recomputed from the exact batch of E(n),
-    together with their partners n o sigma (:func:`screened_max`), so the
-    result equals the exact sweep over all numberings: the largest computed
-    norm, the lexicographically smallest numbering among equal computed norms.
-    Numberings that tie in exact arithmetic, such as n and n o sigma for every
-    n, are usually separated by rounding, not by that order.
+    error bound exceeds a quarter of the screen's error).  The rows number the
+    positions by increasing cost, with weights w = 2 (gamma - mean) in that
+    order, so E of the mirror row M - 1 - r lies within delta =
+    sum_k |w_k + w_(M-1-k)| max_i ||rho_i||_1 of -E(r); for a balanced cost
+    delta is its balance residual.  Only the first half of each block, one
+    row of each pair, is screened.  Rows screened within twice the screen's
+    error plus 2 delta of the running maximum are recomputed from the exact
+    batch of E(n), with their mirrors (:func:`_screened_max`), so the result
+    equals the exact sweep over all numberings: the largest computed norm,
+    the lexicographically smallest numbering among equal computed norms.
+    Numberings that tie in exact arithmetic, such as a row and its mirror,
+    are usually separated by rounding, not by that order.
 
     Most spectra are never computed.  Each row of a chunk first gets the
     bound U >= its screened norm of :func:`_trace_norm_bounds`.  The lead, the
     largest eigvalsh norm less the screen's error among the _LEADS rows of
     largest U, lies below a screened norm of the block, so a row with U below
     max(running, lead) - window may keep U as its score
-    (:func:`screened_max`).  A NaN or infinite U and a threshold of -inf
+    (:func:`_screened_max`).  A NaN or infinite U and a threshold of -inf
     compare false, so those rows are screened.
     """
     if e.size > cap:
@@ -497,25 +510,15 @@ def tracenorm_argmax(
             f"trace-norm search sweeps {e.size}! numberings, above the cap {cap}"
         )
     error = _screen_error(e, c)
-    window = 2 * error
-    blocks = numbering_blocks(e.size)  # every numbering once, as n^-1
-    sigma = None
-    if c.balancing_permutation is not None:
-        sigma = np.asarray(c.balancing_permutation) - 1
-        moved = np.flatnonzero(sigma != np.arange(e.size))
-        if len(moved) and np.array_equal(sigma[sigma], np.arange(e.size)):
-            t0, t1 = int(moved[0]), int(sigma[moved[0]])
-            g = 2 * (np.asarray(c.values) - c.mean)
-            largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
-            window += 2 * float(np.abs(g + g[sigma]).sum()) * largest
-            # n(t) is the column of t in the row n^-1, so t0 comes first iff n(t0) < n(t1)
-            blocks = numbering_blocks(e.size, (t0, t1))
-        else:
-            sigma = None
+    # rows r number the positions by increasing cost, n^-1(i) = order[r(i)]
+    order = np.asarray(c.sorting_permutation) - 1
+    weights = 2 * (np.asarray(c.values)[order] - c.mean)
+    largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
+    window = 2 * error + 2 * float(np.abs(weights + weights[::-1]).sum()) * largest
 
     def screen(inverses, running):
         scores = []
-        for _, operators in _chunks(e, c, inverses):
+        for _, operators in _chunks(e, weights, inverses):
             bounds = _trace_norm_bounds(operators, error)
             # eigvalsh's norms less the screen's error lie below the screened norms
             leads = operators[np.argpartition(bounds, -min(_LEADS, len(bounds)))[-_LEADS:]]
@@ -526,12 +529,11 @@ def tracenorm_argmax(
         return np.concatenate(scores)
 
     def norms(inverses):
-        rows = np.argsort(inverses, axis=1)
-        if sigma is not None:
-            rows = np.concatenate([rows, rows[:, sigma]])
+        # each row and its mirror M - 1 - r, as 0-based numberings n
+        rows = np.argsort(np.concatenate([order[inverses], order[::-1][inverses]]), axis=1)
         return rows, np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
 
-    return screened_max(blocks, screen, norms, window)
+    return _screened_max(_numbering_blocks(e.size, half=True), screen, norms, window)
 
 
 def min_guesswork_qubit(
@@ -611,8 +613,9 @@ def min_guesswork_general(
     two-outcome measurement at n*; if not, ``measurement`` is None and the
     value mean - ||E(n*)||_1 / 2 is achievable but not proved minimal (the
     condition is sufficient, not necessary).  Above the cap no sweep runs
-    and the :func:`zigzag_candidate` bound is returned.  ``tol`` is the
-    condition's; the measurement's null space is split within EIGEN_TOL.
+    and the :func:`zigzag_candidate` bound is returned.  The condition is
+    checked within ``tol`` times 2^k, the smallest power of two above
+    max |gamma - mean|, so the verdict does not depend on the cost's units.
     """
     _require_balanced(c)
     _require_same_size(e, c)
@@ -620,7 +623,8 @@ def min_guesswork_general(
         return _zigzag_report(e, c)
     candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
     measurement = None
-    if condition_check(e, c, candidate, tol=tol, cap=cap):
+    scaled = math.ldexp(tol, _exponent(np.asarray(c.values) - c.mean))
+    if condition_check(e, c, candidate, tol=scaled, cap=cap):
         measurement = optimal_two_outcome_measurement(e, c, candidate)
     return _condition_report(c, candidate, norm_value, measurement)
 

@@ -17,10 +17,12 @@ n(t')] with the rank-1 :func:`cost_gram`.  Two solvers are provided:
   by the zig-zag numbering, conjugated back through the sorting and
   relabeling permutations.
 
-:func:`screened_max` is the reduction shared by this solver and the engine's
-trace-norm sweep: ``screen(block, running)`` scores a block given the running
-maximum of the earlier ones, and may give any score below running - window
-to a row it can show lies there.
+The exhaustive sweeps, this solver's and the engine's, enumerate
+:func:`_numbering_blocks` (with ``half``, one row of each mirror pair
+{r, M - 1 - r}) and reduce them with :func:`_screened_max`:
+``screen(block, running)`` scores a block given the running maximum of the
+earlier ones, and may give any score below running - window to a row it can
+show lies there.
 """
 
 from __future__ import annotations
@@ -82,19 +84,9 @@ def bloch_gram(e: Ensemble) -> np.ndarray:
     return e.bloch @ e.bloch.T
 
 
-def _in_order(rows: np.ndarray, order: tuple[int, int]) -> np.ndarray:
-    """The rows in which the entry order[0] comes before the entry order[1]."""
-    return rows[(rows == order[0]).argmax(axis=1) < (rows == order[1]).argmax(axis=1)]
-
-
 @functools.lru_cache(maxsize=None)
-def _permutation_table(k: int, order: tuple[int, int] | None = None) -> np.ndarray:
-    """All permutations of range(k) in lexicographic order, as a read-only int8
-    table; with ``order``, only the rows that :func:`_in_order` keeps."""
-    if order is not None:
-        table = _in_order(_permutation_table(k), order)
-        table.setflags(write=False)
-        return table
+def _permutation_table(k: int) -> np.ndarray:
+    """All permutations of range(k) in lexicographic order, as a read-only int8 table."""
     table = np.zeros((1, 0), dtype=np.int8)
     for size in range(1, k + 1):
         # rows led by each first entry in turn, then the shorter table relabelled around it
@@ -105,35 +97,28 @@ def _permutation_table(k: int, order: tuple[int, int] | None = None) -> np.ndarr
     return table
 
 
-def numbering_blocks(m: int, order: tuple[int, int] | None = None):
+def _numbering_blocks(m: int, half: bool = False):
     """Every permutation of range(m), in ``itertools.permutations`` order, in blocks.
 
     Each block is an integer array with one permutation per row: those that
-    share their first m - 8 entries.  With ``order``, each block keeps only
-    the rows that :func:`_in_order` keeps, and blocks left empty are skipped:
-    a prefix that places order[0] first keeps every row, one that places
-    order[1] first keeps none, and otherwise the tails are the cached ordered
-    table of the two entries' places among the remaining ones.  When m <= 8
-    the one block is a cached read-only table.
+    share their first m - 8 entries.  When m <= 8 the one block is a cached
+    read-only table.  With ``half``, each block keeps its first ceil(len / 2)
+    rows, which hold one row of each pair {r, m - 1 - r}: complementing every
+    entry reverses the lexicographic order, so it maps the k-th row of a
+    prefix's block to the k-th last row of the complemented prefix's block.
     """
     tail = min(m, _TABLE_POSITIONS)
     table = _permutation_table(tail)
+    if half:
+        table = table[: (len(table) + 1) // 2]
     if m == tail:
-        yield table if order is None else _permutation_table(m, order)
+        yield table
         return
     for prefix in itertools.permutations(range(m), m - tail):
         rest = np.array([x for x in range(m) if x not in prefix])
-        rows = table
-        if order is not None:
-            first, second = (prefix.index(t) if t in prefix else m for t in order)
-            if second < first:
-                continue
-            if first == m:  # neither is placed yet: t is entry t - #{x in prefix: x < t} of rest
-                places = tuple(t - sum(x < t for x in prefix) for t in order)
-                rows = _permutation_table(tail, places)
-        block = np.empty((len(rows), m), dtype=np.intp)
+        block = np.empty((len(table), m), dtype=np.intp)
         block[:, : m - tail] = prefix
-        block[:, m - tail :] = rest[rows]
+        block[:, m - tail :] = rest[table]
         yield block
 
 
@@ -251,7 +236,7 @@ def _objective(cost: np.ndarray, gram: np.ndarray, rows: np.ndarray) -> np.ndarr
     return np.einsum("ts,kts->k", cost, gram[rows[:, :, None], rows[:, None, :]])
 
 
-def screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, float]:
+def _screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, float]:
     """The largest exact value over every row of ``blocks``, and the
     lexicographically smallest row among equal exact values, as a 1-based numbering.
 
@@ -296,7 +281,7 @@ def arrangement_solve(
     The result equals the exhaustive exact sweep over all M! numberings: the largest
     value of sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t), n(t')] as
     :func:`_objective` computes it, and the lexicographically smallest
-    numbering among equal computed values (:func:`screened_max`).
+    numbering among equal computed values (:func:`_screened_max`).
     Numberings that tie in exact arithmetic, such as n and n o sigma under a
     balanced cost, are usually separated by rounding, not by that order.
 
@@ -352,8 +337,8 @@ def arrangement_solve(
                 f"M = {m} exceeds the exhaustive-search cap {cap} ({m}! numberings) "
                 "and the near-tied numberings outnumber a sweep"
             )
-        blocks = numbering_blocks(m) if closed is None else [closed]
-    return screened_max(
+        blocks = _numbering_blocks(m) if closed is None else [closed]
+    return _screened_max(
         blocks,
         lambda block, running: _scores(g, bloch, block),
         lambda rows: (rows, _objective(cost, gram, rows)),

@@ -233,6 +233,42 @@ def test_solve_verifies_a_rotated_embedded_qubit_through_the_general_path():
         )
 
 
+SCALE_ENSEMBLES = {
+    "random_dim3": generate_random_uniform_prior(8, 3, 1),  # the condition fails
+    "mub": generate_mub(),
+    "random_qubits": generate_random_uniform_prior(8, 2, 1),
+    "rotated_qubits": rotated_qubits(8, 1)[1],  # the condition holds on the general path
+}
+
+
+@pytest.mark.parametrize("name", SCALE_ENSEMBLES)
+def test_solve_does_not_depend_on_the_units_of_the_cost(name):
+    # G(a gamma) = a G(gamma): the tolerances are taken at the cost's scale
+    e = SCALE_ENSEMBLES[name]
+
+    def solved(factor):
+        c = cost_function([factor * t for t in range(1, e.size + 1)])
+        return c, solve(e, c)
+
+    def elements(report):
+        if report.measurement is None:
+            return None
+        return {n: element.tobytes() for n, element in report.measurement.elements.items()}
+
+    _, base = solved(1.0)
+    for factor in (2.0**-40, 1e-11, 1e-10, 1e4, 1e6, 2.0**40):
+        c, report = solved(factor)
+        assert (report.method, report.condition_verified) == (base.method, base.condition_verified)
+        assert (report.measurement is None) == (base.measurement is None)
+        assert math.isclose(report.value / factor, base.value, rel_tol=1e-12)
+        if report.measurement is not None:
+            attained = guesswork_value(e, c, report.measurement)
+            assert math.isclose(attained, report.value, rel_tol=1e-12)
+        if math.frexp(factor)[0] == 0.5:  # a power of two scales every float exactly
+            assert report.optimal_numbering == base.optimal_numbering
+            assert elements(report) == elements(base)
+
+
 def test_solve_above_cap_degrades_to_zigzag_bound():
     c = identity_cost(4)
     weights = (0.4, 0.8, 1.2, 1.6)

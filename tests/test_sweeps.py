@@ -7,7 +7,7 @@ gathered Bloch Gram, ``reference_brute_force`` in conftest, and the exact
 batch of effective operators), keeping the (max value, earliest) numbering
 block by block.  The fast paths must return the same numbering, the same
 float and the same bool, ties included: also where the trace-norm sweep
-screens one numbering of each pair {n, n o sigma}, where the condition check
+screens one row of each mirror pair {r, M - 1 - r}, where the condition check
 first tries to refute n*, and where the qubit solver sees only the sorted
 matchings of the great-circle arrangement and their near-tied swaps.
 """
@@ -50,7 +50,7 @@ from guesswork.ensembles import (
 )
 from guesswork.errors import FactorialCapError
 from guesswork.operators import from_bloch
-from guesswork.qap import arrangement_solve, bloch_gram, cost_gram, numbering_blocks, screened_max
+from guesswork.qap import _numbering_blocks, _screened_max, arrangement_solve, bloch_gram, cost_gram
 
 
 def reference_tracenorm_argmax(e, c):
@@ -378,15 +378,15 @@ def _rows(*rows):
 
 def test_screened_max_tie_across_blocks_keeps_the_earlier_row():
     blocks = [_rows((1, 0, 2), (1, 2, 0)), _rows((2, 1, 0))]
-    assert screened_max(iter(blocks), _screen, _exact, 0.5) == ((2, 3, 1), 3.0)
+    assert _screened_max(iter(blocks), _screen, _exact, 0.5) == ((2, 3, 1), 3.0)
     # the same with the later block first: the smaller row still wins
-    assert screened_max(iter(blocks[::-1]), _screen, _exact, 0.5) == ((2, 3, 1), 3.0)
+    assert _screened_max(iter(blocks[::-1]), _screen, _exact, 0.5) == ((2, 3, 1), 3.0)
 
 
 def test_screened_max_skips_empty_blocks():
     empty = _rows()
     blocks = [empty, _rows((1, 0, 2)), empty, _rows((2, 0, 1), (0, 2, 1)), empty]
-    assert screened_max(iter(blocks), _screen, _exact, 0.5) == ((1, 3, 2), 3.0)
+    assert _screened_max(iter(blocks), _screen, _exact, 0.5) == ((1, 3, 2), 3.0)
 
 
 def test_screened_max_partner_rows_sort_before_the_screened_row():
@@ -396,8 +396,8 @@ def test_screened_max_partner_rows_sort_before_the_screened_row():
     # (1, 2, 0) brings its partner (0, 2, 1); the later (2, 1, 0) brings
     # (0, 1, 2), which sorts before both and wins the tie
     blocks = [_rows((1, 0, 2), (1, 2, 0)), _rows((2, 0, 1), (2, 1, 0))]
-    assert screened_max(iter(blocks), _screen, with_reversals, 0.5) == ((1, 2, 3), 3.0)
-    assert screened_max(iter(blocks[:1]), _screen, with_reversals, 0.5) == ((1, 3, 2), 3.0)
+    assert _screened_max(iter(blocks), _screen, with_reversals, 0.5) == ((1, 2, 3), 3.0)
+    assert _screened_max(iter(blocks[:1]), _screen, with_reversals, 0.5) == ((1, 3, 2), 3.0)
 
 
 def test_screened_max_hands_the_screen_the_running_maximum_and_honours_its_contract():
@@ -422,7 +422,7 @@ def test_screened_max_hands_the_screen_the_running_maximum_and_honours_its_contr
         handed.append(running)
         return screen(block, running)
 
-    full = screened_max(iter(blocks), recording, exact, window)
+    full = _screened_max(iter(blocks), recording, exact, window)
     tops = [float(screen(block, None).max()) for block in blocks]
     assert handed == [-math.inf] + list(itertools.accumulate(tops, max))[:-1]
 
@@ -435,7 +435,7 @@ def test_screened_max_hands_the_screen_the_running_maximum_and_honours_its_contr
         pruned.append(int(below.sum()))
         return np.where(below, -math.inf, scores)
 
-    assert screened_max(iter(blocks), bounded, exact, window) == full
+    assert _screened_max(iter(blocks), bounded, exact, window) == full
     assert sum(pruned) > len(rows) // 2
 
 
@@ -629,19 +629,28 @@ def test_tracenorm_sweep_screens_one_numbering_per_pair(monkeypatch):
     rows = []
     screen = engine._screened_operators
 
-    def counted(e, c, block):
+    def counted(e, weights, block):
         rows.append(len(block))
-        return screen(e, c, block)
+        return screen(e, weights, block)
 
     monkeypatch.setattr(engine, "_screened_operators", counted)
     e = generate_random_uniform_prior(7, 3, 1)
-    for c in (identity_cost(7), cost_function([1, 5, 2, 3, 4, 1, 5])):
+    # the constant cost pairs every row with its complement too
+    for c in (identity_cost(7), cost_function([1, 5, 2, 3, 4, 1, 5]), cost_function([2.5] * 7)):
         rows.clear()
         tracenorm_argmax(e, c)
         assert sum(rows) == math.factorial(7) // 2
-    rows.clear()
-    tracenorm_argmax(e, cost_function([2.5] * 7))  # sigma is the identity: no pairs
-    assert sum(rows) == math.factorial(7)
+
+
+@pytest.mark.parametrize("m", [6, 7, 9])
+def test_tracenorm_sweep_pairs_several_mean_values_and_constant_costs(m):
+    # the mean repeated M - 4 times among four mirrored values, and a constant
+    # whose computed mean is off by rounding at M = 6, 7 and exact at M = 9
+    e = generate_random_uniform_prior(m, 3, m)
+    several = np.random.default_rng(m).permutation([3.0] * (m - 4) + [1.0, 2.0, 4.0, 5.0])
+    for c in (cost_function(several), cost_function([0.1] * m)):
+        assert c.is_balanced
+        assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
 
 
 @pytest.mark.parametrize("d, share", [(3, 0.05), (4, 0.2)])
@@ -719,7 +728,7 @@ def test_condition_check_refutes_a_failing_certificate_without_sweeping(monkeypa
     def refuse(m):
         raise AssertionError("the condition check swept the numberings")
 
-    monkeypatch.setattr(engine, "numbering_blocks", refuse)
+    monkeypatch.setattr(engine, "_numbering_blocks", refuse)
     assert condition_check(e, c, n_star) is False
 
 
@@ -730,8 +739,8 @@ def test_m9_qubit_solves_do_not_sweep(monkeypatch):
     def no_closed_form(*args, **kwargs):
         raise AssertionError("the qubit solve ran the closed form up to the cap")
 
-    monkeypatch.setattr(qap, "numbering_blocks", refuse)
-    monkeypatch.setattr(engine, "numbering_blocks", refuse)
+    monkeypatch.setattr(qap, "_numbering_blocks", refuse)
+    monkeypatch.setattr(engine, "_numbering_blocks", refuse)
     polygon, rand = generate_polygon_antiprism(9), generate_random_uniform_prior(9, 2, 1)
     c = identity_cost(9)
     with monkeypatch.context() as patched:
@@ -757,41 +766,41 @@ def test_condition_check_above_cap_raises_before_refuting():
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_numbering_blocks_follow_itertools_order(m):
-    rows = np.concatenate(list(numbering_blocks(m)))
+    rows = np.concatenate(list(_numbering_blocks(m)))
     assert [tuple(row) for row in rows.tolist()] == list(itertools.permutations(range(m)))
 
 
-@pytest.mark.parametrize("m", range(2, 10))
-def test_ordered_numbering_blocks_keep_the_rows_in_that_order(m):
-    first, second = (m - 1, 0) if m % 2 else (0, m - 1)
-    rows = np.concatenate(list(numbering_blocks(m, (first, second))))
-    assert [tuple(row) for row in rows.tolist()] == [
-        p for p in itertools.permutations(range(m)) if p.index(first) < p.index(second)
-    ]
+def lexicographic_ranks(rows):
+    """Each row's index in the lexicographic list of the permutations of range(m)."""
+    m = rows.shape[1]
+    later = np.triu(np.ones((m, m), dtype=bool), 1)
+    digits = ((rows[:, :, None] > rows[:, None, :]) & later).sum(axis=2)
+    return digits @ np.array([math.factorial(m - 1 - i) for i in range(m)])
 
 
-@pytest.mark.parametrize(
-    "m, order", [(9, (0, 8)), (9, (8, 0)), (9, (3, 5)), (9, (5, 2)), (10, (0, 9)), (10, (6, 1))]
-)
-def test_ordered_blocks_above_the_table_are_the_filtered_plain_blocks(m, order):
-    # prefixes holding order[0], order[1], both or neither
-    ordered = numbering_blocks(m, order)
-    for plain in numbering_blocks(m):
-        expected = qap._in_order(plain, order)
-        if len(expected):
-            np.testing.assert_array_equal(next(ordered), expected)
-    assert next(ordered, None) is None
+@pytest.mark.parametrize("m", range(1, 11))
+def test_half_blocks_hold_one_row_of_each_complement_pair(m):
+    # every permutation lies in exactly one half block or in the complement of one
+    seen = np.zeros(math.factorial(m), dtype=np.int8)
+    for block in _numbering_blocks(m, half=True):
+        for rows in (block, m - 1 - block):
+            np.add.at(seen, lexicographic_ranks(rows), 1)
+    # m = 1: the one row is its own complement
+    np.testing.assert_array_equal(seen, 2 if m == 1 else 1)
 
 
-def test_ordered_table_is_cached_and_read_only():
-    (block,) = numbering_blocks(8, (3, 5))
-    (again,) = numbering_blocks(8, (3, 5))
-    assert block is again and not block.flags.writeable
-    assert len(block) == math.factorial(8) // 2
+@pytest.mark.parametrize("m", range(1, 9))
+def test_half_table_is_a_read_only_view_of_the_cached_table(m):
+    (full,) = _numbering_blocks(m)
+    entries = qap._permutation_table.cache_info().currsize
+    (half,) = _numbering_blocks(m, half=True)
+    assert qap._permutation_table.cache_info().currsize == entries
+    assert half.base is full and not half.flags.writeable
+    assert len(half) == (len(full) + 1) // 2
 
 
 def test_numbering_blocks_m10_shape_and_ends():
-    blocks = list(numbering_blocks(10))
+    blocks = list(_numbering_blocks(10))
     assert len(blocks) == 90
     assert all(block.shape == (40320, 10) for block in blocks)
     assert blocks[0][0].tolist() == list(range(10))

@@ -11,7 +11,6 @@ sufficient optimality condition certifies two-outcome measurements.
 
 from .costs import (
     CostFunction,
-    balance_certificate,
     compose,
     cost_function,
     identity_cost,
@@ -26,11 +25,9 @@ from .engine import (
     min_guesswork_general,
     min_guesswork_qubit,
     optimal_two_outcome_measurement,
-    permute_problem,
     simulate,
     solve,
     tracenorm_argmax,
-    zigzag_candidate,
 )
 from .ensembles import (
     Ensemble,
@@ -56,7 +53,6 @@ from .qap import (
     arrangement_solve,
     benevolent_solve,
     bloch_gram,
-    cost_gram,
     find_benevolent_permutation,
     is_benevolent,
     zigzag_numbering,

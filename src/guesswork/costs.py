@@ -13,6 +13,7 @@ what allows the optimal measurement to use only two outcomes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,7 +83,7 @@ class CostFunction:
 
     @cached_property
     def balancing_permutation(self) -> Numbering | None:
-        return balance_certificate(self.values)
+        return _balance_certificate(self.values)
 
     @cached_property
     def sorting_permutation(self) -> Numbering:
@@ -93,13 +94,21 @@ class CostFunction:
         return self.balancing_permutation is not None
 
 
-def balance_certificate(values) -> Numbering | None:
+def _exponent(values) -> int:
+    """k such that 2^k is the smallest power of two above max |values|: 0 when
+    every value is 0, and at least -1000, so that 2^-k is a finite double.
+    Tolerances taken at 2^k scale with the cost, as the guesswork does."""
+    return max(math.frexp(float(np.abs(values).max()))[1], -1000)
+
+
+def _balance_certificate(values) -> Numbering | None:
     """Find sigma with gamma(sigma^-1(t)) = 2*mean - gamma(t), or None.
 
     Exists iff the multiset of gamma equals the multiset of its reflection
     about the mean.  Deterministic construction: both sequences are matched
     in sorted order (stable on ties), then the pairing is verified pointwise
-    within BALANCE_TOL.
+    within BALANCE_TOL 2^k, 2^k the smallest power of two above max |gamma - mean|,
+    plus M eps max |gamma| for the rounding of 2*mean - gamma.
     """
     gamma = np.asarray(values, dtype=float)
     m = gamma.size
@@ -113,8 +122,10 @@ def balance_certificate(values) -> Numbering | None:
     sigma_inverse = [0] * m
     for g_idx, t_idx in zip(gamma_order, target_order):
         sigma_inverse[t_idx] = int(g_idx) + 1
+    tol = math.ldexp(BALANCE_TOL, _exponent(gamma - mean))
+    tol += m * np.finfo(float).eps * float(np.abs(gamma).max())
     for t in range(m):
-        if abs(gamma[sigma_inverse[t] - 1] - target[t]) > BALANCE_TOL:
+        if abs(gamma[sigma_inverse[t] - 1] - target[t]) > tol:
             return None
     return invert(sigma_inverse)
 

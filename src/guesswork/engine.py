@@ -29,8 +29,8 @@ import numpy as np
 from .costs import (
     CostFunction,
     Numbering,
+    _exponent,
     compose,
-    cost_function,
     invert,
     require_numbering,
 )
@@ -96,20 +96,22 @@ class GuessworkReport:
     """Solver output: the minimum value and its certificate.
 
     ``measurement`` is None exactly when ``value`` is only an unverified upper
-    bound.  For uniform-prior qubits ``condition_verified`` comes from the
-    exact maximum of |w(n)|^2 through the identity E(n) = w(n) . sigma
-    (see :func:`min_guesswork_qubit`), elsewhere from :func:`condition_check`.
-    A report with a measurement is verified unless it is the closed form of a
-    benevolent qubit ensemble above the cap.
+    bound.  ``condition_verified`` says that a measurement is proved optimal:
+    by the exact maximum of |w(n)|^2 for uniform-prior qubits up to the cap
+    (see :func:`min_guesswork_qubit`), by :func:`condition_check` elsewhere;
+    the closed form of a benevolent qubit ensemble above the cap is not.
     """
 
     value: float
     optimal_numbering: Numbering
     measurement: NumberingMeasurement | None
     method: str  # brute_force | benevolent | condition_check_only | zigzag
-    condition_verified: bool
     mean_cost: float
     trace_norm_term: float
+
+    @property
+    def condition_verified(self) -> bool:
+        return self.measurement is not None and self.method != "benevolent"
 
 
 def _require_balanced(c: CostFunction) -> None:
@@ -130,13 +132,6 @@ def _require_measurement_of(e: Ensemble, m: NumberingMeasurement) -> None:
         raise ValueError(f"measurement has dim {m.dim} but the ensemble has dim {e.dim}")
     for numbering in m.elements:
         require_numbering(numbering, size=e.size)
-
-
-def _exponent(values) -> int:
-    """k such that 2^k is the smallest power of two above max |values|: 0 when
-    every value is 0, and at least -1000, so that 2^-k is a finite double.
-    Tolerances taken at 2^k scale with the cost, as the guesswork does."""
-    return max(math.frexp(float(np.abs(values).max()))[1], -1000)
 
 
 def effective_operator(e: Ensemble, c: CostFunction, n) -> np.ndarray:
@@ -460,18 +455,6 @@ def condition_check(
     return True
 
 
-def zigzag_candidate(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
-    """Uncertified zig-zag heuristic and its achievable trace-norm value.
-
-    The zig-zag numbering composed with the cost's sorting permutation, i.e.
-    the closed-form solution without the benevolence certificate.  Needs no
-    enumeration, so it is available above the factorial cap; the value
-    mean - ||E(n)||_1 / 2 is achievable but not certified optimal.
-    """
-    n = compose(zigzag_numbering(e.size), invert(c.sorting_permutation))
-    return n, trace_norm(effective_operator(e, c, n))
-
-
 # Rows per chunk, those with the largest bounds, whose norms set the pruning
 # threshold of the trace-norm sweep.
 _LEADS = 16
@@ -548,7 +531,7 @@ def min_guesswork_qubit(
     of |E(n*)| - E(n) is |w(n*)| - |w(n)| and ``condition_verified`` is True
     with no sweep.  Above the cap the closed form :func:`benevolent_solve` is
     reported unverified ("benevolent"), or, when it finds no benevolent
-    structure, the :func:`zigzag_candidate` bound ("zigzag").
+    structure, the zig-zag bound of :func:`_zigzag_report` ("zigzag").
 
     The uniform prior is detected within TRACE_TOL, benevolence within
     BENEVOLENCE_TOL and the measurement's null space within EIGEN_TOL.
@@ -561,12 +544,12 @@ def min_guesswork_qubit(
     _require_same_size(e, c)
 
     if e.size <= cap:  # both solvers refuse an overflowing cost before they search
-        n_star, method, verified = arrangement_solve(c, e.bloch, cap=cap)[0], "brute_force", True
+        n_star, method = arrangement_solve(c, e.bloch, cap=cap)[0], "brute_force"
     else:
         fast = benevolent_solve(c, e.bloch, cap=cap)
         if fast is None:
             return _zigzag_report(e, c)
-        n_star, method, verified = fast[0], "benevolent", False
+        n_star, method = fast[0], "benevolent"
 
     e_star = effective_operator(e, c, n_star)
     return GuessworkReport(
@@ -574,7 +557,6 @@ def min_guesswork_qubit(
         optimal_numbering=n_star,
         measurement=optimal_two_outcome_measurement(e, c, n_star),
         method=method,
-        condition_verified=verified,
         mean_cost=c.mean,
         trace_norm_term=trace_norm(e_star) / 2,
     )
@@ -589,15 +571,19 @@ def _condition_report(
         optimal_numbering=candidate,
         measurement=measurement,
         method="condition_check_only",
-        condition_verified=measurement is not None,
         mean_cost=c.mean,
         trace_norm_term=norm_value / 2,
     )
 
 
 def _zigzag_report(e: Ensemble, c: CostFunction) -> GuessworkReport:
-    """The unverified :func:`zigzag_candidate` bound of both solvers above the cap."""
-    return replace(_condition_report(c, *zigzag_candidate(e, c)), method="zigzag")
+    """The unverified bound of both solvers above the cap: the closed form's
+    zig-zag numbering, composed with the cost's sorting permutation, without its
+    benevolence certificate.  It needs no enumeration, and mean - ||E(n)||_1 / 2
+    is achievable but not certified optimal."""
+    n = compose(zigzag_numbering(e.size), invert(c.sorting_permutation))
+    report = _condition_report(c, n, trace_norm(effective_operator(e, c, n)))
+    return replace(report, method="zigzag")
 
 
 def min_guesswork_general(
@@ -613,7 +599,7 @@ def min_guesswork_general(
     two-outcome measurement at n*; if not, ``measurement`` is None and the
     value mean - ||E(n*)||_1 / 2 is achievable but not proved minimal (the
     condition is sufficient, not necessary).  Above the cap no sweep runs
-    and the :func:`zigzag_candidate` bound is returned.  The condition is
+    and the zig-zag bound of :func:`_zigzag_report` is returned.  The condition is
     checked within ``tol`` times 2^k, the smallest power of two above
     max |gamma - mean|, so the verdict does not depend on the cost's units.
     """
@@ -646,7 +632,7 @@ def solve(
     :func:`min_guesswork_qubit`, anything else to
     :func:`min_guesswork_general`, the only one that reads ``tol``; the prior
     is detected within TRACE_TOL.  Above the cap both solvers return the
-    :func:`zigzag_candidate` bound themselves when they know nothing better.
+    zig-zag bound themselves when they know nothing better.
     A bound has ``measurement`` None: its value is achievable, not proved minimal.
     """
     _require_same_size(e, c)
@@ -677,21 +663,6 @@ def _lift(report: GuessworkReport, used: np.ndarray, dim: int) -> GuessworkRepor
         lifted[numbering] = share.copy()
         lifted[numbering][np.ix_(used, used)] = element
     return replace(report, measurement=NumberingMeasurement(dim, lifted).validated())
-
-
-def permute_problem(
-    e: Ensemble, c: CostFunction, sigma1, sigma2
-) -> tuple[Ensemble, CostFunction]:
-    """Relabel the problem: (rho o sigma2, gamma o sigma1).
-
-    The minimum guesswork is invariant under any such relabeling, and optimal
-    numberings map as n -> sigma2^-1 o n o sigma1.
-    """
-    sigma1 = require_numbering(sigma1, size=c.size)
-    sigma2 = require_numbering(sigma2, size=e.size)
-    permuted_states = [e.states[label - 1] for label in sigma2]
-    permuted_values = [c.values[t - 1] for t in sigma1]
-    return validate(permuted_states), cost_function(permuted_values)
 
 
 def simulate(

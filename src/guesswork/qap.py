@@ -3,7 +3,7 @@
 The qubit guesswork problem reduces to maximizing |w(n)|^2 over all
 numberings n, with w(n) = sum_t (gamma(t) - mean) v(n(t)) and v the Bloch
 vectors; as a double sum it is sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t),
-n(t')] with the rank-1 :func:`cost_gram`.  Two solvers are provided:
+n(t')] with the rank-1 cost_gram = g g^T, g = gamma - mean.  Two solvers are provided:
 
 * :func:`arrangement_solve` — exact: the sorted matchings of the cells of the
   great-circle arrangement of the Bloch vectors, closed under near-tied
@@ -206,9 +206,11 @@ def _closure(
     return seen.view(np.uint8).reshape(-1, m).astype(np.intp)
 
 
-def cost_gram(c: CostFunction) -> np.ndarray:
-    """Rank-1 Gram matrix G_ij = (gamma(i) - mean)(gamma(j) - mean); refused
-    when the objective's sums could overflow."""
+def _grams(c: CostFunction, bloch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rank-1 cost_gram, ``bloch`` as an (M, 3) float array and its Gram.
+    A cost whose objective's sums could overflow is refused, and so are other
+    shapes of ``bloch``, such as the M x M Bloch Gram; the 3 x 3 Gram cannot
+    be told from three Bloch vectors."""
     centered = np.asarray(c.values) - c.mean
     with np.errstate(over="ignore"):
         spread = float(np.abs(centered).sum())
@@ -217,14 +219,7 @@ def cost_gram(c: CostFunction) -> np.ndarray:
             "cost values are too large for the qubit solver: "
             "(sum |gamma - mean|)^2 is not a finite double"
         )
-    return np.outer(centered, centered)
-
-
-def _grams(c: CostFunction, bloch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`cost_gram`, ``bloch`` as an (M, 3) float array and its Gram.  Other
-    shapes of ``bloch``, such as the M x M Bloch Gram, are refused; the 3 x 3
-    Gram cannot be told from three Bloch vectors."""
-    cost = cost_gram(c)
+    cost = np.outer(centered, centered)
     bloch = np.asarray(bloch, dtype=float)
     if bloch.shape != (c.size, 3):
         raise ValueError(f"expected {c.size} Bloch vectors of 3 entries, got shape {bloch.shape}")
@@ -240,8 +235,8 @@ def _screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, floa
     """The largest exact value over every row of ``blocks``, and the
     lexicographically smallest row among equal exact values, as a 1-based numbering.
 
-    ``blocks`` yields arrays of 0-based numberings, one per row; empty blocks
-    are skipped.  ``screen(block, running)`` scores each row cheaply, given
+    ``blocks`` yields non-empty arrays of 0-based numberings, one per row.
+    ``screen(block, running)`` scores each row cheaply, given
     the running maximum: the largest score of the earlier blocks, -inf before
     the first.  Rows scored within ``window`` of the running maximum, this
     block's scores included, go to ``exact(rows)``, which returns the rows it
@@ -257,8 +252,6 @@ def _screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, floa
     best_value = running = -math.inf
     best = None
     for block in blocks:
-        if not len(block):
-            continue
         scores = screen(block, running)
         running = max(running, float(scores.max()))
         rows = block[scores >= running - window]
@@ -398,13 +391,15 @@ def _conjugate(a: np.ndarray, sigma: Numbering) -> np.ndarray:
     return a[np.ix_(idx, idx)]
 
 
-def _cyclic_candidates(m: int):
-    # Rotations (identity first) and reflections of the index circle; these
-    # cover every vertex-transitive family, e.g. circulant Gram matrices.
-    for shift in range(m):
-        yield tuple((i + shift) % m + 1 for i in range(m))
-    for shift in range(m):
-        yield tuple((shift - i) % m + 1 for i in range(m))
+def _cyclic_search(mat: np.ndarray, labels: list[int], tol: float) -> Numbering | None:
+    """The first rotation (``labels`` first) or reflection of the cycle ``labels`` that makes
+    ``mat`` benevolent, or None; these cover every vertex-transitive family of that cycle."""
+    m = len(labels)
+    for step, shift in itertools.product((1, -1), range(m)):
+        sigma = tuple(labels[(shift + step * i) % m] for i in range(m))
+        if is_benevolent(_conjugate(mat, sigma), tol).is_benevolent:
+            return sigma
+    return None
 
 
 def _toeplitz_search(mat: np.ndarray, tol: float) -> Numbering | None:
@@ -455,22 +450,24 @@ def find_benevolent_permutation(
     """Find sigma such that A[sigma(i), sigma(j)] is benevolent, or None.
 
     Cyclic relabelings (rotations and reflections, identity first) are tried
-    before the pruned exhaustive search; the exhaustive stage only runs for
-    M <= cap, so above the cap only cyclic structure is detected.
+    before the pruned exhaustive search, which only runs for M <= cap.  Above
+    it those of the labels sorted by the angle of their two leading principal
+    coordinates (eigenvectors of -A) are tried, which finds Bloch layouts
+    arranged around one axis, such as polygons and anti-prisms.
     """
     mat = np.asarray(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     m = mat.shape[0]
-    for sigma in _cyclic_candidates(m):
-        if is_benevolent(_conjugate(mat, sigma), tol).is_benevolent:
-            return sigma
-    # Conjugation cannot repair asymmetry, so a symmetric relabeling is hopeless.
-    if float(np.max(np.abs(mat - mat.T))) > tol:
-        return None
-    if m > cap:
-        return None
-    return _toeplitz_search(mat, tol)
+    sigma = _cyclic_search(mat, list(range(1, m + 1)), tol)
+    # Conjugation cannot repair asymmetry (or NaN), so a relabeling is hopeless.
+    if sigma is not None or not float(np.max(np.abs(mat - mat.T))) <= tol:
+        return sigma
+    if m <= cap:
+        return _toeplitz_search(mat, tol)
+    v = np.linalg.eigh(-mat)[1]
+    order = np.argsort(np.arctan2(v[:, -2], v[:, -1]), kind="stable")
+    return _cyclic_search(mat, [int(i) + 1 for i in order], tol)
 
 
 def benevolent_solve(
@@ -482,7 +479,7 @@ def benevolent_solve(
     Returns the optimal numbering sigma_2 o zigzag o sigma_1^-1 and its
     objective, or None when no relabeling sigma_2 making -bloch_gram
     benevolent within BENEVOLENCE_TOL was found.  Requires a balanced cost;
-    :func:`cost_gram` refuses an overflowing one before the search.
+    :func:`_grams` refuses an overflowing one before the search.
     """
     if not c.is_balanced:
         raise ValueError("benevolent_solve requires a balanced cost function")

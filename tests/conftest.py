@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from guesswork import cost_function
-from guesswork.costs import invert
+from guesswork.costs import compose, invert
 from guesswork.engine import NumberingMeasurement, _effective_operator_batch, effective_operator
 from guesswork.ensembles import TRACE_TOL, Ensemble, generate_random_uniform_prior, validate
 from guesswork.operators import (
@@ -17,8 +17,9 @@ from guesswork.operators import (
     pauli_vector,
     require_hermitian,
     spectral_parts,
+    trace_norm,
 )
-from guesswork.qap import BENEVOLENCE_TOL, BenevolenceReport
+from guesswork.qap import BENEVOLENCE_TOL, BenevolenceReport, zigzag_numbering
 
 
 def reference_validate(raw_states) -> Ensemble:
@@ -105,6 +106,19 @@ def oracle_min_guesswork(e, c) -> float:
         )
         best = max(best, float(np.abs(np.linalg.eigvalsh(operator)).sum()))
     return c.mean - best / 2
+
+
+def reference_cost_gram(c) -> np.ndarray:
+    """The rank-1 cost Gram G_ij = (gamma(i) - mean)(gamma(j) - mean)."""
+    g = np.asarray(c.values) - c.mean
+    return np.outer(g, g)
+
+
+def reference_zigzag(e, c):
+    """The zig-zag numbering composed with the cost's sorting permutation, and
+    ||E(n)||_1: the closed form applied without its benevolence certificate."""
+    n = compose(zigzag_numbering(e.size), invert(c.sorting_permutation))
+    return n, trace_norm(effective_operator(e, c, n))
 
 
 def oracle_qap_max(cost_gram, bloch_gram) -> float:

@@ -220,6 +220,31 @@ def test_solve_rejects_unbalanced_cost(tmp_path, capsys):
     assert "not balanced" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, code",
+    [
+        # within 1e-10 of each other, but as unbalanced as (1, 5, 2)
+        ([1e-12, 5e-12, 2e-12], 2),
+        ([1.0, 5.0, 2.0], 2),
+        # balanced at scale 1, so at 2^40 too
+        ([2.0**40 * v for v in (1.0, 2.0, 3 + 3e-11)], 0),
+        # every two-value cost is balanced, though 2 mean - gamma rounds at 1e6
+        ([1000000.1, 1000000.3], 0),
+    ],
+)
+def test_balance_is_judged_at_the_cost_scale(tmp_path, capsys, values, code):
+    ensemble = generate_random_uniform_prior(len(values), 2, seed=1)
+    ensemble_path = write_ensemble(tmp_path / "random.json", ensemble)
+    cost_path = tmp_path / "cost.json"
+    cost_path.write_text(json.dumps({"values": values}))
+    assert run_cli(["solve", "--ensemble", ensemble_path, "--cost", str(cost_path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "not balanced" in err
+    else:
+        assert "condition verified   yes" in out
+
+
 def test_solve_general_dim3_verified(tmp_path):
     # the pair uses all three coordinates, so it stays on the general path
     e = validate([np.diag([0.5, 0.0, 0.0]), np.diag([0.0, 0.25, 0.25])])
@@ -352,11 +377,11 @@ def test_check_dim3_skips_bloch(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "cap, verdict",
-    [(None, "yes (relabeling 1 4 2 6 3 5)"), ("3", "no (no relabeling found)")],
+    [(None, "yes (relabeling 1 4 2 6 3 5)"), ("3", "yes (relabeling 6 2 4 1 5 3)")],
 )
 def test_check_relabels_a_shuffled_hexagon(tmp_path, capsys, monkeypatch, cap, verdict):
-    # no rotation or reflection of these labels is benevolent, so only the
-    # exhaustive search, which runs up to the cap, finds the relabeling
+    # no rotation or reflection of these labels is benevolent: up to the cap
+    # the exhaustive search finds the relabeling, above it the azimuthal order
     if cap is not None:
         monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", cap)
     hexagon = generate_polygon_antiprism(6)

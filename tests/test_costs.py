@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_balanced_values
+from conftest import random_balanced_values, reference_cost_gram
 from guesswork.costs import (
-    balance_certificate,
+    _balance_certificate,
     compose,
     cost_function,
     identity_cost,
     invert,
     require_numbering,
 )
-from guesswork.qap import cost_gram
 
 
 def certificate_holds(values, sigma, tol=1e-10):
@@ -31,14 +30,44 @@ def test_identity_cost_certificate_is_reversal():
 
 
 def test_two_level_cost_balanced():
-    sigma = balance_certificate([0.0, 0.0, 1.0, 1.0])
+    sigma = _balance_certificate([0.0, 0.0, 1.0, 1.0])
     assert sigma is not None
     assert certificate_holds([0.0, 0.0, 1.0, 1.0], sigma)
 
 
 def test_unbalanced_cost_has_no_certificate():
-    assert balance_certificate([0.0, 1.0, 3.0]) is None
+    assert _balance_certificate([0.0, 1.0, 3.0]) is None
     assert not cost_function([0.0, 1.0, 3.0]).is_balanced
+
+
+@pytest.mark.parametrize("factor", [2.0**-40, 1.0, 2.0**40])
+@pytest.mark.parametrize(
+    "values, balanced",
+    [
+        ((1.0, 2.0, 3 + 3e-11), True),
+        ((1.0, 5.0, 2.0), False),
+        # a perturbation with no spread to mirror: within 1e-10 of each other,
+        # but 4e-11 apart is as unbalanced as (1, 5, 2)
+        ((3 + 4e-11, 3.0, 3.0), False),
+        # every two-value cost is balanced, though 2 mean - gamma rounds at 1e6
+        ((1000000.1, 1000000.3), True),
+    ],
+)
+def test_balance_verdict_does_not_depend_on_the_cost_scale(values, balanced, factor):
+    assert cost_function([factor * v for v in values]).is_balanced == balanced
+
+
+def test_mirrored_costs_are_balanced_at_any_offset_and_spread():
+    rng = np.random.default_rng(2400)
+    for _ in range(300):
+        m = int(rng.integers(2, 65))
+        offset = float(rng.uniform(0, 1e12)) if rng.random() < 0.5 else 0.0
+        deviations = 10.0 ** rng.uniform(-6, 3) * rng.uniform(0, 1, size=m // 2)
+        values = np.concatenate([offset + deviations, offset - deviations, [offset] * (m % 2)])
+        rng.shuffle(values)
+        sigma = _balance_certificate(values)
+        assert sigma is not None, (offset, values)
+        assert certificate_holds(values, sigma, tol=m * 2.0**-52 * float(np.abs(values).max()))
 
 
 def test_identity_cost_small():
@@ -53,7 +82,7 @@ def test_identity_cost_small():
 def test_random_balanced_costs_certified(m, seed):
     rng = np.random.default_rng(seed)
     values = random_balanced_values(rng, m)
-    sigma = balance_certificate(values)
+    sigma = _balance_certificate(values)
     assert sigma is not None
     assert certificate_holds(values, sigma)
 
@@ -67,16 +96,16 @@ def test_balancedness_invariant_under_permutation(m, seed, balanced):
         values = list(rng.uniform(-5, 5, size=m))
     shuffled = list(values)
     rng.shuffle(shuffled)
-    assert (balance_certificate(values) is None) == (balance_certificate(shuffled) is None)
+    assert (_balance_certificate(values) is None) == (_balance_certificate(shuffled) is None)
 
 
 def test_cost_gram_two_values():
-    g = cost_gram(identity_cost(2))
+    g = reference_cost_gram(identity_cost(2))
     np.testing.assert_allclose(g, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
 
 def test_cost_gram_constant_cost_is_zero():
-    g = cost_gram(cost_function([2.0, 2.0, 2.0]))
+    g = reference_cost_gram(cost_function([2.0, 2.0, 2.0]))
     np.testing.assert_allclose(g, np.zeros((3, 3)), atol=1e-15)
 
 
@@ -84,7 +113,7 @@ def test_cost_gram_psd_rank_one():
     rng = np.random.default_rng(2)
     for _ in range(20):
         c = cost_function(rng.uniform(-3, 3, size=5))
-        g = cost_gram(c)
+        g = reference_cost_gram(c)
         eig = np.linalg.eigvalsh(g)
         assert eig[0] >= -1e-12
         assert np.linalg.matrix_rank(g, tol=1e-10) <= 1
@@ -99,7 +128,7 @@ def test_cost_gram_monotone_anti_monge_precondition():
     g = np.outer(shifted, shifted)
     # expanding the product gives back the unshifted cost Gram
     unshifted = g - shift * (shifted[:, None] + shifted[None, :]) + shift**2
-    np.testing.assert_allclose(unshifted, cost_gram(c), atol=1e-12)
+    np.testing.assert_allclose(unshifted, reference_cost_gram(c), atol=1e-12)
     assert np.all(np.diff(g, axis=0) >= -1e-12)
     assert np.all(np.diff(g, axis=1) >= -1e-12)
 
@@ -157,7 +186,7 @@ def test_cost_function_rejects_non_finite_values(bad):
     "build, message",
     [
         (lambda: cost_function([]), "cost function must have at least one value"),
-        (lambda: balance_certificate([]), "cost function must have at least one value"),
+        (lambda: _balance_certificate([]), "cost function must have at least one value"),
         (lambda: identity_cost(0), "m must be >= 1"),
     ],
 )

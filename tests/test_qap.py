@@ -8,11 +8,13 @@ from conftest import (
     oracle_qap_max,
     random_numbering,
     reference_brute_force,
+    reference_cost_gram,
     reference_is_benevolent,
+    reference_zigzag,
 )
 from guesswork import qap
 from guesswork.costs import cost_function, identity_cost
-from guesswork.engine import effective_operator, min_guesswork_qubit, zigzag_candidate
+from guesswork.engine import effective_operator, min_guesswork_qubit
 from guesswork.ensembles import (
     antiprism_h_bound,
     generate_mub,
@@ -27,7 +29,6 @@ from guesswork.qap import (
     arrangement_solve,
     benevolent_solve,
     bloch_gram,
-    cost_gram,
     find_benevolent_permutation,
     is_benevolent,
     zigzag_numbering,
@@ -73,13 +74,13 @@ def test_objective_zero_cost():
 
 def test_objective_orthogonal_pair_hand_value():
     e = validate([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])
-    value = _objective(cost_gram(identity_cost(2)), bloch_gram(e), np.array([[0, 1]]))
+    value = _objective(reference_cost_gram(identity_cost(2)), bloch_gram(e), np.array([[0, 1]]))
     assert value[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_objective_constant_for_sic():
     e = generate_sic()
-    cost, gram = cost_gram(identity_cost(4)), bloch_gram(e)
+    cost, gram = reference_cost_gram(identity_cost(4)), bloch_gram(e)
     rows = np.array(list(itertools.permutations(range(4))))
     values = _objective(cost, gram, rows)
     assert values.max() - values.min() < 1e-12
@@ -98,7 +99,7 @@ def test_brute_force_trine_value():
     # all six numberings tie at 1/3 (checked against the plain double-sum oracle)
     e = generate_polygon_antiprism(3)
     numbering, value = arrangement_solve(identity_cost(3), e.bloch)
-    oracle = oracle_qap_max(cost_gram(identity_cost(3)), bloch_gram(e))
+    oracle = oracle_qap_max(reference_cost_gram(identity_cost(3)), bloch_gram(e))
     assert value == pytest.approx(oracle, abs=1e-14)
     assert value == pytest.approx(1 / 3, abs=1e-12)
     assert numbering == (1, 2, 3)
@@ -110,18 +111,31 @@ def test_brute_force_dominates_random_numberings():
     c = cost_function(rng.uniform(-2, 2, size=5))
     _, best = arrangement_solve(c, e.bloch)
     for _ in range(100):
-        assert best >= double_sum(cost_gram(c), bloch_gram(e), random_numbering(rng, 5)) - 1e-12
+        n = random_numbering(rng, 5)
+        assert best >= double_sum(reference_cost_gram(c), bloch_gram(e), n) - 1e-12
 
 
 def test_qubit_solver_above_the_cap_reports_the_zigzag_bound():
     e = generate_random_uniform_prior(4, 2, seed=99)  # no benevolent structure
     c = identity_cost(4)
     report = min_guesswork_qubit(e, c, cap=3)
-    numbering, norm_value = zigzag_candidate(e, c)
+    numbering, norm_value = reference_zigzag(e, c)
     assert report.measurement is None and not report.condition_verified
     assert report.method == "zigzag"
     assert report.optimal_numbering == numbering
     assert report.value == c.mean - norm_value / 2
+
+
+@pytest.mark.parametrize("m, h", [(11, 0.0), (31, 0.0), (12, antiprism_h_bound(12) / 2)])
+def test_shuffled_layout_above_the_cap_keeps_the_closed_form(m, h):
+    # no rotation or reflection of the shuffled labels is benevolent, and the
+    # exhaustive search stops at the cap; the azimuthal order finds the layout
+    e = generate_polygon_antiprism(m, h=h)
+    shuffled = validate([e.states[i] for i in np.random.default_rng(11).permutation(m)])
+    c = identity_cost(m)
+    canonical, relabeled = min_guesswork_qubit(e, c), min_guesswork_qubit(shuffled, c)
+    assert (canonical.method, relabeled.method) == ("benevolent", "benevolent")
+    assert relabeled.value == pytest.approx(canonical.value, abs=1e-9)
 
 
 def test_square_gram_is_benevolent():
@@ -259,7 +273,7 @@ def test_benevolent_solve_square_matches_brute():
     fast = benevolent_solve(c, e.bloch)
     assert fast is not None
     n_fast, value_fast = fast
-    _, value_bf = reference_brute_force(cost_gram(c), bloch_gram(e))
+    _, value_bf = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
     assert value_fast == pytest.approx(value_bf, abs=1e-12)
     assert value_fast == pytest.approx(0.625, abs=1e-12)
 
@@ -268,7 +282,7 @@ def test_benevolent_solve_mub_matches_brute():
     e = generate_mub()
     c = identity_cost(6)
     n_fast, value_fast = benevolent_solve(c, e.bloch)
-    _, value_bf = reference_brute_force(cost_gram(c), bloch_gram(e))
+    _, value_bf = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
     assert value_fast == pytest.approx(value_bf, abs=1e-12)
     assert value_fast == pytest.approx(35 / 36, abs=1e-12)
 
@@ -278,7 +292,7 @@ def test_benevolent_solve_handles_decreasing_cost():
     e = generate_mub()
     c = cost_function([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
     n_fast, value_fast = benevolent_solve(c, e.bloch)
-    _, value_bf = reference_brute_force(cost_gram(c), bloch_gram(e))
+    _, value_bf = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
     assert value_fast == pytest.approx(value_bf, abs=1e-12)
     assert value_fast == pytest.approx(35 / 36, abs=1e-12)
 
@@ -335,5 +349,5 @@ def test_norm_identity_links_objective_to_bloch_norm():
     for _ in range(20):
         n = random_numbering(rng, 4)
         v = pauli_vector(effective_operator(e, c, n))
-        objective = _objective(cost_gram(c), bloch_gram(e), np.array([n]) - 1)[0]
+        objective = _objective(reference_cost_gram(c), bloch_gram(e), np.array([n]) - 1)[0]
         assert float(v @ v) == pytest.approx(4 * objective, abs=1e-9)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_condition_check, rotated_qubits
+from conftest import reference_condition_check, reference_zigzag, rotated_qubits
 from hypothesis import given, settings, strategies as st
 
 from guesswork import engine
@@ -16,7 +16,6 @@ from guesswork.engine import (
     min_guesswork_general,
     min_guesswork_qubit,
     solve,
-    zigzag_candidate,
 )
 from guesswork.ensembles import (
     antiprism_h_bound,
@@ -279,7 +278,7 @@ def test_solve_above_cap_degrades_to_zigzag_bound():
         validate(skewed),  # qubit, non-uniform prior
     ):
         report = solve(e, c, cap=3)
-        numbering, norm_value = zigzag_candidate(e, c)
+        numbering, norm_value = reference_zigzag(e, c)
         assert report.measurement is None and report.method == "zigzag"
         assert report.optimal_numbering == numbering
         assert report.value == c.mean - norm_value / 2

@@ -3,19 +3,13 @@
 Computes the minimum expected cost of sequentially guessing which state of a
 known ensemble was drawn.  For uniform-prior qubit ensembles the problem is
 solved exactly by maximizing |w(n)|^2, w(n) = sum_t (gamma(t) - mean) v(n(t))
-over the Bloch vectors v, across numberings n (over the great-circle
-arrangement of the Bloch vectors up to the enumeration cap, in closed form
-above it for benevolent Bloch Gram matrices); in arbitrary dimension a
+over the Bloch vectors v, across numberings n (by a sweep up to M = 8, over
+the great-circle arrangement of the Bloch vectors up to the enumeration cap,
+in closed form above it for benevolent Bloch Gram matrices); in arbitrary dimension a
 sufficient optimality condition certifies two-outcome measurements.
 """
 
-from .costs import (
-    CostFunction,
-    compose,
-    cost_function,
-    identity_cost,
-    invert,
-)
+from .costs import CostFunction, compose, cost_function, identity_cost, invert
 from .engine import (
     GuessworkReport,
     NumberingMeasurement,

@@ -132,12 +132,13 @@ def cmd_solve(args) -> int:
 
 
 def _recognize_antiprism(ensemble) -> tuple[float, float] | None:
-    """Return (lambda, h) if the Bloch layout matches the canonical polygon/anti-prism."""
+    """Return (lambda, h) if the Bloch layout matches the canonical polygon/anti-prism,
+    which has M >= 2 states."""
     bloch = ensemble.bloch
     m = ensemble.size
     radius = np.hypot(bloch[:, 0], bloch[:, 1])
     scale = float(radius.mean())
-    if scale < 1e-12 or float(np.max(np.abs(radius - scale))) > 1e-8:
+    if m < 2 or scale < 1e-12 or float(np.max(np.abs(radius - scale))) > 1e-8:
         return None
     height = np.abs(bloch[:, 2])
     h = float(height.mean()) / scale

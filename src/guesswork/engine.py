@@ -47,8 +47,9 @@ from .operators import (
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
     SCREEN_MARGIN,
+    _chunks,
+    _mirrored_max,
     _numbering_blocks,
-    _screened_max,
     arrangement_solve,
     benevolent_solve,
     zigzag_numbering,
@@ -223,31 +224,10 @@ def _effective_operator_batch(
     return 2 * np.einsum("t,ktij->kij", coefficients, e.states[block])
 
 
-def _screened_operators(e: Ensemble, weights: np.ndarray, inverses: np.ndarray) -> np.ndarray:
-    """E(n) for each row n^-1 of 0-based inverse numberings as one product W @ states.
-
-    E(n) = 2 sum_i (gamma(n^-1(i)) - mean) rho_i, so W is ``weights``, the
-    2 (gamma - mean) of the positions the rows number, gathered by the rows.
-    The complex states enter as interleaved (re, im) doubles, so the product
-    stays real.
-    """
-    # an intp index gathers faster than the cached int8 tables
-    gathered = weights[inverses.astype(np.intp, copy=False)]
-    states = e.states.reshape(e.size, -1).view(float)
-    return (gathered @ states).view(complex).reshape(-1, e.dim, e.dim)
-
-
-# Rows per screened batch: the temporaries of the product and of the closed
-# forms stay in cache, and their allocations are reused instead of paged in.
-_CHUNK = 4096
-
-
-def _chunks(e: Ensemble, weights: np.ndarray, inverses: np.ndarray):
-    """Each run of at most _CHUNK rows of 0-based inverse numberings, with its
-    :func:`_screened_operators` product."""
-    for start in range(0, len(inverses), _CHUNK):
-        rows = inverses[start : start + _CHUNK]
-        yield rows, _screened_operators(e, weights, rows)
+def _operators(e: Ensemble, product: np.ndarray) -> np.ndarray:
+    """E(n) = 2 sum_i (gamma(n^-1(i)) - mean) rho_i for each row n^-1 of a :func:`_chunks`
+    product of the weights 2 (gamma - mean) with the states as (re, im) doubles."""
+    return product.view(complex).reshape(-1, e.dim, e.dim)
 
 
 def _screen_error(e: Ensemble, c: CostFunction) -> float:
@@ -440,10 +420,10 @@ def condition_check(
     if _refuted(e, c, e_star, magnitude, tol):
         return False
     error = _screen_error(e, c)
-    weights = 2 * (np.asarray(c.values) - c.mean)
+    weights, states = 2 * (np.asarray(c.values) - c.mean), e.states.reshape(e.size, -1).view(float)
     for inverses in _numbering_blocks(e.size):  # every numbering once, as n^-1
-        for rows, operators in _chunks(e, weights, inverses):
-            lowest = _spectra(magnitude - operators, error / 4)[:, 0]
+        for rows, product in _chunks(weights, inverses, states):
+            lowest = _spectra(magnitude - _operators(e, product), error / 4)[:, 0]
             if float(lowest.min()) < -tol - error:
                 return False
             near = np.argsort(rows[lowest <= -tol + error], axis=1)
@@ -471,10 +451,10 @@ def tracenorm_argmax(
     positions by increasing cost, with weights w = 2 (gamma - mean) in that
     order, so E of the mirror row M - 1 - r lies within delta =
     sum_k |w_k + w_(M-1-k)| max_i ||rho_i||_1 of -E(r); for a balanced cost
-    delta is its balance residual.  Only the first half of each block, one
-    row of each pair, is screened.  Rows screened within twice the screen's
-    error plus 2 delta of the running maximum are recomputed from the exact
-    batch of E(n), with their mirrors (:func:`_screened_max`), so the result
+    delta is its balance residual.  One row of each pair is screened
+    (:func:`_mirrored_max`), and those within twice the screen's error plus
+    2 delta of the running maximum are recomputed from the exact batch of
+    E(n) with their mirrors, so the result
     equals the exact sweep over all numberings: the largest computed norm,
     the lexicographically smallest numbering among equal computed norms.
     Numberings that tie in exact arithmetic, such as a row and its mirror,
@@ -493,30 +473,26 @@ def tracenorm_argmax(
             f"trace-norm search sweeps {e.size}! numberings, above the cap {cap}"
         )
     error = _screen_error(e, c)
-    # rows r number the positions by increasing cost, n^-1(i) = order[r(i)]
     order = np.asarray(c.sorting_permutation) - 1
     weights = 2 * (np.asarray(c.values)[order] - c.mean)
     largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
     window = 2 * error + 2 * float(np.abs(weights + weights[::-1]).sum()) * largest
 
-    def screen(inverses, running):
-        scores = []
-        for _, operators in _chunks(e, weights, inverses):
-            bounds = _trace_norm_bounds(operators, error)
-            # eigvalsh's norms less the screen's error lie below the screened norms
-            leads = operators[np.argpartition(bounds, -min(_LEADS, len(bounds)))[-_LEADS:]]
-            lead = float(np.abs(np.linalg.eigvalsh(leads)).sum(axis=1).max()) - error
-            screened = ~(bounds < max(running, lead) - window)
-            bounds[screened] = np.abs(_spectra(operators[screened], error / 4)).sum(axis=1)
-            scores.append(bounds)
-        return np.concatenate(scores)
+    def screen(product, running):
+        operators = _operators(e, product)
+        bounds = _trace_norm_bounds(operators, error)
+        # eigvalsh's norms less the screen's error lie below the screened norms
+        leads = operators[np.argpartition(bounds, -min(_LEADS, len(bounds)))[-_LEADS:]]
+        lead = float(np.abs(np.linalg.eigvalsh(leads)).sum(axis=1).max()) - error
+        screened = ~(bounds < max(running, lead) - window)
+        bounds[screened] = np.abs(_spectra(operators[screened], error / 4)).sum(axis=1)
+        return bounds
 
-    def norms(inverses):
-        # each row and its mirror M - 1 - r, as 0-based numberings n
-        rows = np.argsort(np.concatenate([order[inverses], order[::-1][inverses]]), axis=1)
-        return rows, np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
+    def norms(rows):
+        return np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
 
-    return _screened_max(_numbering_blocks(e.size, half=True), screen, norms, window)
+    states = e.states.reshape(e.size, -1).view(float)
+    return _mirrored_max(order, weights, states, screen, norms, window)
 
 
 def min_guesswork_qubit(

@@ -5,10 +5,11 @@ numberings n, with w(n) = sum_t (gamma(t) - mean) v(n(t)) and v the Bloch
 vectors; as a double sum it is sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t),
 n(t')] with the rank-1 cost_gram = g g^T, g = gamma - mean.  Two solvers are provided:
 
-* :func:`arrangement_solve` — exact: the sorted matchings of the cells of the
-  great-circle arrangement of the Bloch vectors, closed under near-tied
-  swaps, in polynomial time; its answer equals the exhaustive sweep's (equal
-  computed values resolve lexicographically).  It alone decides solves up to the cap.
+* :func:`arrangement_solve` — exact: up to M = 8 a sweep, above it the sorted
+  matchings of the cells of the great-circle arrangement of the Bloch
+  vectors, closed under near-tied swaps, in polynomial time; its answer equals
+  the exhaustive sweep's (equal computed values resolve lexicographically).
+  It alone decides solves up to the cap.
 * :func:`benevolent_solve` — the paper's closed form, when -bloch_gram is
   permutationally equivalent to a *benevolent* matrix: symmetric Toeplitz
   with a first column whose tail is non-decreasing up to the midpoint
@@ -17,12 +18,13 @@ n(t')] with the rank-1 cost_gram = g g^T, g = gamma - mean.  Two solvers are pro
   by the zig-zag numbering, conjugated back through the sorting and
   relabeling permutations.
 
-The exhaustive sweeps, this solver's and the engine's, enumerate
-:func:`_numbering_blocks` (with ``half``, one row of each mirror pair
-{r, M - 1 - r}) and reduce them with :func:`_screened_max`:
-``screen(block, running)`` scores a block given the running maximum of the
-earlier ones, and may give any score below running - window to a row it can
-show lies there.
+The exhaustive sweeps, this solver's and the engine's, share
+:func:`_mirrored_max`: it screens :func:`_numbering_blocks` with ``half``,
+one row of each mirror pair {r, M - 1 - r} in cost-sorted positions, by one
+gather and one product per run of at most _CHUNK rows (:func:`_chunks`, also
+the condition check's loop), and rechecks each kept row with its mirror.
+:func:`_screened_max` reduces the blocks: ``screen(block, running)`` may give
+any score below running - window to a row it can show lies there.
 """
 
 from __future__ import annotations
@@ -57,10 +59,14 @@ SCREEN_MARGIN = 1e-12
 # are one circle: their crossing points would be rounding noise.
 _PARALLEL = 1e-13
 
-# Up to M = 7 sweeping all M! numberings is faster than building the
-# arrangement: about 0.1 ms against 0.9 ms at M = 6, and 0.7-0.9 ms against
-# 1.0-1.4 ms at M = 7 (random and polygon layouts, BENCH_6.json).
-_ENUMERATED = 7
+# Up to M = 8 the mirrored sweep of M!/2 rows is faster than building the
+# arrangement: 0.9 ms against 1.3-2.2 ms at M = 8, but 17 ms against
+# 2.3-3.3 ms at M = 9 (random and polygon layouts, BENCH_21.json).
+_ENUMERATED = 8
+
+# Rows per screened batch: the temporaries of the product and of the screens
+# stay in cache, and their allocations are reused instead of paged in.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,15 @@ def _numbering_blocks(m: int, half: bool = False):
         block[:, : m - tail] = prefix
         block[:, m - tail :] = rest[table]
         yield block
+
+
+def _chunks(weights: np.ndarray, inverses: np.ndarray, values: np.ndarray):
+    """Each run of at most _CHUNK rows of 0-based inverse numberings, with the
+    product W @ values, row k of W holding weights[r(i)] at column i for its row r."""
+    for start in range(0, len(inverses), _CHUNK):
+        rows = inverses[start : start + _CHUNK]
+        # an intp index gathers faster than the cached int8 tables
+        yield rows, weights[rows.astype(np.intp, copy=False)] @ values
 
 
 def _scores(g: np.ndarray, bloch: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -265,6 +280,27 @@ def _screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, floa
     return tuple(int(x) + 1 for x in best), best_value
 
 
+def _mirrored_max(
+    order: np.ndarray, weights: np.ndarray, values: np.ndarray, screen, exact, window: float
+) -> tuple[Numbering, float]:
+    """:func:`_screened_max` over every numbering, one row of each mirror pair screened.
+
+    The rows r of the half blocks number the positions by increasing cost,
+    n^-1(i) = order[r(i)], with ``weights`` in that order.  ``screen(product,
+    running)`` scores each :func:`_chunks` product with ``values``; kept rows
+    and their mirrors M - 1 - r go to ``exact(rows)`` as 0-based numberings,
+    and ``window`` must cover the difference within a pair."""
+
+    def screened(inverses, running):
+        return np.concatenate([screen(p, running) for _, p in _chunks(weights, inverses, values)])
+
+    def rechecked(inverses):
+        rows = np.argsort(np.concatenate([order[inverses], order[::-1][inverses]]), axis=1)
+        return rows, exact(rows)
+
+    return _screened_max(_numbering_blocks(len(order), half=True), screened, rechecked, window)
+
+
 def arrangement_solve(
     c: CostFunction, bloch: np.ndarray, cap: int = DEFAULT_FACTORIAL_CAP
 ) -> tuple[Numbering, float]:
@@ -278,9 +314,17 @@ def arrangement_solve(
     Numberings that tie in exact arithmetic, such as n and n o sigma under a
     balanced cost, are usually separated by rounding, not by that order.
 
-    The candidates are :func:`_sorted_matchings`, about 4 K^2 rows for the
-    K = M(M - 1)/2 circles, or all M! numberings up to M = _ENUMERATED,
-    where that sweep is the faster.  Those screened within window =
+    Up to M = min(_ENUMERATED, cap), where that is the faster, every
+    numbering is swept by :func:`_mirrored_max`, which screens one row r of
+    each pair {r, M - 1 - r} by |g_s[r] @ bloch|^2, g_s the sorted g.  The
+    mirror's w is -w(r) + delta, |delta| <= Delta = sum_k |g_s(k) +
+    g_s(M - 1 - k)| max_i |v_i| (the balance residual times max |v| for a
+    balanced cost), so with R = sum |g| max |v| >= |w| the pair's |w|^2
+    differ by at most 2 R Delta + Delta^2.  The window below, widened by
+    twice that, sends every pair that can hold the top to :func:`_objective`.
+
+    Above that the candidates are :func:`_sorted_matchings`, about 4 K^2
+    rows for the K = M(M - 1)/2 circles.  Those screened within window =
     SCREEN_MARGIN * Tr(cost_gram) * Tr(bloch_gram) of the top are closed
     under swaps (:func:`_closure`) and evaluated with the exact formula.
     Both Grams are PSD, so their traces are their nuclear norms and bound
@@ -319,23 +363,28 @@ def arrangement_solve(
     cost, bloch, gram = _grams(c, bloch)
     m = len(g)
     window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
-    if window == 0:
-        blocks = [np.arange(m)[None, :]]
-    else:
-        closed = None
-        if m > _ENUMERATED:
-            closed = _closure(g, bloch, _sorted_matchings(g, bloch), window)
-        if closed is None and m > cap:
-            raise FactorialCapError(
-                f"M = {m} exceeds the exhaustive-search cap {cap} ({m}! numberings) "
-                "and the near-tied numberings outnumber a sweep"
-            )
-        blocks = _numbering_blocks(m) if closed is None else [closed]
-    return _screened_max(
-        blocks,
-        lambda block, running: _scores(g, bloch, block),
-        lambda rows: (rows, _objective(cost, gram, rows)),
-        window,
+    exact = functools.partial(_objective, cost, gram)
+    closed = np.arange(m)[None, :] if window == 0 else None
+    if window and m > min(_ENUMERATED, cap):
+        closed = _closure(g, bloch, _sorted_matchings(g, bloch), window)
+    if closed is not None:
+        return _screened_max(
+            [closed], lambda block, running: _scores(g, bloch, block),
+            lambda rows: (rows, exact(rows)), window,
+        )
+    if m > cap:
+        raise FactorialCapError(
+            f"M = {m} exceeds the exhaustive-search cap {cap} ({m}! numberings) "
+            "and the near-tied numberings outnumber a sweep"
+        )
+    order = np.argsort(g, kind="stable")
+    weights = g[order]
+    largest = math.sqrt(float(gram.diagonal().max()))
+    pair = float(np.abs(weights + weights[::-1]).sum()) * largest
+    spread = float(np.abs(g).sum()) * largest
+    return _mirrored_max(
+        order, weights, bloch, lambda w, running: np.einsum("kx,kx->k", w, w), exact,
+        window + 2 * (2 * spread * pair + pair * pair),
     )
 
 

@@ -375,6 +375,17 @@ def test_check_dim3_skips_bloch(tmp_path, capsys):
     assert "bloch checks skipped (dim = 3)" in capsys.readouterr().out
 
 
+def test_check_single_state_skips_the_h_bound(tmp_path, capsys):
+    # one pure state lies on the circle of the canonical layout, which needs M >= 2
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dim": 2, "states": [[[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]]}))
+    assert run_cli(["check", "--ensemble", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "h-bound              skipped (not a canonical polygon/anti-prism layout)" in out
+    assert err == ""
+    assert run_cli(["solve", "--ensemble", str(path)]) == 0
+
+
 @pytest.mark.parametrize(
     "cap, verdict",
     [(None, "yes (relabeling 1 4 2 6 3 5)"), ("3", "yes (relabeling 6 2 4 1 5 3)")],

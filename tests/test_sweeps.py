@@ -6,10 +6,11 @@ evaluate every numbering with the exact formulas (the double sum over the
 gathered Bloch Gram, ``reference_brute_force`` in conftest, and the exact
 batch of effective operators), keeping the (max value, earliest) numbering
 block by block.  The fast paths must return the same numbering, the same
-float and the same bool, ties included: also where the trace-norm sweep
-screens one row of each mirror pair {r, M - 1 - r}, where the condition check
-first tries to refute n*, and where the qubit solver sees only the sorted
-matchings of the great-circle arrangement and their near-tied swaps.
+float and the same bool, ties included: also where the trace-norm sweep and
+the qubit solver up to M = 8 screen one row of each mirror pair
+{r, M - 1 - r}, where the condition check first tries to refute n*, and
+where the qubit solver above M = 8 sees only the sorted matchings of the
+great-circle arrangement and their near-tied swaps.
 """
 
 from __future__ import annotations
@@ -445,7 +446,7 @@ def test_screened_max_hands_the_screen_the_running_maximum_and_honours_its_contr
 
 @contextlib.contextmanager
 def arrangement_only():
-    """Send every M > 1 through the arrangement, not the small-M enumeration."""
+    """Send every M > 1 through the arrangement, not the small-M mirrored sweep."""
     with mock.patch.object(qap, "_ENUMERATED", 1):
         yield
 
@@ -506,7 +507,7 @@ def degenerate_costs(m):
     ]
 
 
-@pytest.mark.parametrize("m", [4, 7])
+@pytest.mark.parametrize("m", [4, 7, 8])
 @pytest.mark.parametrize(
     "kind",
     ["random", "repeated", "identical", "collinear", "collinear_offset", "coplanar",
@@ -590,8 +591,8 @@ def test_closure_hands_a_tie_of_every_numbering_to_the_sweep():
 
 @pytest.mark.parametrize("m", [5, 8])
 def test_arrangement_refuses_a_sweep_above_the_cap(m):
-    # identical states tie every numbering: M = 5 is enumerated outright, and
-    # at M = 8 the closure hands the tie to a sweep
+    # identical states tie every numbering: above the cap the arrangement runs,
+    # and its closure hands the tie to a sweep that the cap refuses
     e, c = degenerate_layout("identical", m), identity_cost(m)
     with pytest.raises(FactorialCapError, match="exhaustive-search cap"):
         arrangement_solve(c, e.bloch, cap=m - 1)
@@ -615,6 +616,31 @@ def test_arrangement_equals_exact_sweep_at_m1_and_m2(m):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mirrored_qubit_sweep_equals_exact_sweep_on_balanced_costs(data):
+    # the pair allowance of a balanced cost is its balance residual: 0 for
+    # the identity, constant and tied kinds, a few 1e-11 for the perturbed one
+    m = data.draw(st.integers(2, 8))
+    seed = data.draw(st.integers(0, 2**16))
+    polygon = data.draw(st.booleans())
+    e = generate_polygon_antiprism(m) if polygon else generate_random_uniform_prior(m, 2, seed)
+    c = data.draw(balanced_costs(m))
+    expected = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
+    assert arrangement_solve(c, e.bloch) == expected
+
+
+@pytest.mark.parametrize("m, seed", [(2, 0), *itertools.product(range(5, 9), range(3))])
+def test_mirrored_qubit_sweep_equals_exact_sweep_on_unbalanced_costs(m, seed):
+    # a mirror row's value can lie far from its partner's: the allowance is
+    # of the order of the values themselves, and every row is rechecked
+    e = generate_random_uniform_prior(m, 2, seed)
+    values = [-1.5, 7.0] if m == 2 else np.random.default_rng(seed).normal(size=m).tolist()
+    c = cost_function(values)
+    expected = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
+    assert arrangement_solve(c, e.bloch) == expected
+
+
+@settings(max_examples=60, deadline=None)
 @given(problems().filter(lambda problem: problem[0].dim == 2))
 def test_arrangement_equals_exact_sweep(problem):
     e, c, _ = problem
@@ -626,15 +652,21 @@ def test_arrangement_equals_exact_sweep(problem):
 # --- work counts of the fast paths ------------------------------------------------
 
 
+def screened_runs(monkeypatch):
+    """The lengths of the runs that the sweeps' shared chunk loop yields."""
+    runs, chunks = [], qap._chunks
+
+    def counted(weights, inverses, values):
+        for rows, product in chunks(weights, inverses, values):
+            runs.append(len(rows))
+            yield rows, product
+
+    monkeypatch.setattr(qap, "_chunks", counted)
+    return runs
+
+
 def test_tracenorm_sweep_screens_one_numbering_per_pair(monkeypatch):
-    rows = []
-    screen = engine._screened_operators
-
-    def counted(e, weights, block):
-        rows.append(len(block))
-        return screen(e, weights, block)
-
-    monkeypatch.setattr(engine, "_screened_operators", counted)
+    rows = screened_runs(monkeypatch)
     e = generate_random_uniform_prior(7, 3, 1)
     # the constant cost pairs every row with its complement too
     for c in (identity_cost(7), cost_function([1, 5, 2, 3, 4, 1, 5]), cost_function([2.5] * 7)):
@@ -731,6 +763,23 @@ def test_condition_check_refutes_a_failing_certificate_without_sweeping(monkeypa
 
     monkeypatch.setattr(engine, "_numbering_blocks", refuse)
     assert condition_check(e, c, n_star) is False
+
+
+def test_m8_qubit_solves_sweep_one_numbering_per_pair(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the qubit solve built the arrangement")
+
+    monkeypatch.setattr(qap, "_sorted_matchings", refuse)
+    monkeypatch.setattr(qap, "_closure", refuse)
+    runs = screened_runs(monkeypatch)
+    c = identity_cost(8)
+    for e in (generate_polygon_antiprism(8), generate_random_uniform_prior(8, 2, 1)):
+        runs.clear()
+        report = solve(e, c)
+        assert report.method == "brute_force"
+        assert report.condition_verified
+        assert sum(runs) == math.factorial(8) // 2
+        assert max(runs) <= qap._CHUNK
 
 
 def test_m9_qubit_solves_do_not_sweep(monkeypatch):

@@ -224,95 +224,71 @@ def _effective_operator_batch(
     return 2 * np.einsum("t,ktij->kij", coefficients, e.states[block])
 
 
-def _operators(e: Ensemble, product: np.ndarray) -> np.ndarray:
-    """E(n) = 2 sum_i (gamma(n^-1(i)) - mean) rho_i for each row n^-1 of a :func:`_chunks`
-    product of the weights 2 (gamma - mean) with the states as (re, im) doubles."""
-    return product.view(complex).reshape(-1, e.dim, e.dim)
-
-
 def _screen_error(e: Ensemble, c: CostFunction) -> float:
     """How far a screened eigenvalue, or sum of |eigenvalues|, of E(n) or
     |E(n*)| - E(n) can lie from the exact batch's: SCREEN_MARGIN / 2 of d
-    times a bound on ||E(n)||_F.  :func:`_spectra` hands a row to eigvalsh
-    when its closed form's error bound exceeds a quarter of it (nearly
-    repeated eigenvalues), so a sum of d <= 3 screened eigenvalues stays inside."""
+    times a bound on ||E(n)||_F, plus _UNDERFLOW.  :func:`_spectra` hands a
+    row to eigvalsh when its closed form's error bound exceeds a quarter of it
+    (nearly repeated eigenvalues), so a sum of 3 screened eigenvalues stays
+    inside; :func:`_sweep_columns` keeps a d = 2 screen within a quarter."""
     largest = max(float(np.linalg.norm(s)) for s in e.states)
     bound = 2 * float(np.abs(np.asarray(c.values) - c.mean).sum()) * largest
-    return SCREEN_MARGIN / 2 * e.dim * bound
+    return SCREEN_MARGIN / 2 * e.dim * bound + _UNDERFLOW
 
 
-# c eps in the closed forms' error bounds: against 40-digit spectra of random,
+# c eps in the closed form's error bound: against 40-digit spectra of random,
 # shifted, scaled and nearly degenerate 3x3 matrices, no row erred by more than
 # a tenth of the bound.
 _ROUNDING = 64 * np.finfo(float).eps
 # Halves and squares below the normal range keep fewer bits: each may be off
-# by 2^-1075, which moves a 2x2 eigenvalue by as much and r by about
-# 2^-1073 / p^2 through the terms of p^2.
+# by 2^-1075, which moves r by about 2^-1073 / p^2 through the terms of p^2.
 _UNDERFLOW = 2.0**-1070
-
-
-def _closed_form_2(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Eigenvalues mid -+ hypot((a - b) / 2, |x|) of [[a, x*], [x, b]] into
-    ``out``; returns each row's error bound."""
-    a, b = parts[:, 0], parts[:, 6]
-    mid = (a + b) / 2
-    half = np.hypot((a - b) / 2, np.hypot(parts[:, 4], parts[:, 5]))
-    out[:, 0] = mid - half
-    out[:, 1] = mid + half
-    return _ROUNDING * (np.abs(mid) + half) + _UNDERFLOW
-
-
-def _closed_form_3(parts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Trigonometric eigenvalues of 3x3 Hermitian matrices into ``out``;
-    returns each row's error bound (see :func:`_spectra`)."""
-    q = (parts[:, 0] + parts[:, 8] + parts[:, 16]) / 3
-    s0, s1, s2 = parts[:, 0] - q, parts[:, 8] - q, parts[:, 16] - q
-    # real and imaginary parts of A10, A20, A21
-    xr, xi, yr, yi, zr, zi = (parts[:, k] for k in (6, 7, 12, 13, 14, 15))
-    xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
-    p2 = (s0 * s0 + s1 * s1 + s2 * s2 + 2 * (xx + yy + zz)) / 6
-    p = np.sqrt(p2)
-    # det((A - qI) / p), from entries of order 1 whatever the scale
-    s0, s1, s2, xr, xi, yr, yi, zr, zi = (v / p for v in (s0, s1, s2, xr, xi, yr, yi, zr, zi))
-    det = (
-        s0 * s1 * s2
-        - (s0 * zz + s1 * yy + s2 * xx) / p2
-        + 2 * (yr * (xr * zr - xi * zi) + yi * (xr * zi + xi * zr))
-    )
-    r = np.clip(det / 2, -1.0, 1.0)
-    # phi in [0, pi / 3]: 2 cos(phi + 2 pi / 3) = -cos - sin and
-    # 2 cos(phi + 4 pi / 3) = -cos + sin, with sin = sqrt(3) sin(phi)
-    cos = np.cos(np.arccos(r) / 3)
-    sin = np.sqrt(3 * (1 - cos * cos))
-    out[:, 0] = q - p * (cos + sin)
-    out[:, 1] = q - p * (cos - sin)
-    out[:, 2] = q + 2 * p * cos
-    dr = _ROUNDING * (1 + np.abs(q) / p) + _UNDERFLOW / p2
-    return 2 * p * dr / (3 * np.sqrt(1 - r * r)) + _ROUNDING * (np.abs(q) + p)
 
 
 def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
     """Ascending eigenvalues of each Hermitian matrix of an (N, d, d) batch,
     each within ``budget`` of ``eigvalsh``'s; like it, read from the lower triangle.
 
-    d = 2: mid -+ hypot((a - b) / 2, |x|).  d = 3: the trigonometric form
-    (Smith, Commun. ACM 4:168, 1961): q = tr / 3, p^2 = ||A - qI||_F^2 / 6,
-    r = det((A - qI) / p) / 2 clipped to [-1, 1] and
-    lambda_k = q + 2p cos(acos(r) / 3 + 2 pi k / 3).  Rounding moves r by at
-    most dr = c eps (1 + |q| / p), so a row's values lie within
-    2p dr / (3 sqrt(1 - r^2)) + c eps (|q| + p) of the exact ones (Kopp,
-    Int. J. Mod. Phys. C 19:523, 2008).  Rows whose bound exceeds ``budget``
-    (nearly repeated eigenvalues), rows with non-finite values (p = 0) and
-    every batch of another d go to ``eigvalsh``.
+    d = 3: the trigonometric form (Smith, Commun. ACM 4:168, 1961):
+    q = tr / 3, p^2 = ||A - qI||_F^2 / 6, r = det((A - qI) / p) / 2 clipped
+    to [-1, 1] and lambda_k = q + 2p cos(acos(r) / 3 + 2 pi k / 3).
+    Rounding moves r by at most dr = c eps (1 + |q| / p), so a row's values
+    lie within 2p dr / (3 sqrt(1 - r^2)) + c eps (|q| + p) of the exact ones
+    (Kopp, Int. J. Mod. Phys. C 19:523, 2008).  Rows whose bound exceeds
+    ``budget`` (nearly repeated eigenvalues), rows with non-finite values
+    (p = 0) and every batch of another d go to ``eigvalsh``; the sweeps
+    screen d = 2 from Pauli coordinates instead (:func:`_sweep_columns`).
     """
     size, d, _ = batch.shape
-    if d not in (2, 3):
+    if d != 3:
         return np.linalg.eigvalsh(batch)
-    closed_form = _closed_form_2 if d == 2 else _closed_form_3
     parts = batch.reshape(size, d * d).view(float)  # (re, im) of each entry
     values = np.empty((size, d))
     with np.errstate(all="ignore"):  # p = 0 and overflow leave non-finite rows
-        bound = closed_form(parts, values)
+        q = (parts[:, 0] + parts[:, 8] + parts[:, 16]) / 3
+        s0, s1, s2 = parts[:, 0] - q, parts[:, 8] - q, parts[:, 16] - q
+        # real and imaginary parts of A10, A20, A21
+        xr, xi, yr, yi, zr, zi = (parts[:, k] for k in (6, 7, 12, 13, 14, 15))
+        xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
+        p2 = (s0 * s0 + s1 * s1 + s2 * s2 + 2 * (xx + yy + zz)) / 6
+        p = np.sqrt(p2)
+        # det((A - qI) / p), from entries of order 1 whatever the scale
+        s0, s1, s2, xr, xi, yr, yi, zr, zi = (v / p for v in (s0, s1, s2, xr, xi, yr, yi, zr, zi))
+        det = (
+            s0 * s1 * s2
+            - (s0 * zz + s1 * yy + s2 * xx) / p2
+            + 2 * (yr * (xr * zr - xi * zi) + yi * (xr * zi + xi * zr))
+        )
+        r = np.clip(det / 2, -1.0, 1.0)
+        # phi in [0, pi / 3]: 2 cos(phi + 2 pi / 3) = -cos - sin and
+        # 2 cos(phi + 4 pi / 3) = -cos + sin, with sin = sqrt(3) sin(phi)
+        cos = np.cos(np.arccos(r) / 3)
+        sin = np.sqrt(3 * (1 - cos * cos))
+        values[:, 0] = q - p * (cos + sin)
+        values[:, 1] = q - p * (cos - sin)
+        values[:, 2] = q + 2 * p * cos
+        dr = _ROUNDING * (1 + np.abs(q) / p) + _UNDERFLOW / p2
+        bound = 2 * p * dr / (3 * np.sqrt(1 - r * r)) + _ROUNDING * (np.abs(q) + p)
         redo = ~(bound <= budget) | ~np.isfinite(values).all(axis=1)
     if redo.any():
         values[redo] = np.linalg.eigvalsh(batch[redo])
@@ -365,6 +341,23 @@ def _bound_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
     return weights
 
 
+def _sweep_columns(e: Ensemble, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The weights of a sweep's :func:`_chunks` products, the columns they
+    multiply, and k.  At d != 2: w, the states' (re, im) parts and k = 0; a
+    product row viewed as complex is E(n).  At d = 2: w 2^-k, 2^k the smallest
+    power of two above sum |w|, and (Tr rho_i, v(rho_i)); a row is (A, W) 2^-k
+    and E(n) = (A I + W . sigma) / 2.  With S = sum |w| max Tr rho_i, entries
+    lie below 2 (no square overflows; those that underflow move |W| by far
+    less than eps S), M products and sums err by M eps S, |W| and a difference
+    with |E(n*)|'s coordinates (within S) by 5 eps S more, and scaling back by
+    2^-1075: for M <= 16 far inside error / 4 >= SCREEN_MARGIN S / (4 sqrt 2)
+    + _UNDERFLOW / 4 (:func:`_screen_error`, as ||rho||_F >= Tr rho / sqrt 2)."""
+    if e.dim != 2:
+        return weights, e.states.reshape(e.size, -1).view(float), 0
+    k = math.frexp(float(np.abs(weights).sum()))[1]
+    return np.ldexp(weights, -k), np.column_stack([e.prior, e.bloch]), k
+
+
 def _refuted(
     e: Ensemble, c: CostFunction, e_star: np.ndarray, magnitude: np.ndarray, tol: float
 ) -> bool:
@@ -403,12 +396,15 @@ def condition_check(
     A few steps of ascent over pure states first look for a violating
     numbering (:func:`_refuted`); it fails the check only on a numbering whose
     exact test the sweep also fails.  Otherwise each numbering's smallest
-    eigenvalue is screened: E(n) = W @ states, and the closed-form spectra
-    of :func:`_spectra` for d <= 3 (eigvalsh for larger d and for rows whose
-    error bound exceeds a quarter of the screen's error).  One screened below
-    -tol by more than the screen's error fails the check, and those within
-    that error of -tol are recomputed from the exact batch of E(n).  The
-    result equals the exact sweep over all numberings.
+    eigenvalue is screened from one product of the weights 2 (gamma - mean):
+    at d = 2 exactly up to rounding, ((alpha - A) - |beta - W|) / 2 with
+    |E(n*)| = (alpha I + beta . sigma) / 2 and E(n) = (A I + W . sigma) / 2
+    (:func:`_sweep_columns`); at d >= 3 by the spectra of :func:`_spectra` (the
+    closed form for d = 3, eigvalsh for larger d and for rows whose error
+    bound exceeds a quarter of the screen's error).  One screened below -tol
+    by more than the screen's error fails the check, and those within that
+    error of -tol are recomputed from the exact batch of E(n).  The result
+    equals the exact sweep over all numberings.
     """
     n_star = require_numbering(n_star, size=e.size)
     if e.size > cap:
@@ -420,13 +416,25 @@ def condition_check(
     if _refuted(e, c, e_star, magnitude, tol):
         return False
     error = _screen_error(e, c)
-    weights, states = 2 * (np.asarray(c.values) - c.mean), e.states.reshape(e.size, -1).view(float)
+    weights, columns, k = _sweep_columns(e, 2 * (np.asarray(c.values) - c.mean))
+    low, high = np.ldexp(-tol - error, -k), np.ldexp(-tol + error, -k)
+    if e.dim == 2:  # (alpha, beta) from the lower triangle, as eigvalsh reads it
+        m00, m11, m10 = magnitude[0, 0].real, magnitude[1, 1].real, magnitude[1, 0]
+        centre = np.ldexp([m00 + m11, 2 * m10.real, 2 * m10.imag, m00 - m11], -k)
+
+    def lowest(product):
+        if e.dim == 2:
+            gap = centre - product
+            return (gap[:, 0] - np.sqrt(np.einsum("kx,kx->k", gap[:, 1:], gap[:, 1:]))) / 2
+        operators = product.view(complex).reshape(-1, e.dim, e.dim)
+        return _spectra(magnitude - operators, error / 4)[:, 0]
+
     for inverses in _numbering_blocks(e.size):  # every numbering once, as n^-1
-        for rows, product in _chunks(weights, inverses, states):
-            lowest = _spectra(magnitude - _operators(e, product), error / 4)[:, 0]
-            if float(lowest.min()) < -tol - error:
+        for rows, product in _chunks(weights, inverses, columns):
+            screened = lowest(product)
+            if float(screened.min()) < low:
                 return False
-            near = np.argsort(rows[lowest <= -tol + error], axis=1)
+            near = np.argsort(rows[screened <= high], axis=1)
             if not len(near):
                 continue
             difference = magnitude[None, :, :] - _effective_operator_batch(e, c, near)
@@ -445,28 +453,28 @@ def tracenorm_argmax(
 ) -> tuple[Numbering, float]:
     """Numbering maximizing ||E(n)||_1, by exhaustive enumeration.
 
-    Each norm is screened: E(n) = W @ states, and the closed-form spectra of
-    :func:`_spectra` for d <= 3 (eigvalsh for larger d and for rows whose
-    error bound exceeds a quarter of the screen's error).  The rows number the
-    positions by increasing cost, with weights w = 2 (gamma - mean) in that
-    order, so E of the mirror row M - 1 - r lies within delta =
+    Each norm is screened from one product of the weights w = 2 (gamma -
+    mean).  The rows number the positions by increasing cost, with w in
+    that order, so E of the mirror row M - 1 - r lies within delta =
     sum_k |w_k + w_(M-1-k)| max_i ||rho_i||_1 of -E(r); for a balanced cost
     delta is its balance residual.  One row of each pair is screened
     (:func:`_mirrored_max`), and those within twice the screen's error plus
     2 delta of the running maximum are recomputed from the exact batch of
-    E(n) with their mirrors, so the result
-    equals the exact sweep over all numberings: the largest computed norm,
-    the lexicographically smallest numbering among equal computed norms.
+    E(n) with their mirrors, so the result equals the exact sweep over all
+    numberings: the largest computed norm, the lexicographically smallest
+    numbering among equal computed norms.
     Numberings that tie in exact arithmetic, such as a row and its mirror,
     are usually separated by rounding, not by that order.
 
-    Most spectra are never computed.  Each row of a chunk first gets the
-    bound U >= its screened norm of :func:`_trace_norm_bounds`.  The lead, the
-    largest eigvalsh norm less the screen's error among the _LEADS rows of
-    largest U, lies below a screened norm of the block, so a row with U below
-    max(running, lead) - window may keep U as its score
+    At d = 2 the screen is exact up to rounding, with no bound: E(n) =
+    (A I + W . sigma) / 2 (:func:`_sweep_columns`), so ||E(n)||_1 = max(|A|, |W|).
+    At d >= 3 most spectra are never computed.  Each row of a chunk first
+    gets the bound U >= its screened norm of :func:`_trace_norm_bounds`.  The
+    lead, the largest eigvalsh norm less the screen's error among the _LEADS
+    rows of largest U, lies below a screened norm of the block, so a row with
+    U below max(running, lead) - window may keep U as its score
     (:func:`_screened_max`).  A NaN or infinite U and a threshold of -inf
-    compare false, so those rows are screened.
+    compare false, so those rows get the spectra of :func:`_spectra`.
     """
     if e.size > cap:
         raise FactorialCapError(
@@ -478,8 +486,16 @@ def tracenorm_argmax(
     largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
     window = 2 * error + 2 * float(np.abs(weights + weights[::-1]).sum()) * largest
 
+    def norms(rows):
+        return np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
+
+    weights, columns, k = _sweep_columns(e, weights)
+
     def screen(product, running):
-        operators = _operators(e, product)
+        if e.dim == 2:
+            length = np.sqrt(np.einsum("kx,kx->k", product[:, 1:], product[:, 1:]))
+            return np.ldexp(np.maximum(np.abs(product[:, 0]), length), k)
+        operators = product.view(complex).reshape(-1, e.dim, e.dim)
         bounds = _trace_norm_bounds(operators, error)
         # eigvalsh's norms less the screen's error lie below the screened norms
         leads = operators[np.argpartition(bounds, -min(_LEADS, len(bounds)))[-_LEADS:]]
@@ -488,11 +504,7 @@ def tracenorm_argmax(
         bounds[screened] = np.abs(_spectra(operators[screened], error / 4)).sum(axis=1)
         return bounds
 
-    def norms(rows):
-        return np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
-
-    states = e.states.reshape(e.size, -1).view(float)
-    return _mirrored_max(order, weights, states, screen, norms, window)
+    return _mirrored_max(order, weights, columns, screen, norms, window)
 
 
 def min_guesswork_qubit(

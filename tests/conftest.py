@@ -257,13 +257,18 @@ def random_two_outcome_measurement(rng, e, c) -> NumberingMeasurement:
     )
 
 
-def rotated_qubits(m: int, seed: int) -> tuple[Ensemble, Ensemble]:
-    """Random uniform-prior qubits, and the same states padded to dim 3 and
-    conjugated by a seeded random unitary.  The rotated states use every
-    coordinate, so ``solve`` cannot drop one, yet they share a kernel vector:
-    0 is an eigenvalue of every |E(n*)| - E(n)."""
+def rotate_into_dim3(qubits: Ensemble, seed: int) -> Ensemble:
+    """Qubit states padded to dim 3 and conjugated by a seeded random unitary.
+    The rotated states use every coordinate, so ``solve`` cannot drop one, yet
+    they share a kernel vector: 0 is an eigenvalue of every |E(n*)| - E(n)."""
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    qubits = generate_random_uniform_prior(m, 2, seed)
     padded = [np.pad(s, ((0, 1), (0, 1))) for s in qubits.states]
-    return qubits, validate([u @ s @ u.conj().T for s in padded])
+    return validate([u @ s @ u.conj().T for s in padded])
+
+
+def rotated_qubits(m: int, seed: int) -> tuple[Ensemble, Ensemble]:
+    """Random uniform-prior qubits, and the same states rotated into dim 3
+    (:func:`rotate_into_dim3`) with the same seed."""
+    qubits = generate_random_uniform_prior(m, 2, seed)
+    return qubits, rotate_into_dim3(qubits, seed)

@@ -35,10 +35,11 @@ from conftest import (
     reference_condition_check,
     reference_cost_gram,
     reference_lowest,
+    rotate_into_dim3,
     rotated_qubits,
 )
 from guesswork import engine, qap
-from guesswork.costs import cost_function, identity_cost
+from guesswork.costs import _exponent, cost_function, identity_cost
 from guesswork.engine import (
     _effective_operator_batch,
     condition_check,
@@ -125,21 +126,43 @@ def mirror_costs(m):
     return cost_function(values)
 
 
+def nonuniform_qubits(m, seed):
+    """Random qubits whose priors are reweighted by factors in [0.3, 1.7]."""
+    weights = np.random.default_rng(seed).uniform(0.3, 1.7, m)
+    states = generate_random_uniform_prior(m, 2, seed).states
+    return validate([s * (w * m / weights.sum()) for s, w in zip(states, weights)])
+
+
+def degenerate_qubits(m, mixed, signs, seed):
+    """``mixed`` maximally mixed states of prior 2q, then pure states of prior q
+    along +-one axis.  The weights sum to 0, so A(n) = -q sum w over the pure
+    states: every E(n) whose pure states share a sign is rank 1, and W(n) = 0
+    wherever their signed weights cancel."""
+    axis = np.random.default_rng(seed).normal(size=3)
+    axis /= np.linalg.norm(axis)
+    q = 1 / (m + mixed)
+    return validate(
+        [from_bloch(2 * q, np.zeros(3))] * mixed
+        + [from_bloch(q, sign * q * axis) for sign in signs[: m - mixed]]
+    )
+
+
 @st.composite
 def problems(draw):
     m = draw(sizes)
     kinds = [
         "random", "polygon", "antiprism", "ginibre", "embedded", "mirror",
-        "nonuniform", "ginibre4", "mixed", "identical", "rotated",
+        "nonuniform", "ginibre4", "mixed", "identical", "rotated", "degenerate",
     ]
     kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 2**16))
     if kind == "random":
         e = generate_random_uniform_prior(m, 2, seed)
-    elif kind == "nonuniform":  # Tr E(n) != 0: the d = 2 closed form's trace term
-        weights = np.random.default_rng(seed).uniform(0.3, 1.7, m)
-        states = generate_random_uniform_prior(m, 2, seed).states
-        e = validate([s * (w * m / weights.sum()) for s, w in zip(states, weights)])
+    elif kind == "nonuniform":  # Tr E(n) != 0: the trace A of the d = 2 Pauli screen
+        e = nonuniform_qubits(m, seed)
+    elif kind == "degenerate":  # d = 2: many W(n) = 0 and rank-1 E(n), |A(n)| = |W(n)|
+        e = degenerate_qubits(m, draw(st.integers(1, m - 1)), draw(st.lists(
+            st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)), seed)
     elif kind == "ginibre4":  # d = 4: the screens' eigvalsh branch
         e = generate_random_uniform_prior(m, 4, seed)
     elif kind == "mixed":  # up to two states that are not maximally mixed: repeated spectra
@@ -296,22 +319,8 @@ def test_3x3_spectra_within_budget_and_ill_conditioned_rows_fall_back(monkeypatc
     np.testing.assert_array_equal(values[fell_back], expected[fell_back])
 
 
-def test_2x2_spectra_within_budget_without_fallback(monkeypatch):
-    rng = np.random.default_rng(21)
-    batch = np.concatenate([
-        np.zeros((4, 2, 2), dtype=complex),
-        np.array([k * np.eye(2) for k in (-2.5, 1e-3, 7.0)], dtype=complex),
-        rotated(rng.uniform(-1, 1, (40, 2)), 22) + 3 * np.eye(2),  # trace far from 0
-        rotated(rng.uniform(-1, 1, (40, 1)) + [0, 1e-14], 23),
-    ])
-    expected = np.linalg.eigvalsh(batch)
-    values, fell_back = spectra_and_fallback(batch, monkeypatch)
-    assert np.all(np.abs(values - expected) <= BUDGET)
-    assert not fell_back.any()
-
-
 def test_spectra_of_other_dimensions_are_eigvalsh():
-    for d in (1, 4):
+    for d in (1, 2, 4):
         batch = rotated(np.random.default_rng(d).uniform(-1, 1, (20, d)), d)
         np.testing.assert_array_equal(engine._spectra(batch, BUDGET), np.linalg.eigvalsh(batch))
 
@@ -725,8 +734,8 @@ def handed_to_the_exact_batch(monkeypatch, e, c, bound=True):
     [
         (generate_random_uniform_prior(8, 3, 1), identity_cost(8)),
         (generate_random_uniform_prior(8, 4, 2), cost_function([1, 5, 2, 3, 4, 1, 5, 3])),
-        (generate_random_uniform_prior(7, 2, 3), identity_cost(7)),
-        (generate_polygon_antiprism(8), identity_cost(8)),
+        (rotated_qubits(7, 3)[1], identity_cost(7)),
+        (rotate_into_dim3(generate_polygon_antiprism(8), 8), identity_cost(8)),
         (conjugate_mirror(8, 4), mirror_costs(8)),
         (conjugate_mirror(9, 4), mirror_costs(9)),
     ],
@@ -746,6 +755,52 @@ def test_tracenorm_sweep_at_extreme_cost_scales(d, scale):
         e = generate_random_uniform_prior(m, d, m)
         c = cost_function([scale * t for t in range(1, m + 1)])
         assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e300])
+def test_qubit_sweeps_at_extreme_cost_scales(scale):
+    # |W| from squares of 1e-300 costs would underflow, and of 1e300 overflow
+    for m in range(5, 8):
+        e = nonuniform_qubits(m, m)
+        c = cost_function([scale * t for t in range(1, m + 1)])
+        best = tracenorm_argmax(e, c)
+        assert best == reference_tracenorm_argmax(e, c)
+        candidate = tuple(int(x) + 1 for x in np.random.default_rng(m).permutation(m))
+        at_scale = math.ldexp(1e-10, _exponent(np.asarray(c.values) - c.mean))
+        for n in (best[0], candidate):
+            for tol in (at_scale, -reference_lowest(e, c, n)):
+                assert condition_check(e, c, n, tol=tol) == reference_condition_check(e, c, n, tol)
+
+
+@pytest.mark.parametrize(
+    "e, verified", [(nonuniform_qubits(8, 1), False), (generate_random_uniform_prior(8, 2, 1), True)]
+)
+def test_qubit_general_solves_screen_pauli_coordinates(monkeypatch, e, verified):
+    def refuse(*args):
+        raise AssertionError("the d = 2 sweep screened matrices")
+
+    monkeypatch.setattr(engine, "_trace_norm_bounds", refuse)
+    monkeypatch.setattr(engine, "_spectra", refuse)
+    runs, chunks = {"tracenorm": [], "condition": []}, qap._chunks
+
+    def recorded(sweep):
+        def counted(weights, inverses, values):
+            for rows, product in chunks(weights, inverses, values):
+                runs[sweep].append((len(rows), product.shape[1]))
+                yield rows, product
+        return counted
+
+    monkeypatch.setattr(qap, "_chunks", recorded("tracenorm"))
+    monkeypatch.setattr(engine, "_chunks", recorded("condition"))
+    report = engine.min_guesswork_general(e, identity_cost(8))
+    # the uniform prior's certificate holds, so its condition sweep runs in full
+    assert report.condition_verified == verified
+    # a refuted certificate sweeps no condition rows
+    swept = {"tracenorm": math.factorial(8) // 2, "condition": math.factorial(8) if verified else 0}
+    for sweep, numberings in swept.items():
+        assert all(width == 4 for _, width in runs[sweep])
+        assert sum(rows for rows, _ in runs[sweep]) == numberings
 
 
 def failing_certificate():

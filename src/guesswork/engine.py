@@ -38,6 +38,7 @@ from .ensembles import Ensemble, is_uniform_prior, validate
 from .errors import FactorialCapError, NumericalCheckError
 from .operators import (
     EIGEN_TOL,
+    _hermitian_parts,
     abs_operator,
     pauli_vector,
     require_hermitian,
@@ -67,25 +68,32 @@ class NumberingMeasurement:
     elements: dict[Numbering, np.ndarray]
 
     def validated(self) -> "NumberingMeasurement":
-        """Raise unless the elements are PSD and sum to the identity, within EIGEN_TOL."""
+        """Raise unless the elements are PSD and sum to the identity, within EIGEN_TOL.
+
+        Each check runs once over the stacked elements.  An error names the
+        first failing element and its first failing check (Hermitian,
+        dimension, numbering, PSD); the sum comes last.
+        """
         if not self.elements:
             raise ValueError("measurement has no elements")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        size = len(next(iter(self.elements)))
-        for numbering, element in self.elements.items():
-            mat = require_hermitian(element, name=f"element {numbering}")
-            if mat.shape[0] != self.dim:
-                raise ValueError(
-                    f"element {numbering} has dim {mat.shape[0]}, expected {self.dim}"
-                )
+        numberings, elements = list(self.elements), list(self.elements.values())
+        hermitian = _hermitian_parts(elements, self.dim)
+        count = len(hermitian)
+        low = np.linalg.eigvalsh(hermitian)[:, 0]
+        negative = np.flatnonzero(low < -EIGEN_TOL)
+        first = int(negative[0]) if len(negative) else count
+        size = len(numberings[0])
+        for numbering in numberings[:first]:
             require_numbering(numbering, size=size)
-            low = float(np.linalg.eigvalsh(mat)[0])
-            if low < -EIGEN_TOL:
-                raise ValueError(
-                    f"element {numbering} is not PSD (min eigenvalue {low:.3e})"
-                )
-            with np.errstate(over="ignore"):  # an infinite sum gives a NaN gap below
-                total += mat
+        if first < len(elements):
+            name = f"element {numberings[first]}"
+            if first == count:  # require_hermitian raises unless the dimension is wrong
+                other = require_hermitian(elements[first], name=name).shape[0]
+                raise ValueError(f"{name} has dim {other}, expected {self.dim}")
+            require_numbering(numberings[first], size=size)
+            raise ValueError(f"{name} is not PSD (min eigenvalue {low[first]:.3e})")
+        with np.errstate(over="ignore"):  # an infinite sum gives a NaN gap below
+            total = hermitian.sum(axis=0)
         gap = float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(self.dim)))))
         if not gap <= EIGEN_TOL:
             raise ValueError(f"elements do not sum to the identity (gap {gap:.3e})")
@@ -540,8 +548,10 @@ def min_guesswork_qubit(
         n_star, method = fast[0], "benevolent"
 
     e_star = effective_operator(e, c, n_star)
+    w = pauli_vector(e_star)  # |w| at unit scale: a tiny cost's squares would underflow
+    k = _exponent(w)
     return GuessworkReport(
-        value=c.mean - float(np.linalg.norm(pauli_vector(e_star))) / 2,
+        value=c.mean - math.ldexp(float(np.linalg.norm(np.ldexp(w, -k))), k) / 2,
         optimal_numbering=n_star,
         measurement=optimal_two_outcome_measurement(e, c, n_star),
         method=method,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import EIGEN_TOL, HERMITICITY_TOL, from_bloch, pauli_vector, require_hermitian
+from .operators import EIGEN_TOL, _hermitian_parts, from_bloch, pauli_vector, require_hermitian
 
 TRACE_TOL = 1e-10
 
@@ -52,23 +52,8 @@ def validate(raw_states) -> Ensemble:
     if len(raw_states) == 0:
         raise ValueError("ensemble must contain at least one state")
     dim = require_hermitian(raw_states[0], name="state 0").shape[0]  # state 0 fixes the shape
-    mats = []
-    for raw in raw_states:  # the batch ends at a state that fails to convert or has another shape
-        try:
-            mat = np.asarray(raw, dtype=complex)
-        except (ArithmeticError, TypeError, ValueError):
-            break
-        if mat.shape != (dim, dim):
-            break
-        mats.append(mat)
-    stack = np.stack(mats)
-    adjoint = stack.conj().transpose(0, 2, 1)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge entries
-        valid = np.abs(stack - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOL
-        hermitian = (stack + adjoint) / 2
-    valid &= np.isfinite(hermitian).all(axis=(1, 2))
-    count = int(valid.argmin()) if not valid.all() else len(mats)
-    states = hermitian[:count]
+    states = _hermitian_parts(raw_states, dim)
+    count = len(states)
     low = np.linalg.eigvalsh(states)[:, 0]
     index = int(np.argmax(low < -EIGEN_TOL))
     if low[index] < -EIGEN_TOL:

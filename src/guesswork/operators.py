@@ -50,6 +50,28 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
     return hermitian
 
 
+def _hermitian_parts(raw, dim: int) -> np.ndarray:
+    """The exact Hermitian parts of the longest leading run of ``raw`` whose
+    matrices are dim x dim, finite and Hermitian within HERMITICITY_TOL, as
+    one stack; :func:`require_hermitian` can name what is wrong with the next."""
+    mats = []
+    for a in raw:  # the run ends at a matrix that fails to convert or has another shape
+        try:
+            mat = np.asarray(a, dtype=complex)
+        except (ArithmeticError, TypeError, ValueError):
+            break
+        if mat.shape != (dim, dim) or dim < 1:
+            break
+        mats.append(mat)
+    stack = np.stack(mats) if mats else np.zeros((0, 1, 1), dtype=complex)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge entries
+        valid = np.abs(stack - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOL
+        hermitian = (stack + adjoint) / 2
+    valid &= np.isfinite(hermitian).all(axis=(1, 2))
+    return hermitian[: int(valid.argmin()) if not valid.all() else len(mats)]
+
+
 @dataclass(frozen=True)
 class SpectralParts:
     """Spectral projectors of a Hermitian operator, split by eigenvalue sign."""

@@ -18,13 +18,16 @@ n(t')] with the rank-1 cost_gram = g g^T, g = gamma - mean.  Two solvers are pro
   by the zig-zag numbering, conjugated back through the sorting and
   relabeling permutations.
 
-The exhaustive sweeps, this solver's and the engine's, share
-:func:`_mirrored_max`: it screens :func:`_numbering_blocks` with ``half``,
-one row of each mirror pair {r, M - 1 - r} in cost-sorted positions, by one
-gather and one product per run of at most _CHUNK rows (:func:`_chunks`, also
-the condition check's loop), and rechecks each kept row with its mirror.
-:func:`_screened_max` reduces the blocks: ``screen(block, running)`` may give
-any score below running - window to a row it can show lies there.
+This solver's sweep, :func:`_split_max`, scores every numbering from the
+sums over a head and a tail of its positions, by one batched product over
+the splits of the labels (meet in the middle: Horowitz and Sahni, J. ACM
+21:277, 1974).  The engine's trace-norm sweep uses :func:`_mirrored_max`: it
+screens :func:`_numbering_blocks` with ``half``, one row of each mirror pair
+{r, M - 1 - r} in cost-sorted positions, by one gather and one product per
+run of at most _CHUNK rows (:func:`_chunks`, also the condition check's
+loop), and rechecks each kept row with its mirror.  :func:`_screened_max`
+reduces the blocks of both: ``screen(block, running)`` may give any score
+below running - window to a row it can show lies there.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostFunction, Numbering, compose, invert
+from .costs import CostFunction, Numbering, _exponent, compose, invert
 from .ensembles import Ensemble
 from .errors import FactorialCapError
 
@@ -59,9 +62,10 @@ SCREEN_MARGIN = 1e-12
 # are one circle: their crossing points would be rounding noise.
 _PARALLEL = 1e-13
 
-# Up to M = 8 the mirrored sweep of M!/2 rows is faster than building the
-# arrangement: 0.9 ms against 1.3-2.2 ms at M = 8, but 17 ms against
-# 2.3-3.3 ms at M = 9 (random and polygon layouts, BENCH_21.json).
+# Up to M = 8 the split sweep of all M! numberings is faster than building
+# the arrangement: 0.37-0.45 ms against 1.25-1.6 ms at M = 8 (random and
+# polygon layouts, identity cost, BENCH_23.json).  At M = 9 it took 1.7-1.9
+# ms against 2.1-2.7 ms; the end-to-end benchmark has not compared them there.
 _ENUMERATED = 8
 
 # Rows per screened batch: the temporaries of the product and of the screens
@@ -101,6 +105,25 @@ def _permutation_table(k: int) -> np.ndarray:
         table = np.hstack([firsts, rests + (rests >= firsts)])
     table.setflags(write=False)
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def _orderings(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orderings of each n-subset of range(k) as a read-only (C(k, n), n!,
+    n) table, subsets in ``itertools.combinations`` order, and its 0/1
+    incidence matrix: row s n! + i is 1 at column p k + l where ordering i of
+    subset s puts label l in slot p.  The complements of the n-subsets are
+    the (k - n)-subsets in reverse order."""
+    table = np.array(
+        [list(itertools.permutations(s)) for s in itertools.combinations(range(k), n)],
+        dtype=np.intp,
+    ).reshape(math.comb(k, n), math.factorial(n), n)
+    rows = table.reshape(-1, n)
+    incidence = np.zeros((len(rows), n * k))
+    incidence[np.arange(len(rows))[:, None], np.arange(n) * k + rows] = 1
+    table.setflags(write=False)
+    incidence.setflags(write=False)
+    return table, incidence
 
 
 def _numbering_blocks(m: int, half: bool = False):
@@ -221,24 +244,23 @@ def _closure(
     return seen.view(np.uint8).reshape(-1, m).astype(np.intp)
 
 
-def _grams(c: CostFunction, bloch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rank-1 cost_gram, ``bloch`` as an (M, 3) float array and its Gram.
-    A cost whose objective's sums could overflow is refused, and so are other
-    shapes of ``bloch``, such as the M x M Bloch Gram; the 3 x 3 Gram cannot
-    be told from three Bloch vectors."""
-    centered = np.asarray(c.values) - c.mean
+def _checked(c: CostFunction, bloch) -> tuple[np.ndarray, np.ndarray]:
+    """g = gamma - mean and ``bloch`` as an (M, 3) float array.  A cost whose
+    objective's sums could overflow is refused, and so are other shapes of
+    ``bloch``, such as the M x M Bloch Gram; the 3 x 3 Gram cannot be told
+    from three Bloch vectors."""
+    g = np.asarray(c.values) - c.mean
     with np.errstate(over="ignore"):
-        spread = float(np.abs(centered).sum())
+        spread = float(np.abs(g).sum())
     if not math.isfinite(spread * spread):
         raise ValueError(
             "cost values are too large for the qubit solver: "
             "(sum |gamma - mean|)^2 is not a finite double"
         )
-    cost = np.outer(centered, centered)
     bloch = np.asarray(bloch, dtype=float)
     if bloch.shape != (c.size, 3):
         raise ValueError(f"expected {c.size} Bloch vectors of 3 entries, got shape {bloch.shape}")
-    return cost, bloch, bloch @ bloch.T
+    return g, bloch
 
 
 def _objective(cost: np.ndarray, gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -301,12 +323,68 @@ def _mirrored_max(
     return _screened_max(_numbering_blocks(len(order), half=True), screened, rechecked, window)
 
 
+def _split_max(
+    g: np.ndarray, bloch: np.ndarray, exact, window: float
+) -> tuple[Numbering, float]:
+    """:func:`_screened_max` over every numbering, each scored |a + b|^2 from
+    the sums a over a head of its positions and b over the tail.
+
+    The last k = min(M, 8) positions split into a head of h = floor(k / 2)
+    and a tail.  A block holds the numberings that share one prefix of the
+    first M - k positions, in ``itertools.permutations`` order, as flat
+    indices (prefix, subset, head, tail): the rest of the labels fill the
+    head with an ordering of one h-subset of them (:func:`_orderings`) and
+    the tail with one of its complement's.  Head sums, the prefix's fixed sum
+    included, and tail sums come from incidence products with g(t) v_i, and
+    the score |a|^2 + |b|^2 + 2 a . b from one batched product per subset.
+    ``exact(rows)`` gets the kept indices as 0-based numberings.  M >= 2
+    here, as M = 1 has g = 0, so h >= 1."""
+    m = len(g)
+    k = min(m, _TABLE_POSITIONS)
+    h = k // 2
+    heads, head_incidence = _orderings(k, h)
+    tails, tail_incidence = _orderings(k, k - h)
+    tails = tails[::-1]  # row s orders the complement of heads' subset s
+    # each prefix of the first M - k positions, then the labels it leaves, ascending
+    prefixes = itertools.permutations(range(m), m - k)
+    starts = np.array([p + tuple(sorted(set(range(m)) - set(p))) for p in prefixes], dtype=np.intp)
+    products = g[:, None, None] * bloch[None, :, :]  # g(t) v_i at [t, i]
+    fixed = products[np.arange(m - k), starts[:, : m - k]].sum(axis=1)
+    size, shape = math.factorial(k), (len(starts), *heads.shape[:2], tails.shape[1])
+
+    def screen(block, running):
+        index = block[0] // size
+        local = products[m - k :, starts[index, m - k :]]
+        # rows (2a, |2a|^2, 1) and (b, 1/4, |b|^2): slot 0 is filled once
+        # per ordering, so it carries the prefix's sum and the constants
+        head, tail = np.zeros((h, k, 5)), np.zeros((k - h, k, 5))
+        head[:, :, :3], tail[:, :, :3] = 2 * local[:h], local[h:]
+        head[0, :, :3] += 2 * fixed[index]
+        head[0, :, 4], tail[0, :, 3] = 1, 0.25
+        left = head_incidence @ head.reshape(-1, 5)
+        right = tail_incidence @ tail.reshape(-1, 5)
+        np.einsum("kx,kx->k", left[:, :3], left[:, :3], out=left[:, 3])
+        np.einsum("kx,kx->k", right[:, :3], right[:, :3], out=right[:, 4])
+        right = right.reshape(len(heads), -1, 5)[::-1].transpose(0, 2, 1).copy()
+        return (left.reshape(len(heads), -1, 5) @ right).ravel()
+
+    def rechecked(flat):
+        index, subset, head, tail = np.unravel_index(flat, shape)
+        rows = starts[index]
+        slots = np.concatenate([heads[subset, head], tails[subset, tail]], axis=1)
+        rows[:, m - k :] = rows[np.arange(len(rows))[:, None], m - k + slots]
+        return rows, exact(rows)
+
+    blocks = (np.arange(i * size, (i + 1) * size) for i in range(len(starts)))
+    return _screened_max(blocks, screen, rechecked, window)
+
+
 def arrangement_solve(
     c: CostFunction, bloch: np.ndarray, cap: int = DEFAULT_FACTORIAL_CAP
 ) -> tuple[Numbering, float]:
     """Maximize the qubit objective |w(n)|^2, w(n) = sum_t g(t) v(n(t)), exactly.
 
-    ``bloch`` stacks the Bloch vectors v_i (see :func:`_grams`), and g = gamma - mean.
+    ``bloch`` stacks the Bloch vectors v_i (see :func:`_checked`), and g = gamma - mean.
     The result equals the exhaustive exact sweep over all M! numberings: the largest
     value of sum_{t,t'} cost_gram[t, t'] bloch_gram[n(t), n(t')] as
     :func:`_objective` computes it, and the lexicographically smallest
@@ -314,25 +392,38 @@ def arrangement_solve(
     Numberings that tie in exact arithmetic, such as n and n o sigma under a
     balanced cost, are usually separated by rounding, not by that order.
 
+    The solver runs on g 2^-k and v 2^-j, 2^k and 2^j the smallest powers of
+    two above max |g| and the largest Bloch entry, but at least 2^-1000
+    (``costs._exponent``), and scales the value back by 2^(2k + 2j).  While
+    no scaled entry leaves the normal range, every computed value, and so
+    every decision, is exactly the unscaled one times 2^-(2k + 2j).  The
+    scaled Grams give window = SCREEN_MARGIN S^2 with S^2 = Tr(cost_gram)
+    Tr(bloch_gram) >= 1/16, or >= 2^-300 for inputs below 2^-1001, so tiny
+    inputs cannot underflow it, unless g or v is all zero: then every value
+    is 0, and the identity is returned.
+
     Up to M = min(_ENUMERATED, cap), where that is the faster, every
-    numbering is swept by :func:`_mirrored_max`, which screens one row r of
-    each pair {r, M - 1 - r} by |g_s[r] @ bloch|^2, g_s the sorted g.  The
-    mirror's w is -w(r) + delta, |delta| <= Delta = sum_k |g_s(k) +
-    g_s(M - 1 - k)| max_i |v_i| (the balance residual times max |v| for a
-    balanced cost), so with R = sum |g| max |v| >= |w| the pair's |w|^2
-    differ by at most 2 R Delta + Delta^2.  The window below, widened by
-    twice that, sends every pair that can hold the top to :func:`_objective`.
+    numbering is scored by :func:`_split_max`: w = a + b over a head and a
+    tail of the positions, |w|^2 = |a|^2 + |b|^2 + 2 a . b.  By Cauchy-Schwarz
+    sum_t |g(t)| |v(n(t))| <= S for every n, which bounds |a| + |b| and |w|.
+    Products g(t) v_i summed M at a time give a and b within gamma_M S
+    together (gamma_n = n u / (1 - n u), u = 2^-53), which moves |a + b|^2 by
+    at most 3 gamma_M S^2; the expansion's norms and five-term dot products
+    add gamma_8 S^2.  The M^2 terms of :func:`_objective` are at most S^2 in
+    sum and err by gamma_(M^2 + 4) S^2.  So a score lies within about (M^2 +
+    3 M + 12) u S^2 of the computed exact value, below window / 8 for M <=
+    30, past any M whose M! numberings a sweep can visit; an underflow adds
+    at most 2^-1075 per operation.
 
     Above that the candidates are :func:`_sorted_matchings`, about 4 K^2
-    rows for the K = M(M - 1)/2 circles.  Those screened within window =
-    SCREEN_MARGIN * Tr(cost_gram) * Tr(bloch_gram) of the top are closed
-    under swaps (:func:`_closure`) and evaluated with the exact formula.
-    Both Grams are PSD, so their traces are their nuclear norms and bound
-    |objective|; the screen and the exact formula each err by far less than
-    a quarter of the window.  When the closure would screen more rows than M!, every
-    numbering is swept instead, and FactorialCapError refuses that sweep
-    above ``cap``.  Costs or Bloch vectors that are all zero make every
-    value 0, and the identity is returned.
+    rows for the K = M(M - 1)/2 circles.  Those screened within the window
+    of the top are closed under swaps (:func:`_closure`) and evaluated with
+    the exact formula.  Both Grams are PSD, so their traces are their
+    nuclear norms and bound |objective|; the screen and the exact formula
+    each err by far less than a quarter of the window.  When the closure
+    would screen more rows than M!, :func:`_split_max` scores every
+    numbering instead, one block per prefix of the first M - 8 positions, and
+    FactorialCapError refuses that sweep above ``cap``.
 
     Soundness.  |w|^2 is convex, so its maximum over the convex hull P of
     the w(n) is at a vertex.  The vertex maximizing r . w is w of the sorted
@@ -359,8 +450,10 @@ def arrangement_solve(
     can be the largest.  The floating-point part is argued, not proved; the
     tests compare the solver with the exhaustive sweep on degenerate layouts.
     """
-    g = np.asarray(c.values) - c.mean
-    cost, bloch, gram = _grams(c, bloch)
+    g, bloch = _checked(c, bloch)
+    k, j = _exponent(g), _exponent(bloch)
+    g, bloch = np.ldexp(g, -k), np.ldexp(bloch, -j)
+    cost, gram = np.outer(g, g), bloch @ bloch.T
     m = len(g)
     window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
     exact = functools.partial(_objective, cost, gram)
@@ -368,24 +461,18 @@ def arrangement_solve(
     if window and m > min(_ENUMERATED, cap):
         closed = _closure(g, bloch, _sorted_matchings(g, bloch), window)
     if closed is not None:
-        return _screened_max(
+        best, value = _screened_max(
             [closed], lambda block, running: _scores(g, bloch, block),
             lambda rows: (rows, exact(rows)), window,
         )
-    if m > cap:
+    elif m > cap:
         raise FactorialCapError(
             f"M = {m} exceeds the exhaustive-search cap {cap} ({m}! numberings) "
             "and the near-tied numberings outnumber a sweep"
         )
-    order = np.argsort(g, kind="stable")
-    weights = g[order]
-    largest = math.sqrt(float(gram.diagonal().max()))
-    pair = float(np.abs(weights + weights[::-1]).sum()) * largest
-    spread = float(np.abs(g).sum()) * largest
-    return _mirrored_max(
-        order, weights, bloch, lambda w, running: np.einsum("kx,kx->k", w, w), exact,
-        window + 2 * (2 * spread * pair + pair * pair),
-    )
+    else:
+        best, value = _split_max(g, bloch, exact, window)
+    return best, math.ldexp(value, 2 * (k + j))
 
 
 def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
@@ -528,14 +615,15 @@ def benevolent_solve(
     Returns the optimal numbering sigma_2 o zigzag o sigma_1^-1 and its
     objective, or None when no relabeling sigma_2 making -bloch_gram
     benevolent within BENEVOLENCE_TOL was found.  Requires a balanced cost;
-    :func:`_grams` refuses an overflowing one before the search.
+    :func:`_checked` refuses an overflowing one before the search.
     """
     if not c.is_balanced:
         raise ValueError("benevolent_solve requires a balanced cost function")
-    cost, bloch, gram = _grams(c, bloch)
+    g, bloch = _checked(c, bloch)
+    gram = bloch @ bloch.T
     sigma2 = find_benevolent_permutation(-gram, cap=cap)
     if sigma2 is None:
         return None
     n_star = compose(sigma2, compose(zigzag_numbering(c.size), invert(c.sorting_permutation)))
     rows = np.asarray([n_star], dtype=np.intp) - 1
-    return n_star, float(_objective(cost, gram, rows)[0])
+    return n_star, float(_objective(np.outer(g, g), gram, rows)[0])

@@ -39,7 +39,7 @@ from conftest import (
     rotated_qubits,
 )
 from guesswork import engine, qap
-from guesswork.costs import _exponent, cost_function, identity_cost
+from guesswork.costs import _exponent, compose, cost_function, identity_cost
 from guesswork.engine import (
     _effective_operator_batch,
     condition_check,
@@ -649,6 +649,42 @@ def test_mirrored_qubit_sweep_equals_exact_sweep_on_unbalanced_costs(m, seed):
     assert arrangement_solve(c, e.bloch) == expected
 
 
+@st.composite
+def qubit_costs(draw, m):
+    """A balanced cost (identity, constant, tied or perturbed), an unbalanced
+    one, or small integers with ties, balanced or not."""
+    kind = draw(st.sampled_from(["balanced", "unbalanced", "tied"]))
+    if kind == "balanced":
+        return draw(balanced_costs(m))
+    if kind == "unbalanced":
+        values = st.integers(-10**6, 10**6).map(lambda x: x / 1000)
+    else:
+        values = st.integers(0, 2)
+    return cost_function(draw(st.lists(values, min_size=m, max_size=m)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_split_sweep_equals_exact_sweep(data):
+    # up to M = 8 every numbering is scored from its head and tail sums;
+    # repeated states, zero Bloch vectors and collinear or coplanar layouts
+    # tie many numberings exactly
+    m = data.draw(st.integers(2, 8))
+    kind = data.draw(st.sampled_from([
+        "random", "polygon", "repeated", "identical", "collinear", "coplanar", "mixed",
+        "all_mixed",
+    ]))
+    if kind == "random":
+        e = generate_random_uniform_prior(m, 2, data.draw(st.integers(0, 2**16)))
+    elif kind == "polygon":
+        e = generate_polygon_antiprism(m)
+    else:
+        e = degenerate_layout(kind, m)
+    c = data.draw(qubit_costs(m))
+    expected = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
+    assert arrangement_solve(c, e.bloch) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(problems().filter(lambda problem: problem[0].dim == 2))
 def test_arrangement_equals_exact_sweep(problem):
@@ -820,21 +856,93 @@ def test_condition_check_refutes_a_failing_certificate_without_sweeping(monkeypa
     assert condition_check(e, c, n_star) is False
 
 
-def test_m8_qubit_solves_sweep_one_numbering_per_pair(monkeypatch):
+def test_m8_qubit_solves_score_every_numbering_from_split_sums(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the qubit solve built the arrangement")
+        raise AssertionError("the qubit solve built the arrangement or ran the chunk loop")
 
-    monkeypatch.setattr(qap, "_sorted_matchings", refuse)
-    monkeypatch.setattr(qap, "_closure", refuse)
-    runs = screened_runs(monkeypatch)
+    for name in ("_sorted_matchings", "_closure", "_chunks"):
+        monkeypatch.setattr(qap, name, refuse)
+    monkeypatch.setattr(engine, "_chunks", refuse)
+    scored, screened_max = [], qap._screened_max
+
+    def counted(blocks, screen, exact, window):
+        def counting(block, running):
+            scores = screen(block, running)
+            assert scores.shape == block.shape
+            scored.append(exact(block)[0])  # every index of the block, as a numbering
+            return scores
+
+        return screened_max(blocks, counting, exact, window)
+
+    monkeypatch.setattr(qap, "_screened_max", counted)
     c = identity_cost(8)
     for e in (generate_polygon_antiprism(8), generate_random_uniform_prior(8, 2, 1)):
-        runs.clear()
+        scored.clear()
         report = solve(e, c)
         assert report.method == "brute_force"
         assert report.condition_verified
-        assert sum(runs) == math.factorial(8) // 2
-        assert max(runs) <= qap._CHUNK
+        rows = np.concatenate(scored)
+        assert len(rows) == math.factorial(8)
+        assert len(np.unique(rows, axis=0)) == math.factorial(8)
+
+
+def test_m9_qubit_solves_do_not_score_every_numbering(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the qubit solve scored every numbering")
+
+    monkeypatch.setattr(qap, "_split_max", refuse)
+    for e in (generate_polygon_antiprism(9), generate_random_uniform_prior(9, 2, 1)):
+        assert solve(e, identity_cost(9)).method == "brute_force"
+
+
+@pytest.mark.parametrize(
+    "e, values",
+    [
+        (generate_random_uniform_prior(9, 2, 1), list(range(1, 10))),
+        (generate_polygon_antiprism(9), list(range(1, 10))),
+        (generate_random_uniform_prior(9, 2, 4), [1, 1, 2, 2, 3, 4, 4, 5, 5]),
+        (generate_random_uniform_prior(9, 2, 5), np.random.default_rng(5).normal(size=9).tolist()),
+    ],
+)
+def test_split_sweep_blocks_per_prefix_equal_exact_sweep(monkeypatch, e, values):
+    # a closure that would outgrow M! sends the solver to the sweep: one
+    # block of 8! numberings per first label, its fixed sum in the head
+    blocks, screened_max = [], qap._screened_max
+
+    def counted(rows, screen, exact, window):
+        return screened_max((blocks.append(len(b)) or b for b in rows), screen, exact, window)
+
+    monkeypatch.setattr(qap, "_closure", lambda *args: None)
+    monkeypatch.setattr(qap, "_screened_max", counted)
+    c = cost_function(values)
+    expected = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
+    assert arrangement_solve(c, e.bloch) == expected
+    assert blocks == [math.factorial(8)] * 9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [5, 8, 9])
+def test_uniform_qubit_solves_at_extreme_scales(m):
+    # the window SCREEN_MARGIN Tr(cost_gram) Tr(bloch_gram) and the squares in
+    # |w(n*)| underflow at these scales unless they are taken at unit scale
+    e, c = generate_random_uniform_prior(m, 2, m), identity_cost(m)
+    report = solve(e, c)
+    pair = {report.optimal_numbering, compose(report.optimal_numbering, c.balancing_permutation)}
+    for factor in (1e-300, 1e-160, 1e150):
+        scaled = solve(e, cost_function([factor * t for t in range(1, m + 1)]))
+        assert scaled.condition_verified
+        assert scaled.optimal_numbering in pair
+        assert math.isclose(
+            (scaled.value - scaled.mean_cost) / factor, report.value - report.mean_cost,
+            rel_tol=1e-12,
+        )
+    # Bloch vectors 2^-560 long (a state cannot hold them: its diagonal
+    # rounds them away) give |w|^2 below the smallest double; 2^-500 long,
+    # the value is the scale-1 one times 2^-1000, bitwise
+    base = arrangement_solve(c, e.bloch)
+    assert arrangement_solve(c, np.ldexp(e.bloch, -560))[0] == base[0]
+    numbering, value = arrangement_solve(c, np.ldexp(e.bloch, -500))
+    assert (numbering, math.ldexp(value, 1000)) == base
 
 
 def test_m9_qubit_solves_do_not_sweep(monkeypatch):

@@ -21,6 +21,7 @@ ensemble is solved as a qubit ensemble.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -48,9 +49,8 @@ from .operators import (
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
     SCREEN_MARGIN,
-    _chunks,
-    _mirrored_max,
-    _numbering_blocks,
+    _TABLE_POSITIONS,
+    _screened_max,
     arrangement_solve,
     benevolent_solve,
     zigzag_numbering,
@@ -184,10 +184,12 @@ def optimal_two_outcome_measurement(
     The n* element is the negative projector plus half the null projector of
     E(n*); the partner element is the mirror image (positive plus half null).
     When sigma is the identity (constant cost) the two outcomes coincide and
-    the measurement degenerates to the identity on n*.  With 2^k the smallest
-    power of two above max |gamma - mean|, the null space is that of
-    E(n*) / 2^k within EIGEN_TOL, the antisymmetry gap is allowed
-    ALGEBRAIC_TOL 2^k, and the validation takes EIGEN_TOL.
+    the measurement degenerates to the identity on n*.  The null space is
+    that of E(n*) / 2^j within EIGEN_TOL, 2^j the smallest power of two above
+    E(n*)'s largest entry, so short Bloch vectors or small costs still split
+    E(n*) by sign.  With 2^k the smallest power of two above
+    max |gamma - mean|, the antisymmetry gap is allowed ALGEBRAIC_TOL 2^k,
+    and the validation takes EIGEN_TOL.
     """
     if not c.is_balanced:
         raise ValueError("the two-outcome construction requires a balanced cost")
@@ -212,7 +214,7 @@ def optimal_two_outcome_measurement(
             f"effective operators are not antisymmetric under the balancing "
             f"permutation (gap {antisymmetry:.3e}); is the cost certificate valid?"
         )
-    parts = spectral_parts(e_star * math.ldexp(1.0, -k))
+    parts = spectral_parts(e_star * math.ldexp(1.0, -_exponent(e_star)))
     elements = {
         n_star: parts.negative_projector + parts.null_projector / 2,
         partner: parts.positive_projector + parts.null_projector / 2,
@@ -349,6 +351,58 @@ def _bound_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
     return weights
 
 
+# Rows per screened batch: the temporaries of the product and of the screens
+# stay in cache, and their allocations are reused instead of paged in.
+_CHUNK = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _permutation_table(k: int) -> np.ndarray:
+    """All permutations of range(k) in lexicographic order, as a read-only int8 table."""
+    table = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, k + 1):
+        # rows led by each first entry in turn, then the shorter table relabelled around it
+        firsts = np.repeat(np.arange(size, dtype=np.int8), len(table))[:, None]
+        rests = np.tile(table, (size, 1))
+        table = np.hstack([firsts, rests + (rests >= firsts)])
+    table.setflags(write=False)
+    return table
+
+
+def _numbering_blocks(m: int, half: bool = False):
+    """Every permutation of range(m), in ``itertools.permutations`` order, in blocks.
+
+    Each block is an integer array with one permutation per row: those that
+    share their first m - 8 entries.  When m <= 8 the one block is a cached
+    read-only table.  With ``half``, each block keeps its first ceil(len / 2)
+    rows, which hold one row of each pair {r, m - 1 - r}: complementing every
+    entry reverses the lexicographic order, so it maps the k-th row of a
+    prefix's block to the k-th last row of the complemented prefix's block.
+    """
+    tail = min(m, _TABLE_POSITIONS)
+    table = _permutation_table(tail)
+    if half:
+        table = table[: (len(table) + 1) // 2]
+    if m == tail:
+        yield table
+        return
+    for prefix in itertools.permutations(range(m), m - tail):
+        rest = np.array([x for x in range(m) if x not in prefix])
+        block = np.empty((len(table), m), dtype=np.intp)
+        block[:, : m - tail] = prefix
+        block[:, m - tail :] = rest[table]
+        yield block
+
+
+def _chunks(weights: np.ndarray, inverses: np.ndarray, values: np.ndarray):
+    """Each run of at most _CHUNK rows of 0-based inverse numberings, with the
+    product W @ values, row k of W holding weights[r(i)] at column i for its row r."""
+    for start in range(0, len(inverses), _CHUNK):
+        rows = inverses[start : start + _CHUNK]
+        # an intp index gathers faster than the cached int8 tables
+        yield rows, weights[rows.astype(np.intp, copy=False)] @ values
+
+
 def _sweep_columns(e: Ensemble, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The weights of a sweep's :func:`_chunks` products, the columns they
     multiply, and k.  At d != 2: w, the states' (re, im) parts and k = 0; a
@@ -465,12 +519,12 @@ def tracenorm_argmax(
     mean).  The rows number the positions by increasing cost, with w in
     that order, so E of the mirror row M - 1 - r lies within delta =
     sum_k |w_k + w_(M-1-k)| max_i ||rho_i||_1 of -E(r); for a balanced cost
-    delta is its balance residual.  One row of each pair is screened
-    (:func:`_mirrored_max`), and those within twice the screen's error plus
-    2 delta of the running maximum are recomputed from the exact batch of
-    E(n) with their mirrors, so the result equals the exact sweep over all
-    numberings: the largest computed norm, the lexicographically smallest
-    numbering among equal computed norms.
+    delta is its balance residual.  One row of each pair is screened (the
+    half blocks of :func:`_numbering_blocks`), and those within twice the
+    screen's error plus 2 delta of the running maximum are recomputed from
+    the exact batch of E(n) with their mirrors, so the result equals the
+    exact sweep over all numberings: the largest computed norm, the
+    lexicographically smallest numbering among equal computed norms.
     Numberings that tie in exact arithmetic, such as a row and its mirror,
     are usually separated by rounding, not by that order.
 
@@ -494,9 +548,6 @@ def tracenorm_argmax(
     largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
     window = 2 * error + 2 * float(np.abs(weights + weights[::-1]).sum()) * largest
 
-    def norms(rows):
-        return np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
-
     weights, columns, k = _sweep_columns(e, weights)
 
     def screen(product, running):
@@ -508,11 +559,20 @@ def tracenorm_argmax(
         # eigvalsh's norms less the screen's error lie below the screened norms
         leads = operators[np.argpartition(bounds, -min(_LEADS, len(bounds)))[-_LEADS:]]
         lead = float(np.abs(np.linalg.eigvalsh(leads)).sum(axis=1).max()) - error
-        screened = ~(bounds < max(running, lead) - window)
-        bounds[screened] = np.abs(_spectra(operators[screened], error / 4)).sum(axis=1)
+        kept = ~(bounds < max(running, lead) - window)
+        bounds[kept] = np.abs(_spectra(operators[kept], error / 4)).sum(axis=1)
         return bounds
 
-    return _mirrored_max(order, weights, columns, screen, norms, window)
+    def screened(inverses, running):
+        return np.concatenate([screen(p, running) for _, p in _chunks(weights, inverses, columns)])
+
+    def rechecked(inverses):
+        # n^-1(i) = order[r(i)] for each kept row r, then for its mirror M - 1 - r
+        rows = np.argsort(np.concatenate([order[inverses], order[::-1][inverses]]), axis=1)
+        norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
+        return rows, norms
+
+    return _screened_max(_numbering_blocks(e.size, half=True), screened, rechecked, window)
 
 
 def min_guesswork_qubit(

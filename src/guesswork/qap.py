@@ -21,13 +21,9 @@ n(t')] with the rank-1 cost_gram = g g^T, g = gamma - mean.  Two solvers are pro
 This solver's sweep, :func:`_split_max`, scores every numbering from the
 sums over a head and a tail of its positions, by one batched product over
 the splits of the labels (meet in the middle: Horowitz and Sahni, J. ACM
-21:277, 1974).  The engine's trace-norm sweep uses :func:`_mirrored_max`: it
-screens :func:`_numbering_blocks` with ``half``, one row of each mirror pair
-{r, M - 1 - r} in cost-sorted positions, by one gather and one product per
-run of at most _CHUNK rows (:func:`_chunks`, also the condition check's
-loop), and rechecks each kept row with its mirror.  :func:`_screened_max`
-reduces the blocks of both: ``screen(block, running)`` may give any score
-below running - window to a row it can show lies there.
+21:277, 1974).  :func:`_screened_max` reduces a sweep's blocks:
+``screen(block, running)`` may give any score below running - window to a
+row it can show lies there.
 """
 
 from __future__ import annotations
@@ -46,8 +42,9 @@ from .errors import FactorialCapError
 DEFAULT_FACTORIAL_CAP = 10
 BENEVOLENCE_TOL = 1e-10
 
-# Blocks list the permutations of the last min(M, 8) positions under one prefix
-# of the first M - 8: 8! = 40320 rows per block bound the sweeps' memory.
+# A sweep's block holds the numberings that share one prefix of the first
+# M - 8 positions: 8! = 40320 rows per block, and as many swapped rows per
+# chunk of the closure, bound the sweeps' memory.
 _TABLE_POSITIONS = 8
 
 # The sweeps score every numbering with a cheap screen and recompute the exact
@@ -67,10 +64,6 @@ _PARALLEL = 1e-13
 # polygon layouts, identity cost, BENCH_23.json).  At M = 9 it took 1.7-1.9
 # ms against 2.1-2.7 ms; the end-to-end benchmark has not compared them there.
 _ENUMERATED = 8
-
-# Rows per screened batch: the temporaries of the product and of the screens
-# stay in cache, and their allocations are reused instead of paged in.
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -95,19 +88,6 @@ def bloch_gram(e: Ensemble) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _permutation_table(k: int) -> np.ndarray:
-    """All permutations of range(k) in lexicographic order, as a read-only int8 table."""
-    table = np.zeros((1, 0), dtype=np.int8)
-    for size in range(1, k + 1):
-        # rows led by each first entry in turn, then the shorter table relabelled around it
-        firsts = np.repeat(np.arange(size, dtype=np.int8), len(table))[:, None]
-        rests = np.tile(table, (size, 1))
-        table = np.hstack([firsts, rests + (rests >= firsts)])
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=None)
 def _orderings(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The orderings of each n-subset of range(k) as a read-only (C(k, n), n!,
     n) table, subsets in ``itertools.combinations`` order, and its 0/1
@@ -124,40 +104,6 @@ def _orderings(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     table.setflags(write=False)
     incidence.setflags(write=False)
     return table, incidence
-
-
-def _numbering_blocks(m: int, half: bool = False):
-    """Every permutation of range(m), in ``itertools.permutations`` order, in blocks.
-
-    Each block is an integer array with one permutation per row: those that
-    share their first m - 8 entries.  When m <= 8 the one block is a cached
-    read-only table.  With ``half``, each block keeps its first ceil(len / 2)
-    rows, which hold one row of each pair {r, m - 1 - r}: complementing every
-    entry reverses the lexicographic order, so it maps the k-th row of a
-    prefix's block to the k-th last row of the complemented prefix's block.
-    """
-    tail = min(m, _TABLE_POSITIONS)
-    table = _permutation_table(tail)
-    if half:
-        table = table[: (len(table) + 1) // 2]
-    if m == tail:
-        yield table
-        return
-    for prefix in itertools.permutations(range(m), m - tail):
-        rest = np.array([x for x in range(m) if x not in prefix])
-        block = np.empty((len(table), m), dtype=np.intp)
-        block[:, : m - tail] = prefix
-        block[:, m - tail :] = rest[table]
-        yield block
-
-
-def _chunks(weights: np.ndarray, inverses: np.ndarray, values: np.ndarray):
-    """Each run of at most _CHUNK rows of 0-based inverse numberings, with the
-    product W @ values, row k of W holding weights[r(i)] at column i for its row r."""
-    for start in range(0, len(inverses), _CHUNK):
-        rows = inverses[start : start + _CHUNK]
-        # an intp index gathers faster than the cached int8 tables
-        yield rows, weights[rows.astype(np.intp, copy=False)] @ values
 
 
 def _scores(g: np.ndarray, bloch: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -300,27 +246,6 @@ def _screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, floa
         if top > best_value or (top == best_value and row < best):
             best_value, best = top, row
     return tuple(int(x) + 1 for x in best), best_value
-
-
-def _mirrored_max(
-    order: np.ndarray, weights: np.ndarray, values: np.ndarray, screen, exact, window: float
-) -> tuple[Numbering, float]:
-    """:func:`_screened_max` over every numbering, one row of each mirror pair screened.
-
-    The rows r of the half blocks number the positions by increasing cost,
-    n^-1(i) = order[r(i)], with ``weights`` in that order.  ``screen(product,
-    running)`` scores each :func:`_chunks` product with ``values``; kept rows
-    and their mirrors M - 1 - r go to ``exact(rows)`` as 0-based numberings,
-    and ``window`` must cover the difference within a pair."""
-
-    def screened(inverses, running):
-        return np.concatenate([screen(p, running) for _, p in _chunks(weights, inverses, values)])
-
-    def rechecked(inverses):
-        rows = np.argsort(np.concatenate([order[inverses], order[::-1][inverses]]), axis=1)
-        return rows, exact(rows)
-
-    return _screened_max(_numbering_blocks(len(order), half=True), screened, rechecked, window)
 
 
 def _split_max(

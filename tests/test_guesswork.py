@@ -21,6 +21,7 @@ from conftest import (
 from guesswork import serialize
 from guesswork.costs import compose, cost_function, identity_cost
 from guesswork.engine import (
+    VALUE_TOL,
     NumberingMeasurement,
     condition_check,
     effective_operator,
@@ -40,6 +41,7 @@ from guesswork.ensembles import (
     validate,
 )
 from guesswork.errors import FactorialCapError
+from guesswork.operators import from_bloch
 from guesswork.qap import arrangement_solve, benevolent_solve, bloch_gram
 
 ORTHOGONAL_PAIR = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
@@ -130,6 +132,39 @@ def test_two_outcome_measurement_zero_effective_operator():
     assert set(m.elements) == {(1, 2), (2, 1)}
     for element in m.elements.values():
         np.testing.assert_allclose(element, np.eye(2) / 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-11, 1e-13])
+def test_verified_measurement_attains_its_value_at_short_bloch_vectors(scale):
+    # E(n*) is as small as the Bloch vectors, whatever the cost: taken at the
+    # cost's scale its whole spectrum would lie in the null space, and both
+    # elements would be I / 2, which only attain the mean
+    bloch = generate_random_uniform_prior(8, 2, 1).bloch * scale
+    e = validate([from_bloch(1 / 8, v) for v in bloch])
+    c = identity_cost(8)
+    report = solve(e, c)
+    assert report.condition_verified
+    assert report.mean_cost - report.value > 0.9 * scale
+    # guesswork_value sums 64 terms of order 1 / 8: it rounds by a few ulps of the mean
+    assert abs(guesswork_value(e, c, report.measurement) - report.value) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["identical", "maximally_mixed"])
+def test_measurement_of_a_vanishing_effective_operator(kind, dim):
+    # E(n*) is zero or rounding noise: scaled to its own size, noise splits by
+    # sign, and every measurement attains the mean
+    state = 2 * generate_random_uniform_prior(2, dim, 3).states[0]
+    if kind == "maximally_mixed":
+        state = np.eye(dim) / dim
+    e = validate([state / 5] * 5)
+    for c in (identity_cost(5), cost_function([0.1, 0.7, 0.3, 0.9, 0.5])):
+        report = solve(e, c)
+        assert report.condition_verified
+        report.measurement.validated()
+        assert guesswork_value(e, c, report.measurement) == pytest.approx(
+            report.value, abs=VALUE_TOL
+        )
 
 
 def test_two_outcome_measurement_degenerate_constant_cost():

@@ -42,6 +42,7 @@ from guesswork import engine, qap
 from guesswork.costs import _exponent, compose, cost_function, identity_cost
 from guesswork.engine import (
     _effective_operator_batch,
+    _numbering_blocks,
     condition_check,
     solve,
     tracenorm_argmax,
@@ -53,7 +54,7 @@ from guesswork.ensembles import (
 )
 from guesswork.errors import FactorialCapError
 from guesswork.operators import from_bloch
-from guesswork.qap import _numbering_blocks, _screened_max, arrangement_solve, bloch_gram
+from guesswork.qap import _screened_max, arrangement_solve, bloch_gram
 
 
 def reference_tracenorm_argmax(e, c):
@@ -214,8 +215,10 @@ def test_condition_check_with_tol_at_a_smallest_eigenvalue(problem):
 
 
 def test_polygon9_identity_cost_matches_exact_sweeps():
-    e = generate_polygon_antiprism(9)
-    assert_sweeps_match(e, identity_cost(9))
+    # the uniform polygon has A(n) = 0 in every prefix block; the reweighted
+    # prior screens the trace A of the d = 2 Pauli coordinates there too
+    for e in (generate_polygon_antiprism(9), nonuniform_qubits(9, 9)):
+        assert_sweeps_match(e, identity_cost(9))
 
 
 def test_random_dim3_m9_identity_cost_matches_exact_sweeps():
@@ -699,14 +702,14 @@ def test_arrangement_equals_exact_sweep(problem):
 
 def screened_runs(monkeypatch):
     """The lengths of the runs that the sweeps' shared chunk loop yields."""
-    runs, chunks = [], qap._chunks
+    runs, chunks = [], engine._chunks
 
     def counted(weights, inverses, values):
         for rows, product in chunks(weights, inverses, values):
             runs.append(len(rows))
             yield rows, product
 
-    monkeypatch.setattr(qap, "_chunks", counted)
+    monkeypatch.setattr(engine, "_chunks", counted)
     return runs
 
 
@@ -818,17 +821,20 @@ def test_qubit_general_solves_screen_pauli_coordinates(monkeypatch, e, verified)
 
     monkeypatch.setattr(engine, "_trace_norm_bounds", refuse)
     monkeypatch.setattr(engine, "_spectra", refuse)
-    runs, chunks = {"tracenorm": [], "condition": []}, qap._chunks
+    runs, chunks, check = {"tracenorm": [], "condition": []}, engine._chunks, engine.condition_check
+    running = ["tracenorm"]  # until the condition check starts
 
-    def recorded(sweep):
-        def counted(weights, inverses, values):
-            for rows, product in chunks(weights, inverses, values):
-                runs[sweep].append((len(rows), product.shape[1]))
-                yield rows, product
-        return counted
+    def counted(weights, inverses, values):
+        for rows, product in chunks(weights, inverses, values):
+            runs[running[0]].append((len(rows), product.shape[1]))
+            yield rows, product
 
-    monkeypatch.setattr(qap, "_chunks", recorded("tracenorm"))
-    monkeypatch.setattr(engine, "_chunks", recorded("condition"))
+    def checked(*args, **kwargs):
+        running[0] = "condition"
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_chunks", counted)
+    monkeypatch.setattr(engine, "condition_check", checked)
     report = engine.min_guesswork_general(e, identity_cost(8))
     # the uniform prior's certificate holds, so its condition sweep runs in full
     assert report.condition_verified == verified
@@ -860,7 +866,7 @@ def test_m8_qubit_solves_score_every_numbering_from_split_sums(monkeypatch):
     def refuse(*args):
         raise AssertionError("the qubit solve built the arrangement or ran the chunk loop")
 
-    for name in ("_sorted_matchings", "_closure", "_chunks"):
+    for name in ("_sorted_matchings", "_closure"):
         monkeypatch.setattr(qap, name, refuse)
     monkeypatch.setattr(engine, "_chunks", refuse)
     scored, screened_max = [], qap._screened_max
@@ -952,7 +958,6 @@ def test_m9_qubit_solves_do_not_sweep(monkeypatch):
     def no_closed_form(*args, **kwargs):
         raise AssertionError("the qubit solve ran the closed form up to the cap")
 
-    monkeypatch.setattr(qap, "_numbering_blocks", refuse)
     monkeypatch.setattr(engine, "_numbering_blocks", refuse)
     polygon, rand = generate_polygon_antiprism(9), generate_random_uniform_prior(9, 2, 1)
     c = identity_cost(9)
@@ -1005,9 +1010,9 @@ def test_half_blocks_hold_one_row_of_each_complement_pair(m):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_half_table_is_a_read_only_view_of_the_cached_table(m):
     (full,) = _numbering_blocks(m)
-    entries = qap._permutation_table.cache_info().currsize
+    entries = engine._permutation_table.cache_info().currsize
     (half,) = _numbering_blocks(m, half=True)
-    assert qap._permutation_table.cache_info().currsize == entries
+    assert engine._permutation_table.cache_info().currsize == entries
     assert half.base is full and not half.flags.writeable
     assert len(half) == (len(full) + 1) // 2
 
@@ -1028,7 +1033,7 @@ def test_import_does_not_build_the_permutation_table():
     source = os.path.dirname(os.path.dirname(guesswork.__file__))
     code = (
         "import guesswork, guesswork.cli\n"
-        "from guesswork.qap import _permutation_table\n"
+        "from guesswork.engine import _permutation_table\n"
         "assert _permutation_table.cache_info().currsize == 0\n"
     )
     env = {**os.environ, "PYTHONPATH": source}

@@ -319,13 +319,13 @@ def _trace_norm_bounds(batch: np.ndarray, error: float) -> np.ndarray:
     (a, a, -2a) and (a, a, -a, -a).  Rounding: where the eigenvalues change
     sign, |tau| <= d sqrt(F^2 - tau^2 / d), so the difference does not cancel;
     where they do not, ||A||_1 = |tau|.  The bound is computed on A / 2^k, 2^k
-    near ``error``, so that no square overflows or underflows beyond the
-    error, and raised by 2^-40 of itself, which covers its rounding and
-    eigvalsh's, by ``error``, which covers the screened spectra, and by
+    from ``costs._exponent(error)``, so that no square overflows or underflows
+    beyond the error, and raised by 2^-40 of itself, which covers its rounding
+    and eigvalsh's, by ``error``, which covers the screened spectra, and by
     _UNDERFLOW.  Rows with non-finite entries get non-finite bounds.
     """
     size, d, _ = batch.shape
-    scale = 2.0 ** -min(max(math.frexp(error)[1], -1000), 1000)  # 1 for error 0 or not finite
+    scale = math.ldexp(1.0, -_exponent(error))
     trace_weights, square_weights = _bound_weights(d)
     with np.errstate(over="ignore", invalid="ignore"):
         parts = batch.reshape(size, d * d).view(float)
@@ -406,8 +406,8 @@ def _chunks(weights: np.ndarray, inverses: np.ndarray, values: np.ndarray):
 def _sweep_columns(e: Ensemble, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The weights of a sweep's :func:`_chunks` products, the columns they
     multiply, and k.  At d != 2: w, the states' (re, im) parts and k = 0; a
-    product row viewed as complex is E(n).  At d = 2: w 2^-k, 2^k the smallest
-    power of two above sum |w|, and (Tr rho_i, v(rho_i)); a row is (A, W) 2^-k
+    product row viewed as complex is E(n).  At d = 2: w 2^-k, 2^k from
+    ``costs._exponent(sum |w|)``, and (Tr rho_i, v(rho_i)); a row is (A, W) 2^-k
     and E(n) = (A I + W . sigma) / 2.  With S = sum |w| max Tr rho_i, entries
     lie below 2 (no square overflows; those that underflow move |W| by far
     less than eps S), M products and sums err by M eps S, |W| and a difference
@@ -416,7 +416,7 @@ def _sweep_columns(e: Ensemble, weights: np.ndarray) -> tuple[np.ndarray, np.nda
     + _UNDERFLOW / 4 (:func:`_screen_error`, as ||rho||_F >= Tr rho / sqrt 2)."""
     if e.dim != 2:
         return weights, e.states.reshape(e.size, -1).view(float), 0
-    k = math.frexp(float(np.abs(weights).sum()))[1]
+    k = _exponent(np.abs(weights).sum())
     return np.ldexp(weights, -k), np.column_stack([e.prior, e.bloch]), k
 
 
@@ -599,7 +599,7 @@ def min_guesswork_qubit(
     _require_balanced(c)
     _require_same_size(e, c)
 
-    if e.size <= cap:  # both solvers refuse an overflowing cost before they search
+    if e.size <= cap:  # both solvers work at unit scale, so any cost_function is accepted
         n_star, method = arrangement_solve(c, e.bloch, cap=cap)[0], "brute_force"
     else:
         fast = benevolent_solve(c, e.bloch, cap=cap)
@@ -667,7 +667,8 @@ def min_guesswork_general(
         return _zigzag_report(e, c)
     candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
     measurement = None
-    scaled = math.ldexp(tol, _exponent(np.asarray(c.values) - c.mean))
+    with np.errstate(over="ignore"):  # a tol beyond the doubles passes every numbering
+        scaled = float(np.ldexp(tol, _exponent(np.asarray(c.values) - c.mean)))
     if condition_check(e, c, candidate, tol=scaled, cap=cap):
         measurement = optimal_two_outcome_measurement(e, c, candidate)
     return _condition_report(c, candidate, norm_value, measurement)
@@ -737,9 +738,10 @@ def simulate(
     where every count is exact in a double.
 
     Returns (sample mean, standard error); the standard error is NaN for a
-    single sample.  Fully deterministic for a fixed seed, whatever the order
-    of ``m``'s elements.  A measurement of another dimension, or with
-    numberings of another length than M, is refused.
+    single sample; both are taken on the costs over 2^k (``costs._exponent``)
+    and scaled back, inf beyond the doubles.  Fully deterministic for a fixed
+    seed, whatever the order of ``m``'s elements.  A measurement of another
+    dimension, or with numberings of another length than M, is refused.
     """
     _require_measurement_of(e, m)
     if samples < 1:
@@ -761,15 +763,17 @@ def simulate(
     # cost_table[j, label] = gamma(n_j^-1(label))
     inverses = np.array([invert(numbering) for numbering in outcomes]) - 1
     cost_table = np.asarray(c.values)[inverses]
+    k = _exponent(cost_table)
 
     # numpy gives the last cell whatever mass rounding leaves over, so only
     # cells that can occur take part in the draw
     support = np.flatnonzero(cells)
     weights = cells.ravel()[support]
     counts = rng.multinomial(samples, weights / weights.sum()).astype(float)
-    costs = cost_table.ravel()[support]
+    costs = np.ldexp(cost_table.ravel()[support], -k)
     estimate = float(counts @ costs / samples)
     if samples < 2:
-        return estimate, math.nan
+        return float(np.ldexp(estimate, k)), math.nan
     variance = float(counts @ (costs - estimate) ** 2) / (samples - 1)
-    return estimate, math.sqrt(variance / samples)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(estimate, k)), float(np.ldexp(math.sqrt(variance / samples), k))

@@ -115,7 +115,7 @@ def generate_polygon_antiprism(m: int, h: float = 0.0, lam: float | str = "pure"
         raise ValueError(
             f"h = {h} not allowed for odd M = {m}: the anti-prism height bound is 0 for odd M"
         )
-    slant = math.sqrt(1.0 + h * h)
+    slant = math.sqrt(1.0 + h * h) if h <= 2.0**53 else h  # the same where h * h is finite
     if lam == "pure":
         scale = 1.0 / (m * slant)
     else:

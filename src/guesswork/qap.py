@@ -190,23 +190,18 @@ def _closure(
     return seen.view(np.uint8).reshape(-1, m).astype(np.intp)
 
 
-def _checked(c: CostFunction, bloch) -> tuple[np.ndarray, np.ndarray]:
-    """g = gamma - mean and ``bloch`` as an (M, 3) float array.  A cost whose
-    objective's sums could overflow is refused, and so are other shapes of
-    ``bloch``, such as the M x M Bloch Gram; the 3 x 3 Gram cannot be told
-    from three Bloch vectors."""
+def _checked(c: CostFunction, bloch) -> tuple[np.ndarray, np.ndarray, int]:
+    """g = gamma - mean and ``bloch`` as an (M, 3) float array at unit scale,
+    divided by 2^k and 2^j (``costs._exponent`` of each), and 2 (k + j), the
+    exponent that scales |w|^2 back.  Other shapes of ``bloch`` are refused,
+    such as the M x M Bloch Gram; the 3 x 3 Gram cannot be told from three
+    Bloch vectors."""
     g = np.asarray(c.values) - c.mean
-    with np.errstate(over="ignore"):
-        spread = float(np.abs(g).sum())
-    if not math.isfinite(spread * spread):
-        raise ValueError(
-            "cost values are too large for the qubit solver: "
-            "(sum |gamma - mean|)^2 is not a finite double"
-        )
     bloch = np.asarray(bloch, dtype=float)
     if bloch.shape != (c.size, 3):
         raise ValueError(f"expected {c.size} Bloch vectors of 3 entries, got shape {bloch.shape}")
-    return g, bloch
+    k, j = _exponent(g), _exponent(bloch)
+    return np.ldexp(g, -k), np.ldexp(bloch, -j), 2 * (k + j)
 
 
 def _objective(cost: np.ndarray, gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -319,9 +314,9 @@ def arrangement_solve(
 
     The solver runs on g 2^-k and v 2^-j, 2^k and 2^j the smallest powers of
     two above max |g| and the largest Bloch entry, but at least 2^-1000
-    (``costs._exponent``), and scales the value back by 2^(2k + 2j).  While
-    no scaled entry leaves the normal range, every computed value, and so
-    every decision, is exactly the unscaled one times 2^-(2k + 2j).  The
+    (:func:`_checked`), and scales the value back by 2^(2k + 2j), to inf beyond
+    the doubles.  While no scaled entry leaves the normal range, every computed
+    value, and so every decision, is exactly the unscaled one times 2^-(2k + 2j).  The
     scaled Grams give window = SCREEN_MARGIN S^2 with S^2 = Tr(cost_gram)
     Tr(bloch_gram) >= 1/16, or >= 2^-300 for inputs below 2^-1001, so tiny
     inputs cannot underflow it, unless g or v is all zero: then every value
@@ -375,9 +370,7 @@ def arrangement_solve(
     can be the largest.  The floating-point part is argued, not proved; the
     tests compare the solver with the exhaustive sweep on degenerate layouts.
     """
-    g, bloch = _checked(c, bloch)
-    k, j = _exponent(g), _exponent(bloch)
-    g, bloch = np.ldexp(g, -k), np.ldexp(bloch, -j)
+    g, bloch, scale = _checked(c, bloch)
     cost, gram = np.outer(g, g), bloch @ bloch.T
     m = len(g)
     window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
@@ -397,7 +390,8 @@ def arrangement_solve(
         )
     else:
         best, value = _split_max(g, bloch, exact, window)
-    return best, math.ldexp(value, 2 * (k + j))
+    with np.errstate(over="ignore"):
+        return best, float(np.ldexp(value, scale))
 
 
 def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
@@ -539,16 +533,18 @@ def benevolent_solve(
     ``bloch`` stacks the Bloch vectors v_i, as in :func:`arrangement_solve`.
     Returns the optimal numbering sigma_2 o zigzag o sigma_1^-1 and its
     objective, or None when no relabeling sigma_2 making -bloch_gram
-    benevolent within BENEVOLENCE_TOL was found.  Requires a balanced cost;
-    :func:`_checked` refuses an overflowing one before the search.
+    benevolent within BENEVOLENCE_TOL, on the unscaled Bloch Gram, was found.
+    Requires a balanced cost.  The objective is taken at unit scale, as in
+    :func:`arrangement_solve`, and is inf beyond the doubles.
     """
     if not c.is_balanced:
         raise ValueError("benevolent_solve requires a balanced cost function")
-    g, bloch = _checked(c, bloch)
-    gram = bloch @ bloch.T
-    sigma2 = find_benevolent_permutation(-gram, cap=cap)
+    g, v, scale = _checked(c, bloch)
+    bloch = np.asarray(bloch, dtype=float)
+    sigma2 = find_benevolent_permutation(-(bloch @ bloch.T), cap=cap)
     if sigma2 is None:
         return None
     n_star = compose(sigma2, compose(zigzag_numbering(c.size), invert(c.sorting_permutation)))
     rows = np.asarray([n_star], dtype=np.intp) - 1
-    return n_star, float(_objective(np.outer(g, g), gram, rows)[0])
+    with np.errstate(over="ignore"):
+        return n_star, float(np.ldexp(_objective(np.outer(g, g), v @ v.T, rows)[0], scale))

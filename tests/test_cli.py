@@ -547,17 +547,45 @@ def test_overflowing_cost_is_input_error(tmp_path, capsys, values):
 
 
 @pytest.mark.parametrize("m", [2, DEFAULT_FACTORIAL_CAP + 1])
-def test_qubit_cost_too_large_for_the_exact_solver(tmp_path, capsys, m):
-    # 2 (gamma - mean) is finite, but the qubit objective's sums of products
-    # of (gamma - mean) are not; above the cap too, before the cap is checked
+def test_qubit_cost_too_large_to_square_solves_at_unit_scale(tmp_path, capsys, m):
+    # (sum |gamma - mean|)^2 overflows at 1e200, but both qubit solvers work at
+    # unit scale: up to the cap the value is the scale-1 one times 1e200, above
+    # it the zig-zag bound, as at scale 1
     ensemble_path = write_ensemble(tmp_path / "qubits.json", generate_random_uniform_prior(m, 2, 1))
-    cost_path = tmp_path / "cost.json"
-    cost_path.write_text(json.dumps({"values": [1e200, -1e200] + [0.0] * (m - 2)}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run_cli(["solve", "--ensemble", ensemble_path, "--cost", str(cost_path)])
-    assert_input_error(code, capsys, "cost values are too large for the qubit solver")
-    assert not caught
+    cost_path, out = tmp_path / "cost.json", tmp_path / "report.json"
+    values = []
+    for factor in (1.0, 1e200):
+        cost_path.write_text(json.dumps({"values": [factor, -factor] + [0.0] * (m - 2)}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                ["solve", "--ensemble", ensemble_path, "--cost", str(cost_path), "--out", str(out)]
+            )
+        assert not caught
+        stdout = capsys.readouterr().out
+        if m > DEFAULT_FACTORIAL_CAP:
+            assert code == 3
+            assert stdout.splitlines()[0] == "no sweep ran above the enumeration cap: zig-zag bound"
+        else:
+            assert code == 0
+        values.append(json.loads(out.read_text())["value"])
+    assert math.isclose(values[1] / 1e200, values[0], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["solve", "simulate"])
+def test_tol_beyond_the_doubles_at_the_cost_scale(tmp_path, capsys, kind):
+    # --tol times the cost's power of two overflows to inf, which passes every
+    # numbering, as 1e300 already does
+    ensemble_path = write_ensemble(tmp_path / "r.json", generate_random_uniform_prior(4, 3, 1))
+    results = []
+    for tol in ("1e300", "1e308", "1.7e308"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli([kind, "--ensemble", ensemble_path, "--tol", tol])
+        assert not caught
+        results.append((code, capsys.readouterr()))
+    assert results[0][0] == 0
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_tol_must_be_finite(tmp_path, capsys):

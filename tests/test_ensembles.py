@@ -268,6 +268,22 @@ def test_explicit_lambda_scales_bloch():
     assert np.linalg.norm(e.bloch, axis=1) == pytest.approx([0.1] * 4, abs=1e-12)
 
 
+def test_antiprism_states_are_pure_at_every_height():
+    # h * h overflows above 1e154, which made sqrt(1 + h^2) infinite and the
+    # "pure" states maximally mixed; below 2^53 the states keep their bits
+    for m in range(4, 65):
+        for h in (antiprism_h_bound(m), antiprism_h_bound(m) / 2):
+            scale = 1.0 / (m * math.sqrt(1.0 + h * h))
+            angles = [2 * math.pi * i / m for i in range(m)]
+            vectors = [[math.cos(a), math.sin(a), (-1.0) ** i * h] for i, a in enumerate(angles)]
+            expected = validate([from_bloch(1.0 / m, scale * np.array(v)) for v in vectors])
+            np.testing.assert_array_equal(generate_polygon_antiprism(m, h).states, expected.states)
+    e = generate_polygon_antiprism(4, h=1e200)
+    np.testing.assert_allclose(np.linalg.norm(e.bloch, axis=1), 0.25, rtol=1e-12)
+    purities = np.einsum("kij,kji->k", e.states, e.states).real
+    np.testing.assert_allclose(purities, 1 / 16, rtol=1e-12)
+
+
 def test_random_ensemble_deterministic():
     a = generate_random_uniform_prior(3, 2, seed=7)
     b = generate_random_uniform_prior(3, 2, seed=7)

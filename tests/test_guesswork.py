@@ -17,6 +17,7 @@ from conftest import (
     reference_cost_gram,
     reference_simulate,
     reference_zigzag,
+    rotated_qubits,
 )
 from guesswork import serialize
 from guesswork.costs import compose, cost_function, identity_cost
@@ -445,6 +446,21 @@ def test_simulate_deterministic_and_single_sample():
     assert estimate in {1.0, 2.0, 3.0}
     with pytest.raises(ValueError):
         simulate(e, c, report.measurement, samples=0, seed=7)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
+@pytest.mark.parametrize("e", [generate_mub(), rotated_qubits(4, 1)[1]], ids=["mub", "rotated"])
+def test_simulate_at_extreme_cost_scales(e, factor):
+    # the squared deviations of 1e-200 costs underflow and those of 1e200
+    # overflow unless they are taken at unit scale
+    c = identity_cost(e.size)
+    m = solve(e, c).measurement
+    estimate, std_error = simulate(e, c, m, samples=100_000, seed=1)
+    scaled = cost_function([factor * t for t in c.values])
+    scaled_estimate, scaled_error = simulate(e, scaled, m, samples=100_000, seed=1)
+    assert math.isclose(scaled_estimate / factor, estimate, rel_tol=1e-12)
+    assert math.isclose(scaled_error / factor, std_error, rel_tol=1e-12)
 
 
 def test_simulate_does_not_depend_on_the_order_of_the_elements():

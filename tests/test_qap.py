@@ -297,6 +297,16 @@ def test_benevolent_solve_handles_decreasing_cost():
     assert value_fast == pytest.approx(35 / 36, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_benevolent_solve_objective_beyond_the_doubles_is_inf():
+    # the objective at cost scale 1e200 is about 1e400; unscaled, its sum of
+    # products was inf - inf
+    e = generate_polygon_antiprism(11)
+    n_star, _ = benevolent_solve(identity_cost(11), e.bloch)
+    scaled = cost_function([1e200 * t for t in range(1, 12)])
+    assert benevolent_solve(scaled, e.bloch) == (n_star, np.inf)
+
+
 def test_benevolent_solve_requires_balanced_cost():
     with pytest.raises(ValueError, match="balanced"):
         benevolent_solve(cost_function([0.0, 1.0, 3.0]), generate_polygon_antiprism(3).bloch)

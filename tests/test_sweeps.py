@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 import guesswork
 from conftest import (
+    random_balanced_values,
     reference_blocks,
     reference_brute_force,
     reference_condition_check,
@@ -930,11 +931,12 @@ def test_split_sweep_blocks_per_prefix_equal_exact_sweep(monkeypatch, e, values)
 @pytest.mark.parametrize("m", [5, 8, 9])
 def test_uniform_qubit_solves_at_extreme_scales(m):
     # the window SCREEN_MARGIN Tr(cost_gram) Tr(bloch_gram) and the squares in
-    # |w(n*)| underflow at these scales unless they are taken at unit scale
+    # |w(n*)| underflow at the tiny scales unless they are taken at unit scale,
+    # and (sum |gamma - mean|)^2 overflows from 1e155 on
     e, c = generate_random_uniform_prior(m, 2, m), identity_cost(m)
     report = solve(e, c)
     pair = {report.optimal_numbering, compose(report.optimal_numbering, c.balancing_permutation)}
-    for factor in (1e-300, 1e-160, 1e150):
+    for factor in (1e-300, 1e-160, 1e150, 1e155, 1e200, 1e300):
         scaled = solve(e, cost_function([factor * t for t in range(1, m + 1)]))
         assert scaled.condition_verified
         assert scaled.optimal_numbering in pair
@@ -949,6 +951,36 @@ def test_uniform_qubit_solves_at_extreme_scales(m):
     assert arrangement_solve(c, np.ldexp(e.bloch, -560))[0] == base[0]
     numbering, value = arrangement_solve(c, np.ldexp(e.bloch, -500))
     assert (numbering, math.ldexp(value, 1000)) == base
+
+
+ENSEMBLE_KINDS = {
+    "uniform qubits": lambda m, seed: generate_random_uniform_prior(m, 2, seed),
+    "non-uniform qubits": nonuniform_qubits,
+    "dim 3": lambda m, seed: generate_random_uniform_prior(m, 3, seed),
+    "rotated qubits": lambda m, seed: rotated_qubits(m, seed)[1],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_no_verdict_depends_on_the_cost_units(data):
+    # G(a gamma + b) = a G(gamma) + b: every solve path keeps its verdict, and
+    # its value and trace-norm term divided by the factor, near both ends of
+    # the doubles.  Rounding f gamma moves a value by about eps max |gamma| f,
+    # so the comparison is relative to the larger of the value and max |gamma|.
+    m = data.draw(st.integers(2, 6), label="m")
+    seed = data.draw(st.integers(0, 10_000), label="seed")
+    e = ENSEMBLE_KINDS[data.draw(st.sampled_from(sorted(ENSEMBLE_KINDS)), label="kind")](m, seed)
+    values = random_balanced_values(np.random.default_rng(seed), m)
+    report = solve(e, cost_function(values))
+    for factor in (1e-300, 1e-200, 1e200, 1e300):
+        scaled = solve(e, cost_function([factor * v for v in values]))
+        assert (scaled.measurement is None) == (report.measurement is None)
+        for field in ("value", "trace_norm_term"):
+            expected = getattr(report, field)
+            size = max(abs(expected), max(abs(v) for v in values))
+            assert abs(getattr(scaled, field) / factor - expected) <= 1e-12 * size, field
 
 
 def test_m9_qubit_solves_do_not_sweep(monkeypatch):

@@ -34,7 +34,7 @@ from .ensembles import (
     is_uniform_prior,
     validate,
 )
-from .errors import FactorialCapError, NumericalCheckError
+from .errors import NumericalCheckError
 from .operators import (
     SpectralParts,
     from_bloch,

@@ -3,7 +3,8 @@
 Exit codes: 0 success (verified optimum), 2 invalid input, 3 result is only
 an unverified upper bound, 4 internal numerical failure.  The environment
 variable GUESSWORK_FACTORIAL_CAP overrides the enumeration cap (default 10),
-the largest M that the general sweeps and the exact qubit solver accept.
+the largest M at which ``solve`` and ``simulate`` run the exhaustive solvers
+and ``check`` the exhaustive relabeling search; only :func:`_cap` reads it.
 Up to the cap an exit 0 is always a verified optimum; above it, a
 benevolent qubit ensemble's closed form is reported with "condition
 verified no".  The solve first drops the coordinates that no state uses
@@ -35,6 +36,7 @@ from .ensembles import (
     is_uniform_prior,
 )
 from .errors import NumericalCheckError
+from .operators import EIGEN_TOL
 from .qap import DEFAULT_FACTORIAL_CAP, bloch_gram, find_benevolent_permutation, is_benevolent
 
 
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--ensemble", required=True, help="ensemble JSON path")
     solve.add_argument("--cost", default="identity", help="'identity' or a cost JSON path")
     solve.add_argument(
-        "--tol", type=float, default=1e-10, help=_TOL_HELP
+        "--tol", type=float, default=EIGEN_TOL, help=_TOL_HELP
     )
     solve.add_argument("--out", help="write the report JSON here")
     solve.set_defaults(func=cmd_solve)
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--samples", type=int, default=100000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
-        "--tol", type=float, default=1e-10, help=_TOL_HELP
+        "--tol", type=float, default=EIGEN_TOL, help=_TOL_HELP
     )
     sim.add_argument("--out", help="write the estimate JSON here")
     sim.set_defaults(func=cmd_simulate)

@@ -36,7 +36,7 @@ from .costs import (
     require_numbering,
 )
 from .ensembles import Ensemble, is_uniform_prior, validate
-from .errors import FactorialCapError, NumericalCheckError
+from .errors import NumericalCheckError
 from .operators import (
     EIGEN_TOL,
     _hermitian_parts,
@@ -431,7 +431,7 @@ def _refuted(
     batch of E(n); if it holds, psi moves to the lowest eigenvector of
     |E(n*)| - E(n), for at most four steps.
     """
-    positions = np.argsort(np.asarray(c.values), kind="stable")
+    positions = np.asarray(c.sorting_permutation) - 1
     numbering = np.empty((1, e.size), dtype=np.intp)
     for psi in np.linalg.eigh(e_star)[1].T:
         for _ in range(4):
@@ -444,17 +444,12 @@ def _refuted(
     return False
 
 
-def condition_check(
-    e: Ensemble,
-    c: CostFunction,
-    n_star,
-    tol: float = EIGEN_TOL,
-    cap: int = DEFAULT_FACTORIAL_CAP,
-) -> bool:
+def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL) -> bool:
     """True iff |E(n*)| - E(n) is PSD within tol for every numbering n.
 
-    Sweeps all M! numberings (refused above the cap), so a True result
-    certifies that the two-outcome measurement at n* attains the minimum.
+    Sweeps all M! numberings at any M (only :func:`solve`'s routes keep M to
+    the enumeration cap), so a True result certifies that the two-outcome
+    measurement at n* attains the minimum.
     A few steps of ascent over pure states first look for a violating
     numbering (:func:`_refuted`); it fails the check only on a numbering whose
     exact test the sweep also fails.  Otherwise each numbering's smallest
@@ -469,10 +464,6 @@ def condition_check(
     equals the exact sweep over all numberings.
     """
     n_star = require_numbering(n_star, size=e.size)
-    if e.size > cap:
-        raise FactorialCapError(
-            f"condition check sweeps {e.size}! numberings, above the cap {cap}"
-        )
     e_star = effective_operator(e, c, n_star)
     magnitude = abs_operator(e_star)
     if _refuted(e, c, e_star, magnitude, tol):
@@ -510,10 +501,9 @@ def condition_check(
 _LEADS = 16
 
 
-def tracenorm_argmax(
-    e: Ensemble, c: CostFunction, cap: int = DEFAULT_FACTORIAL_CAP
-) -> tuple[Numbering, float]:
-    """Numbering maximizing ||E(n)||_1, by exhaustive enumeration.
+def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
+    """Numbering maximizing ||E(n)||_1, by exhaustive enumeration of all M!
+    numberings at any M (only :func:`solve`'s routes keep M to the cap).
 
     Each norm is screened from one product of the weights w = 2 (gamma -
     mean).  The rows number the positions by increasing cost, with w in
@@ -538,10 +528,6 @@ def tracenorm_argmax(
     (:func:`_screened_max`).  A NaN or infinite U and a threshold of -inf
     compare false, so those rows get the spectra of :func:`_spectra`.
     """
-    if e.size > cap:
-        raise FactorialCapError(
-            f"trace-norm search sweeps {e.size}! numberings, above the cap {cap}"
-        )
     error = _screen_error(e, c)
     order = np.asarray(c.sorting_permutation) - 1
     weights = 2 * (np.asarray(c.values)[order] - c.mean)
@@ -588,6 +574,7 @@ def min_guesswork_qubit(
     with no sweep.  Above the cap the closed form :func:`benevolent_solve` is
     reported unverified ("benevolent"), or, when it finds no benevolent
     structure, the zig-zag bound of :func:`_zigzag_report` ("zigzag").
+    ``cap`` only picks the route; neither solver reads it.
 
     The uniform prior is detected within TRACE_TOL, benevolence within
     BENEVOLENCE_TOL and the measurement's null space within EIGEN_TOL.
@@ -600,9 +587,9 @@ def min_guesswork_qubit(
     _require_same_size(e, c)
 
     if e.size <= cap:  # both solvers work at unit scale, so any cost_function is accepted
-        n_star, method = arrangement_solve(c, e.bloch, cap=cap)[0], "brute_force"
+        n_star, method = arrangement_solve(c, e.bloch)[0], "brute_force"
     else:
-        fast = benevolent_solve(c, e.bloch, cap=cap)
+        fast = benevolent_solve(c, e.bloch)
         if fast is None:
             return _zigzag_report(e, c)
         n_star, method = fast[0], "benevolent"
@@ -657,7 +644,8 @@ def min_guesswork_general(
     two-outcome measurement at n*; if not, ``measurement`` is None and the
     value mean - ||E(n*)||_1 / 2 is achievable but not proved minimal (the
     condition is sufficient, not necessary).  Above the cap no sweep runs
-    and the zig-zag bound of :func:`_zigzag_report` is returned.  The condition is
+    and the zig-zag bound of :func:`_zigzag_report` is returned; ``cap`` only
+    picks that route, as neither sweep reads it.  The condition is
     checked within ``tol`` times 2^k, the smallest power of two above
     max |gamma - mean|, so the verdict does not depend on the cost's units.
     """
@@ -665,11 +653,11 @@ def min_guesswork_general(
     _require_same_size(e, c)
     if e.size > cap:
         return _zigzag_report(e, c)
-    candidate, norm_value = tracenorm_argmax(e, c, cap=cap)
+    candidate, norm_value = tracenorm_argmax(e, c)
     measurement = None
     with np.errstate(over="ignore"):  # a tol beyond the doubles passes every numbering
         scaled = float(np.ldexp(tol, _exponent(np.asarray(c.values) - c.mean)))
-    if condition_check(e, c, candidate, tol=scaled, cap=cap):
+    if condition_check(e, c, candidate, tol=scaled):
         measurement = optimal_two_outcome_measurement(e, c, candidate)
     return _condition_report(c, candidate, norm_value, measurement)
 

@@ -1,11 +1,4 @@
-"""Shared exception types."""
-
-
-class FactorialCapError(ValueError):
-    """Raised when an exhaustive sweep is asked for above the enumeration cap
-    (default M <= 10): ``tracenorm_argmax``, ``condition_check`` and the
-    fallback sweep of ``arrangement_solve``.  ``solve``,
-    ``min_guesswork_qubit`` and ``min_guesswork_general`` never raise it."""
+"""The exception type of internal numerical failures (the CLI's exit code 4)."""
 
 
 class NumericalCheckError(RuntimeError):

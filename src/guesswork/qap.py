@@ -18,6 +18,10 @@ n(t')] with the rank-1 cost_gram = g g^T, g = gamma - mean.  Two solvers are pro
   by the zig-zag numbering, conjugated back through the sorting and
   relabeling permutations.
 
+Neither solver takes the enumeration cap: the routes of ``engine.solve``
+read it, and so does the exhaustive relabeling search of
+:func:`find_benevolent_permutation`, which ``check`` runs up to the cap.
+
 This solver's sweep, :func:`_split_max`, scores every numbering from the
 sums over a head and a tail of its positions, by one batched product over
 the splits of the labels (meet in the middle: Horowitz and Sahni, J. ACM
@@ -37,7 +41,6 @@ import numpy as np
 
 from .costs import CostFunction, Numbering, _exponent, compose, invert
 from .ensembles import Ensemble
-from .errors import FactorialCapError
 
 DEFAULT_FACTORIAL_CAP = 10
 BENEVOLENCE_TOL = 1e-10
@@ -299,9 +302,7 @@ def _split_max(
     return _screened_max(blocks, screen, rechecked, window)
 
 
-def arrangement_solve(
-    c: CostFunction, bloch: np.ndarray, cap: int = DEFAULT_FACTORIAL_CAP
-) -> tuple[Numbering, float]:
+def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, float]:
     """Maximize the qubit objective |w(n)|^2, w(n) = sum_t g(t) v(n(t)), exactly.
 
     ``bloch`` stacks the Bloch vectors v_i (see :func:`_checked`), and g = gamma - mean.
@@ -322,7 +323,7 @@ def arrangement_solve(
     inputs cannot underflow it, unless g or v is all zero: then every value
     is 0, and the identity is returned.
 
-    Up to M = min(_ENUMERATED, cap), where that is the faster, every
+    Up to M = _ENUMERATED, where that is the faster, every
     numbering is scored by :func:`_split_max`: w = a + b over a head and a
     tail of the positions, |w|^2 = |a|^2 + |b|^2 + 2 a . b.  By Cauchy-Schwarz
     sum_t |g(t)| |v(n(t))| <= S for every n, which bounds |a| + |b| and |w|.
@@ -342,8 +343,9 @@ def arrangement_solve(
     nuclear norms and bound |objective|; the screen and the exact formula
     each err by far less than a quarter of the window.  When the closure
     would screen more rows than M!, :func:`_split_max` scores every
-    numbering instead, one block per prefix of the first M - 8 positions, and
-    FactorialCapError refuses that sweep above ``cap``.
+    numbering instead, at any M, one block per prefix of the first M - 8
+    positions.  The closure hands over holding more than 2 M! / (M - 1) bytes
+    of keys, more than the sweep's 8 M M! / 8! bytes of prefixes for M <= 100.
 
     Soundness.  |w|^2 is convex, so its maximum over the convex hull P of
     the w(n) is at a vertex.  The vertex maximizing r . w is w of the sorted
@@ -376,17 +378,12 @@ def arrangement_solve(
     window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
     exact = functools.partial(_objective, cost, gram)
     closed = np.arange(m)[None, :] if window == 0 else None
-    if window and m > min(_ENUMERATED, cap):
+    if window and m > _ENUMERATED:
         closed = _closure(g, bloch, _sorted_matchings(g, bloch), window)
     if closed is not None:
         best, value = _screened_max(
             [closed], lambda block, running: _scores(g, bloch, block),
             lambda rows: (rows, exact(rows)), window,
-        )
-    elif m > cap:
-        raise FactorialCapError(
-            f"M = {m} exceeds the exhaustive-search cap {cap} ({m}! numberings) "
-            "and the near-tied numberings outnumber a sweep"
         )
     else:
         best, value = _split_max(g, bloch, exact, window)
@@ -525,15 +522,16 @@ def find_benevolent_permutation(
     return _cyclic_search(mat, [int(i) + 1 for i in order], tol)
 
 
-def benevolent_solve(
-    c: CostFunction, bloch: np.ndarray, cap: int = DEFAULT_FACTORIAL_CAP
-) -> tuple[Numbering, float] | None:
+def benevolent_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, float] | None:
     """Closed-form maximum of |w(n)|^2 for benevolent instances.
 
     ``bloch`` stacks the Bloch vectors v_i, as in :func:`arrangement_solve`.
     Returns the optimal numbering sigma_2 o zigzag o sigma_1^-1 and its
     objective, or None when no relabeling sigma_2 making -bloch_gram
     benevolent within BENEVOLENCE_TOL, on the unscaled Bloch Gram, was found.
+    The relabelings tried are the rotations and reflections of the given
+    order and of the azimuthal order (:func:`find_benevolent_permutation`
+    with cap 0), at every M, with no exhaustive search.
     Requires a balanced cost.  The objective is taken at unit scale, as in
     :func:`arrangement_solve`, and is inf beyond the doubles.
     """
@@ -541,7 +539,7 @@ def benevolent_solve(
         raise ValueError("benevolent_solve requires a balanced cost function")
     g, v, scale = _checked(c, bloch)
     bloch = np.asarray(bloch, dtype=float)
-    sigma2 = find_benevolent_permutation(-(bloch @ bloch.T), cap=cap)
+    sigma2 = find_benevolent_permutation(-(bloch @ bloch.T), cap=0)
     if sigma2 is None:
         return None
     n_star = compose(sigma2, compose(zigzag_numbering(c.size), invert(c.sorting_permutation)))

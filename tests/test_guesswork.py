@@ -41,7 +41,6 @@ from guesswork.ensembles import (
     generate_sic,
     validate,
 )
-from guesswork.errors import FactorialCapError
 from guesswork.operators import from_bloch
 from guesswork.qap import arrangement_solve, benevolent_solve, bloch_gram
 
@@ -224,18 +223,6 @@ def test_condition_check_random_argmax():
         c = random_balanced_cost(rng, m)
         n_star, _ = arrangement_solve(c, e.bloch)
         assert condition_check(e, c, n_star)
-
-
-def test_condition_check_cap():
-    e = generate_sic()
-    with pytest.raises(FactorialCapError):
-        condition_check(e, identity_cost(4), (1, 2, 3, 4), cap=3)
-
-
-def test_tracenorm_argmax_cap():
-    e = generate_sic()
-    with pytest.raises(FactorialCapError, match="sweeps 4! numberings, above the cap 3"):
-        tracenorm_argmax(e, identity_cost(4), cap=3)
 
 
 @pytest.mark.parametrize(

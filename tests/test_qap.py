@@ -267,6 +267,19 @@ def test_find_benevolent_skips_the_search_for_an_asymmetric_matrix(monkeypatch):
     assert find_benevolent_permutation(bad) is None
 
 
+def test_benevolent_solve_relabels_a_shuffled_hexagon_without_the_search(monkeypatch):
+    # no rotation or reflection of these labels is benevolent, but one of the
+    # azimuthal order is: the closed form needs no exhaustive search at any M
+    monkeypatch.setattr(qap, "_toeplitz_search", lambda mat, tol: pytest.fail("searched"))
+    hexagon = generate_polygon_antiprism(6)
+    shuffled = validate([hexagon.states[label - 1] for label in (1, 3, 5, 2, 6, 4)])
+    c = identity_cost(6)
+    fast = benevolent_solve(c, shuffled.bloch)
+    assert fast is not None
+    _, value_bf = reference_brute_force(reference_cost_gram(c), bloch_gram(shuffled))
+    assert fast[1] == pytest.approx(value_bf, abs=1e-12)
+
+
 def test_benevolent_solve_square_matches_brute():
     e = generate_polygon_antiprism(4, h=0.0)
     c = identity_cost(4)

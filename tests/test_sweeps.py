@@ -53,7 +53,6 @@ from guesswork.ensembles import (
     generate_random_uniform_prior,
     validate,
 )
-from guesswork.errors import FactorialCapError
 from guesswork.operators import from_bloch
 from guesswork.qap import _screened_max, arrangement_solve, bloch_gram
 
@@ -603,20 +602,27 @@ def test_closure_hands_a_tie_of_every_numbering_to_the_sweep():
 
 
 @pytest.mark.parametrize("m", [5, 8])
-def test_arrangement_refuses_a_sweep_above_the_cap(m):
-    # identical states tie every numbering: above the cap the arrangement runs,
-    # and its closure hands the tie to a sweep that the cap refuses
+def test_arrangement_closure_hands_the_tie_to_the_sweep(m):
+    # identical states tie every numbering: the arrangement runs, and its
+    # closure hands the tie to the sweep of all M! numberings
     e, c = degenerate_layout("identical", m), identity_cost(m)
-    with pytest.raises(FactorialCapError, match="exhaustive-search cap"):
-        arrangement_solve(c, e.bloch, cap=m - 1)
     expected = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
-    assert arrangement_solve(c, e.bloch, cap=m) == expected
+    with mock.patch.object(qap, "_ENUMERATED", m - 1), mock.patch.object(
+        qap, "_split_max", wraps=qap._split_max
+    ) as sweep:
+        assert arrangement_solve(c, e.bloch) == expected
+    sweep.assert_called_once()
 
 
 def test_arrangement_above_the_cap_when_the_closure_needs_no_sweep():
+    # the arrangement runs at M = 8 once the sweep stops at 7, as above the cap
     e, c = generate_random_uniform_prior(8, 2, 1), identity_cost(8)
     expected = reference_brute_force(reference_cost_gram(c), bloch_gram(e))
-    assert arrangement_solve(c, e.bloch, cap=7) == expected
+    with mock.patch.object(qap, "_ENUMERATED", 7), mock.patch.object(
+        qap, "_split_max", wraps=qap._split_max
+    ) as sweep:
+        assert arrangement_solve(c, e.bloch) == expected
+    sweep.assert_not_called()
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -1003,12 +1009,6 @@ def test_m9_qubit_solves_do_not_sweep(monkeypatch):
     report = solve(polygon, c, cap=8)
     assert report.method == "benevolent"
     assert not report.condition_verified
-
-
-def test_condition_check_above_cap_raises_before_refuting():
-    e, c, n_star = failing_certificate()
-    with pytest.raises(FactorialCapError):
-        condition_check(e, c, n_star, cap=5)
 
 
 # --- the enumeration primitive ---------------------------------------------------

@@ -51,6 +51,9 @@ from .qap import (
     SCREEN_MARGIN,
     _TABLE_POSITIONS,
     _screened_max,
+    _split_blocks,
+    _split_rows,
+    _split_sums,
     arrangement_solve,
     benevolent_solve,
     zigzag_numbering,
@@ -240,7 +243,8 @@ def _screen_error(e: Ensemble, c: CostFunction) -> float:
     times a bound on ||E(n)||_F, plus _UNDERFLOW.  :func:`_spectra` hands a
     row to eigvalsh when its closed form's error bound exceeds a quarter of it
     (nearly repeated eigenvalues), so a sum of 3 screened eigenvalues stays
-    inside; :func:`_sweep_columns` keeps a d = 2 screen within a quarter."""
+    inside; :func:`_sweep_columns` keeps a d = 2 screen within a quarter, and
+    so do the head and tail sums of :func:`tracenorm_argmax`."""
     largest = max(float(np.linalg.norm(s)) for s in e.states)
     bound = 2 * float(np.abs(np.asarray(c.values) - c.mean).sum()) * largest
     return SCREEN_MARGIN / 2 * e.dim * bound + _UNDERFLOW
@@ -266,8 +270,9 @@ def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
     lie within 2p dr / (3 sqrt(1 - r^2)) + c eps (|q| + p) of the exact ones
     (Kopp, Int. J. Mod. Phys. C 19:523, 2008).  Rows whose bound exceeds
     ``budget`` (nearly repeated eigenvalues), rows with non-finite values
-    (p = 0) and every batch of another d go to ``eigvalsh``; the sweeps
-    screen d = 2 from Pauli coordinates instead (:func:`_sweep_columns`).
+    (p = 0) and every batch of another d go to ``eigvalsh``.  The sweeps
+    screen d = 2 from Pauli coordinates instead: the trace-norm sweep from
+    its head and tail sums, the condition sweep from :func:`_sweep_columns`.
     """
     size, d, _ = batch.shape
     if d != 3:
@@ -305,52 +310,6 @@ def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
     return values
 
 
-def _trace_norm_bounds(batch: np.ndarray, error: float) -> np.ndarray:
-    """Upper bounds on ||A||_1 for each Hermitian matrix of an (N, d, d)
-    batch, read from the lower triangle, each at least the sum of |eigenvalues|
-    that :func:`_spectra` screens within error / 4 per eigenvalue.
-
-    With tau = Tr A and F^2 = ||A||_F^2 the eigenvalues are tau / d + mu_k,
-    sum mu_k = 0 and sum mu_k^2 = F^2 - tau^2 / d.  The p positive mu_k and the
-    q negative ones each sum to some P in magnitude, and Cauchy-Schwarz gives
-    P^2 / p + P^2 / q <= sum mu_k^2.  pq / (p + q) is largest at the even split
-    of d, so ||A||_1 <= |tau| + 2P <= |tau| + c_d sqrt(F^2 - tau^2 / d) with
-    c_d = 2 sqrt(floor(d/2) ceil(d/2) / d), an equality at the spectra (a, -a),
-    (a, a, -2a) and (a, a, -a, -a).  Rounding: where the eigenvalues change
-    sign, |tau| <= d sqrt(F^2 - tau^2 / d), so the difference does not cancel;
-    where they do not, ||A||_1 = |tau|.  The bound is computed on A / 2^k, 2^k
-    from ``costs._exponent(error)``, so that no square overflows or underflows
-    beyond the error, and raised by 2^-40 of itself, which covers its rounding
-    and eigvalsh's, by ``error``, which covers the screened spectra, and by
-    _UNDERFLOW.  Rows with non-finite entries get non-finite bounds.
-    """
-    size, d, _ = batch.shape
-    scale = math.ldexp(1.0, -_exponent(error))
-    trace_weights, square_weights = _bound_weights(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = batch.reshape(size, d * d).view(float)
-        trace = parts @ (scale * trace_weights)
-        squares = parts * scale
-        squares *= squares
-        spread = np.sqrt(np.maximum(squares @ square_weights - trace * trace / d, 0.0))
-        bound = np.abs(trace) + 2 * math.sqrt((d // 2) * ((d + 1) // 2) / d) * spread
-        return bound * ((1 + 2.0**-40) / scale) + (error + _UNDERFLOW)
-
-
-@functools.lru_cache(maxsize=None)
-def _bound_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weights of the (re, im) parts of a d x d matrix that give its
-    trace and, squared, its Frobenius norm from the real diagonal and the lower triangle."""
-    eye, below = np.eye(d), np.tril(np.ones((d, d)), -1)
-    weights = (
-        np.stack([eye, 0 * eye], axis=-1).ravel(),
-        np.stack([eye + 2 * below, 2 * below], axis=-1).ravel(),
-    )
-    for w in weights:
-        w.setflags(write=False)
-    return weights
-
-
 # Rows per screened batch: the temporaries of the product and of the screens
 # stay in cache, and their allocations are reused instead of paged in.
 _CHUNK = 4096
@@ -369,20 +328,15 @@ def _permutation_table(k: int) -> np.ndarray:
     return table
 
 
-def _numbering_blocks(m: int, half: bool = False):
+def _numbering_blocks(m: int):
     """Every permutation of range(m), in ``itertools.permutations`` order, in blocks.
 
     Each block is an integer array with one permutation per row: those that
     share their first m - 8 entries.  When m <= 8 the one block is a cached
-    read-only table.  With ``half``, each block keeps its first ceil(len / 2)
-    rows, which hold one row of each pair {r, m - 1 - r}: complementing every
-    entry reverses the lexicographic order, so it maps the k-th row of a
-    prefix's block to the k-th last row of the complemented prefix's block.
+    read-only table.
     """
     tail = min(m, _TABLE_POSITIONS)
     table = _permutation_table(tail)
-    if half:
-        table = table[: (len(table) + 1) // 2]
     if m == tail:
         yield table
         return
@@ -404,16 +358,17 @@ def _chunks(weights: np.ndarray, inverses: np.ndarray, values: np.ndarray):
 
 
 def _sweep_columns(e: Ensemble, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The weights of a sweep's :func:`_chunks` products, the columns they
-    multiply, and k.  At d != 2: w, the states' (re, im) parts and k = 0; a
-    product row viewed as complex is E(n).  At d = 2: w 2^-k, 2^k from
-    ``costs._exponent(sum |w|)``, and (Tr rho_i, v(rho_i)); a row is (A, W) 2^-k
-    and E(n) = (A I + W . sigma) / 2.  With S = sum |w| max Tr rho_i, entries
-    lie below 2 (no square overflows; those that underflow move |W| by far
-    less than eps S), M products and sums err by M eps S, |W| and a difference
-    with |E(n*)|'s coordinates (within S) by 5 eps S more, and scaling back by
-    2^-1075: for M <= 16 far inside error / 4 >= SCREEN_MARGIN S / (4 sqrt 2)
-    + _UNDERFLOW / 4 (:func:`_screen_error`, as ||rho||_F >= Tr rho / sqrt 2)."""
+    """The weights of the condition sweep's :func:`_chunks` products, the
+    columns they multiply, and k.  At d != 2: w, the states' (re, im) parts
+    and k = 0; a product row viewed as complex is E(n).  At d = 2: w 2^-k,
+    2^k from ``costs._exponent(sum |w|)``, and (Tr rho_i, v(rho_i)); a row is
+    (A, W) 2^-k and E(n) = (A I + W . sigma) / 2.  With S = sum |w| max Tr
+    rho_i, entries lie below 2 (no square overflows; those that underflow move
+    |W| by far less than eps S), M products and sums err by M eps S, |W| and
+    a difference with |E(n*)|'s coordinates (within S) by 5 eps S more, and
+    scaling back by 2^-1075: for M <= 16 far inside error / 4 >= SCREEN_MARGIN
+    S / (4 sqrt 2) + _UNDERFLOW / 4 (:func:`_screen_error`, as ||rho||_F >=
+    Tr rho / sqrt 2)."""
     if e.dim != 2:
         return weights, e.states.reshape(e.size, -1).view(float), 0
     k = _exponent(np.abs(weights).sum())
@@ -496,69 +451,186 @@ def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
     return True
 
 
-# Rows per chunk, those with the largest bounds, whose norms set the pruning
-# threshold of the trace-norm sweep.
+# Rows per block whose eigvalsh norms set the pruning threshold of the
+# trace-norm sweep at d >= 3: those of the largest bounds among the row of
+# largest q of each subset.
 _LEADS = 16
+
+
+def _norm_cutoff(threshold: float, nu: int, error: float, pad: float) -> float:
+    """The q below which a row screens below ``threshold``: ||E||_1 <=
+    sqrt(nu ||E||_F^2) <= sqrt(nu (q + pad)), and a screened norm lies
+    within ``error`` of ||E||_1.  -inf when no q is that small."""
+    reach = (threshold - error) * (1 - 2.0**-40)
+    return reach * reach / nu - pad if reach > 0 else -math.inf
+
+
+def _norm_bound(
+    q: np.ndarray, tau: np.ndarray, d: int, error: float, pads: tuple[float, float]
+) -> np.ndarray:
+    """Upper bounds on the norms that :func:`_spectra` screens, within
+    error / 4 per eigenvalue, of Hermitian d x d matrices E with ||E||_F^2
+    within pads[0] of q and Tr E within pads[1] of tau.
+
+    The eigenvalues of E are tau / d + mu_k, sum mu_k = 0 and sum mu_k^2 =
+    F^2 - tau^2 / d.  The p positive mu_k and the r negative ones each sum to
+    some P in magnitude, and Cauchy-Schwarz gives P^2 / p + P^2 / r <= sum
+    mu_k^2.  pr / (p + r) is largest at the even split of d, so ||E||_1 <=
+    |tau| + 2P <= |tau| + c_d sqrt(F^2 - tau^2 / d) with c_d = 2
+    sqrt(floor(d/2) ceil(d/2) / d), an equality at the spectra (a, -a),
+    (a, a, -2a) and (a, a, -a, -a).  The pads enter each term on its upper
+    side; the bound is raised by 2^-40 of itself, which covers its rounding
+    and eigvalsh's, and by ``error``, which covers the screened spectra.
+    """
+    pad_q, pad_tau = pads
+    low = np.maximum(np.abs(tau) - pad_tau, 0.0)
+    spread = np.sqrt(np.maximum(q + pad_q - low * low / d, 0.0))
+    bound = np.abs(tau) + pad_tau + 2 * math.sqrt((d // 2) * ((d + 1) // 2) / d) * spread
+    return bound * (1 + 2.0**-40) + error
+
+
+def _first_half(m: int, flat: np.ndarray) -> np.ndarray:
+    """Which flat indices of ``qap._split``'s blocks hold a numbering n with
+    n(0) < n(M - 1): one of each pair {n, n reversed}, none when M = 1."""
+    rows = _split_rows(m, flat)
+    return rows[:, 0] < rows[:, -1]
+
+
+def _split_parts(left: np.ndarray, right: np.ndarray, flat: np.ndarray, columns: int) -> np.ndarray:
+    """a + b, the first ``columns`` of the head and tail sums of each row at
+    flat indices of a block's (C, h!, t!) product, from the rows (2a, |2a|^2,
+    1) and (b, 1/4, |b|^2) of ``qap._split_sums``."""
+    s, i, j = np.unravel_index(flat, (len(left), left.shape[1], right.shape[1]))
+    return left[s, i, :columns] / 2 + right[s, j, :columns]
 
 
 def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
     """Numbering maximizing ||E(n)||_1, by exhaustive enumeration of all M!
     numberings at any M (only :func:`solve`'s routes keep M to the cap).
 
-    Each norm is screened from one product of the weights w = 2 (gamma -
-    mean).  The rows number the positions by increasing cost, with w in
-    that order, so E of the mirror row M - 1 - r lies within delta =
-    sum_k |w_k + w_(M-1-k)| max_i ||rho_i||_1 of -E(r); for a balanced cost
-    delta is its balance residual.  One row of each pair is screened (the
-    half blocks of :func:`_numbering_blocks`), and those within twice the
-    screen's error plus 2 delta of the running maximum are recomputed from
-    the exact batch of E(n) with their mirrors, so the result equals the
-    exact sweep over all numberings: the largest computed norm, the
-    lexicographically smallest numbering among equal computed norms.
-    Numberings that tie in exact arithmetic, such as a row and its mirror,
-    are usually separated by rounding, not by that order.
+    The positions are numbered by increasing cost, with w = 2 (gamma - mean)
+    in that order, so that E of a row's mirror, the reversed row n o sigma,
+    lies within delta = sum_k |w_k + w_(M-1-k)| max_i ||rho_i||_1 of -E(n);
+    for a balanced cost delta is its balance residual.  Every numbering is
+    scored from the split sums of ``qap._split_sums``: with D columns per
+    state, a over the prefix and head of its positions and b over the tail,
+    one batched product per subset gives q = |a + b|^2, and the traces of a
+    and b give tau.  At d = 2 the columns are (Tr rho, v(rho)), so a + b =
+    (A, W) with E(n) = (A I + W . sigma) / 2 and ||E(n)||_1 = max(|A|, |W|)
+    <= sqrt(q); at d >= 3 they are the states' (re, im) parts, so q =
+    ||E(n)||_F^2, tau = Tr E(n) and ||E(n)||_1 <= sqrt(d q).
 
-    At d = 2 the screen is exact up to rounding, with no bound: E(n) =
-    (A I + W . sigma) / 2 (:func:`_sweep_columns`), so ||E(n)||_1 = max(|A|, |W|).
-    At d >= 3 most spectra are never computed.  Each row of a chunk first
-    gets the bound U >= its screened norm of :func:`_trace_norm_bounds`.  The
-    lead, the largest eigvalsh norm less the screen's error among the _LEADS
-    rows of largest U, lies below a screened norm of the block, so a row with
-    U below max(running, lead) - window may keep U as its score
-    (:func:`_screened_max`).  A NaN or infinite U and a threshold of -inf
-    compare false, so those rows get the spectra of :func:`_spectra`.
+    The rows with n(0) < n(M - 1), one of each mirror pair
+    (:func:`_first_half`), are screened: at d = 2 exactly up to rounding,
+    max(|A|, |W|), at d >= 3 by the spectra of E(n) = a + b (:func:`_spectra`);
+    the other rows score -inf, and above M = 8 the blocks whose prefix
+    starts with label M - 1, which hold none, are skipped.  Rows screened
+    within window = 2 error + 2 delta of the running maximum, error the
+    screen's (:func:`_screen_error`), are recomputed from the exact batch of
+    E(n) with their mirrors, so the result equals the exact sweep over all
+    numberings: the largest computed norm, the lexicographically smallest
+    numbering among equal computed norms.  Numberings that tie in exact
+    arithmetic, such as a row and its mirror, are usually separated by
+    rounding, not by that order.
+
+    Most rows get no E(n).  A block's threshold is T = max(running, lead) -
+    window, the lead the largest eigvalsh norm less error of its leads: the
+    row of largest q of each subset, if screened, and at d >= 3 only the
+    _LEADS of those with the largest bounds.  The lead is at most a screened
+    norm of the block, so a row that cannot reach T may score -inf
+    (:func:`_screened_max`), and the rows recomputed are those of the screen
+    without bounds.  Stage 1 is one comparison of every row's q with
+    :func:`_norm_cutoff`; at d >= 3 stage 2 keeps the survivors whose
+    :func:`_norm_bound` of q and tau reaches T.
+
+    Rounding.  The sweep runs on w 2^-k, 2^k from ``costs._exponent(sum
+    |w|)``, so no square overflows, and scores in units of 2^k.  With S =
+    sum_t |w_t| 2^-k max_i |column_i|, about sqrt 2 at most, |a| + |b| <= S.
+    q adds D + 2 products of (2a, |2a|^2, 1) and (b, 1/4, |b|^2) after norms
+    of D terms, so it lies within gamma_(2D + 2) S^2 of |a + b|^2 (u = 2^-53,
+    gamma_n = n u / (1 - n u)), and rounding a + b moves its square by 3 u
+    S^2 more; tau adds d + 1 diagonal entries of a and b, within
+    gamma_(d + 2) sqrt(d) S of the trace of a + b.  So q and tau are padded
+    by (2D + 8) eps S^2 and (d + 4) sqrt(d) eps S, eps = 2u, and by
+    _UNDERFLOW per column for squares and sums below the normal range.
+    Screened norms of a + b lie within error of the exact batch's, as
+    :func:`_screen_error` argues for M products and sums.
     """
+    m, d = e.size, e.dim
+    if m == 1:  # gamma - mean = 0, so E = 0
+        return (1,), 0.0
     error = _screen_error(e, c)
     order = np.asarray(c.sorting_permutation) - 1
     weights = 2 * (np.asarray(c.values)[order] - c.mean)
     largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
-    window = 2 * error + 2 * float(np.abs(weights + weights[::-1]).sum()) * largest
+    delta = float(np.abs(weights + weights[::-1]).sum()) * largest
+    k = _exponent(np.abs(weights).sum())
+    error, window = np.ldexp(error, -k), np.ldexp(2 * error + 2 * delta, -k)
+    if d == 2:
+        columns, nu, diagonal = np.column_stack([e.prior, e.bloch]), 1, [0]
+    else:  # the parts of entry (i, i) start at 2 i (d + 1)
+        columns, nu, diagonal = e.states.reshape(m, -1).view(float), d, 2 * (d + 1) * np.arange(d)
+    weights = np.ldexp(weights, -k)
+    products = weights[:, None, None] * columns[None, :, :]
+    size = float(np.abs(weights).sum()) * float(np.linalg.norm(columns, axis=1).max())
+    width, eps = columns.shape[1], np.finfo(float).eps
+    pads = (
+        (2 * width + 8) * eps * size * size + width * _UNDERFLOW,
+        (d + 4) * math.sqrt(d) * eps * size + width * _UNDERFLOW,
+    )
+    block_size = math.factorial(min(m, _TABLE_POSITIONS))
+    squares = None  # the product of each block, reused as its scores
 
-    weights, columns, k = _sweep_columns(e, weights)
+    def screen(block, running):
+        nonlocal squares
+        left, right = _split_sums(products, block[0] // block_size)
+        squares = np.matmul(left, right.transpose(0, 2, 1), out=squares)
+        scores = squares.reshape(-1)
+        traces = left[:, :, diagonal].sum(axis=2) / 2, right[:, :, diagonal].sum(axis=2)
 
-    def screen(product, running):
-        if e.dim == 2:
-            length = np.sqrt(np.einsum("kx,kx->k", product[:, 1:], product[:, 1:]))
-            return np.ldexp(np.maximum(np.abs(product[:, 0]), length), k)
-        operators = product.view(complex).reshape(-1, e.dim, e.dim)
-        bounds = _trace_norm_bounds(operators, error)
-        # eigvalsh's norms less the screen's error lie below the screened norms
-        leads = operators[np.argpartition(bounds, -min(_LEADS, len(bounds)))[-_LEADS:]]
-        lead = float(np.abs(np.linalg.eigvalsh(leads)).sum(axis=1).max()) - error
-        kept = ~(bounds < max(running, lead) - window)
-        bounds[kept] = np.abs(_spectra(operators[kept], error / 4)).sum(axis=1)
-        return bounds
+        def first_half(flat):
+            return flat[_first_half(m, block[flat])]
 
-    def screened(inverses, running):
-        return np.concatenate([screen(p, running) for _, p in _chunks(weights, inverses, columns)])
+        def bounds(flat):
+            s, i, j = np.unravel_index(flat, squares.shape)
+            return _norm_bound(scores[flat], traces[0][s, i] + traces[1][s, j], d, error, pads)
 
-    def rechecked(inverses):
-        # n^-1(i) = order[r(i)] for each kept row r, then for its mirror M - 1 - r
-        rows = np.argsort(np.concatenate([order[inverses], order[::-1][inverses]]), axis=1)
-        norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
-        return rows, norms
+        def norms(flat, spectra):
+            parts = _split_parts(left, right, flat, width)
+            if d == 2:  # (A, W)
+                length = np.sqrt(np.einsum("kx,kx->k", parts[:, 1:], parts[:, 1:]))
+                return np.maximum(np.abs(parts[:, 0]), length)
+            return np.abs(spectra(parts.view(complex).reshape(-1, d, d))).sum(axis=1)
 
-    return _screened_max(_numbering_blocks(e.size, half=True), screened, rechecked, window)
+        # the row of largest q of each subset
+        leads = first_half(squares.reshape(len(squares), -1).argmax(axis=1)
+                           + np.arange(len(squares)) * squares[0].size)
+        if d != 2:
+            leads = leads[np.argsort(bounds(leads), kind="stable")[-_LEADS:]]
+        lead = float(norms(leads, np.linalg.eigvalsh).max()) - error if len(leads) else -math.inf
+        threshold = max(running, lead) - window
+        kept = np.flatnonzero(scores >= _norm_cutoff(threshold, nu, error, pads[0]))
+        if d != 2:
+            kept = kept[bounds(kept) >= threshold]
+        kept = first_half(kept)
+        screened = norms(kept, lambda batch: _spectra(batch, error / 4))
+        scores.fill(-math.inf)
+        scores[kept] = screened
+        return scores
+
+    def rechecked(flat):
+        # each kept row, then its mirror, in the positions of increasing cost
+        rows = _split_rows(m, flat)
+        numberings = np.empty((2 * len(rows), m), dtype=np.intp)
+        numberings[: len(rows), order] = rows
+        numberings[len(rows) :, order] = rows[:, ::-1]
+        norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, numberings))).sum(axis=1)
+        return numberings, norms
+
+    blocks = _split_blocks(m)
+    if m > _TABLE_POSITIONS:  # the last M-th, whose prefixes start at label M - 1, screens no row
+        blocks = itertools.islice(blocks, (m - 1) * math.factorial(m - 1) // block_size)
+    return _screened_max(blocks, screen, rechecked, window)
 
 
 def min_guesswork_qubit(

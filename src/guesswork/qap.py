@@ -22,12 +22,15 @@ Neither solver takes the enumeration cap: the routes of ``engine.solve``
 read it, and so does the exhaustive relabeling search of
 :func:`find_benevolent_permutation`, which ``check`` runs up to the cap.
 
-This solver's sweep, :func:`_split_max`, scores every numbering from the
+The split enumeration (:func:`_split`) scores every numbering from the
 sums over a head and a tail of its positions, by one batched product over
 the splits of the labels (meet in the middle: Horowitz and Sahni, J. ACM
-21:277, 1974).  :func:`_screened_max` reduces a sweep's blocks:
-``screen(block, running)`` may give any score below running - window to a
-row it can show lies there.
+21:277, 1974).  Two sweeps share its head and tail sums
+(:func:`_split_sums`) and the decoding of its flat indices
+(:func:`_split_rows`): this solver's :func:`_split_max`, and the
+trace-norm sweep ``engine.tracenorm_argmax``.
+:func:`_screened_max` reduces a sweep's blocks: ``screen(block, running)``
+may give any score below running - window to a row it can show lies there.
 """
 
 from __future__ import annotations
@@ -64,8 +67,12 @@ _PARALLEL = 1e-13
 
 # Up to M = 8 the split sweep of all M! numberings is faster than building
 # the arrangement: 0.37-0.45 ms against 1.25-1.6 ms at M = 8 (random and
-# polygon layouts, identity cost, BENCH_23.json).  At M = 9 it took 1.7-1.9
-# ms against 2.1-2.7 ms; the end-to-end benchmark has not compared them there.
+# polygon layouts, identity cost, BENCH_23.json).  At M = 9 neither wins: on
+# the M = 9 instances of perfbench's qubit_exact at seeds 1-3 (a polygon and
+# a random layout each; in-process, median of 31 alternating calls, BLAS on
+# one thread) both gave the same answers, the arrangement in 3.3-3.9 ms and
+# the split sweep in 3.2-3.8 ms, each the faster on some instances.  M = 9
+# keeps the arrangement, whose work grows polynomially in M, not as M!.
 _ENUMERATED = 8
 
 
@@ -101,7 +108,7 @@ def _orderings(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         [list(itertools.permutations(s)) for s in itertools.combinations(range(k), n)],
         dtype=np.intp,
     ).reshape(math.comb(k, n), math.factorial(n), n)
-    rows = table.reshape(-1, n)
+    rows = table.reshape(len(table) * len(table[0]), n)
     incidence = np.zeros((len(rows), n * k))
     incidence[np.arange(len(rows))[:, None], np.arange(n) * k + rows] = 1
     table.setflags(write=False)
@@ -224,7 +231,9 @@ def _screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, floa
     evaluated (it may add others, such as partners of equal value) and their
     exact values.  When every screened score lies within window / 2 of the
     exact value, the result equals the exact values of all rows reduced the
-    same way.
+    same way.  Scores and ``window`` may be taken in units of their own,
+    such as the exact values times a power of two: scores are compared only
+    with each other and the window, exact values only with each other.
 
     A row scored below running - window, running taken after its block, is
     neither rechecked nor allowed to raise the maximum.  So a screen may give
@@ -246,60 +255,95 @@ def _screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, floa
     return tuple(int(x) + 1 for x in best), best_value
 
 
+@functools.lru_cache(maxsize=None)
+def _split(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tables of the split enumeration of the numberings of range(m).
+
+    The last k = min(M, 8) positions split into a head of h = floor(k / 2)
+    and a tail.  A block holds the numberings that share one prefix of the
+    first M - k positions (``starts``: each prefix, then the labels it
+    leaves, ascending; prefixes in ``itertools.permutations`` order), as flat
+    indices (prefix, subset, head, tail): the rest of the labels fill the
+    head with an ordering of one h-subset of them (``heads``, from
+    :func:`_orderings`) and the tail with one of its complement's
+    (``tails``, row s ordering the complement of heads' subset s).  Returns
+    (heads, head incidence, tails, tail incidence, starts); the tail
+    incidence keeps the subset order of :func:`_orderings`."""
+    k = min(m, _TABLE_POSITIONS)
+    heads, head_incidence = _orderings(k, k // 2)
+    tails, tail_incidence = _orderings(k, k - k // 2)
+    prefixes = itertools.permutations(range(m), m - k)
+    starts = np.array([p + tuple(sorted(set(range(m)) - set(p))) for p in prefixes], dtype=np.intp)
+    starts.setflags(write=False)
+    return heads, head_incidence, tails[::-1], tail_incidence, starts
+
+
+def _split_sums(products: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (2a, |2a|^2, 1) of the head sums a, (C, h!, D + 2), and (b,
+    1/4, |b|^2) of the tail sums b, (C, t!, D + 2), of every numbering of
+    block ``index`` of :func:`_split`, products[t, i] holding the D columns
+    of label i at position t, for M >= 2: left[s] @ right[s].T holds |a|^2 +
+    |b|^2 + 2 a . b = |a + b|^2 of subset s.  Slot 0 of the head is filled
+    once per ordering, so it carries the prefix's sum and the head's
+    constant, and slot 0 of the tail the tail's."""
+    m, _, columns = products.shape
+    heads, head_incidence, tails, tail_incidence, starts = _split(m)
+    k, h = min(m, _TABLE_POSITIONS), heads.shape[2]
+    start = starts[index]
+    local = np.zeros((k, k, columns + 2))  # [position, label] of the rest
+    local[:, :, :columns] = products[m - k :, start[m - k :]]
+    local[0, :, :columns] += products[np.arange(m - k), start[: m - k]].sum(axis=0)
+    local[:h, :, :columns] *= 2
+    local[0, :, columns + 1], local[h, :, columns] = 1, 0.25
+    left = head_incidence @ local[:h].reshape(-1, columns + 2)
+    right = tail_incidence @ local[h:].reshape(-1, columns + 2)
+    np.einsum("kx,kx->k", left[:, :columns], left[:, :columns], out=left[:, columns])
+    np.einsum("kx,kx->k", right[:, :columns], right[:, :columns], out=right[:, columns + 1])
+    return left.reshape(*heads.shape[:2], -1), right.reshape(*tails.shape[:2], -1)[::-1]
+
+
+def _split_rows(m: int, flat: np.ndarray) -> np.ndarray:
+    """The 0-based numberings of range(m) at flat indices of :func:`_split`'s blocks."""
+    heads, _, tails, _, starts = _split(m)
+    k = min(m, _TABLE_POSITIONS)
+    shape = (len(starts), *heads.shape[:2], tails.shape[1])
+    index, subset, head, tail = np.unravel_index(flat, shape)
+    rows = starts[index]
+    slots = np.concatenate([heads[subset, head], tails[subset, tail]], axis=1)
+    rows[:, m - k :] = rows[np.arange(len(rows))[:, None], m - k + slots]
+    return rows
+
+
+def _split_blocks(m: int):
+    """The blocks of :func:`_split`'s flat indices, one per prefix."""
+    size = math.factorial(min(m, _TABLE_POSITIONS))
+    return (np.arange(i * size, (i + 1) * size) for i in range(len(_split(m)[4])))
+
+
 def _split_max(
     g: np.ndarray, bloch: np.ndarray, exact, window: float
 ) -> tuple[Numbering, float]:
     """:func:`_screened_max` over every numbering, each scored |a + b|^2 from
     the sums a over a head of its positions and b over the tail.
 
-    The last k = min(M, 8) positions split into a head of h = floor(k / 2)
-    and a tail.  A block holds the numberings that share one prefix of the
-    first M - k positions, in ``itertools.permutations`` order, as flat
-    indices (prefix, subset, head, tail): the rest of the labels fill the
-    head with an ordering of one h-subset of them (:func:`_orderings`) and
-    the tail with one of its complement's.  Head sums, the prefix's fixed sum
-    included, and tail sums come from incidence products with g(t) v_i, and
-    the score |a|^2 + |b|^2 + 2 a . b from one batched product per subset.
-    ``exact(rows)`` gets the kept indices as 0-based numberings.  M >= 2
-    here, as M = 1 has g = 0, so h >= 1."""
+    The blocks are :func:`_split`'s; head sums, the prefix's fixed sum
+    included, and tail sums of g(t) v_i come from its incidence products
+    (:func:`_split_sums`), and the score from one batched product per
+    subset.  ``exact(rows)`` gets the kept indices as
+    0-based numberings.  M >= 2 here, as M = 1 has g = 0, so h >= 1."""
     m = len(g)
-    k = min(m, _TABLE_POSITIONS)
-    h = k // 2
-    heads, head_incidence = _orderings(k, h)
-    tails, tail_incidence = _orderings(k, k - h)
-    tails = tails[::-1]  # row s orders the complement of heads' subset s
-    # each prefix of the first M - k positions, then the labels it leaves, ascending
-    prefixes = itertools.permutations(range(m), m - k)
-    starts = np.array([p + tuple(sorted(set(range(m)) - set(p))) for p in prefixes], dtype=np.intp)
     products = g[:, None, None] * bloch[None, :, :]  # g(t) v_i at [t, i]
-    fixed = products[np.arange(m - k), starts[:, : m - k]].sum(axis=1)
-    size, shape = math.factorial(k), (len(starts), *heads.shape[:2], tails.shape[1])
+    size = math.factorial(min(m, _TABLE_POSITIONS))
 
     def screen(block, running):
-        index = block[0] // size
-        local = products[m - k :, starts[index, m - k :]]
-        # rows (2a, |2a|^2, 1) and (b, 1/4, |b|^2): slot 0 is filled once
-        # per ordering, so it carries the prefix's sum and the constants
-        head, tail = np.zeros((h, k, 5)), np.zeros((k - h, k, 5))
-        head[:, :, :3], tail[:, :, :3] = 2 * local[:h], local[h:]
-        head[0, :, :3] += 2 * fixed[index]
-        head[0, :, 4], tail[0, :, 3] = 1, 0.25
-        left = head_incidence @ head.reshape(-1, 5)
-        right = tail_incidence @ tail.reshape(-1, 5)
-        np.einsum("kx,kx->k", left[:, :3], left[:, :3], out=left[:, 3])
-        np.einsum("kx,kx->k", right[:, :3], right[:, :3], out=right[:, 4])
-        right = right.reshape(len(heads), -1, 5)[::-1].transpose(0, 2, 1).copy()
-        return (left.reshape(len(heads), -1, 5) @ right).ravel()
+        left, right = _split_sums(products, block[0] // size)
+        return (left @ right.transpose(0, 2, 1)).ravel()
 
     def rechecked(flat):
-        index, subset, head, tail = np.unravel_index(flat, shape)
-        rows = starts[index]
-        slots = np.concatenate([heads[subset, head], tails[subset, tail]], axis=1)
-        rows[:, m - k :] = rows[np.arange(len(rows))[:, None], m - k + slots]
+        rows = _split_rows(m, flat)
         return rows, exact(rows)
 
-    blocks = (np.arange(i * size, (i + 1) * size) for i in range(len(starts)))
-    return _screened_max(blocks, screen, rechecked, window)
+    return _screened_max(_split_blocks(m), screen, rechecked, window)
 
 
 def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, float]:

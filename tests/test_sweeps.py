@@ -6,11 +6,12 @@ evaluate every numbering with the exact formulas (the double sum over the
 gathered Bloch Gram, ``reference_brute_force`` in conftest, and the exact
 batch of effective operators), keeping the (max value, earliest) numbering
 block by block.  The fast paths must return the same numbering, the same
-float and the same bool, ties included: also where the trace-norm sweep and
-the qubit solver up to M = 8 screen one row of each mirror pair
-{r, M - 1 - r}, where the condition check first tries to refute n*, and
-where the qubit solver above M = 8 sees only the sorted matchings of the
-great-circle arrangement and their near-tied swaps.
+float and the same bool, ties included: also where the trace-norm sweep
+bounds every numbering from its head and tail sums and screens one row of
+each mirror pair {n, n reversed} in cost order, where the condition check
+first tries to refute n*, and where the qubit solver above M = 8 sees only
+the sorted matchings of the great-circle arrangement and their near-tied
+swaps.
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ def test_polygon9_identity_cost_matches_exact_sweeps():
 
 
 def test_random_dim3_m9_identity_cost_matches_exact_sweeps():
-    # sigma's first 2-cycle is (1, 9): the blocks whose prefix n(1) = 9 hold
-    # no numbering with n(1) < n(9) and are skipped whole
+    # sigma's first 2-cycle is (1, 9): the block whose prefix n(1) = 9 holds
+    # no numbering with n(1) < n(9) and is skipped
     assert_sweeps_match(generate_random_uniform_prior(9, 3, 2), identity_cost(9))
 
 
@@ -241,6 +242,18 @@ def test_partners_in_later_blocks_tie_lexicographically():
     # at M = 9 a partner lies in another block, and the maximal norm is
     # computed bitwise equal in several blocks
     e, c = conjugate_mirror(9, 4), mirror_costs(9)
+    assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_m9_tracenorm_sweep_with_a_tied_cost_and_a_repeated_state(d):
+    # nine blocks of 8! rows, each scored from its split sums; the repeated
+    # state and the tied costs tie numberings exactly, across blocks too
+    base = nonuniform_qubits(9, 3) if d == 2 else generate_random_uniform_prior(9, d, 3)
+    states = list(base.states)
+    states[6] = states[2]
+    e = validate([s / sum(np.trace(t).real for t in states) for s in states])
+    c = cost_function([1, 1, 2, 2, 3, 4, 4, 5, 5])
     assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
 
 
@@ -343,20 +356,28 @@ def hermitian_batch(d, seed):
     return np.concatenate([general, traceless, rank1, -rank1, multiples])
 
 
+def squares_and_traces(batch):
+    """q = ||A||_F^2 and tau = Tr A of each matrix, as the sweep feeds them to the bound."""
+    return np.einsum("kij,kij->k", batch.conj(), batch).real, np.trace(batch, axis1=1, axis2=2).real
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", range(1, 6))
 @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
 def test_trace_norm_bounds_cover_the_norms(d, scale):
+    # the sweep bounds E(n) 2^-k, at unit scale; scaled back, the bound is at
+    # least the norm, and with the screen's error at least the screened norm
     unit = hermitian_batch(d, d)
     batch = unit * scale
+    k = _exponent(np.abs(batch))
+    scaled = batch * 2.0**-k
     norms = np.abs(np.linalg.eigvalsh(batch)).sum(axis=1)
-    unscaled = engine._trace_norm_bounds(batch, 0.0)  # squares overflow at 1e300
-    assert np.all((unscaled >= norms) | ~np.isfinite(unscaled))
-    # with the screen's error of these operators, at least the screened norms
-    error = qap.SCREEN_MARGIN / 2 * d * float(np.linalg.norm(unit, axis=(1, 2)).max()) * scale
-    bounds = engine._trace_norm_bounds(batch, error)
+    bounds = engine._norm_bound(*squares_and_traces(scaled), d, 0.0, (0.0, 0.0))
     assert np.isfinite(bounds).all()
-    assert np.all(bounds >= np.abs(engine._spectra(batch, error / 4)).sum(axis=1))
+    assert np.all(bounds * 2.0**k >= norms)
+    error = qap.SCREEN_MARGIN / 2 * d * float(np.linalg.norm(scaled, axis=(1, 2)).max())
+    bounds = engine._norm_bound(*squares_and_traces(scaled), d, error, (0.0, 0.0))
+    assert np.all(bounds >= np.abs(engine._spectra(scaled, error / 4)).sum(axis=1))
 
 
 @pytest.mark.parametrize("spectrum", [(1, -1), (1, 1, -2), (1, 1, -1, -1)])
@@ -365,15 +386,30 @@ def test_trace_norm_bounds_are_tight_at_balanced_spectra(spectrum, a):
     spectra = a * np.tile(spectrum, (20, 1)).astype(float)
     batch = rotated(spectra, len(spectrum))
     norms = np.abs(spectra).sum(axis=1)
-    bounds = engine._trace_norm_bounds(batch, 0.0)
+    bounds = engine._norm_bound(*squares_and_traces(batch), len(spectrum), 0.0, (0.0, 0.0))
     assert np.all(bounds >= norms)
     assert np.all(bounds <= norms * (1 + 1e-12))
 
 
-def test_trace_norm_bounds_of_non_finite_entries_are_not_finite():
-    batch = hermitian_batch(3, 1)[:3].copy()
-    batch[0, 1, 0], batch[1, 2, 2], batch[2, 2, 1] = np.inf, np.nan, complex(0, np.inf)
-    assert not np.isfinite(engine._trace_norm_bounds(batch, 1e-12)).any()
+eigenvalues = st.sampled_from([-1.0, -0.5, 0.0, 1e-9, 0.3, 1.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda d: st.lists(eigenvalues, min_size=d, max_size=d)),
+    st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+    st.integers(0, 2**16),
+)
+def test_the_bound_covers_the_norms_at_extreme_cost_scales(spectrum, scale, seed):
+    # repeated, zero and one-signed spectra, in a random eigenbasis, with
+    # q and tau taken at unit scale as the sweep takes them
+    d = len(spectrum)
+    batch = rotated(np.array([spectrum]) * scale, seed)
+    k = _exponent(np.abs(batch))
+    bound = engine._norm_bound(*squares_and_traces(batch * 2.0**-k), d, 0.0, (0.0, 0.0))[0]
+    assert math.isfinite(bound)
+    assert math.ldexp(bound, k) >= np.abs(np.linalg.eigvalsh(batch)).sum()
 
 
 # --- the shared screened-max reduction ------------------------------------------
@@ -707,27 +743,43 @@ def test_arrangement_equals_exact_sweep(problem):
 # --- work counts of the fast paths ------------------------------------------------
 
 
-def screened_runs(monkeypatch):
-    """The lengths of the runs that the sweeps' shared chunk loop yields."""
-    runs, chunks = [], engine._chunks
-
-    def counted(weights, inverses, values):
-        for rows, product in chunks(weights, inverses, values):
-            runs.append(len(rows))
-            yield rows, product
-
-    monkeypatch.setattr(engine, "_chunks", counted)
-    return runs
-
-
 def test_tracenorm_sweep_screens_one_numbering_per_pair(monkeypatch):
-    rows = screened_runs(monkeypatch)
+    # every numbering is scored once, from its split sums; E(n) is formed
+    # only for the leads and for the rows sent to the spectra, one row of
+    # each mirror pair: all of them under the constant cost, whose norms all tie
+    scored, formed, screened = [], [], []
+    screened_max, split_parts, spectra = engine._screened_max, engine._split_parts, engine._spectra
+
+    def counted_max(blocks, screen, exact, window):
+        def counting(block, running):
+            scores = screen(block, running)
+            assert scores.shape == block.shape
+            scored.append(block.copy())
+            return scores
+
+        return screened_max(blocks, counting, exact, window)
+
+    def counted_parts(left, right, flat, columns):
+        formed.append(len(flat))
+        return split_parts(left, right, flat, columns)
+
+    def counted_spectra(batch, budget):
+        screened.append(len(batch))
+        return spectra(batch, budget)
+
+    monkeypatch.setattr(engine, "_screened_max", counted_max)
+    monkeypatch.setattr(engine, "_split_parts", counted_parts)
+    monkeypatch.setattr(engine, "_spectra", counted_spectra)
     e = generate_random_uniform_prior(7, 3, 1)
-    # the constant cost pairs every row with its complement too
     for c in (identity_cost(7), cost_function([1, 5, 2, 3, 4, 1, 5]), cost_function([2.5] * 7)):
-        rows.clear()
-        tracenorm_argmax(e, c)
-        assert sum(rows) == math.factorial(7) // 2
+        for record in (scored, formed, screened):
+            record.clear()
+        assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
+        flat = np.sort(np.concatenate(scored))
+        np.testing.assert_array_equal(flat, np.arange(math.factorial(7)))
+        assert sum(formed) <= sum(screened) + engine._LEADS * len(scored)
+        assert sum(screened) <= math.factorial(7) // 2
+    assert sum(screened) == math.factorial(7) // 2
 
 
 @pytest.mark.parametrize("m", [6, 7, 9])
@@ -761,7 +813,8 @@ def test_tracenorm_sweep_screens_only_the_rows_its_bound_keeps(monkeypatch, d, s
 
 def handed_to_the_exact_batch(monkeypatch, e, c, bound=True):
     """tracenorm_argmax's result and the rows it evaluates exactly; without
-    ``bound``, every bound is infinite and each block is screened in full."""
+    ``bound``, neither stage prunes a row, and every row with n(0) < n(M - 1)
+    in cost order is screened."""
     handed, batch = [], engine._effective_operator_batch
 
     def recording(e, c, rows):
@@ -771,7 +824,8 @@ def handed_to_the_exact_batch(monkeypatch, e, c, bound=True):
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_effective_operator_batch", recording)
         if not bound:
-            patch.setattr(engine, "_trace_norm_bounds", lambda b, error: np.full(len(b), np.inf))
+            patch.setattr(engine, "_norm_cutoff", lambda *args: -math.inf)
+            patch.setattr(engine, "_norm_bound", lambda q, *args: np.full(len(q), np.inf))
         return tracenorm_argmax(e, c), np.concatenate(handed)
 
 
@@ -823,33 +877,33 @@ def test_qubit_sweeps_at_extreme_cost_scales(scale):
     "e, verified", [(nonuniform_qubits(8, 1), False), (generate_random_uniform_prior(8, 2, 1), True)]
 )
 def test_qubit_general_solves_screen_pauli_coordinates(monkeypatch, e, verified):
+    # the d = 2 trace-norm sweep scores (A, W) from its split sums: no bound,
+    # no spectra and no chunk loop; the condition sweep runs the chunk loop
     def refuse(*args):
-        raise AssertionError("the d = 2 sweep screened matrices")
+        raise AssertionError("the d = 2 trace-norm sweep screened matrices or ran the chunk loop")
 
-    monkeypatch.setattr(engine, "_trace_norm_bounds", refuse)
+    runs, chunks, check = [], engine._chunks, engine.condition_check
+    monkeypatch.setattr(engine, "_norm_bound", refuse)
     monkeypatch.setattr(engine, "_spectra", refuse)
-    runs, chunks, check = {"tracenorm": [], "condition": []}, engine._chunks, engine.condition_check
-    running = ["tracenorm"]  # until the condition check starts
+    monkeypatch.setattr(engine, "_chunks", refuse)
 
     def counted(weights, inverses, values):
         for rows, product in chunks(weights, inverses, values):
-            runs[running[0]].append((len(rows), product.shape[1]))
+            runs.append((len(rows), product.shape[1]))
             yield rows, product
 
     def checked(*args, **kwargs):
-        running[0] = "condition"
-        return check(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_chunks", counted)
+            return check(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_chunks", counted)
     monkeypatch.setattr(engine, "condition_check", checked)
     report = engine.min_guesswork_general(e, identity_cost(8))
-    # the uniform prior's certificate holds, so its condition sweep runs in full
+    # the uniform prior's certificate holds, so its condition sweep runs in
+    # full; a refuted certificate sweeps no condition rows
     assert report.condition_verified == verified
-    # a refuted certificate sweeps no condition rows
-    swept = {"tracenorm": math.factorial(8) // 2, "condition": math.factorial(8) if verified else 0}
-    for sweep, numberings in swept.items():
-        assert all(width == 4 for _, width in runs[sweep])
-        assert sum(rows for rows, _ in runs[sweep]) == numberings
+    assert all(width == 4 for _, width in runs)
+    assert sum(rows for rows, _ in runs) == (math.factorial(8) if verified else 0)
 
 
 def failing_certificate():
@@ -1030,23 +1084,30 @@ def lexicographic_ranks(rows):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_half_blocks_hold_one_row_of_each_complement_pair(m):
-    # every permutation lies in exactly one half block or in the complement of one
+    # the trace-norm sweep screens the rows of the split blocks with
+    # n(0) < n(M - 1) in cost order: every permutation is one of them or the
+    # reversal of one.  M = 1: the one row is its own reversal, and the sweep
+    # returns E = 0 without a block
     seen = np.zeros(math.factorial(m), dtype=np.int8)
-    for block in _numbering_blocks(m, half=True):
-        for rows in (block, m - 1 - block):
-            np.add.at(seen, lexicographic_ranks(rows), 1)
-    # m = 1: the one row is its own complement
-    np.testing.assert_array_equal(seen, 2 if m == 1 else 1)
+    for block in qap._split_blocks(m):
+        rows = qap._split_rows(m, block)[engine._first_half(m, block)]
+        for r in (rows, rows[:, ::-1]):
+            np.add.at(seen, lexicographic_ranks(r), 1)
+    np.testing.assert_array_equal(seen, 0 if m == 1 else 1)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_half_table_is_a_read_only_view_of_the_cached_table(m):
-    (full,) = _numbering_blocks(m)
-    entries = engine._permutation_table.cache_info().currsize
-    (half,) = _numbering_blocks(m, half=True)
-    assert engine._permutation_table.cache_info().currsize == entries
-    assert half.base is full and not half.flags.writeable
-    assert len(half) == (len(full) + 1) // 2
+    # the split's tail table is a reversed read-only view of the cached
+    # orderings, so a second sweep builds no table
+    k = min(m, 8)
+    heads, _, tails, _, starts = qap._split(m)
+    entries = qap._orderings.cache_info().currsize
+    assert qap._split(m)[2] is tails
+    assert qap._orderings.cache_info().currsize == entries
+    assert np.shares_memory(tails, qap._orderings(k, k - k // 2)[0]) and not tails.flags.writeable
+    assert not heads.flags.writeable and not starts.flags.writeable
+    assert len(tails) == len(heads) == math.comb(k, k // 2)
 
 
 def test_numbering_blocks_m10_shape_and_ends():

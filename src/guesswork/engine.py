@@ -20,7 +20,6 @@ ensemble is solved as a qubit ensemble.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -243,8 +242,8 @@ def _screen_error(e: Ensemble, c: CostFunction) -> float:
     times a bound on ||E(n)||_F, plus _UNDERFLOW.  :func:`_spectra` hands a
     row to eigvalsh when its closed form's error bound exceeds a quarter of it
     (nearly repeated eigenvalues), so a sum of 3 screened eigenvalues stays
-    inside; :func:`_sweep_columns` keeps a d = 2 screen within a quarter, and
-    so do the head and tail sums of :func:`tracenorm_argmax`."""
+    inside; the head and tail sums of :func:`_split_products` keep a d = 2
+    screen of either sweep within a quarter."""
     largest = max(float(np.linalg.norm(s)) for s in e.states)
     bound = 2 * float(np.abs(np.asarray(c.values) - c.mean).sum()) * largest
     return SCREEN_MARGIN / 2 * e.dim * bound + _UNDERFLOW
@@ -271,8 +270,8 @@ def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
     (Kopp, Int. J. Mod. Phys. C 19:523, 2008).  Rows whose bound exceeds
     ``budget`` (nearly repeated eigenvalues), rows with non-finite values
     (p = 0) and every batch of another d go to ``eigvalsh``.  The sweeps
-    screen d = 2 from Pauli coordinates instead: the trace-norm sweep from
-    its head and tail sums, the condition sweep from :func:`_sweep_columns`.
+    screen d = 2 from the Pauli coordinates of their head and tail sums
+    (:func:`_split_products`) instead.
     """
     size, d, _ = batch.shape
     if d != 3:
@@ -310,69 +309,39 @@ def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
     return values
 
 
-# Rows per screened batch: the temporaries of the product and of the screens
-# stay in cache, and their allocations are reused instead of paged in.
+# Rows per slice of the condition sweep, in whole subsets of a split block
+# (7 subsets of 4! x 4! rows at M >= 8): the differences and the screens'
+# temporaries stay in cache, and their allocations are reused instead of
+# paged in.  At d = 3 a whole 8! block at once took nearly twice as long.
 _CHUNK = 4096
 
 
-@functools.lru_cache(maxsize=None)
-def _permutation_table(k: int) -> np.ndarray:
-    """All permutations of range(k) in lexicographic order, as a read-only int8 table."""
-    table = np.zeros((1, 0), dtype=np.int8)
-    for size in range(1, k + 1):
-        # rows led by each first entry in turn, then the shorter table relabelled around it
-        firsts = np.repeat(np.arange(size, dtype=np.int8), len(table))[:, None]
-        rests = np.tile(table, (size, 1))
-        table = np.hstack([firsts, rests + (rests >= firsts)])
-    table.setflags(write=False)
-    return table
+def _split_products(e: Ensemble, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The products w_t 2^-k column_i at [t, i] that ``qap._split_sums`` adds
+    up into the sums a over the prefix and head of a numbering's positions
+    and b over its tail, the D columns, and k, 2^k from
+    ``costs._exponent(sum |w|)``.  At d = 2 the columns are (Tr rho_i,
+    v(rho_i)), so a + b = (A, W) 2^-k with E(n) = (A I + W . sigma) / 2; at
+    d >= 3 they are the (re, im) parts of rho_i, so a + b viewed as complex
+    is E(n) 2^-k.
 
-
-def _numbering_blocks(m: int):
-    """Every permutation of range(m), in ``itertools.permutations`` order, in blocks.
-
-    Each block is an integer array with one permutation per row: those that
-    share their first m - 8 entries.  When m <= 8 the one block is a cached
-    read-only table.
+    Rounding, for both sweeps.  With S = sum_t |w_t| 2^-k max_i |column_i|,
+    about sqrt 2 at most, |a| + |b| <= S, so no square overflows.  a and b
+    each add at most M products (the head's doubling is exact), so a + b, or
+    c - a - b for coordinates c within S such as those of |E(n*)|, lies
+    within (M + 2) eps S of its exact value (eps = 2^-52); the norm and
+    difference of a d = 2 screen add less than 10 eps S, and entries below
+    the normal range far less.  For M <= 16 that is far inside a quarter of
+    the screen's error in these units, at least SCREEN_MARGIN S / (4 sqrt
+    2) (:func:`_screen_error`, as |column_i| <= sqrt 2 ||rho_i||_F), and so
+    are the rounding of the exact batch of E(n) and the scaling back by 2^k.
     """
-    tail = min(m, _TABLE_POSITIONS)
-    table = _permutation_table(tail)
-    if m == tail:
-        yield table
-        return
-    for prefix in itertools.permutations(range(m), m - tail):
-        rest = np.array([x for x in range(m) if x not in prefix])
-        block = np.empty((len(table), m), dtype=np.intp)
-        block[:, : m - tail] = prefix
-        block[:, m - tail :] = rest[table]
-        yield block
-
-
-def _chunks(weights: np.ndarray, inverses: np.ndarray, values: np.ndarray):
-    """Each run of at most _CHUNK rows of 0-based inverse numberings, with the
-    product W @ values, row k of W holding weights[r(i)] at column i for its row r."""
-    for start in range(0, len(inverses), _CHUNK):
-        rows = inverses[start : start + _CHUNK]
-        # an intp index gathers faster than the cached int8 tables
-        yield rows, weights[rows.astype(np.intp, copy=False)] @ values
-
-
-def _sweep_columns(e: Ensemble, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The weights of the condition sweep's :func:`_chunks` products, the
-    columns they multiply, and k.  At d != 2: w, the states' (re, im) parts
-    and k = 0; a product row viewed as complex is E(n).  At d = 2: w 2^-k,
-    2^k from ``costs._exponent(sum |w|)``, and (Tr rho_i, v(rho_i)); a row is
-    (A, W) 2^-k and E(n) = (A I + W . sigma) / 2.  With S = sum |w| max Tr
-    rho_i, entries lie below 2 (no square overflows; those that underflow move
-    |W| by far less than eps S), M products and sums err by M eps S, |W| and
-    a difference with |E(n*)|'s coordinates (within S) by 5 eps S more, and
-    scaling back by 2^-1075: for M <= 16 far inside error / 4 >= SCREEN_MARGIN
-    S / (4 sqrt 2) + _UNDERFLOW / 4 (:func:`_screen_error`, as ||rho||_F >=
-    Tr rho / sqrt 2)."""
-    if e.dim != 2:
-        return weights, e.states.reshape(e.size, -1).view(float), 0
     k = _exponent(np.abs(weights).sum())
-    return np.ldexp(weights, -k), np.column_stack([e.prior, e.bloch]), k
+    if e.dim == 2:
+        columns = np.column_stack([e.prior, e.bloch])
+    else:
+        columns = e.states.reshape(e.size, -1).view(float)
+    return np.ldexp(weights, -k)[:, None, None] * columns[None, :, :], columns, k
 
 
 def _refuted(
@@ -407,45 +376,62 @@ def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
     measurement at n* attains the minimum.
     A few steps of ascent over pure states first look for a violating
     numbering (:func:`_refuted`); it fails the check only on a numbering whose
-    exact test the sweep also fails.  Otherwise each numbering's smallest
-    eigenvalue is screened from one product of the weights 2 (gamma - mean):
-    at d = 2 exactly up to rounding, ((alpha - A) - |beta - W|) / 2 with
-    |E(n*)| = (alpha I + beta . sigma) / 2 and E(n) = (A I + W . sigma) / 2
-    (:func:`_sweep_columns`); at d >= 3 by the spectra of :func:`_spectra` (the
-    closed form for d = 3, eigvalsh for larger d and for rows whose error
-    bound exceeds a quarter of the screen's error).  One screened below -tol
-    by more than the screen's error fails the check, and those within that
-    error of -tol are recomputed from the exact batch of E(n).  The result
-    equals the exact sweep over all numberings.
+    exact test the sweep also fails, and at M = 1 it has tested the one
+    numbering.  Otherwise every numbering comes from the blocks of
+    ``qap._split``, positions in their natural order, and w = 2 (gamma -
+    mean).  With c the coordinates of |E(n*)| 2^-k and a and b the head and
+    tail sums of :func:`_split_products`, each head gives c - a once, and
+    each row c - a - b = (|E(n*)| - E(n)) 2^-k by one subtraction, a slice
+    of whole subsets at a time (_CHUNK).  The smallest eigenvalue of each is
+    screened: at d = 2 exactly up to rounding, ((alpha - A) - |beta - W|) /
+    2 with |E(n*)| = (alpha I + beta . sigma) / 2; at d >= 3 by the spectra
+    of :func:`_spectra` (the closed form for d = 3, eigvalsh for larger d
+    and for rows whose error bound exceeds a quarter of the screen's
+    error).  c - a - b is rounded twice more than a + b, which the argument
+    of :func:`_split_products` covers.  One screened below -tol by more than
+    the screen's error fails the check, and those within that error of -tol
+    are decoded (``qap._split_rows``) and recomputed from the exact batch of
+    E(n).  The result equals the exact sweep over all numberings.
     """
     n_star = require_numbering(n_star, size=e.size)
     e_star = effective_operator(e, c, n_star)
     magnitude = abs_operator(e_star)
     if _refuted(e, c, e_star, magnitude, tol):
         return False
+    m, d = e.size, e.dim
+    if m == 1:
+        return True
     error = _screen_error(e, c)
-    weights, columns, k = _sweep_columns(e, 2 * (np.asarray(c.values) - c.mean))
+    products, _, k = _split_products(e, 2 * (np.asarray(c.values) - c.mean))
     low, high = np.ldexp(-tol - error, -k), np.ldexp(-tol + error, -k)
-    if e.dim == 2:  # (alpha, beta) from the lower triangle, as eigvalsh reads it
+    if d == 2:  # (alpha, beta) from the lower triangle, as eigvalsh reads it
         m00, m11, m10 = magnitude[0, 0].real, magnitude[1, 1].real, magnitude[1, 0]
         centre = np.ldexp([m00 + m11, 2 * m10.real, 2 * m10.imag, m00 - m11], -k)
+    else:
+        centre = np.ldexp(magnitude.reshape(-1).view(float), -k)
+    width, budget = len(centre), np.ldexp(error, -k) / 4
 
-    def lowest(product):
-        if e.dim == 2:
-            gap = centre - product
-            return (gap[:, 0] - np.sqrt(np.einsum("kx,kx->k", gap[:, 1:], gap[:, 1:]))) / 2
-        operators = product.view(complex).reshape(-1, e.dim, e.dim)
-        return _spectra(magnitude - operators, error / 4)[:, 0]
+    def lowest(gaps):
+        if d == 2:
+            return (gaps[:, 0] - np.sqrt(np.einsum("kx,kx->k", gaps[:, 1:], gaps[:, 1:]))) / 2
+        return _spectra(gaps.view(complex).reshape(-1, d, d), budget)[:, 0]
 
-    for inverses in _numbering_blocks(e.size):  # every numbering once, as n^-1
-        for rows, product in _chunks(weights, inverses, columns):
-            screened = lowest(product)
+    block_size = math.factorial(min(m, _TABLE_POSITIONS))
+    for block in _split_blocks(m):
+        left, right = _split_sums(products, block[0] // block_size)
+        heads = centre - left[:, :, :width] / 2
+        tails = right[:, None, :, :width]
+        per_subset = left.shape[1] * right.shape[1]
+        step = max(1, _CHUNK // per_subset)
+        for start in range(0, len(left), step):
+            gaps = heads[start : start + step, :, None] - tails[start : start + step]
+            screened = lowest(gaps.reshape(-1, width))
             if float(screened.min()) < low:
                 return False
-            near = np.argsort(rows[screened <= high], axis=1)
+            near = block[start * per_subset + np.flatnonzero(screened <= high)]
             if not len(near):
                 continue
-            difference = magnitude[None, :, :] - _effective_operator_batch(e, c, near)
+            difference = magnitude[None, :, :] - _effective_operator_batch(e, c, _split_rows(m, near))
             if float(np.linalg.eigvalsh(difference)[:, 0].min()) < -tol:
                 return False
     return True
@@ -512,13 +498,11 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
     in that order, so that E of a row's mirror, the reversed row n o sigma,
     lies within delta = sum_k |w_k + w_(M-1-k)| max_i ||rho_i||_1 of -E(n);
     for a balanced cost delta is its balance residual.  Every numbering is
-    scored from the split sums of ``qap._split_sums``: with D columns per
-    state, a over the prefix and head of its positions and b over the tail,
-    one batched product per subset gives q = |a + b|^2, and the traces of a
-    and b give tau.  At d = 2 the columns are (Tr rho, v(rho)), so a + b =
-    (A, W) with E(n) = (A I + W . sigma) / 2 and ||E(n)||_1 = max(|A|, |W|)
-    <= sqrt(q); at d >= 3 they are the states' (re, im) parts, so q =
-    ||E(n)||_F^2, tau = Tr E(n) and ||E(n)||_1 <= sqrt(d q).
+    scored from the head and tail sums a and b of :func:`_split_products`,
+    in units of 2^k: one batched product per subset gives q = |a + b|^2,
+    and the traces of a and b give tau.  At d = 2, a + b = (A, W) and
+    ||E(n)||_1 = max(|A|, |W|) <= sqrt(q); at d >= 3 q = ||E(n)||_F^2, tau
+    = Tr E(n) and ||E(n)||_1 <= sqrt(d q).
 
     The rows with n(0) < n(M - 1), one of each mirror pair
     (:func:`_first_half`), are screened: at d = 2 exactly up to rounding,
@@ -543,18 +527,16 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
     :func:`_norm_cutoff`; at d >= 3 stage 2 keeps the survivors whose
     :func:`_norm_bound` of q and tau reaches T.
 
-    Rounding.  The sweep runs on w 2^-k, 2^k from ``costs._exponent(sum
-    |w|)``, so no square overflows, and scores in units of 2^k.  With S =
-    sum_t |w_t| 2^-k max_i |column_i|, about sqrt 2 at most, |a| + |b| <= S.
-    q adds D + 2 products of (2a, |2a|^2, 1) and (b, 1/4, |b|^2) after norms
+    Rounding.  With S and the D columns of :func:`_split_products`, q adds
+    D + 2 products of (2a, |2a|^2, 1) and (b, 1/4, |b|^2) after norms
     of D terms, so it lies within gamma_(2D + 2) S^2 of |a + b|^2 (u = 2^-53,
     gamma_n = n u / (1 - n u)), and rounding a + b moves its square by 3 u
     S^2 more; tau adds d + 1 diagonal entries of a and b, within
     gamma_(d + 2) sqrt(d) S of the trace of a + b.  So q and tau are padded
     by (2D + 8) eps S^2 and (d + 4) sqrt(d) eps S, eps = 2u, and by
     _UNDERFLOW per column for squares and sums below the normal range.
-    Screened norms of a + b lie within error of the exact batch's, as
-    :func:`_screen_error` argues for M products and sums.
+    Screened norms of a + b lie within error of the exact batch's
+    (:func:`_split_products`).
     """
     m, d = e.size, e.dim
     if m == 1:  # gamma - mean = 0, so E = 0
@@ -564,15 +546,11 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
     weights = 2 * (np.asarray(c.values)[order] - c.mean)
     largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
     delta = float(np.abs(weights + weights[::-1]).sum()) * largest
-    k = _exponent(np.abs(weights).sum())
+    products, columns, k = _split_products(e, weights)
     error, window = np.ldexp(error, -k), np.ldexp(2 * error + 2 * delta, -k)
-    if d == 2:
-        columns, nu, diagonal = np.column_stack([e.prior, e.bloch]), 1, [0]
-    else:  # the parts of entry (i, i) start at 2 i (d + 1)
-        columns, nu, diagonal = e.states.reshape(m, -1).view(float), d, 2 * (d + 1) * np.arange(d)
-    weights = np.ldexp(weights, -k)
-    products = weights[:, None, None] * columns[None, :, :]
-    size = float(np.abs(weights).sum()) * float(np.linalg.norm(columns, axis=1).max())
+    # the parts of entry (i, i) start at 2 i (d + 1)
+    nu, diagonal = (1, [0]) if d == 2 else (d, 2 * (d + 1) * np.arange(d))
+    size = math.ldexp(float(np.abs(weights).sum()), -k) * float(np.linalg.norm(columns, axis=1).max())
     width, eps = columns.shape[1], np.finfo(float).eps
     pads = (
         (2 * width + 8) * eps * size * size + width * _UNDERFLOW,

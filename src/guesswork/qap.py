@@ -25,10 +25,12 @@ read it, and so does the exhaustive relabeling search of
 The split enumeration (:func:`_split`) scores every numbering from the
 sums over a head and a tail of its positions, by one batched product over
 the splits of the labels (meet in the middle: Horowitz and Sahni, J. ACM
-21:277, 1974).  Two sweeps share its head and tail sums
+21:277, 1974).  It is the one enumeration of the numberings: three sweeps
+share its blocks (:func:`_split_blocks`), head and tail sums
 (:func:`_split_sums`) and the decoding of its flat indices
-(:func:`_split_rows`): this solver's :func:`_split_max`, and the
-trace-norm sweep ``engine.tracenorm_argmax``.
+(:func:`_split_rows`): this solver's :func:`_split_max`, the trace-norm
+sweep ``engine.tracenorm_argmax`` and the condition sweep
+``engine.condition_check``.
 :func:`_screened_max` reduces a sweep's blocks: ``screen(block, running)``
 may give any score below running - window to a row it can show lies there.
 """

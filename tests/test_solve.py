@@ -218,7 +218,7 @@ def test_a_tiny_entry_in_an_unused_row_keeps_the_general_path():
 def test_solve_verifies_a_rotated_embedded_qubit_through_the_general_path():
     # the rotated states use every coordinate, so nothing is dropped, and
     # the condition holds with 0 an eigenvalue of every |E*| - E(n); at M = 8
-    # the condition sweep runs over about ten chunks
+    # the condition sweep screens the one 8! split block in ten slices
     for m in (6, 8):
         qubits, rotated = rotated_qubits(m, 8)
         c = identity_cost(m)

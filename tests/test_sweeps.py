@@ -44,7 +44,6 @@ from guesswork import engine, qap
 from guesswork.costs import _exponent, compose, cost_function, identity_cost
 from guesswork.engine import (
     _effective_operator_batch,
-    _numbering_blocks,
     condition_check,
     solve,
     tracenorm_argmax,
@@ -873,37 +872,49 @@ def test_qubit_sweeps_at_extreme_cost_scales(scale):
                 assert condition_check(e, c, n, tol=tol) == reference_condition_check(e, c, n, tol)
 
 
+def counting_blocks(rows):
+    """``engine._split_blocks``, appending each block's length to ``rows``."""
+    blocks = engine._split_blocks
+
+    def counted(m):
+        for block in blocks(m):
+            rows.append(len(block))
+            yield block
+
+    return counted
+
+
 @pytest.mark.parametrize(
     "e, verified", [(nonuniform_qubits(8, 1), False), (generate_random_uniform_prior(8, 2, 1), True)]
 )
 def test_qubit_general_solves_screen_pauli_coordinates(monkeypatch, e, verified):
-    # the d = 2 trace-norm sweep scores (A, W) from its split sums: no bound,
-    # no spectra and no chunk loop; the condition sweep runs the chunk loop
+    # both d = 2 sweeps score (A, W) from split sums of 4 columns: no bound
+    # and no spectra; the condition sweep's split blocks are counted
     def refuse(*args):
-        raise AssertionError("the d = 2 trace-norm sweep screened matrices or ran the chunk loop")
+        raise AssertionError("the d = 2 trace-norm sweep screened matrices")
 
-    runs, chunks, check = [], engine._chunks, engine.condition_check
+    widths, rows = [], []
+    sums, check = engine._split_sums, engine.condition_check
     monkeypatch.setattr(engine, "_norm_bound", refuse)
     monkeypatch.setattr(engine, "_spectra", refuse)
-    monkeypatch.setattr(engine, "_chunks", refuse)
 
-    def counted(weights, inverses, values):
-        for rows, product in chunks(weights, inverses, values):
-            runs.append((len(rows), product.shape[1]))
-            yield rows, product
+    def summed(products, index):
+        widths.append(products.shape[2])
+        return sums(products, index)
 
     def checked(*args, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_chunks", counted)
+            patch.setattr(engine, "_split_blocks", counting_blocks(rows))
             return check(*args, **kwargs)
 
+    monkeypatch.setattr(engine, "_split_sums", summed)
     monkeypatch.setattr(engine, "condition_check", checked)
     report = engine.min_guesswork_general(e, identity_cost(8))
     # the uniform prior's certificate holds, so its condition sweep runs in
     # full; a refuted certificate sweeps no condition rows
     assert report.condition_verified == verified
-    assert all(width == 4 for _, width in runs)
-    assert sum(rows for rows, _ in runs) == (math.factorial(8) if verified else 0)
+    assert widths and all(width == 4 for width in widths)
+    assert sum(rows) == (math.factorial(8) if verified else 0)
 
 
 def failing_certificate():
@@ -916,20 +927,57 @@ def failing_certificate():
 def test_condition_check_refutes_a_failing_certificate_without_sweeping(monkeypatch):
     e, c, n_star = failing_certificate()
 
-    def refuse(m):
+    def refuse(*args):
         raise AssertionError("the condition check swept the numberings")
 
-    monkeypatch.setattr(engine, "_numbering_blocks", refuse)
+    monkeypatch.setattr(engine, "_split_blocks", refuse)
+    monkeypatch.setattr(engine, "_split_sums", refuse)
     assert condition_check(e, c, n_star) is False
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-10])
+def test_condition_check_at_m1(monkeypatch, tol):
+    # one numbering and E = 0: the ascent tests it exactly, so no split is built
+    def refuse(*args):
+        raise AssertionError("the condition check built a split block at M = 1")
+
+    monkeypatch.setattr(engine, "_split_blocks", refuse)
+    e, c = validate([np.diag([0.25, 0.75])]), identity_cost(1)
+    assert condition_check(e, c, (1,), tol=tol) == reference_condition_check(e, c, (1,), tol)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_condition_sweep_screens_all_nine_blocks_where_the_condition_holds(monkeypatch, seed):
+    # rotated embedded qubits: the certificate holds, so no slice ends the
+    # sweep and every 8! block of the M = 9 split is screened
+    e, c = rotated_qubits(9, seed)[1], identity_cost(9)
+    n_star = tracenorm_argmax(e, c)[0]
+    swept = []
+    monkeypatch.setattr(engine, "_split_blocks", counting_blocks(swept))
+    assert condition_check(e, c, n_star) == reference_condition_check(e, c, n_star, 1e-10)
+    assert swept == [math.factorial(8)] * 9
+
+
+def test_m9_condition_check_with_tol_at_the_smallest_eigenvalue():
+    # tol = -lowest: the ascent cannot refute, so the decision falls to the
+    # screen of all nine blocks and the exact recheck of the rows near it
+    e = nonuniform_qubits(9, 5)
+    c = cost_function(random_balanced_values(np.random.default_rng(5), 9))
+    n_star = tracenorm_argmax(e, c)[0]
+    boundary = -reference_lowest(e, c, n_star)
+    for tol in (boundary, np.nextafter(boundary, -math.inf), np.nextafter(boundary, math.inf)):
+        tol = float(tol)
+        assert condition_check(e, c, n_star, tol=tol) == reference_condition_check(e, c, n_star, tol)
 
 
 def test_m8_qubit_solves_score_every_numbering_from_split_sums(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the qubit solve built the arrangement or ran the chunk loop")
+        raise AssertionError("the qubit solve built the arrangement or ran a general sweep")
 
     for name in ("_sorted_matchings", "_closure"):
         monkeypatch.setattr(qap, name, refuse)
-    monkeypatch.setattr(engine, "_chunks", refuse)
+    for name in ("_split_blocks", "_split_sums"):
+        monkeypatch.setattr(engine, name, refuse)
     scored, screened_max = [], qap._screened_max
 
     def counted(blocks, screen, exact, window):
@@ -1044,13 +1092,14 @@ def test_no_verdict_depends_on_the_cost_units(data):
 
 
 def test_m9_qubit_solves_do_not_sweep(monkeypatch):
-    def refuse(m):
+    def refuse(*args):
         raise AssertionError("the qubit solve swept the numberings")
 
     def no_closed_form(*args, **kwargs):
         raise AssertionError("the qubit solve ran the closed form up to the cap")
 
-    monkeypatch.setattr(engine, "_numbering_blocks", refuse)
+    for name in ("_split_blocks", "_split_sums"):
+        monkeypatch.setattr(engine, name, refuse)
     polygon, rand = generate_polygon_antiprism(9), generate_random_uniform_prior(9, 2, 1)
     c = identity_cost(9)
     with monkeypatch.context() as patched:
@@ -1068,18 +1117,21 @@ def test_m9_qubit_solves_do_not_sweep(monkeypatch):
 # --- the enumeration primitive ---------------------------------------------------
 
 
-@pytest.mark.parametrize("m", range(1, 10))
-def test_numbering_blocks_follow_itertools_order(m):
-    rows = np.concatenate(list(_numbering_blocks(m)))
-    assert [tuple(row) for row in rows.tolist()] == list(itertools.permutations(range(m)))
-
-
 def lexicographic_ranks(rows):
     """Each row's index in the lexicographic list of the permutations of range(m)."""
     m = rows.shape[1]
     later = np.triu(np.ones((m, m), dtype=bool), 1)
     digits = ((rows[:, :, None] > rows[:, None, :]) & later).sum(axis=2)
     return digits @ np.array([math.factorial(m - 1 - i) for i in range(m)])
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_split_blocks_hold_every_permutation_once(m):
+    # the condition sweep screens every row of the split blocks
+    seen = np.zeros(math.factorial(m), dtype=np.int8)
+    for block in qap._split_blocks(m):
+        np.add.at(seen, lexicographic_ranks(qap._split_rows(m, block)), 1)
+    np.testing.assert_array_equal(seen, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -1110,24 +1162,12 @@ def test_half_table_is_a_read_only_view_of_the_cached_table(m):
     assert len(tails) == len(heads) == math.comb(k, k // 2)
 
 
-def test_numbering_blocks_m10_shape_and_ends():
-    blocks = list(_numbering_blocks(10))
-    assert len(blocks) == 90
-    assert all(block.shape == (40320, 10) for block in blocks)
-    assert blocks[0][0].tolist() == list(range(10))
-    assert blocks[0][1].tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 9, 8]
-    assert blocks[-1][-1].tolist() == list(range(9, -1, -1))
-    assert [block[0, :2].tolist() for block in blocks] == [
-        list(prefix) for prefix in itertools.permutations(range(10), 2)
-    ]
-
-
 def test_import_does_not_build_the_permutation_table():
     source = os.path.dirname(os.path.dirname(guesswork.__file__))
     code = (
         "import guesswork, guesswork.cli\n"
-        "from guesswork.engine import _permutation_table\n"
-        "assert _permutation_table.cache_info().currsize == 0\n"
+        "from guesswork.qap import _orderings, _split\n"
+        "assert _split.cache_info().currsize == _orderings.cache_info().currsize == 0\n"
     )
     env = {**os.environ, "PYTHONPATH": source}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

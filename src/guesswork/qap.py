@@ -67,14 +67,21 @@ SCREEN_MARGIN = 1e-12
 # are one circle: their crossing points would be rounding noise.
 _PARALLEL = 1e-13
 
+# A step of delta off an arc keeps r at least delta from every circle, so it
+# moves each r . (v_i - v_j) at least delta |v_i - v_j| from 0.  Where the
+# lower bound on the distances would leave that below this, several hundred
+# times the rounding of the projections at unit scale, an arc takes its exact
+# distances to the circles instead.
+_RESOLVED = 2.0**-40
+
 # Up to M = 8 the split sweep of all M! numberings is faster than building
-# the arrangement: 0.37-0.45 ms against 1.25-1.6 ms at M = 8 (random and
-# polygon layouts, identity cost, BENCH_23.json).  At M = 9 neither wins: on
-# the M = 9 instances of perfbench's qubit_exact at seeds 1-3 (a polygon and
-# a random layout each; in-process, median of 31 alternating calls, BLAS on
-# one thread) both gave the same answers, the arrangement in 3.3-3.9 ms and
-# the split sweep in 3.2-3.8 ms, each the faster on some instances.  M = 9
-# keeps the arrangement, whose work grows polynomially in M, not as M!.
+# the arrangement, above it slower.  On perfbench's qubit_exact instances at
+# seeds 1-3 (in-process, median of 31 alternating calls, BLAS on one thread,
+# on a 2-vCPU shared host) both gave the same answers; at M = 8 (two
+# anti-prisms and two random layouts each) the sweep took 0.46-0.83 ms and
+# the arrangement 1.02-1.85 ms, at M = 9 (a polygon and a random layout
+# each) the sweep 2.03-3.40 ms and the arrangement 0.88-2.35 ms, the faster
+# on every instance, with work that grows polynomially in M, not as M!.
 _ENUMERATED = 8
 
 
@@ -128,13 +135,31 @@ def _scores(g: np.ndarray, bloch: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _sorted_matchings(g: np.ndarray, bloch: np.ndarray) -> np.ndarray:
-    """The identity, and the sorted matching of g against (r . v_i) for r on
-    both sides of the midpoint of every arc of the great-circle arrangement.
+    """The identity, then each distinct sorted matching of g against (r .
+    v_i) for r on both sides of the midpoint of every arc of the
+    great-circle arrangement.
 
     Circle a is the plane (v_i - v_j) . r = 0 of one pair of distinct Bloch
-    vectors; normals closer than _PARALLEL in angle make one circle.  Each
-    midpoint m is stepped by +-delta n_a, delta half its distance to every
-    other circle, and -r gives the reversed matching.
+    vectors; normals closer than _PARALLEL in angle make one circle.  Arcs
+    shorter than _PARALLEL are skipped: they are the zero-length arcs at
+    triple points and at the common crossing of coplanar layouts, whose
+    midpoints sit on a crossing.  Each other midpoint p is stepped by +-delta
+    n_a, delta half a lower bound on its distance to every other circle b:
+    b crosses circle a outside the open arc, so p lies at least |n_a x n_b|
+    sin(gap / 2) from it, gap the arc's length.  Where that bound leaves some
+    r . (v_i - v_j) below _RESOLVED, the arc's exact distances to the
+    circles, one K-vector, are taken instead; delta is at most 1/2.  -r gives
+    the reversed matching.
+
+    Work and memory grow as K^2 for the K = M(M - 1)/2 circles: two K x K
+    products give every crossing, and the directions are sorted a chunk of
+    about 8! / K arcs at a time, each chunk's orders reduced to distinct
+    integer keys of a word or two (:func:`_order_keys`).  Every cell is
+    reached from each of its edges, so the K(K - 1) + 2 cells of K circles
+    in general position, and fewer where circles meet three at a time (as
+    those of (i, j), (j, k) and (i, k) always do), are far fewer than the
+    arcs: at M = 9, 1,095 rows from the 4,176 orders of a random layout's
+    arc sides and their reversals, and 19 from the 284 of a 9-gon.
     """
     m = len(g)
     identity = np.arange(m)[None, :]
@@ -144,26 +169,75 @@ def _sorted_matchings(g: np.ndarray, bloch: np.ndarray) -> np.ndarray:
     normals = normals[lengths > 0] / lengths[lengths > 0, None]
     if not len(normals):
         return identity
-    # (e1, e2) spans each circle; crossings are measured by angle mod pi, as
-    # the crossing points of two circles are antipodal
+    # with n_b = x e1 + y e2 + z n_a, circle b crosses circle a at the angle
+    # atan2(x, -y), mod pi as the two crossing points are antipodal, and
+    # |n_a x n_b| = hypot(x, y)
     e1 = np.cross(normals, np.eye(3)[np.argmin(np.abs(normals), axis=1)])
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
     e2 = np.cross(normals, e1)
-    crossings = np.cross(normals[:, None, :], normals[None, :, :])
-    apart = np.linalg.norm(crossings, axis=2) > _PARALLEL
-    angles = np.arctan2(
-        (crossings * e2[:, None, :]).sum(axis=2), (crossings * e1[:, None, :]).sum(axis=2)
-    )
-    angles = np.sort(np.where(apart, angles % np.pi, 0.0), axis=1)
-    mids = (angles + np.concatenate([angles[:, 1:], angles[:, :1] + np.pi], axis=1)) / 2
-    points = np.cos(mids)[:, :, None] * e1[:, None, :] + np.sin(mids)[:, :, None] * e2[:, None, :]
-    distances = np.where(apart[:, None, :], np.abs(points @ normals.T), np.inf)
-    steps = (np.minimum(distances.min(axis=2), 1.0) / 2)[:, :, None] * normals[:, None, :]
-    directions = np.concatenate([points + steps, points - steps]).reshape(-1, 3)
-    order = np.argsort(directions @ bloch.T, axis=1)
-    matchings = np.empty((2, len(order), m), dtype=np.intp)
-    matchings[:, :, np.argsort(g, kind="stable")] = order, order[:, ::-1]
-    return np.concatenate([identity, matchings.reshape(-1, m)])
+    x, y = e1 @ normals.T, e2 @ normals.T
+    sines = np.hypot(x, y)
+    apart = sines > _PARALLEL
+    angles = np.sort(np.where(apart, np.arctan2(x, -y) % np.pi, 0.0), axis=1)
+    gaps = np.concatenate([angles[:, 1:], angles[:, :1] + np.pi], axis=1) - angles
+    circle, arc = np.nonzero(gaps >= _PARALLEL)
+    halves = gaps[circle, arc] / 2
+    mids = angles[circle, arc] + halves
+    bounds = np.where(apart, sines, 1.0).min(axis=1)[circle] * np.sin(halves)
+    floor = 2 * _RESOLVED / lengths[lengths > 0].min()
+    size = max(1, math.factorial(_TABLE_POSITIONS) // max(len(normals), m))
+    keys = []
+    for start in range(0, len(circle), size):
+        a, mid = circle[start : start + size], mids[start : start + size, None]
+        points = np.cos(mid) * e1[a] + np.sin(mid) * e2[a]
+        bound = bounds[start : start + size].copy()
+        low = bound < floor
+        if low.any():
+            distances = np.abs(points[low] @ normals.T)
+            bound[low] = np.where(apart[a[low]], distances, np.inf).min(axis=1)
+        steps = (np.minimum(bound, 1.0) / 2)[:, None] * normals[a]
+        order = np.argsort(np.concatenate([points + steps, points - steps]) @ bloch.T, axis=1)
+        keys.append(_distinct(_order_keys(np.concatenate([order, order[:, ::-1]]))))
+    orders = _order_rows(_distinct(np.concatenate(keys)), m)
+    matchings = np.empty_like(orders)
+    matchings[:, np.argsort(g, kind="stable")] = orders
+    return np.concatenate([identity, matchings])
+
+
+def _digits(m: int) -> int:
+    """Base-m digits per int64 word of :func:`_order_keys`: up to 15, as
+    M^M overflows one word from M = 16."""
+    return next(d for d in range(m, 0, -1) if m**d < 2**63)
+
+
+def _order_keys(rows: np.ndarray) -> np.ndarray:
+    """One row of int64 words per row of labels in range(M), each word a
+    number of base-M digits; the keys sort lexicographically as the rows do."""
+    m = rows.shape[1]
+    digits = _digits(m)
+    keys = np.zeros((len(rows), -(-m // digits)), dtype=np.int64)
+    for position in range(m):
+        word = keys[:, position // digits]
+        word *= m
+        word += rows[:, position]
+    return keys
+
+
+def _order_rows(keys: np.ndarray, m: int) -> np.ndarray:
+    """The rows of labels in range(m) whose :func:`_order_keys` are ``keys``."""
+    digits = _digits(m)
+    keys, rows = keys.copy(), np.empty((len(keys), m), dtype=np.intp)
+    for position in reversed(range(m)):
+        keys[:, position // digits], rows[:, position] = np.divmod(keys[:, position // digits], m)
+    return rows
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (N, W) integer array, in lexicographic order."""
+    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T[::-1])]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return keys[fresh]
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
@@ -382,16 +456,19 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
     30, past any M whose M! numberings a sweep can visit; an underflow adds
     at most 2^-1075 per operation.
 
-    Above that the candidates are :func:`_sorted_matchings`, about 4 K^2
-    rows for the K = M(M - 1)/2 circles.  Those screened within the window
-    of the top are closed under swaps (:func:`_closure`) and evaluated with
-    the exact formula.  Both Grams are PSD, so their traces are their
-    nuclear norms and bound |objective|; the screen and the exact formula
-    each err by far less than a quarter of the window.  When the closure
-    would screen more rows than M!, :func:`_split_max` scores every
-    numbering instead, at any M, one block per prefix of the first M - 8
-    positions.  The closure hands over holding more than 2 M! / (M - 1) bytes
-    of keys, more than the sweep's 8 M M! / 8! bytes of prefixes for M <= 100.
+    Above that the candidates are :func:`_sorted_matchings`, one sorted
+    matching per cell of the arrangement of the K = M(M - 1)/2 circles,
+    about K^2 of them, found in time and memory that grow as K^2: a solve
+    peaks near 3.4 MB under tracemalloc at M = 14 and 21 MB at M = 20.
+    Those screened within the window of the top are closed under swaps
+    (:func:`_closure`) and evaluated with the exact formula.  Both Grams are
+    PSD, so their traces are their nuclear norms and bound |objective|; the
+    screen and the exact formula each err by far less than a quarter of the
+    window.  When the closure would screen more rows than M!,
+    :func:`_split_max` scores every numbering instead, at any M, one block
+    per prefix of the first M - 8 positions.  The closure hands over holding
+    more than 2 M! / (M - 1) bytes of keys, more than the sweep's 8 M M! /
+    8! bytes of prefixes for M <= 100.
 
     Soundness.  |w|^2 is convex, so its maximum over the convex hull P of
     the w(n) is at a vertex.  The vertex maximizing r . w is w of the sorted
@@ -399,14 +476,22 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
     arrangement of the circles (v_i - v_j) . r = 0, and every numbering
     mapped to that vertex is such a matching; they differ by swaps of equal
     costs or identical Bloch vectors, which leave w unchanged.  Every cell
-    has an edge, an arc of one circle between two crossings.  A point
-    stepped off the arc's midpoint by less than its distance to every other
-    circle lies inside one of the two cells beside the arc (with a single
-    circle, a hemisphere), so the candidates reach every vertex of P.
-    Rounding decides among exactly tied numberings.  Numberings within
-    rounding of the maximum that no candidate reaches (nearly equal costs or
-    states, thin cells between circles closer than _PARALLEL) differ from a
-    candidate by swaps that each stay within the window.  For thin cells:
+    has an edge, an arc of circle a between two crossings.  A point stepped
+    off the arc's midpoint p along n_a by less than p's distance to every
+    other circle b lies inside one of the two cells beside the arc (with a
+    single circle, a hemisphere).  With p at angle t on circle a and b
+    crossing it at angle t_b, p . n_b = |n_a x n_b| sin(t_b - t); t_b lies
+    outside the open arc of length gap, so t_b - t is at least gap / 2 from
+    every multiple of pi, and that distance is at least |n_a x n_b| sin(gap
+    / 2).  Half its smallest value over b is a step that stays inside.
+    Where that step would move some r . (v_i - v_j) less than _RESOLVED
+    from 0, so that rounding could pick the side, the arc's exact distances
+    set the step.  So the candidates reach every vertex of P.  Rounding
+    decides among exactly tied numberings.  Numberings within rounding of
+    the maximum that no candidate reaches (nearly equal costs or states,
+    thin cells between circles closer than _PARALLEL, and cells whose every
+    edge is shorter than _PARALLEL, from which no step is taken) differ from
+    a candidate by swaps that each stay within the window.  For thin cells:
     if n* is the maximum, w* = w(n*), and swapping its states i, j at
     positions s, t moves w by D = (g_s - g_t)(v_j - v_i), then
     |w* + D|^2 <= |w*|^2 puts r = w*/|w*| at least
@@ -414,9 +499,15 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
     So a cell narrower than _PARALLEL holds the maximum only if a swap has
     |D| < 2 _PARALLEL |w*|, which moves the value by about _PARALLEL^2
     |w*|^2, and |w*|^2 <= Tr(cost_gram) Tr(bloch_gram) keeps that far inside
-    the window.  So the closure holds every numbering whose computed value
-    can be the largest.  The floating-point part is argued, not proved; the
-    tests compare the solver with the exhaustive sweep on degenerate layouts.
+    the window.  A cell whose every edge is shorter than _PARALLEL, such as
+    the one rounding opens where three circles meet, lies on one side of
+    each circle, so it has at most K edges and lies within K _PARALLEL / 2
+    of each of its circles: the same argument holds at that width, still far
+    inside the window.  So the closure holds every numbering whose computed
+    value can be the largest.  The floating-point part is argued, not
+    proved; the tests compare the solver with the exhaustive sweep on
+    degenerate layouts, and count the candidates of layouts in general
+    position against the cells of their arrangement.
     """
     g, bloch, scale = _checked(c, bloch)
     cost, gram = np.outer(g, g), bloch @ bloch.T

@@ -22,6 +22,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -554,7 +555,7 @@ def degenerate_costs(m):
     ]
 
 
-@pytest.mark.parametrize("m", [4, 7, 8])
+@pytest.mark.parametrize("m", [4, 7, 8, 9])
 @pytest.mark.parametrize(
     "kind",
     ["random", "repeated", "identical", "collinear", "collinear_offset", "coplanar",
@@ -607,17 +608,57 @@ def test_only_merged_circles_leave_the_lune_between_them_to_the_closure(kind, re
     "e",
     [generate_random_uniform_prior(m, 2, seed) for m, seed in [(3, 1), (4, 2), (6, 3), (8, 4)]]
     + [generate_polygon_antiprism(m, h) for m, h in [(5, 0.0), (8, 0.0), (6, 0.3)]]
-    + [degenerate_layout(kind, 6) for kind in ("collinear_offset", "near_parallel", *THIN_LUNES)],
+    + [degenerate_layout(kind, 6) for kind in ("collinear_offset", "near_parallel", *THIN_LUNES)]
+    # the sizes the arrangement serves
+    + [generate_random_uniform_prior(m, 2, seed) for m, seed in [(9, 5), (10, 6)]]
+    + [generate_polygon_antiprism(9), generate_polygon_antiprism(10, 0.3)]
+    + [degenerate_layout(kind, 9) for kind in ("repeated", "near_parallel_split")],
 )
 def test_sorted_matchings_reach_every_sampled_cell(e):
     # the sorted matching of a random direction lies in a random cell of the
-    # arrangement; each must be among the candidates
+    # arrangement; each must be among the candidates.  Repeated states tie in
+    # every projection, and the sort orders them either way, so each label is
+    # read as the first state equal to it
     g = np.arange(e.size) - (e.size - 1) / 2
     directions = np.random.default_rng(e.size).normal(size=(20000, 3))
     sampled = np.empty((len(directions), e.size), dtype=np.intp)
     sampled[:, np.argsort(g)] = np.argsort(directions @ e.bloch.T, axis=1)
-    candidates = {tuple(row) for row in qap._sorted_matchings(g, e.bloch).tolist()}
-    assert {tuple(row) for row in sampled.tolist()} <= candidates
+    first = (e.bloch[:, None, :] == e.bloch[None, :, :]).all(axis=2).argmax(axis=1)
+    candidates = {tuple(row) for row in first[qap._sorted_matchings(g, e.bloch)].tolist()}
+    assert {tuple(row) for row in first[sampled].tolist()} <= candidates
+
+
+def crossing_lunes(m, seed, eps):
+    """Random qubits whose circles of (1, 2) and (3, 4), and of (5, 6) and (7,
+    8), lie about ``eps`` apart in angle: each pair bounds a thin lune that the
+    other circles cross in short arcs, and the two lunes cross each other."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(m, 3))
+    v[3] = v[2] + 0.7 * (v[1] - v[0]) + eps * rng.normal(size=3)
+    v[7] = v[6] + 0.6 * (v[5] - v[4]) + eps * rng.normal(size=3)
+    return qubits(v)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [generate_random_uniform_prior(m, 2, seed) for m, seed in [(9, 1), (9, 2), (10, 3)]]
+    # the circles of a near-parallel pair have a partner 1e-10 to 1e-8 away in
+    # angle, so the lower bound on the distance from a short arc's midpoint
+    # to the other circles falls below the step floor; without the floor's
+    # exact distances, steps of about 1e-18 lose two cells of each
+    + [crossing_lunes(m, seed, eps) for m, seed, eps in
+       [(9, 8, 1e-9), (9, 8, 3e-10), (10, 16, 1e-9), (10, 24, 3e-10)]],
+)
+def test_sorted_matchings_reach_each_cell_of_a_generic_arrangement_once(e):
+    # K = M(M - 1)/2 circles crossing pairwise, where only the circles of
+    # (i, j), (j, k) and (i, k) meet three at a time: V = 2 C(K, 2) - 4 C(M, 3)
+    # vertices and E = K (2 (K - 1) - 2 (M - 2)) arcs, so F = E - V + 2 cells,
+    # each with its own sorted matching of a cost without ties
+    m, k = e.size, e.size * (e.size - 1) // 2
+    cells = k * (2 * (k - 1) - 2 * (m - 2)) - (2 * math.comb(k, 2) - 4 * math.comb(m, 3)) + 2
+    rows = qap._sorted_matchings(np.arange(m) - (m - 1) / 2, e.bloch)
+    np.testing.assert_array_equal(rows[0], np.arange(m))
+    assert len({tuple(row) for row in rows[1:].tolist()}) == len(rows) - 1 == cells
 
 
 def test_circles_parallel_up_to_rounding_are_one_circle():
@@ -658,6 +699,20 @@ def test_arrangement_above_the_cap_when_the_closure_needs_no_sweep():
     ) as sweep:
         assert arrangement_solve(c, e.bloch) == expected
     sweep.assert_not_called()
+
+
+def test_arrangement_memory_grows_with_the_square_of_the_circles():
+    # M = 14, K = 91 circles: the candidates come from K x K products and
+    # chunks of about 8! / K arcs, and the solve peaks near 3.4 MB under
+    # tracemalloc, where a K x K x K table of arc-midpoint distances peaks at 16.5 MB
+    e, c = generate_random_uniform_prior(14, 2, 1), identity_cost(14)
+    tracemalloc.start()
+    try:
+        arrangement_solve(c, e.bloch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -844,6 +899,31 @@ def test_the_bound_hands_the_full_screens_rows_to_the_exact_batch(monkeypatch, e
     full_result, full_rows = handed_to_the_exact_batch(monkeypatch, e, c, bound=False)
     assert result == full_result
     np.testing.assert_array_equal(rows, full_rows)
+
+
+def tensored_qubits(m, seed):
+    """Random qubits tensored with the maximally mixed qubit, labels reversed.
+    Every E(n) is E_q(n) x I / 2, of spectrum (a, a, -a, -a), where the trace
+    norm bound is an equality; the reversal puts the largest norm in a row
+    with n(0) > n(M - 1) in cost order, which the screen does not score."""
+    states = generate_random_uniform_prior(m, 2, seed).states[::-1]
+    return validate([np.kron(s, np.eye(2) / 2) for s in states])
+
+
+def test_the_bound_prunes_at_the_window_edge_among_distinct_near_top_norms(monkeypatch):
+    # the top cost raised by 0.1 leaves a balance residual that widens the
+    # window to hold dozens of numberings with norms of their own; tight
+    # bounds at the window's lower edge, and a lead taken only from the
+    # screened half of the mirror pairs, decide which of them reach the
+    # exact batch
+    e, c = tensored_qubits(6, 2), cost_function([1, 2, 3, 4, 5, 6.1])
+    result, rows = handed_to_the_exact_batch(monkeypatch, e, c)
+    assert result == reference_tracenorm_argmax(e, c)
+    full_result, full_rows = handed_to_the_exact_batch(monkeypatch, e, c, bound=False)
+    assert result == full_result
+    np.testing.assert_array_equal(rows, full_rows)
+    norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, rows))).sum(axis=1)
+    assert len(np.unique(norms)) > 20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -232,24 +232,24 @@ def _order_rows(keys: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (N, W) integer array, in lexicographic order."""
-    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T[::-1])]
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+def _distinct(keys: np.ndarray, seen: np.ndarray | None = None) -> np.ndarray:
+    """The distinct rows of an (N, W) integer array not in ``seen``, sorted: one stable sort
+    puts rows of ``seen`` before their equals, so rows of ``keys`` after unequal rows are new."""
+    held, keys = (0, keys) if seen is None else (len(seen), np.concatenate([seen, keys]))
+    if held or keys.shape[1] > 1:
+        order = np.lexsort(keys.T[::-1])  # stable, and one key is a stable argsort
+        keys, fresh = keys[order], order >= held
+    else:  # a plain sort of one word is several times faster
+        keys, fresh = np.sort(keys, axis=0), np.ones(len(keys), dtype=bool)
+    fresh[1:] &= (keys[1:] != keys[:-1]).any(axis=1)
     return keys[fresh]
-
-
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """One bytes key per row; keys sort as the rows do lexicographically."""
-    return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{rows.shape[1]}").ravel()
 
 
 def _closure(
     g: np.ndarray, bloch: np.ndarray, rows: np.ndarray, window: float
 ) -> np.ndarray | None:
-    """The rows screened within window of the top, closed under swaps of two
-    entries that keep the screen within window, as one lexicographically
+    """The rows screened within window of the top, closed under swaps of two entries that
+    keep the screen within window (held as :func:`_order_keys`), as one lexicographically
     sorted block; None once the closure would screen more rows than M!."""
     m = len(g)
     first, second = np.triu_indices(m, 1)
@@ -257,13 +257,13 @@ def _closure(
     chunk = max(1, math.factorial(_TABLE_POSITIONS) // len(swaps))
     scores = _scores(g, bloch, rows)
     top = float(scores.max())
-    seen = frontier = np.unique(_keys(rows[scores >= top - window]))
+    seen = frontier = _distinct(_order_keys(rows[scores >= top - window]))
     while len(frontier):
         if len(seen) * len(swaps) > math.factorial(m):
             return None
         found = []
         for start in range(0, len(frontier), chunk):
-            base = frontier[start : start + chunk].view(np.uint8).reshape(-1, m).astype(np.intp)
+            base = _order_rows(frontier[start : start + chunk], m)
             near = np.repeat(base[:, None, :], len(swaps), axis=1)
             near[:, swaps, first] = base[:, second]
             near[:, swaps, second] = base[:, first]
@@ -271,9 +271,9 @@ def _closure(
             scores = _scores(g, bloch, near)
             top = max(top, float(scores.max()))
             found.append(near[scores >= top - window])
-        frontier = np.setdiff1d(_keys(np.concatenate(found)), seen)
-        seen = np.union1d(seen, frontier)
-    return seen.view(np.uint8).reshape(-1, m).astype(np.intp)
+        frontier = _distinct(_order_keys(np.concatenate(found)), seen)
+        seen = np.concatenate([seen, frontier])
+    return _order_rows(_distinct(seen), m)
 
 
 def _checked(c: CostFunction, bloch) -> tuple[np.ndarray, np.ndarray, int]:
@@ -464,11 +464,10 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
     (:func:`_closure`) and evaluated with the exact formula.  Both Grams are
     PSD, so their traces are their nuclear norms and bound |objective|; the
     screen and the exact formula each err by far less than a quarter of the
-    window.  When the closure would screen more rows than M!,
-    :func:`_split_max` scores every numbering instead, at any M, one block
-    per prefix of the first M - 8 positions.  The closure hands over holding
-    more than 2 M! / (M - 1) bytes of keys, more than the sweep's 8 M M! /
-    8! bytes of prefixes for M <= 100.
+    window.  When the closure would screen more rows than M!, :func:`_split_max`
+    scores every numbering instead, at any M, one block per prefix of the first
+    M - 8 positions.  The closure hands over holding more than M! / K keys of W
+    int64 words, above the sweep's 8 M M! / 8! bytes of prefixes for M <= 96.
 
     Soundness.  |w|^2 is convex, so its maximum over the convex hull P of
     the w(n) is at a vertex.  The vertex maximizing r . w is w of the sorted

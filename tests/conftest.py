@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -172,6 +173,37 @@ def reference_brute_force(cost_gram, bloch_gram):
         if values[k] > best_value:
             best_value, best_perm = float(values[k]), block[k]
     return tuple(int(x) + 1 for x in best_perm), best_value
+
+
+def reference_closure(g, bloch, rows, window) -> list[tuple[int, ...]]:
+    """Breadth-first search over tuples: the rows of ``rows`` scored within
+    window of the top, closed under swaps of two entries whose score stays
+    within window of the largest score met so far, in lexicographic order.
+    Each score |sum_t g(t) v(n(t))|^2 is summed in plain Python."""
+    g, bloch = [float(x) for x in g], np.asarray(bloch, dtype=float).tolist()
+
+    def score(n):
+        w = [sum(gt * bloch[i][x] for gt, i in zip(g, n)) for x in range(3)]
+        return sum(x * x for x in w)
+
+    scores = {tuple(row): score(row) for row in np.asarray(rows).tolist()}
+    top = max(scores.values())
+    seen = {row for row, value in scores.items() if value >= top - window}
+    queue = collections.deque(sorted(seen))
+    while queue:
+        row = queue.popleft()
+        for s, t in itertools.combinations(range(len(row)), 2):
+            near = list(row)
+            near[s], near[t] = near[t], near[s]
+            near = tuple(near)
+            if near in seen:
+                continue
+            value = score(near)
+            top = max(top, value)
+            if value >= top - window:
+                seen.add(near)
+                queue.append(near)
+    return sorted(seen)
 
 
 def reference_simulate(e, c, m, samples: int, seed: int) -> tuple[float, float]:

@@ -374,3 +374,36 @@ def test_norm_identity_links_objective_to_bloch_norm():
         v = pauli_vector(effective_operator(e, c, n))
         objective = _objective(reference_cost_gram(c), bloch_gram(e), np.array([n]) - 1)[0]
         assert float(v @ v) == pytest.approx(4 * objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("m, words", [(1, 1), (2, 1), (15, 1), (16, 2), (30, 3), (31, 3)])
+def test_order_keys_round_trip_and_sort_as_the_rows(m, words):
+    # rows of labels in range(M), repeats included, with the smallest and the
+    # largest row and rows that differ only in their last entry
+    rng = np.random.default_rng(m)
+    rows = rng.integers(0, m, size=(300, m))
+    rows[0], rows[1] = 0, m - 1
+    rows[2:12] = rows[12:22]
+    rows[22:32, :-1] = rows[32:42, :-1]
+    keys = qap._order_keys(rows)
+    assert keys.dtype == np.int64 and keys.shape == (len(rows), words)
+    np.testing.assert_array_equal(qap._order_rows(keys, m), rows)
+    ordered = rows[np.lexsort(keys.T[::-1])].tolist()
+    assert [tuple(row) for row in ordered] == sorted(tuple(row) for row in rows.tolist())
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_distinct_keeps_each_new_row_once_in_order(words):
+    # keys drawn from a pool repeat within themselves; seen holds some of
+    # them, in no order, and rows that keys lack
+    rng = np.random.default_rng(words)
+    pool = rng.integers(0, 2**62, size=(40, words))
+    pool[1::4, :-1] = pool[::4, :-1]  # rows equal but for their last word
+    keys = pool[rng.integers(0, 30, size=200)]
+    seen = pool[rng.permutation(np.arange(20, 40))]
+    rows = {tuple(row) for row in keys.tolist()}
+    held = {tuple(row) for row in seen.tolist()}
+    assert [tuple(row) for row in qap._distinct(keys).tolist()] == sorted(rows)
+    assert [tuple(row) for row in qap._distinct(keys, seen).tolist()] == sorted(rows - held)
+    assert [tuple(row) for row in qap._distinct(keys, seen[:0]).tolist()] == sorted(rows)
+    assert not len(qap._distinct(keys[:0], seen))

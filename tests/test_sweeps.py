@@ -35,6 +35,7 @@ from conftest import (
     random_balanced_values,
     reference_blocks,
     reference_brute_force,
+    reference_closure,
     reference_condition_check,
     reference_cost_gram,
     reference_lowest,
@@ -675,6 +676,39 @@ def test_closure_hands_a_tie_of_every_numbering_to_the_sweep():
     g = np.asarray(c.values) - c.mean
     window = qap.SCREEN_MARGIN * float(g @ g) * float(np.trace(bloch_gram(e)))
     assert qap._closure(g, e.bloch, qap._sorted_matchings(g, e.bloch), window) is None
+
+
+def tied_layout(m, seed):
+    """Random qubits with states 1 and 5 repeating states 0 and 4, and the
+    cost 1..M with positions 3 and 9 tied to 2 and 8: 16 numberings tie,
+    or 8 where the top puts a repeated pair at a tied pair of positions."""
+    bloch = generate_random_uniform_prior(m, 2, seed).bloch.copy()
+    bloch[1], bloch[5] = bloch[0], bloch[4]
+    values = list(range(1, m + 1))
+    values[3], values[9] = values[2], values[8]
+    return cost_function(values), bloch
+
+
+@pytest.mark.parametrize(
+    "c, bloch, closed",
+    [
+        # four 1s and four 2s about one 1.5: the swaps within each level and
+        # the balancing n o sigma tie 4! 4! 2 numberings
+        (cost_function([1, 1, 1, 1, 1.5, 2, 2, 2, 2]), generate_random_uniform_prior(9, 2, 1).bloch,
+         1152),
+        # two words per key from M = 16
+        (*tied_layout(16, 1), 16),
+        (*tied_layout(17, 1), 16),
+    ],
+)
+def test_closure_equals_a_breadth_first_search_over_tuples(c, bloch, closed):
+    # at the scale arrangement_solve runs on, from the candidates it closes
+    g, bloch, _ = qap._checked(c, bloch)
+    window = qap.SCREEN_MARGIN * float(g @ g) * float(np.trace(bloch @ bloch.T))
+    rows = qap._sorted_matchings(g, bloch)
+    expected = reference_closure(g, bloch, rows, window)
+    assert len(expected) == closed
+    assert [tuple(row) for row in qap._closure(g, bloch, rows, window).tolist()] == expected
 
 
 @pytest.mark.parametrize("m", [5, 8])

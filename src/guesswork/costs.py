@@ -32,7 +32,7 @@ def require_numbering(n, size: int | None = None) -> Numbering:
     """
     entries = tuple(n)
     try:
-        mapping = tuple(int(x) for x in entries)
+        mapping = tuple(map(int, entries))
     except (TypeError, ValueError, OverflowError):
         mapping = None
     if mapping is None or mapping != entries:
@@ -49,15 +49,11 @@ def compose(a, b) -> Numbering:
     """Composition (a o b)(t) = a(b(t))."""
     left = require_numbering(a)
     right = require_numbering(b, size=len(left))
-    return tuple(left[x - 1] for x in right)
+    return tuple(map(((0,) + left).__getitem__, right))
 
 
 def invert(n) -> Numbering:
-    mapping = require_numbering(n)
-    inverse = [0] * len(mapping)
-    for t, value in enumerate(mapping, start=1):
-        inverse[value - 1] = t
-    return tuple(inverse)
+    return tuple((np.argsort(require_numbering(n)) + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ class CostFunction:
 
     @cached_property
     def sorting_permutation(self) -> Numbering:
-        return tuple(int(i) + 1 for i in np.argsort(np.asarray(self.values), kind="stable"))
+        return tuple((np.argsort(np.asarray(self.values), kind="stable") + 1).tolist())
 
     @property
     def is_balanced(self) -> bool:
@@ -118,22 +114,20 @@ def _balance_certificate(values) -> Numbering | None:
     target = 2 * mean - gamma
     gamma_order = np.argsort(gamma, kind="stable")
     target_order = np.argsort(target, kind="stable")
-    # sigma_inverse sends t to the position holding the reflected value of t
-    sigma_inverse = [0] * m
-    for g_idx, t_idx in zip(gamma_order, target_order):
-        sigma_inverse[t_idx] = int(g_idx) + 1
+    # sigma_inverse sends t to the 0-based position holding the reflected value of t
+    sigma_inverse = np.empty(m, dtype=np.intp)
+    sigma_inverse[target_order] = gamma_order
     tol = math.ldexp(BALANCE_TOL, _exponent(gamma - mean))
     tol += m * np.finfo(float).eps * float(np.abs(gamma).max())
-    for t in range(m):
-        if abs(gamma[sigma_inverse[t] - 1] - target[t]) > tol:
-            return None
-    return invert(sigma_inverse)
+    if (np.abs(gamma[sigma_inverse] - target) > tol).any():
+        return None
+    return tuple((np.argsort(sigma_inverse) + 1).tolist())
 
 
 def cost_function(values) -> CostFunction:
     """Build a cost function from finite values whose mean and sum of
     |2 (gamma - mean)| are finite, so that every entry of E(n) is bounded."""
-    gamma = tuple(float(x) for x in values)
+    gamma = tuple(map(float, values))
     if len(gamma) < 1:
         raise ValueError("cost function must have at least one value")
     arr = np.asarray(gamma)

@@ -39,22 +39,23 @@ from .errors import NumericalCheckError
 from .operators import (
     EIGEN_TOL,
     _hermitian_parts,
+    _pauli,
+    _spectral_parts,
+    _trace_norm,
     abs_operator,
-    pauli_vector,
     require_hermitian,
-    spectral_parts,
     trace_norm,
 )
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
     SCREEN_MARGIN,
     _TABLE_POSITIONS,
+    _benevolent_numbering,
     _screened_max,
     _split_blocks,
     _split_rows,
     _split_sums,
     arrangement_solve,
-    benevolent_solve,
     zigzag_numbering,
 )
 
@@ -195,15 +196,20 @@ def optimal_two_outcome_measurement(
     """
     if not c.is_balanced:
         raise ValueError("the two-outcome construction requires a balanced cost")
-    n_star = require_numbering(n_star, size=e.size)
+    return _two_outcome(e, c, require_numbering(n_star, size=e.size))[1]
+
+
+def _two_outcome(e: Ensemble, c: CostFunction, n_star) -> tuple[np.ndarray, NumberingMeasurement]:
+    """E(n*), checked Hermitian, and :func:`optimal_two_outcome_measurement`
+    at n*, with E(n*) and E(n* o sigma) formed as one batch."""
     partner = compose(n_star, c.balancing_permutation)
+    rows = [n_star] if partner == n_star else [n_star, partner]
+    batch = _effective_operator_batch(e, c, np.asarray(rows) - 1)
+    e_star = require_hermitian(batch[0])
     if partner == n_star:
-        return NumberingMeasurement(
-            dim=e.dim, elements={n_star: np.eye(e.dim, dtype=complex)}
-        ).validated()
-    e_star = effective_operator(e, c, n_star)
-    e_partner = effective_operator(e, c, partner)
-    antisymmetry = float(np.max(np.abs(e_star + e_partner)))
+        identity = NumberingMeasurement(dim=e.dim, elements={n_star: np.eye(e.dim, dtype=complex)})
+        return e_star, identity.validated()
+    antisymmetry = float(np.max(np.abs(batch[0] + batch[1])))
     # E(n) + E(n o sigma) = 2 sum_t (g(t) + g(sigma^-1(t))) rho(n(t)), g = gamma - mean:
     # a cost balanced only within BALANCE_TOL leaves a gap of up to twice its
     # residual sum_t |g(t) + g(sigma(t))| times the largest prior, which bounds
@@ -216,14 +222,14 @@ def optimal_two_outcome_measurement(
             f"effective operators are not antisymmetric under the balancing "
             f"permutation (gap {antisymmetry:.3e}); is the cost certificate valid?"
         )
-    parts = spectral_parts(e_star * math.ldexp(1.0, -_exponent(e_star)))
+    parts = _spectral_parts(e_star * math.ldexp(1.0, -_exponent(e_star)))
     elements = {
         n_star: parts.negative_projector + parts.null_projector / 2,
         partner: parts.positive_projector + parts.null_projector / 2,
     }
     measurement = NumberingMeasurement(dim=e.dim, elements=elements)
     try:
-        return measurement.validated()
+        return e_star, measurement.validated()
     except ValueError as exc:  # construction guarantees validity; failure is numerical
         raise NumericalCheckError(f"constructed measurement failed validation: {exc}") from exc
 
@@ -639,21 +645,20 @@ def min_guesswork_qubit(
     if e.size <= cap:  # both solvers work at unit scale, so any cost_function is accepted
         n_star, method = arrangement_solve(c, e.bloch)[0], "brute_force"
     else:
-        fast = benevolent_solve(c, e.bloch)
-        if fast is None:
+        n_star, method = _benevolent_numbering(c, e.bloch), "benevolent"
+        if n_star is None:
             return _zigzag_report(e, c)
-        n_star, method = fast[0], "benevolent"
 
-    e_star = effective_operator(e, c, n_star)
-    w = pauli_vector(e_star)  # |w| at unit scale: a tiny cost's squares would underflow
+    e_star, measurement = _two_outcome(e, c, n_star)
+    w = _pauli(e_star)  # |w| at unit scale: a tiny cost's squares would underflow
     k = _exponent(w)
     return GuessworkReport(
         value=c.mean - math.ldexp(float(np.linalg.norm(np.ldexp(w, -k))), k) / 2,
         optimal_numbering=n_star,
-        measurement=optimal_two_outcome_measurement(e, c, n_star),
+        measurement=measurement,
         method=method,
         mean_cost=c.mean,
-        trace_norm_term=trace_norm(e_star) / 2,
+        trace_norm_term=_trace_norm(e_star) / 2,
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import EIGEN_TOL, _hermitian_parts, from_bloch, pauli_vector, require_hermitian
+from .operators import EIGEN_TOL, _hermitian_parts, _pauli, from_bloch, require_hermitian
 
 TRACE_TOL = 1e-10
 
@@ -51,9 +51,11 @@ def validate(raw_states) -> Ensemble:
     """
     if len(raw_states) == 0:
         raise ValueError("ensemble must contain at least one state")
-    dim = require_hermitian(raw_states[0], name="state 0").shape[0]  # state 0 fixes the shape
-    states = _hermitian_parts(raw_states, dim)
+    states = _hermitian_parts(raw_states)  # state 0 fixes the shape
     count = len(states)
+    if not count:
+        require_hermitian(raw_states[0], name="state 0")  # names what is wrong with it
+    dim = states.shape[1]
     low = np.linalg.eigvalsh(states)[:, 0]
     index = int(np.argmax(low < -EIGEN_TOL))
     if low[index] < -EIGEN_TOL:
@@ -69,8 +71,7 @@ def validate(raw_states) -> Ensemble:
     prior.setflags(write=False)
     bloch = None
     if dim == 2:
-        a01, a10, a00, a11 = states[:, 0, 1], states[:, 1, 0], states[:, 0, 0], states[:, 1, 1]
-        bloch = np.stack([(a01 + a10).real, (a10 - a01).imag, (a00 - a11).real], axis=1)
+        bloch = _pauli(states)
         bloch.setflags(write=False)
     return Ensemble(dim=dim, states=states, prior=prior, bloch=bloch)
 
@@ -182,6 +183,6 @@ def constant_overlap_check(e: Ensemble, tol: float = TRACE_TOL) -> bool:
     """True iff v(average state) . v(rho(m)) is constant over m (dim = 2 only)."""
     if e.dim != 2:
         raise ValueError(f"constant_overlap_check requires dim = 2, got {e.dim}")
-    center = pauli_vector(sum(e.states) / e.size)
+    center = _pauli(sum(e.states) / e.size)  # the mean of checked states
     dots = e.bloch @ center
     return bool(np.max(np.abs(dots - dots.mean())) <= tol)

@@ -50,26 +50,33 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
     return hermitian
 
 
-def _hermitian_parts(raw, dim: int) -> np.ndarray:
-    """The exact Hermitian parts of the longest leading run of ``raw`` whose
-    matrices are dim x dim, finite and Hermitian within HERMITICITY_TOL, as
-    one stack; :func:`require_hermitian` can name what is wrong with the next."""
-    mats = []
-    for a in raw:  # the run ends at a matrix that fails to convert or has another shape
-        try:
-            mat = np.asarray(a, dtype=complex)
-        except (ArithmeticError, TypeError, ValueError):
-            break
-        if mat.shape != (dim, dim) or dim < 1:
-            break
-        mats.append(mat)
-    stack = np.stack(mats) if mats else np.zeros((0, 1, 1), dtype=complex)
+def _hermitian_parts(raw, dim: int | None = None) -> np.ndarray:
+    """The exact Hermitian parts of the longest leading run of ``raw`` whose matrices are
+    dim x dim (by default, as the first is), finite and Hermitian within HERMITICITY_TOL,
+    as one C-contiguous stack; :func:`require_hermitian` can name what is wrong with the next."""
+    try:
+        stack = np.ascontiguousarray(raw, dtype=complex)
+    except (ArithmeticError, TypeError, ValueError):
+        stack = np.zeros(0, dtype=complex)
+    dim = stack.shape[1] if dim is None and stack.ndim == 3 else dim
+    if stack.shape != (len(raw), dim, dim) or not dim:  # ragged, or of other shapes
+        mats = []
+        for a in raw:  # the run ends at a matrix that fails to convert or has another shape
+            try:
+                mat = np.asarray(a, dtype=complex)
+            except (ArithmeticError, TypeError, ValueError):
+                break
+            dim = mat.shape[0] if dim is None and mat.ndim else dim
+            if mat.shape != (dim, dim) or not dim:
+                break
+            mats.append(mat)
+        stack = np.stack(mats) if mats else np.zeros((0, 1, 1), dtype=complex)
     adjoint = stack.conj().transpose(0, 2, 1)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge entries
         valid = np.abs(stack - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOL
         hermitian = (stack + adjoint) / 2
     valid &= np.isfinite(hermitian).all(axis=(1, 2))
-    return hermitian[: int(valid.argmin()) if not valid.all() else len(mats)]
+    return hermitian[: int(valid.argmin()) if not valid.all() else len(stack)]
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,13 @@ def pauli_vector(a) -> np.ndarray:
     mat = require_hermitian(a)
     if mat.shape[0] != 2:
         raise ValueError(f"pauli_vector requires a 2x2 operator, got dim {mat.shape[0]}")
-    return np.array([float(np.trace(mat @ s).real) for s in PAULIS])
+    return _pauli(mat)
+
+
+def _pauli(mats: np.ndarray) -> np.ndarray:
+    """The Pauli coordinates of each checked 2x2 Hermitian matrix of a (..., 2, 2) stack."""
+    a01, a10, gap = mats[..., 0, 1], mats[..., 1, 0], mats[..., 0, 0] - mats[..., 1, 1]
+    return np.stack([(a01 + a10).real, (a10 - a01).imag, gap.real], axis=-1)
 
 
 def from_bloch(trace: float, v) -> np.ndarray:
@@ -107,7 +120,11 @@ def spectral_parts(a) -> SpectralParts:
     Eigenvalues with |lambda| <= EIGEN_TOL are classified as null.  Only
     projectors are exposed, so degenerate eigenvalues are harmless.
     """
-    mat = require_hermitian(a)
+    return _spectral_parts(require_hermitian(a))
+
+
+def _spectral_parts(mat: np.ndarray) -> SpectralParts:
+    """:func:`spectral_parts` of a checked Hermitian matrix."""
     dim = mat.shape[0]
     eigenvalues, vectors = np.linalg.eigh(mat)
 
@@ -129,7 +146,11 @@ def spectral_parts(a) -> SpectralParts:
 
 def trace_norm(a) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
-    mat = require_hermitian(a)
+    return _trace_norm(require_hermitian(a))
+
+
+def _trace_norm(mat: np.ndarray) -> float:
+    """:func:`trace_norm` of a checked Hermitian matrix."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 

@@ -215,11 +215,10 @@ def _order_keys(rows: np.ndarray) -> np.ndarray:
     number of base-M digits; the keys sort lexicographically as the rows do."""
     m = rows.shape[1]
     digits = _digits(m)
-    keys = np.zeros((len(rows), -(-m // digits)), dtype=np.int64)
-    for position in range(m):
-        word = keys[:, position // digits]
-        word *= m
-        word += rows[:, position]
+    keys = np.empty((len(rows), -(-m // digits)), dtype=np.int64)
+    for word, start in enumerate(range(0, m, digits)):  # one product per word, below 2^63
+        block = rows[:, start : start + digits]
+        keys[:, word] = block @ m ** np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)
     return keys
 
 
@@ -527,6 +526,16 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
         return best, float(np.ldexp(value, scale))
 
 
+@functools.lru_cache(maxsize=None)
+def _diagonal_heads(m: int) -> np.ndarray:
+    """The read-only index pair that sends each entry of an M x M matrix to the
+    head of its diagonal: [0, k] above the diagonal, [k, 0] below."""
+    offset = np.subtract.outer(np.arange(m), np.arange(m))
+    pair = np.stack([np.maximum(offset, 0), np.maximum(-offset, 0)])
+    pair.setflags(write=False)
+    return pair
+
+
 def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
     """Check symmetry, Toeplitz structure and the two first-column properties.
 
@@ -540,9 +549,7 @@ def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
     m = mat.shape[0]
 
     symmetric = float(np.max(np.abs(mat - mat.T))) <= tol
-    # every entry against the head of its diagonal: mat[0, k] above, mat[k, 0] below
-    offset = np.subtract.outer(np.arange(m), np.arange(m))
-    heads = mat[np.maximum(offset, 0), np.maximum(-offset, 0)]
+    heads = mat[tuple(_diagonal_heads(m))]
     toeplitz = float(np.max(np.abs(mat - heads))) <= tol
 
     column = mat[:, 0]
@@ -565,13 +572,9 @@ def zigzag_numbering(m: int) -> Numbering:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    inverse = []
-    for position in range(1, m + 1):
-        if position <= (m + 1) // 2:
-            inverse.append(2 * position - 1)
-        else:
-            inverse.append(2 * (m + 1 - position))
-    return invert(inverse)
+    position = np.arange(1, m + 1)
+    inverse = np.where(position <= (m + 1) // 2, 2 * position - 1, 2 * (m + 1 - position))
+    return tuple((np.argsort(inverse) + 1).tolist())
 
 
 def _conjugate(a: np.ndarray, sigma: Numbering) -> np.ndarray:
@@ -674,11 +677,18 @@ def benevolent_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, flo
     if not c.is_balanced:
         raise ValueError("benevolent_solve requires a balanced cost function")
     g, v, scale = _checked(c, bloch)
+    n_star = _benevolent_numbering(c, bloch)
+    if n_star is None:
+        return None
+    rows = np.asarray([n_star], dtype=np.intp) - 1
+    with np.errstate(over="ignore"):
+        return n_star, float(np.ldexp(_objective(np.outer(g, g), v @ v.T, rows)[0], scale))
+
+
+def _benevolent_numbering(c: CostFunction, bloch) -> Numbering | None:
+    """The numbering of :func:`benevolent_solve`, without its objective."""
     bloch = np.asarray(bloch, dtype=float)
     sigma2 = find_benevolent_permutation(-(bloch @ bloch.T), cap=0)
     if sigma2 is None:
         return None
-    n_star = compose(sigma2, compose(zigzag_numbering(c.size), invert(c.sorting_permutation)))
-    rows = np.asarray([n_star], dtype=np.intp) - 1
-    with np.errstate(over="ignore"):
-        return n_star, float(np.ldexp(_objective(np.outer(g, g), v @ v.T, rows)[0], scale))
+    return compose(sigma2, compose(zigzag_numbering(c.size), invert(c.sorting_permutation)))

@@ -7,8 +7,8 @@ and reports are byte-identical across runs.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -19,45 +19,45 @@ from .operators import from_bloch
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
-    pieces: list[str] = []
-    _write(obj, pieces)
-    return "".join(pieces)
+    """Deterministic JSON text: floats with 17 significant digits, NaN and infinities as null."""
+    return _text(obj)
 
 
-def _write(obj, pieces: list[str]) -> None:
-    if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if math.isnan(value) or math.isinf(value):
-            pieces.append("null")
-        else:
-            pieces.append(format(value, ".17g"))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                pieces.append(", ")
-            pieces.append(json.dumps(str(key)))
-            pieces.append(": ")
-            _write(value, pieces)
-        pieces.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        pieces.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                pieces.append(", ")
-            _write(value, pieces)
-        pieces.append("]")
-    else:
+def _text(obj) -> str:  # the writers recurse here, so a wrapper of dumps sees each text once
+    writer = _WRITERS.get(type(obj)) or next((w for t, w in _KINDS if isinstance(obj, t)), None)
+    if writer is None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return writer(obj)
+
+
+def _float_text(value) -> str:
+    value = float(value)
+    return format(value, ".17g") if math.isfinite(value) else "null"
+
+
+def _dict_text(obj: dict) -> str:
+    items = (f"{encode_basestring_ascii(str(key))}: {_text(value)}" for key, value in obj.items())
+    return "{" + ", ".join(items) + "}"
+
+
+def _list_text(obj) -> str:
+    kinds = set(map(type, obj))  # items of one kind, such as a numbering's ints, share a writer
+    writer = _WRITERS.get(kinds.pop(), _text) if len(kinds) == 1 else _text
+    return "[" + ", ".join(map(writer, obj)) + "]"
+
+
+# _WRITERS is keyed by exact type, and bool is one, so no bool is written as an int; other
+# types (numpy scalars, subclasses) are matched against _KINDS in order, numpy's bool_ to none
+_KINDS = (
+    ((int, np.integer), lambda obj: str(int(obj))),
+    ((float, np.floating), _float_text),
+    (str, encode_basestring_ascii),
+    (dict, _dict_text),
+    ((list, tuple, np.ndarray), _list_text),
+)
+_WRITERS = {type(None): lambda obj: "null", bool: lambda obj: "true" if obj else "false",
+            int: int.__repr__, float: _float_text, str: encode_basestring_ascii,
+            dict: _dict_text, list: _list_text, tuple: _list_text, np.ndarray: _list_text}
 
 
 def matrix_to_json(mat) -> list:
@@ -87,19 +87,18 @@ def _list(value, field: str) -> list:
 
 
 def _float(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field} must be a number, got {value!r}") from None
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the doubles
+            pass
+    raise ValueError(f"{field} must be a number, got {value!r}")
 
 
 def _integer(value, field: str) -> int:
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError
+    if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def ensemble_from_json(doc: dict) -> Ensemble:

@@ -503,7 +503,7 @@ def test_engine_failure_exits_4(tmp_path, capsys, monkeypatch):
     broken = SimpleNamespace(
         negative_projector=np.eye(2), positive_projector=np.eye(2), null_projector=np.zeros((2, 2))
     )
-    monkeypatch.setattr(engine, "spectral_parts", lambda operator: broken)
+    monkeypatch.setattr(engine, "_spectral_parts", lambda operator: broken)
     ensemble_path = write_ensemble(tmp_path / "sic.json", generate_sic())
     assert run_cli(["solve", "--ensemble", ensemble_path]) == 4
     err = capsys.readouterr().err
@@ -695,6 +695,7 @@ TRINE_BLOCH = [{"trace": 1 / 3, "v": list(v)} for v in generate_polygon_antipris
         (None, {"identity": 4}, "identity cost of size 4 does not match ensemble size 3"),
         # refused before a cost of 10**12 values is built
         (None, {"identity": 10**12}, "identity cost of size 1000000000000 does not match"),
+        (None, {"values": [True, False, True]}, "'values' entry must be a number, got True"),
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, ensemble, cost, fragment):

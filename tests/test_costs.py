@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_balanced_values, reference_cost_gram
 from guesswork.costs import (
+    BALANCE_TOL,
     _balance_certificate,
+    _exponent,
     compose,
     cost_function,
     identity_cost,
@@ -193,3 +197,123 @@ def test_cost_function_rejects_non_finite_values(bad):
 def test_an_empty_cost_is_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# --- the numbering utilities against the plain-Python loops they replaced -----------
+
+
+def reference_require_numbering(n, size=None):
+    entries = tuple(n)
+    try:
+        mapping = tuple(int(x) for x in entries)
+    except (TypeError, ValueError, OverflowError):
+        mapping = None
+    if mapping is None or mapping != entries:
+        raise ValueError(f"numbering entries must be integers, got {entries}")
+    m = len(mapping)
+    if size is not None and m != size:
+        raise ValueError(f"numbering has length {m}, expected {size}")
+    if sorted(mapping) != list(range(1, m + 1)):
+        raise ValueError(f"not a bijection of {{1..{m}}}: {mapping}")
+    return mapping
+
+
+def reference_compose(a, b):
+    left = reference_require_numbering(a)
+    right = reference_require_numbering(b, size=len(left))
+    return tuple(left[x - 1] for x in right)
+
+
+def reference_invert(n):
+    mapping = reference_require_numbering(n)
+    inverse = [0] * len(mapping)
+    for t, value in enumerate(mapping, start=1):
+        inverse[value - 1] = t
+    return tuple(inverse)
+
+
+def reference_balance_certificate(values):
+    gamma = np.asarray(values, dtype=float)
+    m = gamma.size
+    if m < 1:
+        raise ValueError("cost function must have at least one value")
+    mean = float(gamma.mean())
+    target = 2 * mean - gamma
+    sigma_inverse = [0] * m
+    for g_idx, t_idx in zip(np.argsort(gamma, kind="stable"), np.argsort(target, kind="stable")):
+        sigma_inverse[t_idx] = int(g_idx) + 1
+    tol = math.ldexp(BALANCE_TOL, _exponent(gamma - mean))
+    tol += m * np.finfo(float).eps * float(np.abs(gamma).max())
+    for t in range(m):
+        if abs(gamma[sigma_inverse[t] - 1] - target[t]) > tol:
+            return None
+    return reference_invert(sigma_inverse)
+
+
+def _outcome(function, *args):
+    """The value with the type of each entry, or the exception's type and message."""
+    try:
+        value = function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value if value is None else (value, [type(x) for x in value])
+
+
+# permutations, often spoiled: a repeat, an entry out of range, a non-integral or
+# non-numeric entry, numpy and float entries, an empty one
+BAD_ENTRIES = [0, -1, 1.5, "1", None, True, 10**30, float("nan"), float("inf"), np.float64(2.5)]
+
+
+@st.composite
+def numberings(draw, m=None):
+    m = draw(st.integers(0, 12)) if m is None else m
+    entries = list(draw(st.permutations(range(1, m + 1))))
+    if entries and draw(st.booleans()):
+        at = draw(st.integers(0, m - 1))
+        entries[at] = draw(st.sampled_from(BAD_ENTRIES + [entries[(at + 1) % m], m + 1]))
+    form = draw(st.sampled_from(["tuple", "list", "int64", "float", "array"]))
+    if form == "int64":
+        entries = [np.int64(x) if isinstance(x, int) and abs(x) < 2**62 else x for x in entries]
+    elif form == "float":
+        entries = [float(x) if isinstance(x, int) and abs(x) < 2**62 else x for x in entries]
+    elif form == "array":
+        try:
+            return np.array(entries)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return tuple(entries) if form == "tuple" else entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(numberings(), st.one_of(st.none(), st.integers(0, 12)))
+def test_require_numbering_and_invert_match_the_loops(n, size):
+    assert _outcome(require_numbering, n, size) == _outcome(reference_require_numbering, n, size)
+    assert _outcome(invert, n) == _outcome(reference_invert, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_compose_matches_the_loop(data):
+    m = data.draw(st.integers(0, 12))
+    a = data.draw(numberings(m))
+    b = data.draw(numberings(data.draw(st.sampled_from([m, m, m + 1]))))
+    assert _outcome(compose, a, b) == _outcome(reference_compose, a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_balance_certificate_matches_the_loop(data):
+    # mirrored values around a mean, nudged by about the tolerance, shuffled, or any values
+    m = data.draw(st.integers(1, 12))
+    scale = data.draw(st.sampled_from([1e-300, 1e-10, 1.0, 1e6, 1e300]))
+    half = data.draw(st.lists(st.floats(-1, 1), min_size=m // 2, max_size=m // 2))
+    centre = data.draw(st.floats(-1e3, 1e3)) * scale
+    values = [centre + scale * x for x in half] + [centre - scale * x for x in half]
+    values += [centre] * (m % 2)
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, m - 1))
+        values[at] += data.draw(st.sampled_from([1e-11, 1e-10, 2e-10, 1.0])) * scale
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=m, max_size=m))
+    values = data.draw(st.permutations(values))
+    assert _outcome(_balance_certificate, values) == _outcome(reference_balance_certificate, values)

@@ -161,6 +161,38 @@ def test_validate_matches_the_per_state_loop_on_corrupted_ensembles(data):
     assert _outcome(validate, states) == _outcome(reference_validate, states)
 
 
+def _layouts(states: np.ndarray) -> dict:
+    """The same (M, d, d) states as a list, an array and non-contiguous arrays of equal values."""
+    m, d, _ = states.shape
+    padded = np.zeros((m, d + 1, d + 1), dtype=complex)
+    padded[:, 1:, 1:] = states
+    used = np.arange(1, d + 1)
+    return {
+        "list": list(states),
+        "array": states,
+        "gathered": padded[:, used][:, :, used],
+        "reversed view": states[::-1].copy()[::-1],
+        "transposed copy": np.ascontiguousarray(states.transpose(0, 2, 1)).transpose(0, 2, 1),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_stacks_every_layout_as_the_per_state_loop(data):
+    # the stacked check returns C-contiguous states, which the sweeps view as
+    # floats, and names the same first error, whatever the input's layout
+    states = np.array(data.draw(valid_states()), dtype=complex)
+    if data.draw(st.booleans(), label="corrupted"):
+        fault = data.draw(st.sampled_from(["nan", "inf", "non-Hermitian", "non-PSD"]))
+        index = data.draw(st.integers(0, len(states) - 1), label="index")
+        states[index] = _corrupt(data.draw, states[index], fault)
+    want = _outcome(reference_validate, list(states))
+    for name, raw in _layouts(states).items():
+        assert _outcome(validate, raw) == want, name
+        if not isinstance(want[0], type):
+            assert validate(raw).states.flags.c_contiguous, name
+
+
 def test_trine_geometry():
     e = generate_polygon_antiprism(3)
     radii = np.linalg.norm(e.bloch, axis=1)

@@ -376,7 +376,21 @@ def test_norm_identity_links_objective_to_bloch_norm():
         assert float(v @ v) == pytest.approx(4 * objective, abs=1e-9)
 
 
-@pytest.mark.parametrize("m, words", [(1, 1), (2, 1), (15, 1), (16, 2), (30, 3), (31, 3)])
+def positional_keys(rows: np.ndarray) -> np.ndarray:
+    """The base-M words of each row, one multiply-add per position."""
+    m = rows.shape[1]
+    digits = qap._digits(m)
+    keys = np.zeros((len(rows), -(-m // digits)), dtype=np.int64)
+    for position in range(m):
+        word = keys[:, position // digits]
+        word *= m
+        word += rows[:, position]
+    return keys
+
+
+@pytest.mark.parametrize(
+    "m, words", [(1, 1), (2, 1), (9, 1), (15, 1), (16, 2), (30, 3), (31, 3)]
+)
 def test_order_keys_round_trip_and_sort_as_the_rows(m, words):
     # rows of labels in range(M), repeats included, with the smallest and the
     # largest row and rows that differ only in their last entry
@@ -387,6 +401,7 @@ def test_order_keys_round_trip_and_sort_as_the_rows(m, words):
     rows[22:32, :-1] = rows[32:42, :-1]
     keys = qap._order_keys(rows)
     assert keys.dtype == np.int64 and keys.shape == (len(rows), words)
+    np.testing.assert_array_equal(keys, positional_keys(rows))
     np.testing.assert_array_equal(qap._order_rows(keys, m), rows)
     ordered = rows[np.lexsort(keys.T[::-1])].tolist()
     assert [tuple(row) for row in ordered] == sorted(tuple(row) for row in rows.tolist())

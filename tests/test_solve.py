@@ -14,7 +14,9 @@ from guesswork.engine import (
     condition_check,
     guesswork_value,
     min_guesswork_general,
+    effective_operator,
     min_guesswork_qubit,
+    optimal_two_outcome_measurement,
     solve,
 )
 from guesswork.ensembles import (
@@ -25,7 +27,7 @@ from guesswork.ensembles import (
     is_uniform_prior,
     validate,
 )
-from guesswork.operators import from_bloch
+from guesswork.operators import from_bloch, trace_norm
 from guesswork.qap import benevolent_solve
 
 ORTHONORMAL_TRIPLE = [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
@@ -296,3 +298,30 @@ def test_solve_input_errors():
         solve(generate_random_uniform_prior(3, 3, seed=1), cost_function([0.0, 1.0, 3.0]))
     with pytest.raises(ValueError, match="3 values but the ensemble has 4"):
         solve(e, identity_cost(3))
+
+
+@pytest.mark.parametrize(
+    "e, values, cap, method",
+    [
+        (generate_random_uniform_prior(5, 2, 3), None, 10, "brute_force"),
+        (generate_random_uniform_prior(8, 2, 4), [0.5, 3, 1, 1, 2, 2, 3, 3.5], 10, "brute_force"),
+        (generate_mub(), [2.0] * 6, 10, "brute_force"),  # sigma = identity: one outcome
+        (generate_polygon_antiprism(6, h=0.3), None, 5, "benevolent"),
+        (generate_polygon_antiprism(11), [1, 1, 2, 2, 2, 3, 4, 4, 4, 5, 5], 10, "benevolent"),
+        (generate_polygon_antiprism(12), None, 10, "benevolent"),
+    ],
+)
+def test_qubit_report_forms_e_star_once_as_the_public_functions_do(e, values, cap, method):
+    # the report's measurement and trace-norm term come from one E(n*), and
+    # must be bitwise those of the public functions at its numbering
+    c = identity_cost(e.size) if values is None else cost_function(values)
+    report = min_guesswork_qubit(e, c, cap=cap)
+    assert report.method == method
+    n_star = report.optimal_numbering
+    want = optimal_two_outcome_measurement(e, c, n_star)
+    assert list(report.measurement.elements) == list(want.elements)
+    for numbering, element in want.elements.items():
+        assert report.measurement.elements[numbering].tobytes() == element.tobytes()
+    assert report.trace_norm_term == trace_norm(effective_operator(e, c, n_star)) / 2
+    if method == "benevolent":
+        assert n_star == benevolent_solve(c, e.bloch)[0]

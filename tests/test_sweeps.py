@@ -1217,7 +1217,7 @@ def test_m9_qubit_solves_do_not_sweep(monkeypatch):
     polygon, rand = generate_polygon_antiprism(9), generate_random_uniform_prior(9, 2, 1)
     c = identity_cost(9)
     with monkeypatch.context() as patched:
-        patched.setattr(engine, "benevolent_solve", no_closed_form)
+        patched.setattr(engine, "_benevolent_numbering", no_closed_form)
         for e in (polygon, rand):
             report = solve(e, c)
             assert report.method == "brute_force"

@@ -27,6 +27,7 @@ from . import serialize
 from .costs import identity_cost
 from .engine import simulate, solve
 from .ensembles import (
+    _antiprism_layout,
     antiprism_h_bound,
     constant_overlap_check,
     generate_mub,
@@ -142,18 +143,8 @@ def _recognize_antiprism(ensemble) -> tuple[float, float] | None:
     scale = float(radius.mean())
     if m < 2 or scale < 1e-12 or float(np.max(np.abs(radius - scale))) > 1e-8:
         return None
-    height = np.abs(bloch[:, 2])
-    h = float(height.mean()) / scale
-    signs = np.array([(-1.0) ** index for index in range(m)])
-    expected = np.stack(
-        [
-            scale * np.cos(2 * np.pi * np.arange(m) / m),
-            scale * np.sin(2 * np.pi * np.arange(m) / m),
-            scale * h * signs,
-        ],
-        axis=1,
-    )
-    if float(np.max(np.abs(bloch - expected))) > 1e-8:
+    h = float(np.abs(bloch[:, 2]).mean()) / scale
+    if float(np.max(np.abs(bloch - _antiprism_layout(m, h, scale)))) > 1e-8:
         return None
     return scale, h
 

@@ -443,12 +443,6 @@ def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
     return True
 
 
-# Rows per block whose eigvalsh norms set the pruning threshold of the
-# trace-norm sweep at d >= 3: those of the largest bounds among the row of
-# largest q of each subset.
-_LEADS = 16
-
-
 def _norm_cutoff(threshold: float, nu: int, error: float, pad: float) -> float:
     """The q below which a row screens below ``threshold``: ||E||_1 <=
     sqrt(nu ||E||_F^2) <= sqrt(nu (q + pad)), and a screened norm lies
@@ -525,8 +519,8 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
 
     Most rows get no E(n).  A block's threshold is T = max(running, lead) -
     window, the lead the largest eigvalsh norm less error of its leads: the
-    row of largest q of each subset, if screened, and at d >= 3 only the
-    _LEADS of those with the largest bounds.  The lead is at most a screened
+    row of largest q of each subset, if screened, so one batch of at most
+    C(8, 4) = 70 rows per block.  The lead is at most a screened
     norm of the block, so a row that cannot reach T may score -inf
     (:func:`_screened_max`), and the rows recomputed are those of the screen
     without bounds.  Stage 1 is one comparison of every row's q with
@@ -563,12 +557,10 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
         (d + 4) * math.sqrt(d) * eps * size + width * _UNDERFLOW,
     )
     block_size = math.factorial(min(m, _TABLE_POSITIONS))
-    squares = None  # the product of each block, reused as its scores
 
     def screen(block, running):
-        nonlocal squares
         left, right = _split_sums(products, block[0] // block_size)
-        squares = np.matmul(left, right.transpose(0, 2, 1), out=squares)
+        squares = left @ right.transpose(0, 2, 1)
         scores = squares.reshape(-1)
         traces = left[:, :, diagonal].sum(axis=2) / 2, right[:, :, diagonal].sum(axis=2)
 
@@ -589,8 +581,6 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
         # the row of largest q of each subset
         leads = first_half(squares.reshape(len(squares), -1).argmax(axis=1)
                            + np.arange(len(squares)) * squares[0].size)
-        if d != 2:
-            leads = leads[np.argsort(bounds(leads), kind="stable")[-_LEADS:]]
         lead = float(norms(leads, np.linalg.eigvalsh).max()) - error if len(leads) else -math.inf
         threshold = max(running, lead) - window
         kept = np.flatnonzero(scores >= _norm_cutoff(threshold, nu, error, pads[0]))

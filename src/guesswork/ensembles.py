@@ -128,12 +128,14 @@ def generate_polygon_antiprism(m: int, h: float = 0.0, lam: float | str = "pure"
                 f"lambda = {scale} violates PSD: lambda*sqrt(1+h^2) = {scale * slant:.6g} "
                 f"exceeds 1/M = {1.0 / m:.6g}"
             )
-    states = []
-    for index in range(m):
-        angle = 2 * math.pi * index / m
-        v = scale * np.array([math.cos(angle), math.sin(angle), (-1.0) ** index * h])
-        states.append(from_bloch(1.0 / m, v))
-    return validate(states)
+    return validate([from_bloch(1.0 / m, v) for v in _antiprism_layout(m, h, scale)])
+
+
+def _antiprism_layout(m: int, h: float, scale: float) -> np.ndarray:
+    """The (M, 3) Bloch vectors scale (cos(2 pi i / M), sin(2 pi i / M), (-1)^i h)."""
+    angles = [2 * math.pi * index / m for index in range(m)]
+    rows = [[math.cos(a), math.sin(a), (-1.0) ** i * h] for i, a in enumerate(angles)]
+    return scale * np.array(rows)
 
 
 def generate_sic() -> Ensemble:

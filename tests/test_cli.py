@@ -664,6 +664,13 @@ TRINE_STATES = serialize.ensemble_to_json(generate_polygon_antiprism(3))["states
 TRINE_BLOCH = [{"trace": 1 / 3, "v": list(v)} for v in generate_polygon_antiprism(3).bloch]
 
 
+def trine_states_with(part, value):
+    """TRINE_STATES with one part of state 0's top-left entry, 0 (re) or 1 (im), replaced."""
+    states = json.loads(json.dumps(TRINE_STATES))
+    states[0][0][0][part] = value(states[0][0][0][part])
+    return states
+
+
 @pytest.mark.parametrize(
     "ensemble, cost, fragment",
     [
@@ -696,6 +703,17 @@ TRINE_BLOCH = [{"trace": 1 / 3, "v": list(v)} for v in generate_polygon_antipris
         # refused before a cost of 10**12 values is built
         (None, {"identity": 10**12}, "identity cost of size 1000000000000 does not match"),
         (None, {"values": [True, False, True]}, "'values' entry must be a number, got True"),
+        # each loads as the trine itself if read as a number
+        (
+            {"dim": 2, "states": trine_states_with(1, lambda im: False)},
+            None,
+            "matrix entries must be numbers, got False",
+        ),
+        (
+            {"dim": 2, "states": trine_states_with(0, repr)},
+            None,
+            "matrix entries must be numbers, got '0.",
+        ),
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, ensemble, cost, fragment):

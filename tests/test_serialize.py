@@ -198,6 +198,14 @@ PAIR = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]  # diag(0.5, 0.5) as
          "bloch entry 0 'v' entry must be a number, got '0.5'"),
         ({"dim": 2, "bloch": [{"trace": 1.0, "v": [False, 0.0, 0.0]}]},
          "bloch entry 0 'v' entry must be a number, got False"),
+        # numpy reads both as numbers, in the batched states and state by state
+        ({"dim": 2, "states": [[[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                               [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]},
+         "matrix entries must be numbers, got False"),
+        ({"dim": 2, "states": [[[["0.5", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                               [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]},
+         "matrix entries must be numbers, got '0.5'"),
+        ({"dim": 2, "states": [PAIR, [[[True, 0.0]]]]}, "matrix entries must be numbers, got True"),
     ],
 )
 def test_ensemble_states_json_errors(doc, message):
@@ -277,6 +285,10 @@ def test_report_json_schema():
          "'numbering' entry must be an integer, got True"),
         ({"elements": [{"numbering": ["1"], "matrix": [[[1, 0]]]}]},
          "'numbering' entry must be an integer, got '1'"),
+        ({"elements": [{"numbering": [1], "matrix": [[[True, 0]]]}]},
+         "matrix entries must be numbers, got True"),
+        ({"elements": [{"numbering": [1], "matrix": [[["1", 0]]]}]},
+         "matrix entries must be numbers, got '1'"),
     ],
 )
 def test_measurement_json_errors(doc, message):

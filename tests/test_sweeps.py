@@ -833,8 +833,9 @@ def test_arrangement_equals_exact_sweep(problem):
 
 def test_tracenorm_sweep_screens_one_numbering_per_pair(monkeypatch):
     # every numbering is scored once, from its split sums; E(n) is formed
-    # only for the leads and for the rows sent to the spectra, one row of
-    # each mirror pair: all of them under the constant cost, whose norms all tie
+    # only for the leads, at most one per subset (C(7, 3) per block at M = 7),
+    # and for the rows sent to the spectra, one row of each mirror pair: all
+    # of them under the constant cost, whose norms all tie
     scored, formed, screened = [], [], []
     screened_max, split_parts, spectra = engine._screened_max, engine._split_parts, engine._spectra
 
@@ -865,7 +866,7 @@ def test_tracenorm_sweep_screens_one_numbering_per_pair(monkeypatch):
         assert tracenorm_argmax(e, c) == reference_tracenorm_argmax(e, c)
         flat = np.sort(np.concatenate(scored))
         np.testing.assert_array_equal(flat, np.arange(math.factorial(7)))
-        assert sum(formed) <= sum(screened) + engine._LEADS * len(scored)
+        assert sum(formed) <= sum(screened) + math.comb(7, 3) * len(scored)
         assert sum(screened) <= math.factorial(7) // 2
     assert sum(screened) == math.factorial(7) // 2
 

@@ -131,7 +131,7 @@ def cost_function(values) -> CostFunction:
     if len(gamma) < 1:
         raise ValueError("cost function must have at least one value")
     arr = np.asarray(gamma)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"cost values must be finite, got {gamma}")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = arr.mean()

@@ -83,7 +83,7 @@ class NumberingMeasurement:
         hermitian = _hermitian_parts(elements, self.dim)
         count = len(hermitian)
         low = np.linalg.eigvalsh(hermitian)[:, 0]
-        negative = np.flatnonzero(low < -EIGEN_TOL)
+        negative = (low < -EIGEN_TOL).nonzero()[0]
         first = int(negative[0]) if len(negative) else count
         size = len(numberings[0])
         for numbering in numberings[:first]:
@@ -168,10 +168,8 @@ def guesswork_value(e: Ensemble, c: CostFunction, m: NumberingMeasurement) -> fl
     shifted = c.mean
     for numbering, element in m.elements.items():
         for t, label in enumerate(numbering, start=1):
-            direct += c.values[t - 1] * float(np.trace(element @ e.states[label - 1]).real)
-        shifted += 0.5 * float(
-            np.trace(element @ effective_operator(e, c, numbering)).real
-        )
+            direct += c.values[t - 1] * float((element @ e.states[label - 1]).trace().real)
+        shifted += 0.5 * float((element @ effective_operator(e, c, numbering)).trace().real)
     if abs(direct - shifted) > math.ldexp(VALUE_TOL, _exponent(c.values)):
         raise NumericalCheckError(
             f"guesswork evaluations disagree: direct {direct!r} vs shifted {shifted!r}"
@@ -243,14 +241,14 @@ def _effective_operator_batch(
 
 
 def _screen_error(e: Ensemble, c: CostFunction) -> float:
-    """How far a screened eigenvalue, or sum of |eigenvalues|, of E(n) or
-    |E(n*)| - E(n) can lie from the exact batch's: SCREEN_MARGIN / 2 of d
-    times a bound on ||E(n)||_F, plus _UNDERFLOW.  :func:`_spectra` hands a
-    row to eigvalsh when its closed form's error bound exceeds a quarter of it
-    (nearly repeated eigenvalues), so a sum of 3 screened eigenvalues stays
-    inside; the head and tail sums of :func:`_split_products` keep a d = 2
-    screen of either sweep within a quarter."""
-    largest = max(float(np.linalg.norm(s)) for s in e.states)
+    """How far a screened eigenvalue, or sum of |eigenvalues|, of E(n) or |E(n*)| - E(n)
+    can lie from the exact batch's: SCREEN_MARGIN / 2 of d times a bound on ||E(n)||_F
+    (up to rounding: the stacked norms may differ from each state's own in the last bit),
+    plus _UNDERFLOW.  :func:`_spectra` hands a row to eigvalsh when its closed form's error
+    bound exceeds a quarter of it (nearly repeated eigenvalues), so a sum of 3 screened
+    eigenvalues stays inside; the head and tail sums of :func:`_split_products` keep a
+    d = 2 screen of either sweep within a quarter."""
+    largest = float(np.linalg.norm(e.states, axis=(1, 2)).max())
     bound = 2 * float(np.abs(np.asarray(c.values) - c.mean).sum()) * largest
     return SCREEN_MARGIN / 2 * e.dim * bound + _UNDERFLOW
 
@@ -434,7 +432,7 @@ def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
             screened = lowest(gaps.reshape(-1, width))
             if float(screened.min()) < low:
                 return False
-            near = block[start * per_subset + np.flatnonzero(screened <= high)]
+            near = block[start * per_subset + (screened <= high).nonzero()[0]]
             if not len(near):
                 continue
             difference = magnitude[None, :, :] - _effective_operator_batch(e, c, _split_rows(m, near))
@@ -583,7 +581,7 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
                            + np.arange(len(squares)) * squares[0].size)
         lead = float(norms(leads, np.linalg.eigvalsh).max()) - error if len(leads) else -math.inf
         threshold = max(running, lead) - window
-        kept = np.flatnonzero(scores >= _norm_cutoff(threshold, nu, error, pads[0]))
+        kept = (scores >= _norm_cutoff(threshold, nu, error, pads[0])).nonzero()[0]
         if d != 2:
             kept = kept[bounds(kept) >= threshold]
         kept = first_half(kept)
@@ -642,8 +640,9 @@ def min_guesswork_qubit(
     e_star, measurement = _two_outcome(e, c, n_star)
     w = _pauli(e_star)  # |w| at unit scale: a tiny cost's squares would underflow
     k = _exponent(w)
+    w = np.ldexp(w, -k)
     return GuessworkReport(
-        value=c.mean - math.ldexp(float(np.linalg.norm(np.ldexp(w, -k))), k) / 2,
+        value=c.mean - math.ldexp(math.sqrt(w.dot(w)), k) / 2,
         optimal_numbering=n_star,
         measurement=measurement,
         method=method,
@@ -730,7 +729,7 @@ def solve(
     _require_same_size(e, c)
     _require_balanced(c)
     nonzero = (e.states != 0).any(axis=0)
-    used = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    used = (nonzero.any(axis=0) | nonzero.any(axis=1)).nonzero()[0]
     if 2 <= len(used) < e.dim:
         sub = validate(e.states[:, used][:, :, used])
         return _lift(solve(sub, c, tol=tol, cap=cap), used, e.dim)
@@ -800,7 +799,7 @@ def simulate(
 
     # numpy gives the last cell whatever mass rounding leaves over, so only
     # cells that can occur take part in the draw
-    support = np.flatnonzero(cells)
+    support = cells.ravel().nonzero()[0]
     weights = cells.ravel()[support]
     counts = rng.multinomial(samples, weights / weights.sum()).astype(float)
     costs = np.ldexp(cost_table.ravel()[support], -k)

@@ -99,7 +99,9 @@ def pauli_vector(a) -> np.ndarray:
 def _pauli(mats: np.ndarray) -> np.ndarray:
     """The Pauli coordinates of each checked 2x2 Hermitian matrix of a (..., 2, 2) stack."""
     a01, a10, gap = mats[..., 0, 1], mats[..., 1, 0], mats[..., 0, 0] - mats[..., 1, 1]
-    return np.stack([(a01 + a10).real, (a10 - a01).imag, gap.real], axis=-1)
+    out = np.empty((*mats.shape[:-2], 3))
+    out[..., 0], out[..., 1], out[..., 2] = (a01 + a10).real, (a10 - a01).imag, gap.real
+    return out
 
 
 def from_bloch(trace: float, v) -> np.ndarray:

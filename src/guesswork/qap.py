@@ -125,12 +125,30 @@ def _orderings(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return table, incidence
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(m: int) -> np.ndarray:
+    """np.triu_indices(m, 1), cached read-only: it runs as Python code, dear on a cold call."""
+    pair = np.array(np.triu_indices(m, 1))
+    pair.setflags(write=False)
+    return pair
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of (N, 3) rows, bit for bit, without its Python code, dear on a cold call."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) of real rows, by numpy's own formula."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _scores(g: np.ndarray, bloch: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|w(n)|^2 for each row of 0-based numberings, w(n) = W @ bloch with
     row n of W holding g(t) at column n(t)."""
-    # the scatter beats gathers of bloch[rows]: 2.8 ms against 7.5-12 ms on 40,320 rows at M = 10
+    # filling W by index beats gathering bloch[rows]: 2.8 vs 7.5-12 ms, 40,320 rows, M = 10, 2 vCPUs
     weights = np.empty(rows.shape)
-    np.put_along_axis(weights, rows, g[None, :], axis=1)
+    weights[np.arange(len(rows))[:, None], rows] = g
     w = weights @ bloch
     return np.einsum("kx,kx->k", w, w)
 
@@ -164,18 +182,18 @@ def _sorted_matchings(g: np.ndarray, bloch: np.ndarray) -> np.ndarray:
     """
     m = len(g)
     identity = np.arange(m)[None, :]
-    i, j = np.triu_indices(m, 1)
+    i, j = _pairs(m)
     normals = bloch[i] - bloch[j]
-    lengths = np.linalg.norm(normals, axis=1)
+    lengths = _row_norms(normals)
     normals = normals[lengths > 0] / lengths[lengths > 0, None]
     if not len(normals):
         return identity
     # with n_b = x e1 + y e2 + z n_a, circle b crosses circle a at the angle
     # atan2(x, -y), mod pi as the two crossing points are antipodal, and
     # |n_a x n_b| = hypot(x, y)
-    e1 = np.cross(normals, np.eye(3)[np.argmin(np.abs(normals), axis=1)])
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(normals, e1)
+    e1 = _cross(normals, np.eye(3)[np.argmin(np.abs(normals), axis=1)])
+    e1 /= _row_norms(e1)[:, None]
+    e2 = _cross(normals, e1)
     x, y = e1 @ normals.T, e2 @ normals.T
     sines = np.hypot(x, y)
     apart = sines > _PARALLEL
@@ -226,9 +244,10 @@ def _order_keys(rows: np.ndarray) -> np.ndarray:
 def _order_rows(keys: np.ndarray, m: int) -> np.ndarray:
     """The rows of labels in range(m) whose :func:`_order_keys` are ``keys``."""
     digits = _digits(m)
-    keys, rows = keys.copy(), np.empty((len(keys), m), dtype=np.intp)
-    for position in reversed(range(m)):
-        keys[:, position // digits], rows[:, position] = np.divmod(keys[:, position // digits], m)
+    rows = np.empty((len(keys), m), dtype=np.intp)
+    for word, start in enumerate(range(0, m, digits)):
+        block = rows[:, start : start + digits]
+        block[:] = keys[:, word, None] // m ** np.arange(block.shape[1] - 1, -1, -1) % m
     return rows
 
 
@@ -252,7 +271,7 @@ def _closure(
     keep the screen within window (held as :func:`_order_keys`), as one lexicographically
     sorted block; None once the closure would screen more rows than M!."""
     m = len(g)
-    first, second = np.triu_indices(m, 1)
+    first, second = _pairs(m)
     swaps = np.arange(len(first))
     chunk = max(1, math.factorial(_TABLE_POSITIONS) // len(swaps))
     scores = _scores(g, bloch, rows)
@@ -509,9 +528,9 @@ def arrangement_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, fl
     position against the cells of their arrangement.
     """
     g, bloch, scale = _checked(c, bloch)
-    cost, gram = np.outer(g, g), bloch @ bloch.T
+    cost, gram = g[:, None] * g, bloch @ bloch.T
     m = len(g)
-    window = SCREEN_MARGIN * float(np.trace(cost)) * float(np.trace(gram))
+    window = SCREEN_MARGIN * float(cost.trace()) * float(gram.trace())
     exact = functools.partial(_objective, cost, gram)
     closed = np.arange(m)[None, :] if window == 0 else None
     if window and m > _ENUMERATED:
@@ -555,8 +574,8 @@ def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
 
     column = mat[:, 0]
     half = m // 2
-    drops = np.flatnonzero(column[2 : half + 1] < column[1:half] - tol) + 1
-    crossings = np.flatnonzero(column[::-1][:half] < column[1 : half + 1] - tol) + 1
+    drops = (column[2 : half + 1] < column[1:half] - tol).nonzero()[0] + 1
+    crossings = (column[::-1][:half] < column[1 : half + 1] - tol).nonzero()[0] + 1
     failing = [int(steps[0]) for steps in (drops, crossings) if len(steps)]
     return BenevolenceReport(
         is_symmetric_toeplitz=bool(symmetric and toeplitz),
@@ -683,7 +702,7 @@ def benevolent_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, flo
         return None
     rows = np.asarray([n_star], dtype=np.intp) - 1
     with np.errstate(over="ignore"):
-        return n_star, float(np.ldexp(_objective(np.outer(g, g), v @ v.T, rows)[0], scale))
+        return n_star, float(np.ldexp(_objective(g[:, None] * g, v @ v.T, rows)[0], scale))
 
 
 def _benevolent_numbering(c: CostFunction, bloch) -> Numbering | None:

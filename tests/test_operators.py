@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from guesswork.operators import (
     EIGEN_TOL,
+    _pauli,
     abs_operator,
     from_bloch,
     pauli_vector,
@@ -156,3 +158,20 @@ def test_trace_norm_dominates_trace():
         raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a = (raw + raw.conj().T) / 2
         assert trace_norm(a) >= abs(float(np.trace(a).real)) - 1e-12
+
+
+# entries of either sign from 1e-150 to 1e150, and zeros: sums stay finite
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pauli_gives_the_bits_of_the_stacked_coordinates(data):
+    shape = data.draw(st.sampled_from([(2, 2), (1, 2, 2), (7, 2, 2), (3, 4, 2, 2)]))
+    parts = [data.draw(hnp.arrays(np.float64, shape, elements=ENTRIES)) for _ in range(2)]
+    mats = parts[0] + 1j * parts[1]
+    a01, a10, gap = mats[..., 0, 1], mats[..., 1, 0], mats[..., 0, 0] - mats[..., 1, 1]
+    want = np.stack([(a01 + a10).real, (a10 - a01).imag, gap.real], axis=-1)
+    got = _pauli(mats)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

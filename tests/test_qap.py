@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     double_sum,
@@ -422,3 +424,33 @@ def test_distinct_keeps_each_new_row_once_in_order(words):
     assert [tuple(row) for row in qap._distinct(keys, seen).tolist()] == sorted(rows - held)
     assert [tuple(row) for row in qap._distinct(keys, seen[:0]).tolist()] == sorted(rows)
     assert not len(qap._distinct(keys[:0], seen))
+
+
+# entries of either sign from 1e-150 to 1e150, and zeros: products stay finite
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+
+
+def rows_of_three(count=st.integers(1, 40)):
+    return count.flatmap(lambda n: hnp.arrays(np.float64, (n, 3), elements=ENTRIES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cross_and_row_norms_give_numpys_bits(data):
+    a = data.draw(rows_of_three())
+    b = data.draw(rows_of_three(st.just(len(a))))
+    pairs = [(qap._cross(a, b), np.cross(a, b)), (qap._row_norms(a), np.linalg.norm(a, axis=1))]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9, 10, 16, 40])
+def test_pairs_are_numpys_upper_triangle_read_only(m):
+    pair = qap._pairs(m)
+    want = np.triu_indices(m, 1)
+    assert pair.dtype == want[0].dtype and pair.shape == (2, len(want[0]))
+    np.testing.assert_array_equal(pair, want)
+    first, second = pair
+    assert not (pair.flags.writeable or first.flags.writeable or second.flags.writeable)
+    assert qap._pairs(m) is pair

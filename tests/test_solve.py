@@ -1,10 +1,16 @@
 """The single solve pipeline: dispatch, unverified bounds, and the sweeps it runs."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from conftest import reference_condition_check, reference_zigzag, rotated_qubits
+from conftest import (
+    random_balanced_values,
+    reference_condition_check,
+    reference_zigzag,
+    rotated_qubits,
+)
 from hypothesis import given, settings, strategies as st
 
 from guesswork import engine
@@ -29,6 +35,7 @@ from guesswork.ensembles import (
 )
 from guesswork.operators import from_bloch, trace_norm
 from guesswork.qap import benevolent_solve
+from guesswork.serialize import dumps, report_to_json
 
 ORTHONORMAL_TRIPLE = [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
 # Anti-prism heights as multiples of the bound; just above it the benevolence
@@ -325,3 +332,27 @@ def test_qubit_report_forms_e_star_once_as_the_public_functions_do(e, values, ca
     assert report.trace_norm_term == trace_norm(effective_operator(e, c, n_star)) / 2
     if method == "benevolent":
         assert n_star == benevolent_solve(c, e.bloch)[0]
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("a numpy helper that runs as Python code was called")
+
+
+def test_qubit_solves_call_no_python_level_numpy_helper(monkeypatch):
+    # the uniform-qubit route uses C-level forms of these helpers, with the
+    # same bits: each report equals the unpatched run's, which also fills the
+    # per-M caches (qap._pairs reads np.triu_indices once per M)
+    rng = np.random.default_rng(34)
+    problems = []
+    for m in (3, 8, 9, 10):
+        e = generate_random_uniform_prior(m, 2, m)
+        problems += [(e, identity_cost(m)), (e, cost_function(random_balanced_values(rng, m)))]
+    qubits = generate_random_uniform_prior(8, 2, 5).states  # embedded in dim 3
+    problems.append((validate([np.pad(s, ((0, 1), (0, 1))) for s in qubits]), identity_cost(8)))
+    want = [dumps(report_to_json(solve(e, c))) for e, c in problems]
+    for name in ("cross", "triu_indices", "put_along_axis", "stack", "outer", "flatnonzero"):
+        monkeypatch.setattr(np, name, _raises)
+    monkeypatch.setattr(np.linalg, "norm", _raises)
+    got = [dumps(report_to_json(solve(e, c))) for e, c in problems]
+    assert got == want
+    assert [json.loads(text)["method"] for text in got] == ["brute_force"] * len(problems)

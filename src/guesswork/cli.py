@@ -219,9 +219,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_TOL_HELP = "tolerance of the optimality condition, relative to the cost's scale"
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -249,12 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output path for the ensemble JSON")
     gen.set_defaults(func=cmd_generate)
 
-    solve = sub.add_parser("solve", help="compute the minimum guesswork")
-    solve.add_argument("--ensemble", required=True, help="ensemble JSON path")
-    solve.add_argument("--cost", default="identity", help="'identity' or a cost JSON path")
-    solve.add_argument(
-        "--tol", type=float, default=EIGEN_TOL, help=_TOL_HELP
+    # the options of solve and simulate, which both run the solve pipeline
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--ensemble", required=True, help="ensemble JSON path")
+    problem.add_argument("--cost", default="identity", help="'identity' or a cost JSON path")
+    problem.add_argument(
+        "--tol",
+        type=float,
+        default=EIGEN_TOL,
+        help="tolerance of the optimality condition, relative to the cost's scale",
     )
+
+    solve = sub.add_parser("solve", parents=[problem], help="compute the minimum guesswork")
     solve.add_argument("--out", help="write the report JSON here")
     solve.set_defaults(func=cmd_solve)
 
@@ -263,14 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tol", type=float, default=1e-10, help="structure tolerance")
     check.set_defaults(func=cmd_check)
 
-    sim = sub.add_parser("simulate", help="Monte Carlo check of the optimal measurement")
-    sim.add_argument("--ensemble", required=True, help="ensemble JSON path")
-    sim.add_argument("--cost", default="identity", help="'identity' or a cost JSON path")
+    sim = sub.add_parser(
+        "simulate", parents=[problem], help="Monte Carlo check of the optimal measurement"
+    )
     sim.add_argument("--samples", type=int, default=100000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--tol", type=float, default=EIGEN_TOL, help=_TOL_HELP
-    )
     sim.add_argument("--out", help="write the estimate JSON here")
     sim.set_defaults(func=cmd_simulate)
     return parser

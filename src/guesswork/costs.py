@@ -124,6 +124,12 @@ def _balance_certificate(values) -> Numbering | None:
     return tuple((np.argsort(sigma_inverse) + 1).tolist())
 
 
+def _require_balanced(c: CostFunction) -> None:
+    """Refuse a cost that no balancing permutation certifies."""
+    if not c.is_balanced:
+        raise ValueError("cost function is not balanced: no certificate permutation exists")
+
+
 def cost_function(values) -> CostFunction:
     """Build a cost function from finite values whose mean and sum of
     |2 (gamma - mean)| are finite, so that every entry of E(n) is bounded."""

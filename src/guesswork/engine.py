@@ -20,7 +20,6 @@ ensemble is solved as a qubit ensemble.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -30,6 +29,7 @@ from .costs import (
     CostFunction,
     Numbering,
     _exponent,
+    _require_balanced,
     compose,
     invert,
     require_numbering,
@@ -49,7 +49,6 @@ from .operators import (
 from .qap import (
     DEFAULT_FACTORIAL_CAP,
     SCREEN_MARGIN,
-    _TABLE_POSITIONS,
     _benevolent_numbering,
     _screened_max,
     _split_blocks,
@@ -126,11 +125,6 @@ class GuessworkReport:
         return self.measurement is not None and self.method != "benevolent"
 
 
-def _require_balanced(c: CostFunction) -> None:
-    if not c.is_balanced:
-        raise ValueError("cost function is not balanced: no certificate permutation exists")
-
-
 def _require_same_size(e: Ensemble, c: CostFunction) -> None:
     if c.size != e.size:
         raise ValueError(f"cost has {c.size} values but the ensemble has {e.size} states")
@@ -192,8 +186,7 @@ def optimal_two_outcome_measurement(
     max |gamma - mean|, the antisymmetry gap is allowed ALGEBRAIC_TOL 2^k,
     and the validation takes EIGEN_TOL.
     """
-    if not c.is_balanced:
-        raise ValueError("the two-outcome construction requires a balanced cost")
+    _require_balanced(c)
     return _two_outcome(e, c, require_numbering(n_star, size=e.size))[1]
 
 
@@ -420,9 +413,8 @@ def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
             return (gaps[:, 0] - np.sqrt(np.einsum("kx,kx->k", gaps[:, 1:], gaps[:, 1:]))) / 2
         return _spectra(gaps.view(complex).reshape(-1, d, d), budget)[:, 0]
 
-    block_size = math.factorial(min(m, _TABLE_POSITIONS))
     for block in _split_blocks(m):
-        left, right = _split_sums(products, block[0] // block_size)
+        left, right = _split_sums(products, block)
         heads = centre - left[:, :, :width] / 2
         tails = right[:, None, :, :width]
         per_subset = left.shape[1] * right.shape[1]
@@ -554,10 +546,9 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
         (2 * width + 8) * eps * size * size + width * _UNDERFLOW,
         (d + 4) * math.sqrt(d) * eps * size + width * _UNDERFLOW,
     )
-    block_size = math.factorial(min(m, _TABLE_POSITIONS))
 
     def screen(block, running):
-        left, right = _split_sums(products, block[0] // block_size)
+        left, right = _split_sums(products, block)
         squares = left @ right.transpose(0, 2, 1)
         scores = squares.reshape(-1)
         traces = left[:, :, diagonal].sum(axis=2) / 2, right[:, :, diagonal].sum(axis=2)
@@ -599,10 +590,7 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
         norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, numberings))).sum(axis=1)
         return numberings, norms
 
-    blocks = _split_blocks(m)
-    if m > _TABLE_POSITIONS:  # the last M-th, whose prefixes start at label M - 1, screens no row
-        blocks = itertools.islice(blocks, (m - 1) * math.factorial(m - 1) // block_size)
-    return _screened_max(blocks, screen, rechecked, window)
+    return _screened_max(_split_blocks(m, skip=m - 1), screen, rechecked, window)
 
 
 def min_guesswork_qubit(
@@ -641,27 +629,20 @@ def min_guesswork_qubit(
     w = _pauli(e_star)  # |w| at unit scale: a tiny cost's squares would underflow
     k = _exponent(w)
     w = np.ldexp(w, -k)
-    return GuessworkReport(
-        value=c.mean - math.ldexp(math.sqrt(w.dot(w)), k) / 2,
-        optimal_numbering=n_star,
-        measurement=measurement,
-        method=method,
-        mean_cost=c.mean,
-        trace_norm_term=_trace_norm(e_star) / 2,
-    )
+    norm = math.ldexp(math.sqrt(w.dot(w)), k)
+    return _report(c, n_star, method, norm, measurement, _trace_norm(e_star))
 
 
-def _condition_report(
-    c: CostFunction, candidate: Numbering, norm_value: float, measurement=None
+def _report(
+    c: CostFunction, n: Numbering, method: str, norm: float, measurement=None, term_norm=None
 ) -> GuessworkReport:
-    """A condition_check_only report; without a measurement it is an unverified bound."""
+    """The report of every solve path: value mean - ``norm`` / 2 at n, an unverified
+    bound without a measurement, and trace-norm term ``term_norm`` / 2, ``norm`` / 2
+    unless given (a qubit's norm is |w(n*)| from the Pauli vector, its ``term_norm``
+    ||E(n*)||_1 from eigvalsh)."""
     return GuessworkReport(
-        value=c.mean - norm_value / 2,
-        optimal_numbering=candidate,
-        measurement=measurement,
-        method="condition_check_only",
-        mean_cost=c.mean,
-        trace_norm_term=norm_value / 2,
+        value=c.mean - norm / 2, optimal_numbering=n, measurement=measurement, method=method,
+        mean_cost=c.mean, trace_norm_term=(norm if term_norm is None else term_norm) / 2,
     )
 
 
@@ -671,8 +652,7 @@ def _zigzag_report(e: Ensemble, c: CostFunction) -> GuessworkReport:
     benevolence certificate.  It needs no enumeration, and mean - ||E(n)||_1 / 2
     is achievable but not certified optimal."""
     n = compose(zigzag_numbering(e.size), invert(c.sorting_permutation))
-    report = _condition_report(c, n, trace_norm(effective_operator(e, c, n)))
-    return replace(report, method="zigzag")
+    return _report(c, n, "zigzag", trace_norm(effective_operator(e, c, n)))
 
 
 def min_guesswork_general(
@@ -703,7 +683,7 @@ def min_guesswork_general(
         scaled = float(np.ldexp(tol, _exponent(np.asarray(c.values) - c.mean)))
     if condition_check(e, c, candidate, tol=scaled):
         measurement = optimal_two_outcome_measurement(e, c, candidate)
-    return _condition_report(c, candidate, norm_value, measurement)
+    return _report(c, candidate, "condition_check_only", norm_value, measurement)
 
 
 def solve(

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostFunction, Numbering, _exponent, compose, invert
+from .costs import CostFunction, Numbering, _exponent, _require_balanced, compose, invert
 from .ensembles import Ensemble
 
 DEFAULT_FACTORIAL_CAP = 10
@@ -75,13 +75,13 @@ _PARALLEL = 1e-13
 _RESOLVED = 2.0**-40
 
 # Up to M = 8 the split sweep of all M! numberings is faster than building
-# the arrangement, above it slower.  On perfbench's qubit_exact instances at
-# seeds 1-3 (in-process, median of 31 alternating calls, BLAS on one thread,
-# on a 2-vCPU shared host) both gave the same answers; at M = 8 (two
-# anti-prisms and two random layouts each) the sweep took 0.46-0.83 ms and
-# the arrangement 1.02-1.85 ms, at M = 9 (a polygon and a random layout
-# each) the sweep 2.03-3.40 ms and the arrangement 0.88-2.35 ms, the faster
-# on every instance, with work that grows polynomially in M, not as M!.
+# the arrangement, above it slower.  In process on a 2-vCPU shared host, BLAS
+# on one thread, each call after summing a fresh 16 MB array as the
+# benchmark's gauge does (median of 15 alternating calls, perfbench's
+# instances at seeds 1-3, the same answers from both), the sweep took
+# 0.36-0.45 / 0.16-0.21 / 2.01-2.47 ms and the arrangement 0.74-1.13 /
+# 0.39-0.59 / 0.86-1.57 ms on qubit_exact's four M = 8 instances / the
+# trine, SIC and MUB (M = 3, 4, 6) / qubit_exact's two M = 9 instances.
 _ENUMERATED = 8
 
 
@@ -373,10 +373,10 @@ def _split(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
     return heads, head_incidence, tails[::-1], tail_incidence, starts
 
 
-def _split_sums(products: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarray]:
+def _split_sums(products: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows (2a, |2a|^2, 1) of the head sums a, (C, h!, D + 2), and (b,
     1/4, |b|^2) of the tail sums b, (C, t!, D + 2), of every numbering of
-    block ``index`` of :func:`_split`, products[t, i] holding the D columns
+    ``block`` (one of :func:`_split_blocks`), products[t, i] holding the D columns
     of label i at position t, for M >= 2: left[s] @ right[s].T holds |a|^2 +
     |b|^2 + 2 a . b = |a + b|^2 of subset s.  Slot 0 of the head is filled
     once per ordering, so it carries the prefix's sum and the head's
@@ -384,7 +384,7 @@ def _split_sums(products: np.ndarray, index: int) -> tuple[np.ndarray, np.ndarra
     m, _, columns = products.shape
     heads, head_incidence, tails, tail_incidence, starts = _split(m)
     k, h = min(m, _TABLE_POSITIONS), heads.shape[2]
-    start = starts[index]
+    start = starts[block[0] // math.factorial(k)]
     local = np.zeros((k, k, columns + 2))  # [position, label] of the rest
     local[:, :, :columns] = products[m - k :, start[m - k :]]
     local[0, :, :columns] += products[np.arange(m - k), start[: m - k]].sum(axis=0)
@@ -409,10 +409,15 @@ def _split_rows(m: int, flat: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _split_blocks(m: int):
-    """The blocks of :func:`_split`'s flat indices, one per prefix."""
+def _split_blocks(m: int, skip: int | None = None):
+    """The blocks of :func:`_split`'s flat indices, one per prefix, less those
+    whose prefix starts with label ``skip`` (none up to M = 8: no prefix)."""
+    starts = _split(m)[4]
     size = math.factorial(min(m, _TABLE_POSITIONS))
-    return (np.arange(i * size, (i + 1) * size) for i in range(len(_split(m)[4])))
+    kept = range(len(starts))
+    if skip is not None and m > _TABLE_POSITIONS:
+        kept = (starts[:, 0] != skip).nonzero()[0]
+    return (np.arange(i * size, (i + 1) * size) for i in kept)
 
 
 def _split_max(
@@ -428,10 +433,9 @@ def _split_max(
     0-based numberings.  M >= 2 here, as M = 1 has g = 0, so h >= 1."""
     m = len(g)
     products = g[:, None, None] * bloch[None, :, :]  # g(t) v_i at [t, i]
-    size = math.factorial(min(m, _TABLE_POSITIONS))
 
     def screen(block, running):
-        left, right = _split_sums(products, block[0] // size)
+        left, right = _split_sums(products, block)
         return (left @ right.transpose(0, 2, 1)).ravel()
 
     def rechecked(flat):
@@ -694,8 +698,7 @@ def benevolent_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, flo
     Requires a balanced cost.  The objective is taken at unit scale, as in
     :func:`arrangement_solve`, and is inf beyond the doubles.
     """
-    if not c.is_balanced:
-        raise ValueError("benevolent_solve requires a balanced cost function")
+    _require_balanced(c)
     g, v, scale = _checked(c, bloch)
     n_star = _benevolent_numbering(c, bloch)
     if n_star is None:

@@ -301,8 +301,15 @@ def test_solve_input_errors():
     e = generate_random_uniform_prior(4, 2, seed=99)
     # above the cap the solver returns the zig-zag bound instead of raising
     assert min_guesswork_qubit(e, identity_cost(4), cap=3).measurement is None
-    with pytest.raises(ValueError, match="not balanced"):
-        solve(generate_random_uniform_prior(3, 3, seed=1), cost_function([0.0, 1.0, 3.0]))
+    # every entry point that needs a balanced cost refuses it in the same words
+    unbalanced, qubits = cost_function([0.0, 1.0, 3.0]), generate_random_uniform_prior(3, 2, 1)
+    for refused in (
+        lambda: solve(generate_random_uniform_prior(3, 3, seed=1), unbalanced),
+        lambda: optimal_two_outcome_measurement(qubits, unbalanced, (1, 2, 3)),
+        lambda: benevolent_solve(unbalanced, qubits.bloch),
+    ):
+        with pytest.raises(ValueError, match="cost function is not balanced"):
+            refused()
     with pytest.raises(ValueError, match="3 values but the ensemble has 4"):
         solve(e, identity_cost(3))
 

@@ -1013,9 +1013,9 @@ def test_qubit_general_solves_screen_pauli_coordinates(monkeypatch, e, verified)
     monkeypatch.setattr(engine, "_norm_bound", refuse)
     monkeypatch.setattr(engine, "_spectra", refuse)
 
-    def summed(products, index):
+    def summed(products, block):
         widths.append(products.shape[2])
-        return sums(products, index)
+        return sums(products, block)
 
     def checked(*args, **kwargs):
         with monkeypatch.context() as patch:
@@ -1242,21 +1242,42 @@ def lexicographic_ranks(rows):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_split_blocks_hold_every_permutation_once(m):
-    # the condition sweep screens every row of the split blocks
-    seen = np.zeros(math.factorial(m), dtype=np.int8)
-    for block in qap._split_blocks(m):
-        np.add.at(seen, lexicographic_ranks(qap._split_rows(m, block)), 1)
-    np.testing.assert_array_equal(seen, 1)
+    # the condition sweep screens every row of the split blocks; leaving out
+    # the prefixes that start at label M - 1 drops exactly the rows with
+    # n(0) = M - 1, and drops nothing up to M = 8, where there is no prefix
+    for skip in (None, m - 1):
+        seen = np.zeros(math.factorial(m), dtype=np.int8)
+        for block in qap._split_blocks(m, skip):
+            np.add.at(seen, lexicographic_ranks(qap._split_rows(m, block)), 1)
+        expected = np.ones_like(seen)
+        if skip is not None and m > 8:  # the lexicographically last (M - 1)! rows
+            expected[skip * math.factorial(m - 1) :] = 0
+        np.testing.assert_array_equal(seen, expected)
+
+
+def swept_blocks(m):
+    """The blocks that ``tracenorm_argmax`` asks ``qap`` for at M = m."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return qap._split_blocks(*args, **kwargs)
+
+    e = validate([np.diag([0.25, 0.75])]) if m == 1 else generate_random_uniform_prior(m, 2, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_split_blocks", recorded)
+        tracenorm_argmax(e, identity_cost(m))
+    return (block for args, kwargs in calls for block in qap._split_blocks(*args, **kwargs))
 
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_half_blocks_hold_one_row_of_each_complement_pair(m):
-    # the trace-norm sweep screens the rows of the split blocks with
+    # the trace-norm sweep screens the rows of the blocks it walks with
     # n(0) < n(M - 1) in cost order: every permutation is one of them or the
     # reversal of one.  M = 1: the one row is its own reversal, and the sweep
     # returns E = 0 without a block
     seen = np.zeros(math.factorial(m), dtype=np.int8)
-    for block in qap._split_blocks(m):
+    for block in swept_blocks(m):
         rows = qap._split_rows(m, block)[engine._first_half(m, block)]
         for r in (rows, rows[:, ::-1]):
             np.add.at(seen, lexicographic_ranks(r), 1)

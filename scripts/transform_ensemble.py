@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Write a transformed copy of an ensemble JSON document.
 
-Neither transform changes the minimum guesswork, so comparing the solve of
-the copy with the solve of the original tests that the solvers do not depend
-on the labels or the coordinates of the states.
+No transform changes the minimum guesswork, so comparing the solve of the
+copy with the solve of the original tests that the solvers do not depend on
+the labels, the coordinates or a common shift of the states.
 
     relabel  the states in the order of numpy's default_rng(SEED).permutation(M)
     rotate   each qubit state padded with a zero row and column, then conjugated
              by the real rotation R_y(0.6) R_x(0.8), which mixes the third
              coordinate into the first two, so that no coordinate is unused
+    lift     Z sigma_z / 2 added to each qubit state, which moves every Bloch
+             vector by (0, 0, Z) and leaves every E(n) = 2 sum_t (gamma(t) -
+             mean) rho(n(t)) unchanged; the copy must stay PSD, which loading
+             it checks
 
 Usage:
     python scripts/transform_ensemble.py relabel IN OUT --seed SEED
     python scripts/transform_ensemble.py rotate IN OUT
+    python scripts/transform_ensemble.py lift IN OUT --z Z
 """
 
 import argparse
@@ -36,16 +41,31 @@ def rotate(doc: dict) -> dict:
     return {**doc, "dim": 3, "states": np.stack([s.real, s.imag], axis=-1).tolist()}
 
 
+def lift(doc: dict, z: float) -> dict:
+    if doc["dim"] != 2:
+        raise ValueError(f"lift takes qubit states, got dim {doc['dim']}")
+    s = np.array(doc["states"], dtype=float)  # (M, 2, 2, 2): the (re, im) pair of each entry
+    s[:, 0, 0, 0] += z / 2
+    s[:, 1, 1, 0] -= z / 2
+    return {**doc, "states": s.tolist()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("transform", choices=["relabel", "rotate"])
+    parser.add_argument("transform", choices=["relabel", "rotate", "lift"])
     parser.add_argument("source", help="ensemble JSON path")
     parser.add_argument("target", help="path of the transformed copy")
     parser.add_argument("--seed", type=int, default=0, help="seed of the relabelling")
+    parser.add_argument("--z", type=float, default=0.0, help="Bloch z shift of the lift")
     args = parser.parse_args(argv)
     with open(args.source, encoding="utf-8") as handle:
         doc = json.load(handle)
-    doc = relabel(doc, args.seed) if args.transform == "relabel" else rotate(doc)
+    if args.transform == "relabel":
+        doc = relabel(doc, args.seed)
+    elif args.transform == "rotate":
+        doc = rotate(doc)
+    else:
+        doc = lift(doc, args.z)
     with open(args.target, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
     return 0

@@ -3,13 +3,13 @@
 Exit codes: 0 success (verified optimum), 2 invalid input, 3 result is only
 an unverified upper bound, 4 internal numerical failure.  The environment
 variable GUESSWORK_FACTORIAL_CAP overrides the enumeration cap (default 10),
-the largest M at which ``solve`` and ``simulate`` run the exhaustive solvers
-and ``check`` the exhaustive relabeling search; only :func:`_cap` reads it.
-Up to the cap an exit 0 is always a verified optimum; above it, a
-benevolent qubit ensemble's closed form is reported with "condition
-verified no".  The solve first drops the coordinates that no state uses
-(see :func:`guesswork.engine.solve`), so a qubit ensemble padded with zero
-rows and columns gets the exit code and the stdout of the qubit ensemble.
+the largest M at which ``solve`` and ``simulate`` run the exhaustive solvers;
+only :func:`_cap` reads it (``check`` runs the closed form's relabeling
+search at every M).  Up to the cap an exit 0 is always a verified optimum;
+above it, a benevolent qubit ensemble's closed form is reported with
+"condition verified no".  The solve first drops the coordinates that no
+state uses (see :func:`guesswork.engine.solve`), so a qubit ensemble padded
+with zero rows and columns gets the exit code and the stdout of the qubit ensemble.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .costs import identity_cost
+from .costs import _exponent, identity_cost
 from .engine import simulate, solve
 from .ensembles import (
     _antiprism_layout,
@@ -136,15 +136,16 @@ def cmd_solve(args) -> int:
 
 def _recognize_antiprism(ensemble) -> tuple[float, float] | None:
     """Return (lambda, h) if the Bloch layout matches the canonical polygon/anti-prism,
-    which has M >= 2 states."""
+    which has M >= 2 states, within 1e-8 of its own radius lambda."""
     bloch = ensemble.bloch
     m = ensemble.size
     radius = np.hypot(bloch[:, 0], bloch[:, 1])
     scale = float(radius.mean())
-    if m < 2 or scale < 1e-12 or float(np.max(np.abs(radius - scale))) > 1e-8:
+    tol = 1e-8 * scale
+    if m < 2 or not scale > 0 or float(np.max(np.abs(radius - scale))) > tol:
         return None
     h = float(np.abs(bloch[:, 2]).mean()) / scale
-    if float(np.max(np.abs(bloch - _antiprism_layout(m, h, scale)))) > 1e-8:
+    if float(np.max(np.abs(bloch - _antiprism_layout(m, h, scale)))) > tol:
         return None
     return scale, h
 
@@ -162,20 +163,20 @@ def cmd_check(args) -> int:
         f"{'yes' if constant_overlap_check(ensemble, args.tol) else 'no'}"
     )
     gram = -bloch_gram(ensemble)
+    gram = np.ldexp(gram, -_exponent(gram))  # benevolence is judged at the Gram's own scale
     report = is_benevolent(gram, args.tol)
     print(f"symmetric toeplitz   {'yes' if report.is_symmetric_toeplitz else 'no'}")
     print(f"property1_ok         {'yes' if report.property1_ok else 'no'}")
     print(f"property2_ok         {'yes' if report.property2_ok else 'no'}")
     if report.failing_index is not None:
         print(f"failing index        {report.failing_index}")
-    if report.is_benevolent:
+    witness = find_benevolent_permutation(gram, tol=args.tol)  # the identity first
+    if witness is None:
+        print("benevolent           no (no relabeling found)")
+    elif report.is_benevolent:
         print("benevolent           yes (canonical labeling)")
     else:
-        witness = find_benevolent_permutation(gram, tol=args.tol, cap=_cap())
-        if witness is None:
-            print("benevolent           no (no relabeling found)")
-        else:
-            print(f"benevolent           yes (relabeling {' '.join(str(x) for x in witness)})")
+        print(f"benevolent           yes (relabeling {' '.join(str(x) for x in witness)})")
     recognized = _recognize_antiprism(ensemble)
     if recognized is None:
         print("h-bound              skipped (not a canonical polygon/anti-prism layout)")

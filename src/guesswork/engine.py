@@ -609,7 +609,7 @@ def min_guesswork_qubit(
     ``cap`` only picks the route; neither solver reads it.
 
     The uniform prior is detected within TRACE_TOL, benevolence within
-    BENEVOLENCE_TOL and the measurement's null space within EIGEN_TOL.
+    BENEVOLENCE_TOL of the Bloch Gram's scale and the null space within EIGEN_TOL.
     """
     if e.dim != 2:
         raise ValueError(f"qubit solver requires dim = 2, got {e.dim}")

@@ -18,9 +18,7 @@ n(t')] with the rank-1 cost_gram = g g^T, g = gamma - mean.  Two solvers are pro
   by the zig-zag numbering, conjugated back through the sorting and
   relabeling permutations.
 
-Neither solver takes the enumeration cap: the routes of ``engine.solve``
-read it, and so does the exhaustive relabeling search of
-:func:`find_benevolent_permutation`, which ``check`` runs up to the cap.
+Neither solver takes the enumeration cap: the routes of ``engine.solve`` read it.
 
 The split enumeration (:func:`_split`) scores every numbering from the
 sums over a head and a tail of its positions, by one batched product over
@@ -617,72 +615,40 @@ def _cyclic_search(mat: np.ndarray, labels: list[int], tol: float) -> Numbering 
     return None
 
 
-def _toeplitz_search(mat: np.ndarray, tol: float) -> Numbering | None:
-    """Backtracking search for a relabeling making ``mat`` benevolent.
-
-    Prunes on the Toeplitz constraint (every new entry must match the value
-    one step up the diagonal) and on the first-column monotonicity while rows
-    are placed; full benevolence is re-checked before accepting.
-    """
-    m = mat.shape[0]
-    half = m // 2
-    chosen: list[int] = []
-    used = [False] * m
-
-    def rows_compatible(candidate: int) -> bool:
-        k = len(chosen)
-        for j in range(1, k):
-            if abs(mat[candidate, chosen[j]] - mat[chosen[k - 1], chosen[j - 1]]) > tol:
-                return False
-        if 2 <= k <= half and mat[candidate, chosen[0]] < mat[chosen[k - 1], chosen[0]] - tol:
-            return False
-        return True
-
-    def descend() -> Numbering | None:
-        if len(chosen) == m:
-            sigma = tuple(c + 1 for c in chosen)
-            if is_benevolent(_conjugate(mat, sigma), tol).is_benevolent:
-                return sigma
-            return None
-        for candidate in range(m):
-            if used[candidate] or not rows_compatible(candidate):
-                continue
-            used[candidate] = True
-            chosen.append(candidate)
-            found = descend()
-            if found is not None:
-                return found
-            chosen.pop()
-            used[candidate] = False
-        return None
-
-    return descend()
+def _azimuthal_order(gram: np.ndarray) -> list[int]:
+    """The labels sorted by the angle of their two leading principal coordinates in ``gram``."""
+    v = np.linalg.eigh(gram)[1]
+    return [int(i) + 1 for i in np.argsort(np.arctan2(v[:, -2], v[:, -1]), kind="stable")]
 
 
-def find_benevolent_permutation(
-    a, tol: float = BENEVOLENCE_TOL, cap: int = DEFAULT_FACTORIAL_CAP
-) -> Numbering | None:
+def find_benevolent_permutation(a, tol: float = BENEVOLENCE_TOL) -> Numbering | None:
     """Find sigma such that A[sigma(i), sigma(j)] is benevolent, or None.
 
-    Cyclic relabelings (rotations and reflections, identity first) are tried
-    before the pruned exhaustive search, which only runs for M <= cap.  Above
-    it those of the labels sorted by the angle of their two leading principal
-    coordinates (eigenvectors of -A) are tried, which finds Bloch layouts
-    arranged around one axis, such as polygons and anti-prisms.
+    A is judged divided by 2^k, the smallest power of two above max |A|
+    (``costs._exponent``), so ``tol`` is relative.  The rotations and reflections of
+    three orders are tried, at every M: the given labels; the labels sorted by the
+    angle of their two leading principal coordinates (eigenvectors of -A); and, only
+    if those fail, that order on the doubly centred -A.  For A the negated Gram of
+    vectors v_i, as every caller passes, a Toeplitz relabeling makes v_k -> v_(k+1)
+    an isometry: the layout is one orbit of an orthogonal map, Property 1 keeps its
+    turn within one revolution, and its centred principal angles order it
+    cyclically.  The argument is exact and the search decides within ``tol``; it
+    fails for other matrices (scrambled integer Toeplitz ones can be missed).
     """
     mat = np.asarray(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    m = mat.shape[0]
-    sigma = _cyclic_search(mat, list(range(1, m + 1)), tol)
+    mat = np.ldexp(mat, -_exponent(mat))
+    sigma = _cyclic_search(mat, list(range(1, mat.shape[0] + 1)), tol)
     # Conjugation cannot repair asymmetry (or NaN), so a relabeling is hopeless.
     if sigma is not None or not float(np.max(np.abs(mat - mat.T))) <= tol:
         return sigma
-    if m <= cap:
-        return _toeplitz_search(mat, tol)
-    v = np.linalg.eigh(-mat)[1]
-    order = np.argsort(np.arctan2(v[:, -2], v[:, -1]), kind="stable")
-    return _cyclic_search(mat, [int(i) + 1 for i in order], tol)
+    sigma = _cyclic_search(mat, _azimuthal_order(-mat), tol)
+    if sigma is None:  # the centred Gram J (-A) J, J = I - 1 1^T / M
+        means = mat.mean(axis=0)
+        centred = means + means[:, None] - means.mean() - mat
+        sigma = _cyclic_search(mat, _azimuthal_order(centred), tol)
+    return sigma
 
 
 def benevolent_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, float] | None:
@@ -690,11 +656,9 @@ def benevolent_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, flo
 
     ``bloch`` stacks the Bloch vectors v_i, as in :func:`arrangement_solve`.
     Returns the optimal numbering sigma_2 o zigzag o sigma_1^-1 and its
-    objective, or None when no relabeling sigma_2 making -bloch_gram
-    benevolent within BENEVOLENCE_TOL, on the unscaled Bloch Gram, was found.
-    The relabelings tried are the rotations and reflections of the given
-    order and of the azimuthal order (:func:`find_benevolent_permutation`
-    with cap 0), at every M, with no exhaustive search.
+    objective, or None when :func:`find_benevolent_permutation` finds no
+    relabeling sigma_2 making -bloch_gram benevolent within BENEVOLENCE_TOL
+    of its scale.
     Requires a balanced cost.  The objective is taken at unit scale, as in
     :func:`arrangement_solve`, and is inf beyond the doubles.
     """
@@ -711,7 +675,7 @@ def benevolent_solve(c: CostFunction, bloch: np.ndarray) -> tuple[Numbering, flo
 def _benevolent_numbering(c: CostFunction, bloch) -> Numbering | None:
     """The numbering of :func:`benevolent_solve`, without its objective."""
     bloch = np.asarray(bloch, dtype=float)
-    sigma2 = find_benevolent_permutation(-(bloch @ bloch.T), cap=0)
+    sigma2 = find_benevolent_permutation(-(bloch @ bloch.T))
     if sigma2 is None:
         return None
     return compose(sigma2, compose(zigzag_numbering(c.size), invert(c.sorting_permutation)))

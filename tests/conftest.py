@@ -20,7 +20,7 @@ from guesswork.operators import (
     spectral_parts,
     trace_norm,
 )
-from guesswork.qap import BENEVOLENCE_TOL, BenevolenceReport, zigzag_numbering
+from guesswork.qap import BENEVOLENCE_TOL, BenevolenceReport, is_benevolent, zigzag_numbering
 
 
 def reference_validate(raw_states) -> Ensemble:
@@ -91,6 +91,18 @@ def reference_is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceRepor
         property2_ok=property2,
         failing_index=failing,
     )
+
+
+def oracle_benevolent_relabeling(a, tol: float = BENEVOLENCE_TOL):
+    """The first relabeling in ``itertools.permutations`` order that makes A,
+    divided by the smallest power of two above max |A|, benevolent within tol,
+    or None: the all-M! search that ``qap.find_benevolent_permutation`` must agree with."""
+    mat = np.asarray(a, dtype=float)
+    mat = np.ldexp(mat, -max(math.frexp(float(np.abs(mat).max()))[1], -1000))
+    for perm in itertools.permutations(range(len(mat))):
+        if is_benevolent(mat[np.ix_(perm, perm)], tol).is_benevolent:
+            return tuple(i + 1 for i in perm)
+    return None
 
 
 def oracle_min_guesswork(e, c) -> float:

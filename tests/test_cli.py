@@ -26,6 +26,7 @@ from guesswork.ensembles import (
     generate_sic,
     validate,
 )
+from guesswork.operators import from_bloch
 from guesswork.qap import DEFAULT_FACTORIAL_CAP, arrangement_solve, benevolent_solve
 
 
@@ -386,22 +387,50 @@ def test_check_single_state_skips_the_h_bound(tmp_path, capsys):
     assert run_cli(["solve", "--ensemble", str(path)]) == 0
 
 
-@pytest.mark.parametrize(
-    "cap, verdict",
-    [(None, "yes (relabeling 1 4 2 6 3 5)"), ("3", "yes (relabeling 6 2 4 1 5 3)")],
-)
-def test_check_relabels_a_shuffled_hexagon(tmp_path, capsys, monkeypatch, cap, verdict):
-    # no rotation or reflection of these labels is benevolent: up to the cap
-    # the exhaustive search finds the relabeling, above it the azimuthal order
-    if cap is not None:
-        monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", cap)
+def test_check_relabels_a_shuffled_hexagon(tmp_path, capsys, monkeypatch):
+    # no rotation or reflection of these labels is benevolent, but one of the
+    # azimuthal order is; check runs the solver's search, whatever the cap
     hexagon = generate_polygon_antiprism(6)
     shuffled = validate([hexagon.states[label - 1] for label in (1, 3, 5, 2, 6, 4)])
     ensemble_path = write_ensemble(tmp_path / "hexagon.json", shuffled)
-    assert run_cli(["check", "--ensemble", ensemble_path]) == 0
-    stdout = capsys.readouterr().out
-    assert "symmetric toeplitz   no" in stdout
-    assert f"benevolent           {verdict}" in stdout
+    for cap in (None, "3"):
+        if cap is not None:
+            monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", cap)
+        assert run_cli(["check", "--ensemble", ensemble_path]) == 0
+        stdout = capsys.readouterr().out
+        assert "symmetric toeplitz   no" in stdout
+        assert "benevolent           yes (relabeling 6 2 4 1 5 3)" in stdout
+
+
+def test_benevolence_is_judged_at_the_bloch_grams_scale(tmp_path, capsys):
+    # shrunk by 1e-6, this random layout's Gram came within an absolute 1e-10
+    # of a benevolent matrix, and its solve exited 0 with the closed form's
+    # 6.4999994856954855, above the optimum 6.499998737757917
+    m = 12
+    rng = np.random.default_rng(5)
+    directions = rng.normal(size=(m, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    bloch = directions * rng.uniform(0.0, 1.0 / m, size=m)[:, None]
+    for scale in (1.0, 1e-6):
+        e = validate([from_bloch(1.0 / m, scale * v) for v in bloch])
+        path = write_ensemble(tmp_path / "random12.json", e)
+        assert run_cli(["solve", "--ensemble", path]) == 3
+        assert "zig-zag bound" in capsys.readouterr().out
+        assert run_cli(["check", "--ensemble", path]) == 0
+        assert "benevolent           no (no relabeling found)" in capsys.readouterr().out
+
+
+def test_check_judges_the_h_bound_at_the_layouts_own_radius(tmp_path, capsys):
+    # Bloch vectors near 1e-9 lay within an absolute 1e-8 of a canonical layout
+    tiny = validate([from_bloch(0.25, 1e-8 * v) for v in generate_random_uniform_prior(4, 2, 1).bloch])
+    assert run_cli(["check", "--ensemble", write_ensemble(tmp_path / "tiny.json", tiny)]) == 0
+    assert "h-bound              skipped" in capsys.readouterr().out
+    polygon = str(tmp_path / "polygon.json")
+    argv = ["--family", "polygon_antiprism", "--m", "6", "--lambda", "1e-13", "--out", polygon]
+    assert run_cli(["generate", *argv]) == 0
+    capsys.readouterr()
+    assert run_cli(["check", "--ensemble", polygon]) == 0
+    assert "h-bound              h = 0 <= bound 0.70710678118654746" in capsys.readouterr().out
 
 
 def test_check_invalid_file(tmp_path, capsys):

@@ -38,8 +38,8 @@ from guesswork.qap import benevolent_solve
 from guesswork.serialize import dumps, report_to_json
 
 ORTHONORMAL_TRIPLE = [np.diag([1 / 3, 0, 0]), np.diag([0, 1 / 3, 0]), np.diag([0, 0, 1 / 3])]
-# Anti-prism heights as multiples of the bound; just above it the benevolence
-# test still passes within tolerance while the zig-zag is no longer optimal.
+# Anti-prism heights as multiples of the bound; just above it the zig-zag is
+# no longer optimal.
 HEIGHT_MULTIPLES = (0.0, 0.5, 1.0, 1 + 1e-9, 1.05, 1.3)
 
 
@@ -63,12 +63,16 @@ def test_qubit_certificate_matches_condition_sweep(data):
 
 
 def test_qubit_certificate_fails_just_above_the_height_bound():
-    # benevolent within tolerance, yet the zig-zag misses the maximum, so the
-    # exact solver's numbering is reported, and it is certified
+    # judged at the Gram's scale, the closed form is refused where the zig-zag
+    # misses the maximum, so the exact solver's numbering is reported, and it
+    # is certified; closer to the bound the closed form is accepted, and holds
     e = generate_polygon_antiprism(4, h=(1 + 1e-9) * antiprism_h_bound(4))
     c = identity_cost(4)
-    zigzag, _ = benevolent_solve(c, e.bloch)
+    assert benevolent_solve(c, e.bloch) is None
+    zigzag, _ = reference_zigzag(e, c)
     assert not condition_check(e, c, zigzag)
+    near = generate_polygon_antiprism(4, h=(1 + 1e-10) * antiprism_h_bound(4))
+    assert condition_check(near, c, benevolent_solve(c, near.bloch)[0])
     report = min_guesswork_qubit(e, c)
     assert report.method == "brute_force"
     assert report.condition_verified

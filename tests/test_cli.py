@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from guesswork import engine, serialize
 from guesswork.cli import main
-from guesswork.costs import identity_cost
+from guesswork.costs import _exponent, identity_cost
 from guesswork.engine import guesswork_value, min_guesswork_qubit, solve
 from guesswork.ensembles import (
     generate_mub,
@@ -27,7 +27,13 @@ from guesswork.ensembles import (
     validate,
 )
 from guesswork.operators import from_bloch
-from guesswork.qap import DEFAULT_FACTORIAL_CAP, arrangement_solve, benevolent_solve
+from guesswork.qap import (
+    DEFAULT_FACTORIAL_CAP,
+    arrangement_solve,
+    benevolent_solve,
+    bloch_gram,
+    is_benevolent,
+)
 
 
 def run_cli(argv):
@@ -387,19 +393,28 @@ def test_check_single_state_skips_the_h_bound(tmp_path, capsys):
     assert run_cli(["solve", "--ensemble", str(path)]) == 0
 
 
-def test_check_relabels_a_shuffled_hexagon(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "cap, verdict",
+    [(None, "yes (relabeling 1 4 2 6 3 5)"), ("3", "yes (relabeling 6 2 4 1 5 3)")],
+)
+def test_check_relabels_a_shuffled_hexagon(tmp_path, capsys, monkeypatch, cap, verdict):
     # no rotation or reflection of these labels is benevolent, but one of the
-    # azimuthal order is; check runs the solver's search, whatever the cap
+    # azimuthal order is; check runs the solver's search whatever the cap and
+    # prints 6 2 4 1 5 3. `verdict` is what check printed when it searched
+    # exhaustively below the cap: 1 4 2 6 3 5, a rotated reflection of the
+    # same cycle, which the test checks is still a benevolent relabeling
+    if cap is not None:
+        monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", cap)
     hexagon = generate_polygon_antiprism(6)
     shuffled = validate([hexagon.states[label - 1] for label in (1, 3, 5, 2, 6, 4)])
     ensemble_path = write_ensemble(tmp_path / "hexagon.json", shuffled)
-    for cap in (None, "3"):
-        if cap is not None:
-            monkeypatch.setenv("GUESSWORK_FACTORIAL_CAP", cap)
-        assert run_cli(["check", "--ensemble", ensemble_path]) == 0
-        stdout = capsys.readouterr().out
-        assert "symmetric toeplitz   no" in stdout
-        assert "benevolent           yes (relabeling 6 2 4 1 5 3)" in stdout
+    assert run_cli(["check", "--ensemble", ensemble_path]) == 0
+    stdout = capsys.readouterr().out
+    assert "symmetric toeplitz   no" in stdout
+    assert "benevolent           yes (relabeling 6 2 4 1 5 3)" in stdout
+    labels = np.array(re.findall(r"\d", verdict), dtype=int) - 1
+    gram = -bloch_gram(shuffled)
+    assert is_benevolent(np.ldexp(gram, -_exponent(gram))[np.ix_(labels, labels)]).is_benevolent
 
 
 def test_benevolence_is_judged_at_the_bloch_grams_scale(tmp_path, capsys):

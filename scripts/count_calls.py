@@ -6,7 +6,9 @@ workloads of ``perfbench/workloads.py`` at each seed (the operations of
 ``scripts/audit_outputs.py``) through ``guesswork.cli.main`` twice: a warm-up
 call, then one call under ``sys.setprofile`` that counts the Python functions
 and the C functions it enters.  It prints the Python, C and total calls of
-each operation, then their sums.  The counts do not depend on how busy the
+each operation, and the Python calls into numpy's own files (wrappers such
+as ``ndarray.max``'s ``_methods._amax`` or ``np.linalg.eigvalsh``, and the
+helpers they call), then their sums.  The counts do not depend on how busy the
 host is, so two checkouts can be compared with one run each:
 
     PYTHONPATH=src python scripts/count_calls.py --seeds 1
@@ -17,22 +19,29 @@ import argparse
 import collections
 import contextlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import numpy  # noqa: E402
 from audit_outputs import operations  # noqa: E402
 from guesswork.cli import main as cli_main  # noqa: E402
 
+NUMPY = os.path.dirname(numpy.__file__) + os.sep
+
 
 def count(argv: list[str]) -> collections.Counter:
-    """The ``call`` and ``c_call`` events of one ``cli.main(argv)`` after a warm-up call."""
+    """The ``call`` and ``c_call`` events of one ``cli.main(argv)`` after a warm-up
+    call, and as ``numpy`` the ``call`` events of functions defined in numpy's files."""
     events = collections.Counter()
 
     def profile(frame, event, arg):
         events[event] += 1
+        if event == "call" and frame.f_code.co_filename.startswith(NUMPY):
+            events["numpy"] += 1
 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli_main(argv)
@@ -44,20 +53,24 @@ def count(argv: list[str]) -> collections.Counter:
     return events
 
 
+def row(events: collections.Counter, label: str) -> str:
+    counts = events["call"], events["c_call"], events["call"] + events["c_call"], events["numpy"]
+    return " ".join(f"{n:>8}" for n in counts) + f"  {label}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
     total = collections.Counter()
-    print(f"{'python':>8} {'c':>8} {'calls':>8}  operation")
+    print(f"{'python':>8} {'c':>8} {'calls':>8} {'numpy':>8}  operation")
     with tempfile.TemporaryDirectory() as name:
         for seed in args.seeds:
             for label, op_argv, _ in operations(Path(name), seed):
                 events = count(op_argv)
                 total += events
-                print(f"{events['call']:>8} {events['c_call']:>8} "
-                      f"{events['call'] + events['c_call']:>8}  {label}")
-    print(f"{total['call']:>8} {total['c_call']:>8} {total['call'] + total['c_call']:>8}  total")
+                print(row(events, label))
+    print(row(total, "total"))
     return 0
 
 

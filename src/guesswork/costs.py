@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 BALANCE_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 Numbering = tuple[int, ...]
 
@@ -53,7 +54,7 @@ def compose(a, b) -> Numbering:
 
 
 def invert(n) -> Numbering:
-    return tuple((np.argsort(require_numbering(n)) + 1).tolist())
+    return tuple((np.asarray(require_numbering(n)).argsort() + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class CostFunction:
 
     @cached_property
     def mean(self) -> float:
-        return float(np.asarray(self.values).mean())
+        return _mean(np.asarray(self.values, dtype=float))
 
     @cached_property
     def balancing_permutation(self) -> Numbering | None:
@@ -83,7 +84,7 @@ class CostFunction:
 
     @cached_property
     def sorting_permutation(self) -> Numbering:
-        return tuple((np.argsort(np.asarray(self.values), kind="stable") + 1).tolist())
+        return tuple((np.asarray(self.values).argsort(kind="stable") + 1).tolist())
 
     @property
     def is_balanced(self) -> bool:
@@ -94,7 +95,12 @@ def _exponent(values) -> int:
     """k such that 2^k is the smallest power of two above max |values|: 0 when
     every value is 0, and at least -1000, so that 2^-k is a finite double.
     Tolerances taken at 2^k scale with the cost, as the guesswork does."""
-    return max(math.frexp(float(np.abs(values).max()))[1], -1000)
+    return max(math.frexp(float(np.maximum.reduce(np.abs(values), axis=None)))[1], -1000)
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean of a float array, by numpy's own formula without its Python code."""
+    return float(np.add.reduce(values, axis=None) / values.size)
 
 
 def _balance_certificate(values) -> Numbering | None:
@@ -110,18 +116,18 @@ def _balance_certificate(values) -> Numbering | None:
     m = gamma.size
     if m < 1:
         raise ValueError("cost function must have at least one value")
-    mean = float(gamma.mean())
+    mean = _mean(gamma)
     target = 2 * mean - gamma
-    gamma_order = np.argsort(gamma, kind="stable")
-    target_order = np.argsort(target, kind="stable")
+    gamma_order = gamma.argsort(kind="stable")
+    target_order = target.argsort(kind="stable")
     # sigma_inverse sends t to the 0-based position holding the reflected value of t
     sigma_inverse = np.empty(m, dtype=np.intp)
     sigma_inverse[target_order] = gamma_order
     tol = math.ldexp(BALANCE_TOL, _exponent(gamma - mean))
-    tol += m * np.finfo(float).eps * float(np.abs(gamma).max())
-    if (np.abs(gamma[sigma_inverse] - target) > tol).any():
+    tol += m * _EPS * float(np.maximum.reduce(np.abs(gamma)))
+    if np.logical_or.reduce(np.abs(gamma[sigma_inverse] - target) > tol):
         return None
-    return tuple((np.argsort(sigma_inverse) + 1).tolist())
+    return tuple((sigma_inverse.argsort() + 1).tolist())
 
 
 def _require_balanced(c: CostFunction) -> None:
@@ -137,11 +143,11 @@ def cost_function(values) -> CostFunction:
     if len(gamma) < 1:
         raise ValueError("cost function must have at least one value")
     arr = np.asarray(gamma)
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError(f"cost values must be finite, got {gamma}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = arr.mean()
-        spread = np.abs(2 * (arr - mean)).sum()
+        mean = _mean(arr)
+        spread = np.add.reduce(np.abs(2 * (arr - mean)))
     if not (np.isfinite(mean) and np.isfinite(spread)):
         raise ValueError(
             "cost values overflow: their mean or the sum of |2 (gamma - mean)| "

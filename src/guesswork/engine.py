@@ -20,12 +20,14 @@ ensemble is solved as a qubit ensemble.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .costs import (
+    _EPS,
     CostFunction,
     Numbering,
     _exponent,
@@ -39,10 +41,10 @@ from .errors import NumericalCheckError
 from .operators import (
     EIGEN_TOL,
     _hermitian_parts,
+    _magnitude,
     _pauli,
     _spectral_parts,
     _trace_norm,
-    abs_operator,
     require_hermitian,
     trace_norm,
 )
@@ -52,6 +54,7 @@ from .qap import (
     _benevolent_numbering,
     _screened_max,
     _split_blocks,
+    _split_mirror,
     _split_rows,
     _split_sums,
     arrangement_solve,
@@ -60,6 +63,14 @@ from .qap import (
 
 ALGEBRAIC_TOL = 1e-12
 VALUE_TOL = 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """np.eye(dim, dtype=complex), cached read-only: it runs as Python code, dear on a cold call."""
+    identity = np.eye(dim, dtype=complex)
+    identity.setflags(write=False)
+    return identity
 
 
 @dataclass(frozen=True)
@@ -95,8 +106,8 @@ class NumberingMeasurement:
             require_numbering(numberings[first], size=size)
             raise ValueError(f"{name} is not PSD (min eigenvalue {low[first]:.3e})")
         with np.errstate(over="ignore"):  # an infinite sum gives a NaN gap below
-            total = hermitian.sum(axis=0)
-        gap = float(np.max(np.abs(np.linalg.eigvalsh(total - np.eye(self.dim)))))
+            total = np.add.reduce(hermitian, axis=0)
+        gap = float(np.maximum.reduce(np.abs(np.linalg.eigvalsh(total - _identity(self.dim)))))
         if not gap <= EIGEN_TOL:
             raise ValueError(f"elements do not sum to the identity (gap {gap:.3e})")
         return self
@@ -198,17 +209,18 @@ def _two_outcome(e: Ensemble, c: CostFunction, n_star) -> tuple[np.ndarray, Numb
     batch = _effective_operator_batch(e, c, np.asarray(rows) - 1)
     e_star = require_hermitian(batch[0])
     if partner == n_star:
-        identity = NumberingMeasurement(dim=e.dim, elements={n_star: np.eye(e.dim, dtype=complex)})
+        identity = NumberingMeasurement(dim=e.dim, elements={n_star: _identity(e.dim).copy()})
         return e_star, identity.validated()
-    antisymmetry = float(np.max(np.abs(batch[0] + batch[1])))
+    antisymmetry = float(np.maximum.reduce(np.abs(batch[0] + batch[1]), axis=None))
     # E(n) + E(n o sigma) = 2 sum_t (g(t) + g(sigma^-1(t))) rho(n(t)), g = gamma - mean:
     # a cost balanced only within BALANCE_TOL leaves a gap of up to twice its
     # residual sum_t |g(t) + g(sigma(t))| times the largest prior, which bounds
     # every entry of a PSD state
     g = np.asarray(c.values) - c.mean
     k = _exponent(g)
-    residual = float(np.abs(g + g[np.asarray(c.balancing_permutation) - 1]).sum())
-    if antisymmetry > math.ldexp(ALGEBRAIC_TOL, k) + 2 * residual * float(e.prior.max()):
+    residual = float(np.add.reduce(np.abs(g + g[np.asarray(c.balancing_permutation) - 1])))
+    largest = float(np.maximum.reduce(e.prior))
+    if antisymmetry > math.ldexp(ALGEBRAIC_TOL, k) + 2 * residual * largest:
         raise NumericalCheckError(
             f"effective operators are not antisymmetric under the balancing "
             f"permutation (gap {antisymmetry:.3e}); is the cost certificate valid?"
@@ -241,15 +253,17 @@ def _screen_error(e: Ensemble, c: CostFunction) -> float:
     bound exceeds a quarter of it (nearly repeated eigenvalues), so a sum of 3 screened
     eigenvalues stays inside; the head and tail sums of :func:`_split_products` keep a
     d = 2 screen of either sweep within a quarter."""
-    largest = float(np.linalg.norm(e.states, axis=(1, 2)).max())
-    bound = 2 * float(np.abs(np.asarray(c.values) - c.mean).sum()) * largest
+    # np.linalg.norm(e.states, axis=(1, 2)), by numpy's own formula
+    norms = np.sqrt(np.add.reduce((e.states.conj() * e.states).real, axis=(1, 2)))
+    spread = float(np.add.reduce(np.abs(np.asarray(c.values) - c.mean)))
+    bound = 2 * spread * float(np.maximum.reduce(norms))
     return SCREEN_MARGIN / 2 * e.dim * bound + _UNDERFLOW
 
 
 # c eps in the closed form's error bound: against 40-digit spectra of random,
 # shifted, scaled and nearly degenerate 3x3 matrices, no row erred by more than
 # a tenth of the bound.
-_ROUNDING = 64 * np.finfo(float).eps
+_ROUNDING = 64 * _EPS
 # Halves and squares below the normal range keep fewer bits: each may be off
 # by 2^-1075, which moves r by about 2^-1073 / p^2 through the terms of p^2.
 _UNDERFLOW = 2.0**-1070
@@ -290,7 +304,7 @@ def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
             - (s0 * zz + s1 * yy + s2 * xx) / p2
             + 2 * (yr * (xr * zr - xi * zi) + yi * (xr * zi + xi * zr))
         )
-        r = np.clip(det / 2, -1.0, 1.0)
+        r = np.minimum(np.maximum(det / 2, -1.0), 1.0)  # np.clip's bits
         # phi in [0, pi / 3]: 2 cos(phi + 2 pi / 3) = -cos - sin and
         # 2 cos(phi + 4 pi / 3) = -cos + sin, with sin = sqrt(3) sin(phi)
         cos = np.cos(np.arccos(r) / 3)
@@ -300,8 +314,8 @@ def _spectra(batch: np.ndarray, budget: float) -> np.ndarray:
         values[:, 2] = q + 2 * p * cos
         dr = _ROUNDING * (1 + np.abs(q) / p) + _UNDERFLOW / p2
         bound = 2 * p * dr / (3 * np.sqrt(1 - r * r)) + _ROUNDING * (np.abs(q) + p)
-        redo = ~(bound <= budget) | ~np.isfinite(values).all(axis=1)
-    if redo.any():
+        redo = ~(bound <= budget) | ~np.logical_and.reduce(np.isfinite(values), axis=1)
+    if np.logical_or.reduce(redo):
         values[redo] = np.linalg.eigvalsh(batch[redo])
     return values
 
@@ -333,35 +347,40 @@ def _split_products(e: Ensemble, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     2) (:func:`_screen_error`, as |column_i| <= sqrt 2 ||rho_i||_F), and so
     are the rounding of the exact batch of E(n) and the scaling back by 2^k.
     """
-    k = _exponent(np.abs(weights).sum())
+    k = _exponent(np.add.reduce(np.abs(weights)))
     if e.dim == 2:
-        columns = np.column_stack([e.prior, e.bloch])
+        columns = np.concatenate([e.prior[:, None], e.bloch], axis=1)
     else:
         columns = e.states.reshape(e.size, -1).view(float)
     return np.ldexp(weights, -k)[:, None, None] * columns[None, :, :], columns, k
 
 
 def _refuted(
-    e: Ensemble, c: CostFunction, e_star: np.ndarray, magnitude: np.ndarray, tol: float
+    e: Ensemble, c: CostFunction, starts: np.ndarray, magnitude: np.ndarray, tol: float
 ) -> bool:
     """True when ascent over psi finds an n with |E(n*)| - E(n) below -tol.
 
     For a fixed psi, max_n <psi|E(n)|psi> is the sorted matching of
     gamma - mean against p_i = <psi|rho_i|psi> (rearrangement inequality).
-    Starting from each eigenvector of E(n*), that n is tested with the exact
-    batch of E(n); if it holds, psi moves to the lowest eigenvector of
-    |E(n*)| - E(n), for at most four steps.
+    Each column of ``starts``, the eigenvectors of E(n*), starts an ascent:
+    its n is tested with the exact batch of E(n), one numbering at a time,
+    and if it holds, psi moves to the lowest eigenvector of |E(n*)| - E(n),
+    for at most four steps.  The ascents go breadth first: step s of every
+    start before any start's step s + 1, so a start that refutes at once is
+    not kept behind one that holds for four steps.  When nothing refutes,
+    the tests are those of the ascents taken one after another.
     """
     positions = np.asarray(c.sorting_permutation) - 1
     numbering = np.empty((1, e.size), dtype=np.intp)
-    for psi in np.linalg.eigh(e_star)[1].T:
-        for _ in range(4):
+    psis = list(starts.T)
+    for _ in range(4):
+        for index, psi in enumerate(psis):
             overlaps = np.einsum("i,kij,j->k", psi.conj(), e.states, psi).real
-            numbering[0, positions] = np.argsort(overlaps, kind="stable")
+            numbering[0, positions] = overlaps.argsort(kind="stable")
             difference = magnitude - _effective_operator_batch(e, c, numbering)
             if np.linalg.eigvalsh(difference)[0, 0] < -tol:
                 return True
-            psi = np.linalg.eigh(difference[0])[1][:, 0]
+            psis[index] = np.linalg.eigh(difference[0])[1][:, 0]
     return False
 
 
@@ -371,9 +390,11 @@ def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
     Sweeps all M! numberings at any M (only :func:`solve`'s routes keep M to
     the enumeration cap), so a True result certifies that the two-outcome
     measurement at n* attains the minimum.
-    A few steps of ascent over pure states first look for a violating
-    numbering (:func:`_refuted`); it fails the check only on a numbering whose
-    exact test the sweep also fails, and at M = 1 it has tested the one
+    One ``eigh`` of E(n*), checked Hermitian, gives both |E(n*)| (the bits
+    of ``abs_operator``) and the eigenvectors from which a few steps of
+    ascent over pure states, breadth first, look for a violating numbering
+    (:func:`_refuted`); it fails the check only on a numbering whose exact
+    test the sweep also fails, and at M = 1 it has tested the one
     numbering.  Otherwise every numbering comes from the blocks of
     ``qap._split``, positions in their natural order, and w = 2 (gamma -
     mean).  With c the coordinates of |E(n*)| 2^-k and a and b the head and
@@ -391,9 +412,9 @@ def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
     E(n).  The result equals the exact sweep over all numberings.
     """
     n_star = require_numbering(n_star, size=e.size)
-    e_star = effective_operator(e, c, n_star)
-    magnitude = abs_operator(e_star)
-    if _refuted(e, c, e_star, magnitude, tol):
+    eigenvalues, vectors = np.linalg.eigh(require_hermitian(effective_operator(e, c, n_star)))
+    magnitude = _magnitude(eigenvalues, vectors)
+    if _refuted(e, c, vectors, magnitude, tol):
         return False
     m, d = e.size, e.dim
     if m == 1:
@@ -422,13 +443,13 @@ def condition_check(e: Ensemble, c: CostFunction, n_star, tol: float = EIGEN_TOL
         for start in range(0, len(left), step):
             gaps = heads[start : start + step, :, None] - tails[start : start + step]
             screened = lowest(gaps.reshape(-1, width))
-            if float(screened.min()) < low:
+            if float(np.minimum.reduce(screened)) < low:
                 return False
             near = block[start * per_subset + (screened <= high).nonzero()[0]]
             if not len(near):
                 continue
             difference = magnitude[None, :, :] - _effective_operator_batch(e, c, _split_rows(m, near))
-            if float(np.linalg.eigvalsh(difference)[:, 0].min()) < -tol:
+            if float(np.minimum.reduce(np.linalg.eigvalsh(difference)[:, 0])) < -tol:
                 return False
     return True
 
@@ -465,13 +486,6 @@ def _norm_bound(
     return bound * (1 + 2.0**-40) + error
 
 
-def _first_half(m: int, flat: np.ndarray) -> np.ndarray:
-    """Which flat indices of ``qap._split``'s blocks hold a numbering n with
-    n(0) < n(M - 1): one of each pair {n, n reversed}, none when M = 1."""
-    rows = _split_rows(m, flat)
-    return rows[:, 0] < rows[:, -1]
-
-
 def _split_parts(left: np.ndarray, right: np.ndarray, flat: np.ndarray, columns: int) -> np.ndarray:
     """a + b, the first ``columns`` of the head and tail sums of each row at
     flat indices of a block's (C, h!, t!) product, from the rows (2a, |2a|^2,
@@ -494,11 +508,12 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
     ||E(n)||_1 = max(|A|, |W|) <= sqrt(q); at d >= 3 q = ||E(n)||_F^2, tau
     = Tr E(n) and ||E(n)||_1 <= sqrt(d q).
 
-    The rows with n(0) < n(M - 1), one of each mirror pair
-    (:func:`_first_half`), are screened: at d = 2 exactly up to rounding,
-    max(|A|, |W|), at d >= 3 by the spectra of E(n) = a + b (:func:`_spectra`);
-    the other rows score -inf, and above M = 8 the blocks whose prefix
-    starts with label M - 1, which hold none, are skipped.  Rows screened
+    The rows with n(0) < n(M - 1), one of each mirror pair, read from the
+    block's cached mirror table (``qap._split_mirror``), are screened: at d
+    = 2 exactly up to rounding, max(|A|, |W|), at d >= 3 by the spectra of
+    E(n) = a + b (:func:`_spectra`); the other rows score -inf, and above M
+    = 8 the blocks whose prefix starts with label M - 1, which hold none,
+    are skipped.  Rows screened
     within window = 2 error + 2 delta of the running maximum, error the
     screen's (:func:`_screen_error`), are recomputed from the exact batch of
     E(n) with their mirrors, so the result equals the exact sweep over all
@@ -514,8 +529,8 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
     norm of the block, so a row that cannot reach T may score -inf
     (:func:`_screened_max`), and the rows recomputed are those of the screen
     without bounds.  Stage 1 is one comparison of every row's q with
-    :func:`_norm_cutoff`; at d >= 3 stage 2 keeps the survivors whose
-    :func:`_norm_bound` of q and tau reaches T.
+    :func:`_norm_cutoff`, joined with the mirror table; at d >= 3 stage 2
+    keeps the survivors whose :func:`_norm_bound` of q and tau reaches T.
 
     Rounding.  With S and the D columns of :func:`_split_products`, q adds
     D + 2 products of (2a, |2a|^2, 1) and (b, 1/4, |b|^2) after norms
@@ -534,27 +549,28 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
     error = _screen_error(e, c)
     order = np.asarray(c.sorting_permutation) - 1
     weights = 2 * (np.asarray(c.values)[order] - c.mean)
-    largest = float(np.abs(np.linalg.eigvalsh(e.states)).sum(axis=1).max())
-    delta = float(np.abs(weights + weights[::-1]).sum()) * largest
+    largest = float(np.maximum.reduce(np.add.reduce(np.abs(np.linalg.eigvalsh(e.states)), axis=1)))
+    delta = float(np.add.reduce(np.abs(weights + weights[::-1]))) * largest
     products, columns, k = _split_products(e, weights)
     error, window = np.ldexp(error, -k), np.ldexp(2 * error + 2 * delta, -k)
     # the parts of entry (i, i) start at 2 i (d + 1)
     nu, diagonal = (1, [0]) if d == 2 else (d, 2 * (d + 1) * np.arange(d))
-    size = math.ldexp(float(np.abs(weights).sum()), -k) * float(np.linalg.norm(columns, axis=1).max())
-    width, eps = columns.shape[1], np.finfo(float).eps
+    # np.linalg.norm(columns, axis=1), by numpy's own formula
+    lengths = np.sqrt(np.add.reduce(columns * columns, axis=1))
+    size = math.ldexp(float(np.add.reduce(np.abs(weights))), -k) * float(np.maximum.reduce(lengths))
+    width = columns.shape[1]
     pads = (
-        (2 * width + 8) * eps * size * size + width * _UNDERFLOW,
-        (d + 4) * math.sqrt(d) * eps * size + width * _UNDERFLOW,
+        (2 * width + 8) * _EPS * size * size + width * _UNDERFLOW,
+        (d + 4) * math.sqrt(d) * _EPS * size + width * _UNDERFLOW,
     )
 
     def screen(block, running):
         left, right = _split_sums(products, block)
+        mirror = _split_mirror(m, block)
         squares = left @ right.transpose(0, 2, 1)
         scores = squares.reshape(-1)
-        traces = left[:, :, diagonal].sum(axis=2) / 2, right[:, :, diagonal].sum(axis=2)
-
-        def first_half(flat):
-            return flat[_first_half(m, block[flat])]
+        traces = (np.add.reduce(left[:, :, diagonal], axis=2) / 2,
+                  np.add.reduce(right[:, :, diagonal], axis=2))
 
         def bounds(flat):
             s, i, j = np.unravel_index(flat, squares.shape)
@@ -565,17 +581,19 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
             if d == 2:  # (A, W)
                 length = np.sqrt(np.einsum("kx,kx->k", parts[:, 1:], parts[:, 1:]))
                 return np.maximum(np.abs(parts[:, 0]), length)
-            return np.abs(spectra(parts.view(complex).reshape(-1, d, d))).sum(axis=1)
+            return np.add.reduce(np.abs(spectra(parts.view(complex).reshape(-1, d, d))), axis=1)
 
         # the row of largest q of each subset
-        leads = first_half(squares.reshape(len(squares), -1).argmax(axis=1)
-                           + np.arange(len(squares)) * squares[0].size)
-        lead = float(norms(leads, np.linalg.eigvalsh).max()) - error if len(leads) else -math.inf
+        leads = (squares.reshape(len(squares), -1).argmax(axis=1)
+                 + np.arange(len(squares)) * squares[0].size)
+        leads = leads[mirror[leads]]
+        lead = -math.inf
+        if len(leads):
+            lead = float(np.maximum.reduce(norms(leads, np.linalg.eigvalsh))) - error
         threshold = max(running, lead) - window
-        kept = (scores >= _norm_cutoff(threshold, nu, error, pads[0])).nonzero()[0]
+        kept = ((scores >= _norm_cutoff(threshold, nu, error, pads[0])) & mirror).nonzero()[0]
         if d != 2:
             kept = kept[bounds(kept) >= threshold]
-        kept = first_half(kept)
         screened = norms(kept, lambda batch: _spectra(batch, error / 4))
         scores.fill(-math.inf)
         scores[kept] = screened
@@ -587,7 +605,8 @@ def tracenorm_argmax(e: Ensemble, c: CostFunction) -> tuple[Numbering, float]:
         numberings = np.empty((2 * len(rows), m), dtype=np.intp)
         numberings[: len(rows), order] = rows
         numberings[len(rows) :, order] = rows[:, ::-1]
-        norms = np.abs(np.linalg.eigvalsh(_effective_operator_batch(e, c, numberings))).sum(axis=1)
+        spectra = np.linalg.eigvalsh(_effective_operator_batch(e, c, numberings))
+        norms = np.add.reduce(np.abs(spectra), axis=1)
         return numberings, norms
 
     return _screened_max(_split_blocks(m, skip=m - 1), screen, rechecked, window)
@@ -708,8 +727,9 @@ def solve(
     """
     _require_same_size(e, c)
     _require_balanced(c)
-    nonzero = (e.states != 0).any(axis=0)
-    used = (nonzero.any(axis=0) | nonzero.any(axis=1)).nonzero()[0]
+    nonzero = np.logical_or.reduce(e.states != 0, axis=0)
+    used = np.logical_or.reduce(nonzero, axis=0) | np.logical_or.reduce(nonzero, axis=1)
+    used = used.nonzero()[0]
     if 2 <= len(used) < e.dim:
         sub = validate(e.states[:, used][:, :, used])
         return _lift(solve(sub, c, tol=tol, cap=cap), used, e.dim)
@@ -727,12 +747,12 @@ def _lift(report: GuessworkReport, used: np.ndarray, dim: int) -> GuessworkRepor
     if report.measurement is None:
         return report
     elements = report.measurement.elements
-    share = np.eye(dim, dtype=complex) / len(elements)
+    share = _identity(dim) / len(elements)
     share[used, used] = 0
     lifted = {}
     for numbering, element in elements.items():
         lifted[numbering] = share.copy()
-        lifted[numbering][np.ix_(used, used)] = element
+        lifted[numbering][used[:, None], used] = element
     return replace(report, measurement=NumberingMeasurement(dim, lifted).validated())
 
 
@@ -763,14 +783,14 @@ def simulate(
     _require_same_size(e, c)
     rng = np.random.default_rng(seed)
 
-    prior = np.clip(e.prior, 0.0, None)
-    prior = prior / prior.sum()
+    prior = np.maximum(e.prior, 0.0)  # np.clip's bits
+    prior = prior / np.add.reduce(prior)
     outcomes = sorted(m.elements)
     # joint[j, label] = Tr[pi_j rho(label)]; tiny negatives are numerical noise
-    elements = np.stack([m.elements[numbering] for numbering in outcomes])
-    joint = np.clip(np.einsum("jab,lba->jl", elements, e.states).real, 0.0, None)
+    elements = np.array([m.elements[numbering] for numbering in outcomes])
+    joint = np.maximum(np.einsum("jab,lba->jl", elements, e.states).real, 0.0)
     # a zero column belongs to a zero-trace state, which is never drawn
-    column_totals = joint.sum(axis=0, keepdims=True)
+    column_totals = np.add.reduce(joint, axis=0, keepdims=True)
     cells = prior * (joint / np.where(column_totals > 0, column_totals, 1.0))
     # cost_table[j, label] = gamma(n_j^-1(label))
     inverses = np.array([invert(numbering) for numbering in outcomes]) - 1
@@ -781,7 +801,7 @@ def simulate(
     # cells that can occur take part in the draw
     support = cells.ravel().nonzero()[0]
     weights = cells.ravel()[support]
-    counts = rng.multinomial(samples, weights / weights.sum()).astype(float)
+    counts = rng.multinomial(samples, weights / np.add.reduce(weights)).astype(float)
     costs = np.ldexp(cost_table.ravel()[support], -k)
     estimate = float(counts @ costs / samples)
     if samples < 2:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import _exponent, _mean
 from .operators import EIGEN_TOL, _hermitian_parts, _pauli, from_bloch, require_hermitian
 
 TRACE_TOL = 1e-10
@@ -57,15 +58,15 @@ def validate(raw_states) -> Ensemble:
         require_hermitian(raw_states[0], name="state 0")  # names what is wrong with it
     dim = states.shape[1]
     low = np.linalg.eigvalsh(states)[:, 0]
-    index = int(np.argmax(low < -EIGEN_TOL))
+    index = int((low < -EIGEN_TOL).argmax())
     if low[index] < -EIGEN_TOL:
         raise ValueError(f"state {index} is not PSD (min eigenvalue {low[index]:.3e})")
     if count < len(raw_states):  # the first state that is not a valid dim x dim matrix
         other = require_hermitian(raw_states[count], name=f"state {count}").shape[0]
         raise ValueError(f"mixed dimensions: state {count} is {other}x{other}, expected {dim}")
     states.setflags(write=False)
-    prior = np.ascontiguousarray(np.trace(states, axis1=1, axis2=2).real)
-    total = float(prior.sum())
+    prior = np.ascontiguousarray(states.trace(axis1=1, axis2=2).real)
+    total = float(np.add.reduce(prior))
     if abs(total - 1.0) > TRACE_TOL:
         raise ValueError(f"total trace is {total!r}, must be 1 within {TRACE_TOL:.1e}")
     prior.setflags(write=False)
@@ -178,13 +179,18 @@ def generate_random_uniform_prior(m: int, dim: int, seed: int) -> Ensemble:
 
 def is_uniform_prior(e: Ensemble, tol: float = TRACE_TOL) -> bool:
     """True iff every prior weight is within tol of 1/M."""
-    return bool(np.max(np.abs(e.prior - 1.0 / e.size)) <= tol)
+    return bool(np.maximum.reduce(np.abs(e.prior - 1.0 / e.size)) <= tol)
 
 
 def constant_overlap_check(e: Ensemble, tol: float = TRACE_TOL) -> bool:
-    """True iff v(average state) . v(rho(m)) is constant over m (dim = 2 only)."""
+    """True iff v(average state) . v(rho(m)) is constant over m (dim = 2 only).
+
+    The dots are judged divided by 2^k, the smallest power of two above the
+    Bloch Gram's largest entry (``costs._exponent``), so ``tol`` is relative
+    to the layout's scale, as benevolence is.
+    """
     if e.dim != 2:
         raise ValueError(f"constant_overlap_check requires dim = 2, got {e.dim}")
     center = _pauli(sum(e.states) / e.size)  # the mean of checked states
-    dots = e.bloch @ center
-    return bool(np.max(np.abs(dots - dots.mean())) <= tol)
+    dots = np.ldexp(e.bloch @ center, -_exponent(e.bloch @ e.bloch.T))
+    return bool(np.maximum.reduce(np.abs(dots - _mean(dots))) <= tol)

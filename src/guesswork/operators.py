@@ -38,9 +38,10 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
     if mat.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
-        deviation = float(np.abs(mat - mat.conj().T).max())
+        deviation = float(np.maximum.reduce(np.abs(mat - mat.conj().T), axis=None))
         hermitian = (mat + mat.conj().T) / 2
-    if not np.isfinite(hermitian).all():  # NaN would pass the comparison below
+    # NaN would pass the comparison below
+    if not np.logical_and.reduce(np.isfinite(hermitian), axis=None):
         raise ValueError(f"{name} has non-finite entries or entries too large to symmetrize")
     if deviation > HERMITICITY_TOL:
         raise ValueError(
@@ -73,10 +74,10 @@ def _hermitian_parts(raw, dim: int | None = None) -> np.ndarray:
         stack = np.stack(mats) if mats else np.zeros((0, 1, 1), dtype=complex)
     adjoint = stack.conj().transpose(0, 2, 1)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge entries
-        valid = np.abs(stack - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOL
+        valid = np.maximum.reduce(np.abs(stack - adjoint), axis=(1, 2)) <= HERMITICITY_TOL
         hermitian = (stack + adjoint) / 2
-    valid &= np.isfinite(hermitian).all(axis=(1, 2))
-    return hermitian[: int(valid.argmin()) if not valid.all() else len(stack)]
+    valid &= np.logical_and.reduce(np.isfinite(hermitian), axis=(1, 2))
+    return hermitian[: int(valid.argmin()) if not np.logical_and.reduce(valid) else len(stack)]
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def _spectral_parts(mat: np.ndarray) -> SpectralParts:
     eigenvalues, vectors = np.linalg.eigh(mat)
 
     def projector(mask: np.ndarray) -> np.ndarray:
-        if not mask.any():
+        if not np.logical_or.reduce(mask):
             return np.zeros((dim, dim), dtype=complex)
         sub = vectors[:, mask]
         return sub @ sub.conj().T
@@ -153,11 +154,14 @@ def trace_norm(a) -> float:
 
 def _trace_norm(mat: np.ndarray) -> float:
     """:func:`trace_norm` of a checked Hermitian matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
+    return float(np.add.reduce(np.abs(np.linalg.eigvalsh(mat))))
 
 
 def abs_operator(a) -> np.ndarray:
     """Operator absolute value |A| = A_+ - A_- via eigendecomposition."""
-    mat = require_hermitian(a)
-    eigenvalues, vectors = np.linalg.eigh(mat)
+    return _magnitude(*np.linalg.eigh(require_hermitian(a)))
+
+
+def _magnitude(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """:func:`abs_operator` from the ``eigh`` of a checked Hermitian matrix."""
     return (vectors * np.abs(eigenvalues)) @ vectors.conj().T

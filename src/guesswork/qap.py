@@ -28,7 +28,10 @@ share its blocks (:func:`_split_blocks`), head and tail sums
 (:func:`_split_sums`) and the decoding of its flat indices
 (:func:`_split_rows`): this solver's :func:`_split_max`, the trace-norm
 sweep ``engine.tracenorm_argmax`` and the condition sweep
-``engine.condition_check``.
+``engine.condition_check``.  Beside the split's tables, cached as they are,
+the mirror tables (:func:`_mirror_tables`) mark in each block the rows n
+with n(0) < n(M - 1), one of each pair {n, n reversed}: the trace-norm
+sweep screens only those, so its layout stays here.
 :func:`_screened_max` reduces a sweep's blocks: ``screen(block, running)``
 may give any score below running - window to a row it can show lies there.
 """
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostFunction, Numbering, _exponent, _require_balanced, compose, invert
+from .costs import CostFunction, Numbering, _exponent, _mean, _require_balanced, compose, invert
 from .ensembles import Ensemble
 
 DEFAULT_FACTORIAL_CAP = 10
@@ -71,6 +74,11 @@ _PARALLEL = 1e-13
 # times the rounding of the projections at unit scale, an arc takes its exact
 # distances to the circles instead.
 _RESOLVED = 2.0**-40
+
+# The unit axes: a circle's first direction e1 is its normal crossed with the
+# axis least aligned with it.
+_AXES = np.eye(3)
+_AXES.setflags(write=False)
 
 # Up to M = 8 the split sweep of all M! numberings is faster than building
 # the arrangement, above it slower.  In process on a 2-vCPU shared host, BLAS
@@ -189,19 +197,20 @@ def _sorted_matchings(g: np.ndarray, bloch: np.ndarray) -> np.ndarray:
     # with n_b = x e1 + y e2 + z n_a, circle b crosses circle a at the angle
     # atan2(x, -y), mod pi as the two crossing points are antipodal, and
     # |n_a x n_b| = hypot(x, y)
-    e1 = _cross(normals, np.eye(3)[np.argmin(np.abs(normals), axis=1)])
+    e1 = _cross(normals, _AXES[np.abs(normals).argmin(axis=1)])
     e1 /= _row_norms(e1)[:, None]
     e2 = _cross(normals, e1)
     x, y = e1 @ normals.T, e2 @ normals.T
     sines = np.hypot(x, y)
     apart = sines > _PARALLEL
-    angles = np.sort(np.where(apart, np.arctan2(x, -y) % np.pi, 0.0), axis=1)
+    angles = np.where(apart, np.arctan2(x, -y) % np.pi, 0.0)
+    angles.sort(axis=1)
     gaps = np.concatenate([angles[:, 1:], angles[:, :1] + np.pi], axis=1) - angles
-    circle, arc = np.nonzero(gaps >= _PARALLEL)
+    circle, arc = (gaps >= _PARALLEL).nonzero()
     halves = gaps[circle, arc] / 2
     mids = angles[circle, arc] + halves
-    bounds = np.where(apart, sines, 1.0).min(axis=1)[circle] * np.sin(halves)
-    floor = 2 * _RESOLVED / lengths[lengths > 0].min()
+    bounds = np.minimum.reduce(np.where(apart, sines, 1.0), axis=1)[circle] * np.sin(halves)
+    floor = 2 * _RESOLVED / np.minimum.reduce(lengths[lengths > 0])
     size = max(1, math.factorial(_TABLE_POSITIONS) // max(len(normals), m))
     keys = []
     for start in range(0, len(circle), size):
@@ -209,15 +218,15 @@ def _sorted_matchings(g: np.ndarray, bloch: np.ndarray) -> np.ndarray:
         points = np.cos(mid) * e1[a] + np.sin(mid) * e2[a]
         bound = bounds[start : start + size].copy()
         low = bound < floor
-        if low.any():
+        if np.logical_or.reduce(low):
             distances = np.abs(points[low] @ normals.T)
-            bound[low] = np.where(apart[a[low]], distances, np.inf).min(axis=1)
+            bound[low] = np.minimum.reduce(np.where(apart[a[low]], distances, np.inf), axis=1)
         steps = (np.minimum(bound, 1.0) / 2)[:, None] * normals[a]
-        order = np.argsort(np.concatenate([points + steps, points - steps]) @ bloch.T, axis=1)
+        order = (np.concatenate([points + steps, points - steps]) @ bloch.T).argsort(axis=1)
         keys.append(_order_keys(np.concatenate([order, order[:, ::-1]])))
     orders = _order_rows(_distinct(np.concatenate(keys)), m)
     matchings = np.empty_like(orders)
-    matchings[:, np.argsort(g, kind="stable")] = orders
+    matchings[:, g.argsort(kind="stable")] = orders
     return np.concatenate([identity, matchings])
 
 
@@ -257,8 +266,10 @@ def _distinct(keys: np.ndarray, seen: np.ndarray | None = None) -> np.ndarray:
         order = np.lexsort(keys.T[::-1])  # stable, and one key is a stable argsort
         keys, fresh = keys[order], order >= held
     else:  # a plain sort of one word is several times faster
-        keys, fresh = np.sort(keys, axis=0), np.ones(len(keys), dtype=bool)
-    fresh[1:] &= (keys[1:] != keys[:-1]).any(axis=1)
+        keys, fresh = keys.copy(), np.empty(len(keys), dtype=bool)
+        keys.sort(axis=0)
+        fresh.fill(True)
+    fresh[1:] &= np.logical_or.reduce(keys[1:] != keys[:-1], axis=1)
     return keys[fresh]
 
 
@@ -273,7 +284,7 @@ def _closure(
     swaps = np.arange(len(first))
     chunk = max(1, math.factorial(_TABLE_POSITIONS) // len(swaps))
     scores = _scores(g, bloch, rows)
-    top = float(scores.max())
+    top = float(np.maximum.reduce(scores))
     seen = frontier = _distinct(_order_keys(rows[scores >= top - window]))
     while len(frontier):
         if len(seen) * len(swaps) > math.factorial(m):
@@ -281,12 +292,12 @@ def _closure(
         found = []
         for start in range(0, len(frontier), chunk):
             base = _order_rows(frontier[start : start + chunk], m)
-            near = np.repeat(base[:, None, :], len(swaps), axis=1)
+            near = base[:, None, :].repeat(len(swaps), axis=1)
             near[:, swaps, first] = base[:, second]
             near[:, swaps, second] = base[:, first]
             near = near.reshape(-1, m)
             scores = _scores(g, bloch, near)
-            top = max(top, float(scores.max()))
+            top = max(top, float(np.maximum.reduce(scores)))
             found.append(near[scores >= top - window])
         frontier = _distinct(_order_keys(np.concatenate(found)), seen)
         seen = np.concatenate([seen, frontier])
@@ -336,12 +347,12 @@ def _screened_max(blocks, screen, exact, window: float) -> tuple[Numbering, floa
     best = None
     for block in blocks:
         scores = screen(block, running)
-        running = max(running, float(scores.max()))
+        running = max(running, float(np.maximum.reduce(scores)))
         rows = block[scores >= running - window]
         if not len(rows):
             continue
         rows, values = exact(rows)
-        top = float(values.max())
+        top = float(np.maximum.reduce(values))
         row = min(rows[values == top].tolist())
         if top > best_value or (top == best_value and row < best):
             best_value, best = top, row
@@ -385,7 +396,7 @@ def _split_sums(products: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np
     start = starts[block[0] // math.factorial(k)]
     local = np.zeros((k, k, columns + 2))  # [position, label] of the rest
     local[:, :, :columns] = products[m - k :, start[m - k :]]
-    local[0, :, :columns] += products[np.arange(m - k), start[: m - k]].sum(axis=0)
+    local[0, :, :columns] += np.add.reduce(products[np.arange(m - k), start[: m - k]], axis=0)
     local[:h, :, :columns] *= 2
     local[0, :, columns + 1], local[h, :, columns] = 1, 0.25
     left = head_incidence @ local[:h].reshape(-1, columns + 2)
@@ -405,6 +416,36 @@ def _split_rows(m: int, flat: np.ndarray) -> np.ndarray:
     slots = np.concatenate([heads[subset, head], tails[subset, tail]], axis=1)
     rows[:, m - k :] = rows[np.arange(len(rows))[:, None], m - k + slots]
     return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only mirror tables of :func:`_split`'s blocks, M >= 2, and the
+    row of each prefix.  Row r marks the flat indices of a block whose
+    numbering n has n(0) < n(M - 1).  Up to M = 8 there is one block and
+    one row: the head's first label below the tail's last.  Above it n(0)
+    starts the prefix and the rest of the labels fill the last 8 positions
+    in ascending order, so n(0) < n(M - 1) when the tail's last slot is at
+    least r, the number of the rest below n(0): row r for r = 0..8."""
+    heads, _, tails, _, starts = _split(m)
+    k = min(m, _TABLE_POSITIONS)
+    last = tails[:, None, :, -1]  # (C, 1, t!), broadcast over the heads
+    if m == k:
+        tables, rows = (heads[:, :, None, 0] < last)[None], np.zeros(1, dtype=np.intp)
+    else:
+        tables = (last >= np.arange(k + 1)[:, None, None, None]).repeat(heads.shape[1], axis=2)
+        rows = np.add.reduce(starts[:, m - k :] < starts[:, :1], axis=1)
+    tables = tables.reshape(len(tables), -1)
+    tables.setflags(write=False)
+    return tables, rows
+
+
+def _split_mirror(m: int, block: np.ndarray) -> np.ndarray:
+    """Which rows of ``block`` (one of :func:`_split_blocks`) hold a numbering n
+    with n(0) < n(M - 1), M >= 2: one of each pair {n, n reversed}, as a
+    read-only row of :func:`_mirror_tables`."""
+    tables, rows = _mirror_tables(m)
+    return tables[rows[block[0] // tables.shape[1]]]
 
 
 def _split_blocks(m: int, skip: int | None = None):
@@ -570,9 +611,9 @@ def is_benevolent(a, tol: float = BENEVOLENCE_TOL) -> BenevolenceReport:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     m = mat.shape[0]
 
-    symmetric = float(np.max(np.abs(mat - mat.T))) <= tol
+    symmetric = float(np.maximum.reduce(np.abs(mat - mat.T), axis=None)) <= tol
     heads = mat[tuple(_diagonal_heads(m))]
-    toeplitz = float(np.max(np.abs(mat - heads))) <= tol
+    toeplitz = float(np.maximum.reduce(np.abs(mat - heads), axis=None)) <= tol
 
     column = mat[:, 0]
     half = m // 2
@@ -596,12 +637,12 @@ def zigzag_numbering(m: int) -> Numbering:
         raise ValueError("m must be >= 1")
     position = np.arange(1, m + 1)
     inverse = np.where(position <= (m + 1) // 2, 2 * position - 1, 2 * (m + 1 - position))
-    return tuple((np.argsort(inverse) + 1).tolist())
+    return tuple((inverse.argsort() + 1).tolist())
 
 
 def _conjugate(a: np.ndarray, sigma: Numbering) -> np.ndarray:
     idx = np.asarray(sigma, dtype=np.intp) - 1
-    return a[np.ix_(idx, idx)]
+    return a[idx[:, None], idx]
 
 
 def _cyclic_search(mat: np.ndarray, labels: list[int], tol: float) -> Numbering | None:
@@ -618,7 +659,7 @@ def _cyclic_search(mat: np.ndarray, labels: list[int], tol: float) -> Numbering 
 def _azimuthal_order(gram: np.ndarray) -> list[int]:
     """The labels sorted by the angle of their two leading principal coordinates in ``gram``."""
     v = np.linalg.eigh(gram)[1]
-    return [int(i) + 1 for i in np.argsort(np.arctan2(v[:, -2], v[:, -1]), kind="stable")]
+    return [int(i) + 1 for i in np.arctan2(v[:, -2], v[:, -1]).argsort(kind="stable")]
 
 
 def find_benevolent_permutation(a, tol: float = BENEVOLENCE_TOL) -> Numbering | None:
@@ -641,12 +682,12 @@ def find_benevolent_permutation(a, tol: float = BENEVOLENCE_TOL) -> Numbering | 
     mat = np.ldexp(mat, -_exponent(mat))
     sigma = _cyclic_search(mat, list(range(1, mat.shape[0] + 1)), tol)
     # Conjugation cannot repair asymmetry (or NaN), so a relabeling is hopeless.
-    if sigma is not None or not float(np.max(np.abs(mat - mat.T))) <= tol:
+    if sigma is not None or not float(np.maximum.reduce(np.abs(mat - mat.T), axis=None)) <= tol:
         return sigma
     sigma = _cyclic_search(mat, _azimuthal_order(-mat), tol)
     if sigma is None:  # the centred Gram J (-A) J, J = I - 1 1^T / M
-        means = mat.mean(axis=0)
-        centred = means + means[:, None] - means.mean() - mat
+        means = np.add.reduce(mat, axis=0) / len(mat)
+        centred = means + means[:, None] - _mean(means) - mat
         sigma = _cyclic_search(mat, _azimuthal_order(centred), tol)
     return sigma
 

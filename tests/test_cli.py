@@ -20,6 +20,7 @@ from guesswork.cli import main
 from guesswork.costs import _exponent, identity_cost
 from guesswork.engine import guesswork_value, min_guesswork_qubit, solve
 from guesswork.ensembles import (
+    constant_overlap_check,
     generate_mub,
     generate_polygon_antiprism,
     generate_random_uniform_prior,
@@ -433,6 +434,16 @@ def test_benevolence_is_judged_at_the_bloch_grams_scale(tmp_path, capsys):
         assert "zig-zag bound" in capsys.readouterr().out
         assert run_cli(["check", "--ensemble", path]) == 0
         assert "benevolent           no (no relabeling found)" in capsys.readouterr().out
+
+
+def test_check_judges_constant_overlap_at_the_bloch_grams_scale(tmp_path, capsys):
+    # judged against an absolute tol, the copy shrunk by 1e-8 read "yes"
+    bloch = generate_random_uniform_prior(4, 2, 1).bloch
+    for scale in (1.0, 1e-4, 1e-8):
+        e = validate([from_bloch(0.25, scale * v) for v in bloch])
+        assert not constant_overlap_check(e)
+        assert run_cli(["check", "--ensemble", write_ensemble(tmp_path / "random4.json", e)]) == 0
+        assert "constant overlap     no" in capsys.readouterr().out
 
 
 def test_check_judges_the_h_bound_at_the_layouts_own_radius(tmp_path, capsys):

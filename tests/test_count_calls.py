@@ -24,9 +24,15 @@ def test_the_call_counts_repeat_and_cover_every_operation_of_a_seed():
     lines = runs[0].splitlines()
     # a header, the 31 solves and 5 simulates of the three workloads, then the total
     assert len(lines) == 38
-    rows = [line.split(None, 3) for line in lines[1:]]
-    assert rows[-1][3] == "total"
-    assert len({row[3] for row in rows[:-1]}) == 36
-    counts = [[int(n) for n in row[:3]] for row in rows]
-    assert all(python > 0 and c > 0 and calls == python + c for python, c, calls in counts)
+    assert lines[0].split() == ["python", "c", "calls", "numpy", "operation"]
+    rows = [line.split(None, 4) for line in lines[1:]]
+    assert rows[-1][4] == "total"
+    assert len({row[4] for row in rows[:-1]}) == 36
+    counts = [[int(n) for n in row[:4]] for row in rows]
+    # numpy's Python calls are some of the Python calls: at least eigvalsh's
+    # wrapper runs in each operation, as the CLI validates every ensemble
+    assert all(
+        python > 0 and c > 0 and calls == python + c and 0 < numpy < python
+        for python, c, calls, numpy in counts
+    )
     assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -367,3 +369,74 @@ def test_qubit_solves_call_no_python_level_numpy_helper(monkeypatch):
     got = [dumps(report_to_json(solve(e, c))) for e, c in problems]
     assert got == want
     assert [json.loads(text)["method"] for text in got] == ["brute_force"] * len(problems)
+
+
+# The numpy wrappers that run as Python code and remain on the solve routes:
+# their C cores are private modules (numpy.linalg._umath_linalg, c_einsum),
+# and errstate has no C form.  Every other numpy call is a C function, or one
+# with only a Python dispatcher (numpy._core.multiarray).
+REMAINING_WRAPPERS = ("eigvalsh", "eigh", "einsum", "errstate")
+_NUMPY = os.path.dirname(np.__file__)
+_REDUCTION_WRAPPERS = (
+    os.path.join(_NUMPY, "_core", "_methods.py"),
+    os.path.join(_NUMPY, "_core", "fromnumeric.py"),
+)
+
+
+def _remaining(frame) -> bool:
+    module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_qualname
+    dispatched = name.startswith("_") and name.endswith("_dispatcher")
+    return module == "numpy._core.multiarray" or dispatched or name.split(".")[0] in REMAINING_WRAPPERS
+
+
+def _numpy_python_calls(run) -> tuple[list[str], list[str]]:
+    """The numpy functions that run as Python code entered during run(): those of
+    ``ndarray.max``-style reductions and ``np.linalg.norm`` at any depth, and the
+    others entered from the library's code that are not REMAINING_WRAPPERS."""
+    forbidden, other = [], []
+
+    def profile(frame, event, arg):
+        if event != "call" or not frame.f_code.co_filename.startswith(_NUMPY):
+            return
+        name = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_qualname}"
+        if frame.f_code.co_filename in _REDUCTION_WRAPPERS or name == "numpy.linalg._linalg.norm":
+            forbidden.append(name)
+        elif frame.f_back.f_globals.get("__name__", "").startswith("guesswork") and not _remaining(frame):
+            other.append(name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return forbidden, other
+
+
+def _non_uniform_qubits(m: int, seed: int):
+    rng = np.random.default_rng(seed)
+    prior = rng.uniform(0.5, 1.5, m)
+    prior /= prior.sum()
+    directions = rng.normal(size=(m, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return validate([from_bloch(p, rng.uniform(0, p) * v) for p, v in zip(prior, directions)])
+
+
+@pytest.mark.parametrize(
+    "e, c, method, verified",
+    [
+        (generate_random_uniform_prior(8, 3, 1), identity_cost(8), "condition_check_only", False),
+        (_non_uniform_qubits(8, 0), identity_cost(8), "condition_check_only", False),
+        (rotated_qubits(8, 1)[1], identity_cost(8), "condition_check_only", True),
+        (generate_random_uniform_prior(8, 2, 2), identity_cost(8), "brute_force", True),
+        (generate_random_uniform_prior(9, 2, 3), identity_cost(9), "brute_force", True),
+        (generate_polygon_antiprism(11), identity_cost(11), "benevolent", False),
+    ],
+    ids=["ginibre-qutrits", "non-uniform-qubits", "rotated-qubits", "qubits-8", "qubits-9", "polygon-11"],
+)
+def test_every_solve_route_calls_no_python_level_reduction(e, c, method, verified):
+    # ndarray.max/min/sum/mean/any/all, np.max, np.argsort and np.linalg.norm run
+    # as Python code, dear on a cold call; every route uses C-level forms with
+    # the same bits.  A first solve fills the per-M caches
+    report = solve(e, c)
+    assert (report.method, report.condition_verified) == (method, verified)
+    assert _numpy_python_calls(lambda: solve(e, c)) == ([], [])

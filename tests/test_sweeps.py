@@ -1050,6 +1050,34 @@ def test_condition_check_refutes_a_failing_certificate_without_sweeping(monkeypa
     assert condition_check(e, c, n_star) is False
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_falsifier_tests_step_0_of_every_start_first(monkeypatch, seed):
+    # on these Ginibre qutrits the ascent from the first eigenvector holds for
+    # four steps and the one from the second refutes at once: breadth first,
+    # the falsifier forms 2 exact batches where one start after another forms 5
+    e, c = generate_random_uniform_prior(8, 3, seed), identity_cost(8)
+    n_star = tracenorm_argmax(e, c)[0]
+    tol = float(np.ldexp(1e-10, _exponent(np.asarray(c.values) - c.mean)))
+    batches, inside = [], []
+    refuted, batch = engine._refuted, engine._effective_operator_batch
+
+    def falsifier(*args):
+        inside.append(True)
+        try:
+            return refuted(*args)
+        finally:
+            inside.pop()
+
+    def counted(*args):
+        batches.extend(inside)
+        return batch(*args)
+
+    monkeypatch.setattr(engine, "_refuted", falsifier)
+    monkeypatch.setattr(engine, "_effective_operator_batch", counted)
+    assert condition_check(e, c, n_star, tol=tol) is reference_condition_check(e, c, n_star, tol) is False
+    assert len(batches) == 2
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-10])
 def test_condition_check_at_m1(monkeypatch, tol):
     # one numbering and E = 0: the ascent tests it exactly, so no split is built
@@ -1278,10 +1306,22 @@ def test_half_blocks_hold_one_row_of_each_complement_pair(m):
     # returns E = 0 without a block
     seen = np.zeros(math.factorial(m), dtype=np.int8)
     for block in swept_blocks(m):
-        rows = qap._split_rows(m, block)[engine._first_half(m, block)]
+        rows = qap._split_rows(m, block)[qap._split_mirror(m, block)]
         for r in (rows, rows[:, ::-1]):
             np.add.at(seen, lexicographic_ranks(r), 1)
     np.testing.assert_array_equal(seen, 0 if m == 1 else 1)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_mirror_table_marks_the_rows_whose_first_label_is_below_their_last(m):
+    # the trace-norm sweep reads n(0) < n(M - 1) from the cached table, one
+    # read-only row per block, where it decoded the block's rows
+    for block in qap._split_blocks(m):
+        rows = qap._split_rows(m, block)
+        mirror = qap._split_mirror(m, block)
+        np.testing.assert_array_equal(mirror, rows[:, 0] < rows[:, -1])
+        assert not mirror.flags.writeable
+    assert qap._mirror_tables(m) is qap._mirror_tables(m)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
